@@ -7,13 +7,13 @@ import (
 	"killi/internal/xrand"
 )
 
-// refEvent and refHeap are a straight container/heap re-implementation of
-// the pre-typed-heap queue, kept as the ordering oracle for the property
-// test below.
+// refEvent and refHeap are a straight container/heap priority queue over
+// the engine's canonical (cycle, key) order, kept as the ordering oracle
+// for the property test below.
 type refEvent struct {
-	when uint64
-	seq  uint64
-	fn   func()
+	when, key  uint64
+	dom        int
+	id, budget uint64
 }
 
 type refHeap []refEvent
@@ -23,7 +23,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
-	return h[i].seq < h[j].seq
+	return h[i].key < h[j].key
 }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
@@ -35,120 +35,211 @@ func (h *refHeap) Pop() interface{} {
 	return it
 }
 
-// refEngine mirrors Engine's API on top of container/heap.
+// scheduler abstracts Sharded and the reference queue for the shared
+// workload generator: local events via after, cross-domain messages via
+// send, both relative to the firing domain's current cycle.
+type scheduler interface {
+	now(dom int) uint64
+	after(dom int, delay, id, budget uint64)
+	send(src, dst int, delay, id, budget uint64)
+}
+
+// refEngine is a single global container/heap queue that derives each
+// event's key exactly as Domain.After and Domain.Send specify.
 type refEngine struct {
-	now    uint64
-	seq    uint64
+	clock  uint64
+	seq    []uint64
 	events refHeap
 }
 
-func (e *refEngine) Now() uint64 { return e.now }
-func (e *refEngine) Schedule(delay uint64, fn func()) {
-	e.seq++
-	heap.Push(&e.events, refEvent{when: e.now + delay, seq: e.seq, fn: fn})
+func (e *refEngine) now(int) uint64 { return e.clock }
+func (e *refEngine) after(dom int, delay, id, budget uint64) {
+	e.seq[dom]++
+	heap.Push(&e.events, refEvent{when: e.clock + delay, key: uint64(dom)<<seqBits | e.seq[dom], dom: dom, id: id, budget: budget})
 }
-func (e *refEngine) Run() uint64 {
+func (e *refEngine) send(src, dst int, delay, id, budget uint64) {
+	e.seq[src]++
+	heap.Push(&e.events, refEvent{when: e.clock + delay, key: msgClass | uint64(src)<<seqBits | e.seq[src], dom: dst, id: id, budget: budget})
+}
+
+type shardedSched struct{ s *Sharded }
+
+func (x shardedSched) now(dom int) uint64 { return x.s.Domain(dom).Now() }
+func (x shardedSched) after(dom int, delay, id, budget uint64) {
+	x.s.Domain(dom).After(delay, 0, id, budget)
+}
+func (x shardedSched) send(src, dst int, delay, id, budget uint64) {
+	x.s.Domain(src).Send(x.s.Domain(dst), delay, 0, id, budget)
+}
+
+// firing is one fired event: its id and cycle.
+type firing struct{ id, cycle uint64 }
+
+// schedTrace records each domain's firing sequence and, when global is
+// set (serial runs only), the global one.
+type schedTrace struct {
+	global bool
+	all    []firing
+	byDom  [][]firing
+}
+
+const oracleDomains = 4
+
+// randomDelay draws a delay from a mix that exercises every queue path:
+// zero (same-cycle), short, straddling the calendar horizon, and far
+// beyond it (spill).
+func randomDelay(r uint64) uint64 {
+	switch r % 8 {
+	case 0:
+		return 0
+	case 1, 2, 3:
+		return (r >> 8) % 40
+	case 4:
+		return horizon - 8 + (r>>8)%16
+	case 5:
+		return horizon + (r>>8)%5000
+	default:
+		return (r >> 8) % 600
+	}
+}
+
+// fire is the shared event behavior: record the firing, then derive the
+// event's children purely from (seed, id), so both engines make identical
+// scheduling decisions. Some children target an absolute grid cycle, so
+// events pushed from far away (spilled) and from near (bucketed) collide
+// on the same cycle and must be ordered by key alone.
+func fire(e scheduler, tr *schedTrace, seed uint64, dom int, id, budget uint64) {
+	now := e.now(dom)
+	if tr.global {
+		tr.all = append(tr.all, firing{id, now})
+	}
+	tr.byDom[dom] = append(tr.byDom[dom], firing{id, now})
+	if budget == 0 {
+		return
+	}
+	r := xrand.New(seed ^ id*0x9e3779b97f4a7c15)
+	children := 1 + r.Uint64()%2
+	for j := uint64(0); j < children; j++ {
+		child := id*3 + j + 1
+		x := r.Uint64()
+		var delay uint64
+		if x%5 == 0 {
+			// Aim at the next-but-k multiple of 1024: a grid shared by
+			// events scheduled from anywhere, some of them beyond the
+			// horizon.
+			target := (now/1024 + 1 + (x>>8)%6) * 1024
+			delay = target - now
+		} else {
+			delay = randomDelay(x >> 3)
+		}
+		if x%3 == 0 {
+			dst := int((x >> 40) % oracleDomains)
+			if dst != dom {
+				if delay == 0 {
+					delay = 1
+				}
+				e.send(dom, dst, delay, child, budget-1)
+				continue
+			}
+		}
+		e.after(dom, delay, child, budget-1)
+	}
+}
+
+// seedRoots schedules the initial events of a random schedule.
+func seedRoots(e scheduler, seed uint64) {
+	r := xrand.New(seed)
+	for i := uint64(0); i < 48; i++ {
+		e.after(int(i%oracleDomains), randomDelay(r.Uint64()), 1_000_000+i, 1+r.Uint64()%6)
+	}
+}
+
+func runReference(seed uint64) *schedTrace {
+	e := &refEngine{seq: make([]uint64, oracleDomains)}
+	tr := &schedTrace{global: true, byDom: make([][]firing, oracleDomains)}
+	seedRoots(e, seed)
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(refEvent)
-		e.now = ev.when
-		ev.fn()
+		e.clock = ev.when
+		fire(e, tr, seed, ev.dom, ev.id, ev.budget)
 	}
-	return e.now
-}
-
-// trace records (id, cycle) pairs for comparison across implementations.
-type trace struct {
-	ids    []int
-	cycles []uint64
-}
-
-func (t *trace) hit(id int, cycle uint64) {
-	t.ids = append(t.ids, id)
-	t.cycles = append(t.cycles, cycle)
-}
-
-// scheduler abstracts the two engines for the shared workload generator.
-type scheduler interface {
-	Now() uint64
-	Schedule(delay uint64, fn func())
-}
-
-// runRandomSchedule drives a randomized event workload: a mix of plain
-// events, events that schedule follow-ups (including zero-delay), and
-// self-rescheduling events that re-queue themselves at delay 0 a few times
-// before expiring — the adversarial case for same-cycle FIFO order.
-func runRandomSchedule(e scheduler, run func() uint64, seed uint64) *trace {
-	r := xrand.New(seed)
-	tr := &trace{}
-	nextID := 0
-	for i := 0; i < 200; i++ {
-		id := nextID
-		nextID++
-		switch r.Uint64() % 3 {
-		case 0: // plain event
-			e.Schedule(r.Uint64()%50, func() { tr.hit(id, e.Now()) })
-		case 1: // event that chains a zero-delay follow-up
-			childID := nextID
-			nextID++
-			e.Schedule(r.Uint64()%50, func() {
-				tr.hit(id, e.Now())
-				e.Schedule(0, func() { tr.hit(childID, e.Now()) })
-			})
-		case 2: // zero-delay self-rescheduling event
-			remaining := int(r.Uint64()%3) + 1
-			var fn func()
-			fn = func() {
-				tr.hit(id, e.Now())
-				remaining--
-				if remaining > 0 {
-					e.Schedule(0, fn)
-				}
-			}
-			e.Schedule(r.Uint64()%50, fn)
-		}
-	}
-	run()
 	return tr
 }
 
-// TestMatchesReferenceHeap checks the typed four-ary heap against the
-// container/heap oracle on randomized schedules: identical firing order and
-// identical cycles, across many seeds.
+func runShardedSchedule(seed uint64, k int) *schedTrace {
+	s := NewSharded(oracleDomains)
+	s.SetShards(k)
+	x := shardedSched{s}
+	// At K>1 shards fire concurrently, so only the per-domain traces
+	// (each written by its owning shard alone) are recorded.
+	tr := &schedTrace{global: k == 1, byDom: make([][]firing, oracleDomains)}
+	for dom := 0; dom < oracleDomains; dom++ {
+		dom := dom
+		s.Domain(dom).Bind(sinkFunc(func(_ uint8, id, budget uint64) {
+			fire(x, tr, seed, dom, id, budget)
+		}))
+	}
+	seedRoots(x, seed)
+	s.Run()
+	return tr
+}
+
+func equalFirings(a, b []firing) (int, bool) {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i, false
+		}
+	}
+	return len(a), len(a) == len(b)
+}
+
+// TestMatchesReferenceHeap checks Sharded against the container/heap
+// oracle on randomized schedules that mix same-cycle After(0) events,
+// delays past the calendar horizon, and spill/bucket ties on equal cycles:
+// at K=1 the global firing sequence must match the oracle exactly, and at
+// every K each domain must fire the oracle's events at the oracle's cycles
+// in the oracle's order.
 func TestMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		var typed Engine
-		var ref refEngine
-		got := runRandomSchedule(&typed, typed.Run, seed)
-		want := runRandomSchedule(&ref, ref.Run, seed)
-		if len(got.ids) != len(want.ids) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d",
-				seed, len(got.ids), len(want.ids))
+		want := runReference(seed)
+		if len(want.all) < 200 {
+			t.Fatalf("seed %d: schedule fired only %d events", seed, len(want.all))
 		}
-		for i := range got.ids {
-			if got.ids[i] != want.ids[i] || got.cycles[i] != want.cycles[i] {
-				t.Fatalf("seed %d: event %d diverges: got (id=%d,cycle=%d), want (id=%d,cycle=%d)",
-					seed, i, got.ids[i], got.cycles[i], want.ids[i], want.cycles[i])
+		for _, k := range []int{1, 2, 4} {
+			got := runShardedSchedule(seed, k)
+			if k == 1 {
+				if i, ok := equalFirings(got.all, want.all); !ok {
+					t.Fatalf("seed %d K=1: global sequence diverges at event %d (fired %d, oracle %d)",
+						seed, i, len(got.all), len(want.all))
+				}
+			}
+			for dom := range want.byDom {
+				if i, ok := equalFirings(got.byDom[dom], want.byDom[dom]); !ok {
+					t.Fatalf("seed %d K=%d: domain %d diverges at event %d (fired %d, oracle %d)",
+						seed, k, dom, i, len(got.byDom[dom]), len(want.byDom[dom]))
+				}
 			}
 		}
 	}
 }
 
-// TestSameCycleSchedulingOrderProperty fires many events at colliding cycles
-// and asserts the global property directly: among events with equal cycles,
-// firing order equals scheduling order.
+// TestSameCycleSchedulingOrderProperty fires many events at colliding
+// cycles and asserts the global property directly: among a domain's local
+// events with equal cycles, firing order equals scheduling order.
 func TestSameCycleSchedulingOrderProperty(t *testing.T) {
 	r := xrand.New(7)
-	var e Engine
+	s := NewSharded(1)
+	d := s.Domain(0)
 	type rec struct {
-		schedOrder int
+		schedOrder uint64
 		cycle      uint64
 	}
 	var fired []rec
-	for i := 0; i < 500; i++ {
-		i := i
-		e.Schedule(r.Uint64()%8, func() { fired = append(fired, rec{i, e.Now()}) })
+	d.Bind(sinkFunc(func(_ uint8, a, _ uint64) { fired = append(fired, rec{a, d.Now()}) }))
+	for i := uint64(0); i < 500; i++ {
+		d.After(r.Uint64()%8, 0, i, 0)
 	}
-	e.Run()
+	s.Run()
 	if len(fired) != 500 {
 		t.Fatalf("fired %d of 500", len(fired))
 	}
@@ -161,59 +252,5 @@ func TestSameCycleSchedulingOrderProperty(t *testing.T) {
 			t.Fatalf("same-cycle events out of scheduling order at %d: %d fired after %d",
 				i, cur.schedOrder, prev.schedOrder)
 		}
-	}
-}
-
-// reusableHandler is a no-capture Handler used to measure steady-state
-// allocation behavior.
-type reusableHandler struct {
-	e     *Engine
-	count int
-}
-
-func (h *reusableHandler) Fire() {
-	h.count++
-	if h.count%2 == 0 {
-		h.e.ScheduleHandler(h.e.now%13, h)
-	}
-}
-
-// TestScheduleHandlerAllocFree verifies that scheduling reused Handler
-// objects allocates nothing once the heap's backing array has grown.
-func TestScheduleHandlerAllocFree(t *testing.T) {
-	var e Engine
-	h := &reusableHandler{e: &e}
-	// Pre-grow the backing array.
-	for i := 0; i < 64; i++ {
-		e.ScheduleHandler(uint64(i%7), h)
-	}
-	e.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			e.ScheduleHandler(uint64(i%7), h)
-		}
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ScheduleHandler/Run allocates %v per run", allocs)
-	}
-}
-
-// BenchmarkSteadyState measures the per-event cost of the queue with a
-// reused engine and handler: the target is 0 allocs/op.
-func BenchmarkSteadyState(b *testing.B) {
-	var e Engine
-	h := &reusableHandler{e: &e}
-	for i := 0; i < 128; i++ {
-		e.ScheduleHandler(uint64(i%13), h)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 100; j++ {
-			e.ScheduleHandler(uint64(j%13), h)
-		}
-		e.Run()
 	}
 }

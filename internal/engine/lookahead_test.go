@@ -203,41 +203,6 @@ func TestOversubscribedShards(t *testing.T) {
 	}
 }
 
-// TestBulkIngestMatchesPush pins that the heapify bulk-ingest path yields
-// the same pop sequence as per-event pushes, over an adversarial batch.
-func TestBulkIngestMatchesPush(t *testing.T) {
-	rng := uint64(99)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	var batch []sevent
-	for i := 0; i < 200; i++ {
-		r := next()
-		batch = append(batch, sevent{when: r % 16, key: msgClass | r>>4, dst: 0, kind: uint8(i)})
-	}
-	var a, b shardState
-	for _, ev := range batch {
-		a.push(ev)
-	}
-	b.heap = append(b.heap, batch...)
-	b.heapify()
-	for i := 0; len(a.heap) > 0; i++ {
-		if len(b.heap) == 0 {
-			t.Fatal("bulk heap drained early")
-		}
-		x, y := a.pop(), b.pop()
-		if x != y {
-			t.Fatalf("pop %d: push path %+v, heapify path %+v", i, x, y)
-		}
-	}
-	if len(b.heap) != 0 {
-		t.Fatal("bulk heap has leftover events")
-	}
-}
-
 // TestDeclaredEdgeEnforcement pins the declared-topology contract: Sends on
 // undeclared edges or below the declared floor panic instead of silently
 // breaking the lookahead bound.
@@ -303,35 +268,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkMailboxIngest compares the per-event push path (small batches)
-// with the append-then-heapify path (batches large relative to the heap).
-func BenchmarkMailboxIngest(b *testing.B) {
-	bench := func(name string, batch, heapSize int) {
-		b.Run(name, func(b *testing.B) {
-			s := NewSharded(2)
-			s.SetShards(2)
-			row := make([]sevent, batch)
-			for i := range row {
-				row[i] = sevent{when: uint64(i * 7 % 97), key: msgClass | uint64(i), dst: 0}
-			}
-			base := make([]sevent, heapSize)
-			for i := range base {
-				base[i] = sevent{when: uint64(i * 13 % 89), key: uint64(i), dst: 0}
-			}
-			sh := &s.shards[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sh.heap = append(sh.heap[:0], base...)
-				sh.heapify()
-				s.shards[1].out[0] = append(s.shards[1].out[0][:0], row...)
-				s.ingest(0)
-			}
-		})
-	}
-	bench("push16into256", 16, 256)
-	bench("bulk256into64", 256, 64)
-	bench("bulk1024into128", 1024, 128)
 }

@@ -1,3 +1,22 @@
+// Package engine provides the discrete-event simulation kernel: a clock and
+// event queues with deterministic same-cycle ordering.
+//
+// The GPU memory-hierarchy model is expressed as events (request issue,
+// bank response, DRAM completion) scheduled at future cycles. Determinism
+// matters: two events at the same cycle fire in a canonical order, so a
+// simulation configuration plus a seed fully determines every statistic.
+//
+// The kernel is Sharded: simulator state is partitioned into domains, each
+// with a bound EventSink, and domains are grouped onto K shards that
+// advance in lock-step barrier rounds. Each round fires every event below
+// a per-shard bound derived from the transitive closure of declared
+// per-edge minimum Send delays (DeclareEdge), so one round coalesces many
+// cycles of work; without declarations the engine falls back to a
+// conservative one-cycle lookahead. K=1 is a plain serial pop loop with
+// zero steady-state allocations; results are bit-identical at every K.
+// Each shard's events live in a calendar queue (queue.go); the oracle
+// tests in determinism_test.go pin its ordering against a container/heap
+// reference queue.
 package engine
 
 import (
@@ -72,36 +91,19 @@ type RunStats struct {
 	IngestsSkipped uint64
 }
 
-// sevent is one queued event: payload (kind, a, b) for the sink of domain
-// dst, firing at cycle `when`, totally ordered by (when, key).
-type sevent struct {
-	when uint64
-	key  uint64
-	a, b uint64
-	dst  int32
-	kind uint8
-}
-
-func (e sevent) less(o sevent) bool {
-	if e.when != o.when {
-		return e.when < o.when
-	}
-	return e.key < o.key
-}
-
-// shardState is one shard's private event heap plus its outboxes. During a
-// parallel round, shard w appends outgoing messages to out[dst] (only w
+// shardState is one shard's private event queue plus its outboxes. During
+// a parallel round, shard w appends outgoing messages to out[dst] (only w
 // writes its own rows) and, in the ingest phase, drains column w of every
 // shard's outbox (only w reads/resets that column); the round barriers
 // order the two phases, so no slice is ever touched concurrently.
 //
-// Layout audit: heap/out headers and now are written every round by the
-// owning worker only; cross-worker coordination words live in the padded
-// pub/bound slots owned by the engine, not here. The trailing pad keeps
-// two adjacent shardStates' hot words on distinct cache lines.
+// Layout audit: the queue, out headers and now are written every round by
+// the owning worker only; cross-worker coordination words live in the
+// padded pub/bound slots owned by the engine, not here. The trailing pad
+// keeps two adjacent shardStates' hot words on distinct cache lines.
 type shardState struct {
-	heap []sevent
-	out  [][]sevent
+	q   calQueue
+	out [][]sevent
 	// now is the cycle the shard is processing; Domain.Now reads it, so it
 	// is written only by the owning worker (or single-threaded code).
 	now uint64
@@ -111,93 +113,6 @@ type shardState struct {
 	timestamps uint64
 	crossSent  uint64
 	_pad       [40]byte // keep hot per-shard words off shared cache lines
-}
-
-func (sh *shardState) push(ev sevent) {
-	sh.heap = append(sh.heap, ev)
-	siftUp(sh.heap, len(sh.heap)-1)
-}
-
-func siftUp(h []sevent, i int) {
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.less(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-}
-
-// siftDown restores the four-ary heap property at index i, assuming the
-// subtrees below are already heaps: bottom-up hole sift — walk the hole
-// down the min-child path, then sift the displaced element back up.
-func siftDown(h []sevent, i int) {
-	n := len(h)
-	moved := h[i]
-	start := i
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].less(h[best]) {
-				best = c
-			}
-		}
-		h[i] = h[best]
-		i = best
-	}
-	for i > start {
-		parent := (i - 1) / 4
-		if parent < start {
-			break
-		}
-		if !moved.less(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = moved
-}
-
-func (sh *shardState) pop() sevent {
-	top := sh.heap[0]
-	n := len(sh.heap) - 1
-	last := sh.heap[n]
-	sh.heap = sh.heap[:n]
-	if n == 0 {
-		return top
-	}
-	sh.heap[0] = last
-	siftDown(sh.heap, 0)
-	return top
-}
-
-// heapify establishes the heap property over the whole slice in O(n)
-// (Floyd's method) — used by bulk mailbox ingest when the incoming batch
-// is large relative to the heap.
-func (sh *shardState) heapify() {
-	h := sh.heap
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
-func (sh *shardState) minWhen() uint64 {
-	if len(sh.heap) == 0 {
-		return noEvent
-	}
-	return sh.heap[0].when
 }
 
 // Domain is one partition of simulator state: an event queue identity
@@ -229,7 +144,7 @@ func (d *Domain) Now() uint64 { return d.eng.shards[d.shard].now }
 func (d *Domain) After(delay uint64, kind uint8, a, b uint64) {
 	sh := &d.eng.shards[d.shard]
 	d.seq++
-	sh.push(sevent{
+	sh.q.push(sevent{
 		when: sh.now + delay,
 		key:  uint64(d.id)<<seqBits | d.seq,
 		a:    a, b: b,
@@ -269,7 +184,7 @@ func (d *Domain) Send(dst *Domain, delay uint64, kind uint8, a, b uint64) {
 		kind: kind,
 	}
 	if ds := dst.shard; ds == d.shard {
-		sh.push(ev)
+		sh.q.push(ev)
 	} else {
 		sh.out[ds] = append(sh.out[ds], ev)
 		sh.crossSent++
@@ -336,9 +251,8 @@ type Sharded struct {
 	// each slot's period) strictly between rounds: every domain is parked
 	// when one runs, so it may read — and, alone among extension points,
 	// mutate — simulator state. A ticker fires for each boundary B <= the
-	// next event cycle, which reproduces the semantics of a daemon ticker
-	// event on the serial engine: a boundary with no remaining events
-	// after it never fires. A boundary shared by several slots fires them
+	// next event cycle, like a daemon event that never keeps Run alive: a
+	// boundary with no remaining events after it never fires. A boundary shared by several slots fires them
 	// in ascending slot order. Slot 0 is the legacy pacer (SetPacer, the
 	// observability sampler); gpu's fault-class strike ticker rides in
 	// slot 1.
@@ -411,7 +325,7 @@ func (s *Sharded) DeclareEdge(src, dst int, minDelay uint64) {
 func (s *Sharded) Pending() int {
 	total := 0
 	for i := range s.shards {
-		total += len(s.shards[i].heap)
+		total += s.shards[i].q.len()
 		for _, row := range s.shards[i].out {
 			total += len(row)
 		}
@@ -421,7 +335,7 @@ func (s *Sharded) Pending() int {
 
 // SetShards regroups the domains onto k shards (clamped to [1, domains])
 // round-robin. It must be called with no queued events — between Runs —
-// because events live in per-shard heaps. Results are identical at any k;
+// because events live in per-shard queues. Results are identical at any k;
 // only wall-clock changes.
 func (s *Sharded) SetShards(k int) {
 	if s.Pending() != 0 {
@@ -470,6 +384,7 @@ func (s *Sharded) setShards(k int) {
 	for i := range s.shards {
 		s.shards[i].out = make([][]sevent, k)
 		s.shards[i].now = s.now
+		s.shards[i].q.cur = s.now
 	}
 	s.pub = make([]pubSlot, k)
 	s.bounds = make([]boundSlot, k)
@@ -485,7 +400,7 @@ func (s *Sharded) setShards(k int) {
 // per-round fire bounds conservative: a shard's bound must protect it from
 // every chain of cause and effect rooted at another shard's round-start
 // minimum, including chains that bounce through third shards or that
-// originate in the shard's own heap and return to it. Each hop of such a
+// originate in the shard's own queue and return to it. Each hop of such a
 // chain adds at least the traversed edge's declared floor, so the earliest
 // any chain rooted at cycle m on shard f can deliver into shard t is
 // m + look[t*K+f].
@@ -621,11 +536,11 @@ func (s *Sharded) runSerial() uint64 {
 	var events, stamps, last uint64
 	last = noEvent
 	hasTickers := len(s.tickers) > 0
-	for len(sh.heap) > 0 {
+	for sh.q.len() > 0 {
 		if hasTickers {
-			s.fireTickers(sh.heap[0].when)
+			s.fireTickers(sh.q.minWhen())
 		}
-		ev := sh.pop()
+		ev := sh.q.pop()
 		if ev.when != last {
 			stamps++
 			last = ev.when
@@ -744,7 +659,7 @@ func (s *Sharded) worker(w int, bar *barrier) {
 	// sent flags); ingest them before publishing the initial minimum so no
 	// shard's first min misses mailbox-only events.
 	s.ingest(w)
-	pub.min = sh.minWhen()
+	pub.min = sh.q.minWhen()
 	bar.wait(s.combinePlan)
 	for {
 		t := s.hdr.globalMin
@@ -773,8 +688,8 @@ func (s *Sharded) worker(w int, bar *barrier) {
 			}
 		}
 		last := noEvent
-		for len(sh.heap) > 0 && sh.heap[0].when < bound {
-			ev := sh.pop()
+		for sh.q.minWhen() < bound {
+			ev := sh.q.pop()
 			if ev.when != last {
 				sh.timestamps++
 				last = ev.when
@@ -792,7 +707,7 @@ func (s *Sharded) worker(w int, bar *barrier) {
 		if w == 0 {
 			s.stats.Rounds++
 		}
-		pub.min = sh.minWhen()
+		pub.min = sh.q.minWhen()
 		bar.wait(s.combinePlan)
 	}
 }
@@ -810,36 +725,14 @@ func (s *Sharded) combineTraffic() {
 	s.hdr.ingest = ingest
 }
 
-// ingest drains column w of every shard's outbox into shard w's heap.
-// Small batches push per event; a batch large relative to the heap appends
-// everything and re-heapifies in O(heap+batch) (Floyd), which is cheaper
-// than batch×log pushes. Either way the heap ends with the same element
-// set, and because (when, key) is a strict total order the subsequent pop
-// sequence — the only thing the simulation observes — is identical.
+// ingest drains column w of every shard's outbox into shard w's queue.
 func (s *Sharded) ingest(w int) {
 	sh := &s.shards[w]
-	total := 0
-	for i := range s.shards {
-		total += len(s.shards[i].out[w])
-	}
-	if total == 0 {
-		return
-	}
-	if total > 32 && total > len(sh.heap) {
-		for i := range s.shards {
-			src := &s.shards[i]
-			row := src.out[w]
-			sh.heap = append(sh.heap, row...)
-			src.out[w] = row[:0]
-		}
-		sh.heapify()
-		return
-	}
 	for i := range s.shards {
 		src := &s.shards[i]
 		row := src.out[w]
 		for j := range row {
-			sh.push(row[j])
+			sh.q.push(row[j])
 		}
 		src.out[w] = row[:0]
 	}

@@ -248,6 +248,87 @@ func TestTickerSlots(t *testing.T) {
 	}
 }
 
+// The Daemon tests below pin the ticker as the engine's daemon: a hook
+// that fires at its boundaries while live events remain, but never keeps
+// Run alive by itself. Each runs at K=1 and K=2.
+
+func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		s := NewSharded(2)
+		s.SetShards(k)
+		fired := 0
+		s.SetTicker(1, 5, func(uint64) { fired++ })
+		if got := s.Run(); got != 0 {
+			t.Fatalf("K=%d: Run with only a ticker armed advanced to cycle %d, want 0", k, got)
+		}
+		if fired != 0 || s.Pending() != 0 {
+			t.Fatalf("K=%d: ticker fired %d times, Pending=%d, want 0/0", k, fired, s.Pending())
+		}
+	}
+}
+
+func TestDaemonInterleavesWithLiveEvents(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		s := NewSharded(2)
+		s.SetShards(k)
+		s.Domain(1).Bind(sinkFunc(func(uint8, uint64, uint64) {}))
+		var fired []uint64
+		s.SetTicker(1, 10, func(b uint64) { fired = append(fired, b) })
+		s.Domain(1).After(35, 0, 0, 0)
+		if got := s.Run(); got != 35 {
+			t.Fatalf("K=%d: final cycle %d, want 35", k, got)
+		}
+		// Boundaries 10, 20, 30 precede the live event at 35; 40 does not
+		// fire.
+		if len(fired) != 3 || fired[0] != 10 || fired[1] != 20 || fired[2] != 30 {
+			t.Fatalf("K=%d: ticker fired at %v, want [10 20 30]", k, fired)
+		}
+	}
+}
+
+func TestDaemonPersistsAcrossRuns(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		s := NewSharded(2)
+		s.SetShards(k)
+		s.Domain(0).Bind(sinkFunc(func(uint8, uint64, uint64) {}))
+		var fired []uint64
+		s.SetTicker(1, 10, func(b uint64) { fired = append(fired, b) })
+		s.Domain(0).After(15, 0, 0, 0)
+		s.Run()
+		if len(fired) != 1 || fired[0] != 10 {
+			t.Fatalf("K=%d: first run: ticker fired at %v, want [10]", k, fired)
+		}
+		// A second Run resumes from the armed boundary (20) without
+		// rearming.
+		s.Domain(0).After(30, 0, 0, 0) // now=15, so fires at 45
+		s.Run()
+		if len(fired) != 4 || fired[1] != 20 || fired[2] != 30 || fired[3] != 40 {
+			t.Fatalf("K=%d: second run: ticker fired at %v, want [10 20 30 40]", k, fired)
+		}
+	}
+}
+
+// TestTickerFiresBeforeSameCycleEvents pins that a boundary equal to an
+// event cycle fires before every event of that cycle, whatever the order
+// the events and the ticker were set up in.
+func TestTickerFiresBeforeSameCycleEvents(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		s := NewSharded(2)
+		s.SetShards(k)
+		var order []string
+		s.Domain(0).Bind(sinkFunc(func(_ uint8, a, _ uint64) {
+			order = append(order, []string{"live1", "live2"}[a])
+		}))
+		s.Domain(0).After(5, 0, 0, 0)
+		s.SetTicker(1, 5, func(uint64) { order = append(order, "tick") })
+		s.Domain(0).After(5, 0, 1, 0)
+		s.Run()
+		if len(order) != 3 || order[0] != "tick" || order[1] != "live1" || order[2] != "live2" {
+			t.Fatalf("K=%d: same-cycle order %v, want [tick live1 live2]", k, order)
+		}
+	}
+}
+
 // TestShardedRunReuse runs the same engine twice and checks the clock is
 // monotone and domain Now() agrees with the engine between runs.
 func TestShardedRunReuse(t *testing.T) {

@@ -95,6 +95,11 @@ type Server struct {
 	queued       atomic.Int64 // jobs waiting in the queue right now
 	running      atomic.Int64 // jobs executing right now
 	retainedHits atomic.Int64 // submissions served from the retained registry
+
+	// beforeAdmit, when non-nil, runs in Submit between the retained
+	// registry check and admit: a seam that lets a test complete the same
+	// job inside that window. Always nil outside tests.
+	beforeAdmit func()
 }
 
 // Stats is a snapshot of the server's job counters.
@@ -212,6 +217,8 @@ func (s *Server) worker() {
 		s.running.Add(1)
 		c.res, c.err = s.execute(s.runCtx, c)
 		s.running.Add(-1)
+		// Record before dropping the in-flight entry: admit relies on this
+		// order to find a just-completed job in the registry.
 		if c.err == nil && !c.streamed() && s.retain != nil {
 			s.retain.record(c.res)
 		}
@@ -337,11 +344,11 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (*JobResult, error)
 		// retained result can never be stale. Draining servers still refuse:
 		// shutdown semantics beat the fast path.
 		if res := s.retain.get(key); res != nil && !closed {
-			s.retainedHits.Add(1)
-			out := *res
-			out.Cached = true
-			return &out, nil
+			return s.retainedHit(res), nil
 		}
+	}
+	if s.beforeAdmit != nil {
+		s.beforeAdmit()
 	}
 	c, coalesced, err := s.admit(&call{req: norm, key: key, done: make(chan struct{})})
 	if err != nil {
@@ -407,8 +414,18 @@ func (s *Server) SubmitCampaignObserved(ctx context.Context, req JobRequest, pro
 	return s.wait(ctx, c)
 }
 
-// admit coalesces c onto an identical in-flight call or enqueues it,
-// returning the call to wait on and whether it was coalesced.
+// retainedHit counts a submission served from the retained registry and
+// returns its copy of res, marked Cached.
+func (s *Server) retainedHit(res *JobResult) *JobResult {
+	s.retainedHits.Add(1)
+	out := *res
+	out.Cached = true
+	return &out
+}
+
+// admit coalesces c onto an identical in-flight call, serves it from the
+// retained registry, or enqueues it, returning the call to wait on and
+// whether it was coalesced.
 func (s *Server) admit(c *call) (*call, bool, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -420,6 +437,17 @@ func (s *Server) admit(c *call) (*call, bool, error) {
 			s.mu.Unlock()
 			s.coalesced.Add(1)
 			return leader, true, nil
+		}
+		// A worker records its result before dropping the in-flight entry,
+		// so a job that completed after the caller's registry check missed
+		// is retained by now: serve it instead of executing it again.
+		if s.retain != nil {
+			if res := s.retain.get(c.key); res != nil {
+				s.mu.Unlock()
+				c.res = s.retainedHit(res)
+				close(c.done)
+				return c, false, nil
+			}
 		}
 	}
 	select {

@@ -167,6 +167,40 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestSubmitRacingCompletionExecutesOnce forces the interleaving where a
+// submission misses the retained registry and then, before it reaches
+// admit, an identical job completes: its worker records the result and
+// drops the in-flight entry. The late submission must be served from the
+// registry, not simulate the job a second time.
+func TestSubmitRacingCompletionExecutesOnce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	req := smallRun(11)
+	var inner *JobResult
+	var innerErr error
+	s.beforeAdmit = func() {
+		s.beforeAdmit = nil // the nested Submit below takes the plain path
+		inner, innerErr = s.Submit(ctx, req)
+	}
+	res, err := s.Submit(ctx, req)
+	if err != nil || innerErr != nil {
+		t.Fatalf("submit: %v / nested submit: %v", err, innerErr)
+	}
+	if inner.Cached || inner.Run == nil {
+		t.Fatalf("nested submission should have simulated: %+v", inner)
+	}
+	st := s.Stats()
+	if st.Executed != 1 {
+		t.Fatalf("%d simulations executed for one job, want 1", st.Executed)
+	}
+	if !res.Cached || st.RetainedHits != 1 {
+		t.Fatalf("late submission Cached=%v, retained hits %d; want a registry hit", res.Cached, st.RetainedHits)
+	}
+	if *res.Run != *inner.Run {
+		t.Fatalf("late submission diverges: %+v vs %+v", res.Run, inner.Run)
+	}
+}
+
 // TestCoalescingIgnoresExecutionKnobs pins that shards/parallelism — which
 // never change results — do not fragment the key space.
 func TestCoalescingIgnoresExecutionKnobs(t *testing.T) {
