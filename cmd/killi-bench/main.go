@@ -69,6 +69,9 @@
 // curve gates by host width: on >= 4 CPUs, K=4 must be >= 2x faster than
 // K=1; on narrower hosts (where the curve is honestly overhead-only) each
 // point must stay within 1.5x of the recorded baseline curve.
+//
+// -cpuprofile and -memprofile write pprof profiles covering every
+// measurement, as killi-sim's do for a sweep.
 package main
 
 import (
@@ -91,6 +94,7 @@ import (
 	"killi/internal/experiments"
 	"killi/internal/gpu"
 	"killi/internal/killi"
+	"killi/internal/obs"
 	"killi/internal/protection"
 	"killi/internal/simserver"
 )
@@ -464,10 +468,27 @@ func enforceCurve(baseline, cur map[string]float64, ncpu int) []string {
 }
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	out := flag.String("o", "BENCH_core.json", "output file for the benchmark report")
 	gate := flag.Bool("enforce", false, "exit nonzero on regression against the file's baseline entry (15% latency, 2x warm cache, 1.5x/2x throughput floors), nonzero allocs_per_event, or a zero-valued gated baseline field")
 	shards := flag.Int("shards", 1, "intra-run shard count for the sweep and single-run measurements (the shard curve always covers K=1..8)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile (after the measurements) to this file")
 	flag.Parse()
+
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "killi-bench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "killi-bench: %v\n", err)
+		}
+	}()
 
 	ns, allocs := benchEngine()
 	fmt.Fprintf(os.Stderr, "engine: %.1f ns/event, %.2f allocs/event (K=1 serial path)\n", ns, allocs)
@@ -475,7 +496,7 @@ func main() {
 	single, _, err := benchSingle(*shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: single run: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "single: %.3f s (xsbench x killi-1:64, 2500 req/CU, %d shards, best of 3)\n",
 		single, *shards)
@@ -486,7 +507,7 @@ func main() {
 		s, res, err := benchSingle(k)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "killi-bench: shard curve K=%d: %v\n", k, err)
-			os.Exit(1)
+			return 1
 		}
 		curve[fmt.Sprintf("%d", k)] = s
 		switch k {
@@ -506,7 +527,7 @@ func main() {
 	sweep, err := benchSweep("", *shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: sweep: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "sweep:  %.3f s (4 workloads, 2500 req/CU, serial, no cache, %d shards)\n",
 		sweep, *shards)
@@ -514,18 +535,18 @@ func main() {
 	cacheDir, err := os.MkdirTemp("", "killi-bench-cache-")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer os.RemoveAll(cacheDir)
 	cold, err := benchSweep(cacheDir, *shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: cold sweep: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	warm, err := benchSweep(cacheDir, *shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: warm sweep: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "cache:  cold %.3f s -> warm %.3f s (%.1f%% of cold)\n",
 		cold, warm, 100*warm/cold)
@@ -533,7 +554,7 @@ func main() {
 	coldRPS, hotRPS, err := benchServer()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: server: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "server: cold %.1f req/s -> hot %.1f req/s (%d jobs via the killi-simd API)\n",
 		coldRPS, hotRPS, serverJobs)
@@ -541,7 +562,7 @@ func main() {
 	diesPerSec, err := benchCampaign(*shards, "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: campaign: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "fleet:  %.2f dies/s (%d dies, 2 schemes x 2 voltages, 1200 req/CU, serial)\n",
 		diesPerSec, campaignDies)
@@ -549,7 +570,7 @@ func main() {
 	warmDies, err := benchCampaignWarm(*shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: warm campaign: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "fleet:  warm %.2f dies/s (%.0fx cold, whole-die cache)\n",
 		warmDies, warmDies/diesPerSec)
@@ -602,12 +623,12 @@ func main() {
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	buf = append(buf, '\n')
 	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "killi-bench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("wrote %s (baseline sweep %.3fs -> current %.3fs, %.2fx; single %.3fs; warm cache %.3fs)\n",
 		*out, rep.Baseline.SweepSeconds, rep.Current.SweepSeconds,
@@ -620,8 +641,9 @@ func main() {
 			for _, b := range bad {
 				fmt.Fprintf(os.Stderr, "killi-bench: REGRESSION: %s\n", b)
 			}
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintln(os.Stderr, "killi-bench: within baseline budget")
 	}
+	return 0
 }

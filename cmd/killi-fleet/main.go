@@ -28,6 +28,9 @@
 // and dispatches only the remaining dies. Cached, resumed, and cold runs
 // produce byte-identical output at any -parallel value; the run summary
 // (wall-clock, cache/resume counts) goes to stderr, never into the output.
+//
+// -cpuprofile and -memprofile write pprof profiles of the campaign, as
+// killi-sim's do for a sweep.
 package main
 
 import (
@@ -46,6 +49,7 @@ import (
 	"killi/internal/campaign"
 	"killi/internal/experiments"
 	"killi/internal/faultmodel"
+	"killi/internal/obs"
 )
 
 func main() {
@@ -70,6 +74,8 @@ func run() int {
 	cache := flag.String("cache", "", "content-addressed result cache directory: whole-die records for warm re-runs plus per-cell entries shared with killi-sim")
 	checkpoint := flag.String("checkpoint", "", "append completed die records to a restart journal in this directory")
 	resume := flag.Bool("resume", false, "replay the -checkpoint journal's valid prefix before dispatching the remaining dies")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile (after the campaign) to this file")
 	flag.Parse()
 
 	if err := experiments.ValidateFlags(*requests, *parallel, *shards, runtime.GOMAXPROCS(0)); err != nil {
@@ -125,7 +131,15 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "killi-fleet: %v\n", err)
+		return 1
+	}
 	res, err := campaign.Run(ctx, cfg)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintf(os.Stderr, "killi-fleet: %v\n", perr)
+	}
 	switch {
 	case errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "killi-fleet: interrupted")

@@ -154,14 +154,18 @@ func NewVector(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// LineVector returns a 512-bit Vector holding a copy of l. A Line and a
-// 512-bit Vector share the same little-endian word layout, so this is one
-// 8-word copy rather than 512 bit inserts — it feeds the ECC codecs on the
-// simulator's hot paths.
-func LineVector(l Line) *Vector {
-	v := &Vector{n: LineBits, words: make([]uint64, LineWords)}
-	copy(v.words, l[:])
-	return v
+// VectorOf returns an n-bit Vector over words without copying them: the
+// vector aliases the caller's storage, so writes through it land in words.
+// A Line and a 512-bit Vector share one little-endian word layout, so
+// VectorOf(l[:], LineBits) hands a line to the ECC codecs; over a local
+// array — a copied Line, a stack buffer — it allocates nothing, as long as
+// the vector does not outlive the caller's frame. It panics if words holds
+// fewer than n bits.
+func VectorOf(words []uint64, n int) *Vector {
+	if n < 0 || len(words)*64 < n {
+		panic("bitvec: VectorOf size out of range")
+	}
+	return &Vector{n: n, words: words[:(n+63)/64]}
 }
 
 // Len returns the width of the vector in bits.

@@ -265,3 +265,38 @@ func TestDiffBitsSymmetricProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestVectorOfAliases(t *testing.T) {
+	var l Line
+	l.SetBit(70, 1)
+	v := VectorOf(l[:], LineBits)
+	if v.Len() != LineBits || v.Bit(70) != 1 {
+		t.Fatal("VectorOf does not see the line's bits")
+	}
+	v.FlipBit(3)
+	if l.Bit(3) != 1 {
+		t.Fatal("a write through VectorOf did not reach the backing words")
+	}
+	if w := VectorOf(l[:], 65); len(w.Words()) != 2 {
+		t.Fatalf("65-bit view spans %d words, want 2", len(w.Words()))
+	}
+	for name, fn := range map[string]func(){
+		"negative":  func() { VectorOf(l[:], -1) },
+		"too short": func() { VectorOf(l[:2], 129) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var buf [LineWords]uint64
+		VectorOf(buf[:], LineBits).SetBit(5, 1)
+	}); allocs != 0 {
+		t.Fatalf("VectorOf over a stack buffer allocates %.0f times", allocs)
+	}
+}

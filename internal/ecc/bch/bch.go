@@ -2,6 +2,7 @@ package bch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"killi/internal/bitvec"
 )
@@ -36,18 +37,26 @@ func (s Status) String() string {
 // Result reports the outcome of a decode.
 type Result struct {
 	Status Status
-	// DataBitsFlipped lists data-bit indexes that were corrected.
-	// Corrections confined to checkbits do not appear here.
-	DataBitsFlipped []int
+	// DataBitsCorrected counts the data bits Decode flipped back in place.
+	// Corrections confined to checkbits do not count here.
+	DataBitsCorrected int
 	// CheckBitsFlipped counts corrected errors that fell in the checkbit
 	// region.
 	CheckBitsFlipped int
 }
 
+// MaxT is the strongest correction New accepts: 6EC7ED, the strongest
+// line code the paper considers. It bounds the decoder's fixed-size
+// working arrays (2t syndromes, a degree-≤2t locator), which live on the
+// stack so a decode never allocates.
+const MaxT = 6
+
 // Code is a binary primitive BCH code shortened to k data bits, correcting
 // up to t errors, with an optional extended overall-parity bit for one
-// extra bit of detection (e.g. DECTED = t=2 extended). The zero value is
-// unusable; construct with New.
+// extra bit of detection (e.g. DECTED = t=2 extended). Its checkbits fit
+// one 64-bit word. A Code is immutable after New, so one instance may
+// serve concurrent encoders and decoders. The zero value is unusable;
+// construct with New.
 type Code struct {
 	f        *Field
 	t        int
@@ -55,6 +64,9 @@ type Code struct {
 	gen      []byte // generator polynomial over GF(2); gen[i] = coeff of x^i
 	degG     int
 	extended bool
+	// rem[i] is x^(degG+i) mod g(x), bit j = coefficient of x^j: data bit
+	// i's contribution to the checkbits, which are linear in the data.
+	rem []uint64
 }
 
 // New returns a BCH code over GF(2^m) correcting t errors, shortened to k
@@ -65,6 +77,9 @@ func New(m, t, k int, extended bool) *Code {
 	if t < 1 {
 		panic("bch: t must be >= 1")
 	}
+	if t > MaxT {
+		panic(fmt.Sprintf("bch: t=%d exceeds MaxT=%d", t, MaxT))
+	}
 	if k < 1 {
 		panic("bch: k must be >= 1")
 	}
@@ -74,7 +89,26 @@ func New(m, t, k int, extended bool) *Code {
 	if k+degG > f.n {
 		panic(fmt.Sprintf("bch: k=%d + checkbits=%d exceeds n=%d for m=%d", k, degG, f.n, m))
 	}
-	return &Code{f: f, t: t, k: k, gen: gen, degG: degG, extended: extended}
+	if degG > 64 {
+		panic(fmt.Sprintf("bch: %d checkbits exceed one 64-bit Check word", degG))
+	}
+	c := &Code{f: f, t: t, k: k, gen: gen, degG: degG, extended: extended, rem: make([]uint64, k)}
+	// x^degG mod g(x) is g(x) without its leading term; each further power
+	// shifts left and reduces by g(x) when the x^degG term appears.
+	var low uint64
+	for j := 0; j < degG; j++ {
+		low |= uint64(gen[j]) << uint(j)
+	}
+	r := low
+	for i := range c.rem {
+		c.rem[i] = r
+		top := r>>uint(degG-1)&1 == 1
+		r = r << 1 & (1<<uint(degG) - 1)
+		if top {
+			r ^= low
+		}
+	}
+	return c
 }
 
 // NewLine returns the standard cache-line instantiation: GF(2^10), 512 data
@@ -157,158 +191,144 @@ func (c *Code) CheckBits() int {
 // Extended reports whether the code carries an overall parity bit.
 func (c *Code) Extended() bool { return c.extended }
 
-// Check holds the stored checkbits: Bits is degG parity bits (bit i of the
-// vector = codeword coefficient of x^i); Global is the extension parity bit
-// (always 0 when the code is not extended).
+// Check holds the stored checkbits: bit i of Bits is the codeword
+// coefficient of x^i, for i < CheckBits() excluding the extension bit;
+// Global is the extension parity bit (always 0 when the code is not
+// extended). It is a plain value, so storing or passing one never
+// allocates.
 type Check struct {
-	Bits   *bitvec.Vector
+	Bits   uint64
 	Global uint
 }
 
 // Encode computes the checkbits for data systematically: the codeword is
 // x^degG·d(x) + ((x^degG·d(x)) mod g(x)), so data occupies the high
-// coefficient positions and the remainder forms the checkbits.
+// coefficient positions and the remainder forms the checkbits. The
+// remainder is linear in the data, so it is the XOR of each set data bit's
+// precomputed x^(degG+i) mod g(x).
 func (c *Code) Encode(data *bitvec.Vector) Check {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("bch: Encode data width %d, want %d", data.Len(), c.k))
 	}
-	// LFSR division of x^degG·d(x) by g(x). Feed data MSB-first (highest
-	// codeword coefficient first).
-	reg := make([]byte, c.degG)
-	for i := c.k - 1; i >= 0; i-- {
-		fb := byte(data.Bit(i)) ^ reg[c.degG-1]
-		copy(reg[1:], reg[:c.degG-1])
-		reg[0] = 0
-		if fb == 1 {
-			for j := 0; j < c.degG; j++ {
-				reg[j] ^= c.gen[j]
-			}
-		}
-	}
-	check := Check{Bits: bitvec.NewVector(c.degG)}
-	ones := 0
-	for i, b := range reg {
-		if b == 1 {
-			check.Bits.SetBit(i, 1)
-			ones++
+	var check Check
+	for w, word := range data.Words() {
+		for word != 0 {
+			check.Bits ^= c.rem[w*64+bits.TrailingZeros64(word)]
+			word &= word - 1
 		}
 	}
 	if c.extended {
-		check.Global = uint(data.PopCount()+ones) & 1
+		check.Global = uint(data.PopCount()+bits.OnesCount64(check.Bits)) & 1
 	}
 	return check
 }
 
-// codewordBit returns coefficient i of the received codeword assembled from
-// data and stored checkbits: positions [0, degG) are checkbits, positions
-// [degG, degG+k) are data bits.
-func (c *Code) codewordBit(data *bitvec.Vector, check Check, i int) uint {
-	if i < c.degG {
-		return check.Bits.Bit(i)
-	}
-	return data.Bit(i - c.degG)
-}
-
 // syndromes returns S_1..S_2t, where S_j = r(α^j) over the received
-// codeword r.
-func (c *Code) syndromes(data *bitvec.Vector, check Check) []uint32 {
-	syn := make([]uint32, 2*c.t)
-	// Collect the set coefficient positions once (ones are typically ~50%
-	// of the codeword for random data).
-	positions := check.Bits.OneBits()
-	for _, p := range data.OneBits() {
-		positions = append(positions, p+c.degG)
-	}
-	for j := 1; j <= 2*c.t; j++ {
-		var s uint32
-		for _, p := range positions {
-			s ^= c.f.Pow(p * j)
+// codeword r, in the first 2t entries of a fixed-size array. Codeword
+// positions [0, degG) are checkbits, [degG, degG+k) data bits.
+func (c *Code) syndromes(data *bitvec.Vector, check Check) [2 * MaxT]uint32 {
+	var syn [2 * MaxT]uint32
+	n := 2 * c.t
+	add := func(p int) {
+		for j := 1; j <= n; j++ {
+			syn[j-1] ^= c.f.Pow(p * j)
 		}
-		syn[j-1] = s
+	}
+	for cb := check.Bits; cb != 0; cb &= cb - 1 {
+		add(bits.TrailingZeros64(cb))
+	}
+	for w, word := range data.Words() {
+		for ; word != 0; word &= word - 1 {
+			add(c.degG + w*64 + bits.TrailingZeros64(word))
+		}
 	}
 	return syn
 }
 
+// poly is a polynomial over GF(2^m) of degree ≤ 2·MaxT held in a
+// fixed-size array: c[i] is the coefficient of x^i for i < n.
+type poly struct {
+	c [2*MaxT + 1]uint32
+	n int
+}
+
 // berlekampMassey returns the error-locator polynomial σ(x) (σ[0] = 1) for
 // the given syndromes.
-func (c *Code) berlekampMassey(syn []uint32) []uint32 {
+func (c *Code) berlekampMassey(syn []uint32) poly {
 	f := c.f
-	sigma := []uint32{1}
-	b := []uint32{1}
+	sigma := poly{n: 1}
+	sigma.c[0] = 1
+	b := sigma
 	L, mShift := 0, 1
 	var bCoef uint32 = 1
 	for n := 0; n < len(syn); n++ {
 		// Discrepancy d = S_n + Σ σ_i · S_{n-i}.
 		d := syn[n]
-		for i := 1; i <= L && i < len(sigma); i++ {
-			d ^= f.Mul(sigma[i], syn[n-i])
+		for i := 1; i <= L && i < sigma.n; i++ {
+			d ^= f.Mul(sigma.c[i], syn[n-i])
 		}
 		if d == 0 {
 			mShift++
 			continue
 		}
+		coef := f.Div(d, bCoef)
 		if 2*L <= n {
-			tPoly := append([]uint32(nil), sigma...)
-			coef := f.Div(d, bCoef)
-			sigma = polyAddScaledShift(f, sigma, b, coef, mShift)
-			b = tPoly
+			prev := sigma
+			sigma.addScaledShift(f, &b, coef, mShift)
+			b = prev
 			L = n + 1 - L
 			bCoef = d
 			mShift = 1
 		} else {
-			coef := f.Div(d, bCoef)
-			sigma = polyAddScaledShift(f, sigma, b, coef, mShift)
+			sigma.addScaledShift(f, &b, coef, mShift)
 			mShift++
 		}
 	}
 	// Trim trailing zeros.
-	for len(sigma) > 1 && sigma[len(sigma)-1] == 0 {
-		sigma = sigma[:len(sigma)-1]
+	for sigma.n > 1 && sigma.c[sigma.n-1] == 0 {
+		sigma.n--
 	}
 	return sigma
 }
 
-// polyAddScaledShift returns a + coef·x^shift·b over GF(2^m).
-func polyAddScaledShift(f *Field, a, b []uint32, coef uint32, shift int) []uint32 {
-	n := len(b) + shift
-	if len(a) > n {
-		n = len(a)
+// addScaledShift sets p to p + coef·x^shift·b over GF(2^m).
+func (p *poly) addScaledShift(f *Field, b *poly, coef uint32, shift int) {
+	for i := p.n; i < b.n+shift; i++ {
+		p.c[i] = 0
 	}
-	out := make([]uint32, n)
-	copy(out, a)
-	for i, bi := range b {
-		out[i+shift] ^= f.Mul(coef, bi)
+	p.n = max(p.n, b.n+shift)
+	for i := 0; i < b.n; i++ {
+		p.c[i+shift] ^= f.Mul(coef, b.c[i])
 	}
-	return out
 }
 
 // chien locates error positions by searching for roots of σ over the
 // shortened codeword positions [0, degG+k). A root of σ at x = α^{-p}
-// marks an error at coefficient position p. The second return value is
-// false if any root falls outside the shortened range or the root count
-// does not match deg σ (decoder failure → detected uncorrectable).
-func (c *Code) chien(sigma []uint32) ([]int, bool) {
-	degSigma := len(sigma) - 1
+// marks an error at coefficient position p. It returns the positions in
+// the first count entries of a fixed-size array; ok is false if any root
+// falls outside the shortened range or the root count does not match
+// deg σ (decoder failure → detected uncorrectable).
+func (c *Code) chien(sigma *poly) (positions [MaxT]int, count int, ok bool) {
+	degSigma := sigma.n - 1
 	if degSigma == 0 {
-		return nil, true
+		return positions, 0, true
 	}
 	nTotal := c.degG + c.k
-	positions := make([]int, 0, degSigma)
 	for p := 0; p < c.f.n; p++ {
-		if c.f.PolyEval(sigma, c.f.Pow(-p)) == 0 {
-			if p >= nTotal {
-				return nil, false // error located in the shortened (absent) region
+		if c.f.PolyEval(sigma.c[:sigma.n], c.f.Pow(-p)) == 0 {
+			if p >= nTotal || count == degSigma {
+				// A root in the shortened (absent) region, or more roots
+				// than the locator's degree.
+				return positions, 0, false
 			}
-			positions = append(positions, p)
-			if len(positions) > degSigma {
-				return nil, false
-			}
+			positions[count] = p
+			count++
 		}
 	}
-	if len(positions) != degSigma {
-		return nil, false
+	if count != degSigma {
+		return positions, 0, false
 	}
-	return positions, true
+	return positions, count, true
 }
 
 // Decode checks data against the stored checkbits, correcting up to t
@@ -329,7 +349,7 @@ func (c *Code) Decode(data *bitvec.Vector, check Check) Result {
 	}
 	parityMismatch := false
 	if c.extended {
-		got := uint(data.PopCount()+check.Bits.PopCount()) & 1
+		got := uint(data.PopCount()+bits.OnesCount64(check.Bits)) & 1
 		parityMismatch = got != check.Global&1
 	}
 	if allZero {
@@ -340,26 +360,26 @@ func (c *Code) Decode(data *bitvec.Vector, check Check) Result {
 		}
 		return Result{Status: OK}
 	}
-	sigma := c.berlekampMassey(syn)
-	if len(sigma)-1 > c.t {
+	sigma := c.berlekampMassey(syn[:2*c.t])
+	if sigma.n-1 > c.t {
 		return Result{Status: DetectedUncorrectable}
 	}
-	positions, ok := c.chien(sigma)
+	positions, count, ok := c.chien(&sigma)
 	if !ok {
 		return Result{Status: DetectedUncorrectable}
 	}
-	if c.extended && (len(positions)&1 == 1) != parityMismatch {
+	if c.extended && (count&1 == 1) != parityMismatch {
 		// The corrected-error count disagrees with the overall parity:
 		// at least 2t+1 errors are present.
 		return Result{Status: DetectedUncorrectable}
 	}
 	res := Result{Status: Corrected}
-	for _, p := range positions {
+	for _, p := range positions[:count] {
 		if p < c.degG {
 			res.CheckBitsFlipped++
 		} else {
 			data.FlipBit(p - c.degG)
-			res.DataBitsFlipped = append(res.DataBitsFlipped, p-c.degG)
+			res.DataBitsCorrected++
 		}
 	}
 	return res

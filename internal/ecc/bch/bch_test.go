@@ -158,8 +158,8 @@ func TestCorrectUpToT(t *testing.T) {
 				if !data.Equal(orig) {
 					t.Fatalf("t=%d e=%d: data not restored", tt, e)
 				}
-				if len(res.DataBitsFlipped) != e {
-					t.Fatalf("t=%d e=%d: flipped %d bits", tt, e, len(res.DataBitsFlipped))
+				if res.DataBitsCorrected != e {
+					t.Fatalf("t=%d e=%d: flipped %d bits", tt, e, res.DataBitsCorrected)
 				}
 			}
 		}
@@ -198,8 +198,8 @@ func TestCheckbitErrorsCorrected(t *testing.T) {
 		check := c.Encode(data)
 		orig := data.Clone()
 		// Flip one checkbit and one data bit: both within t=2.
-		bad := Check{Bits: check.Bits.Clone(), Global: check.Global}
-		bad.Bits.FlipBit(r.Intn(bad.Bits.Len()))
+		bad := check
+		bad.Bits ^= 1 << uint(r.Intn(c.CheckBits()-1))
 		data.FlipBit(r.Intn(512))
 		res := c.Decode(data, bad)
 		if res.Status != Corrected {
@@ -208,7 +208,7 @@ func TestCheckbitErrorsCorrected(t *testing.T) {
 		if !data.Equal(orig) {
 			t.Fatal("data not restored")
 		}
-		if res.CheckBitsFlipped != 1 || len(res.DataBitsFlipped) != 1 {
+		if res.CheckBitsFlipped != 1 || res.DataBitsCorrected != 1 {
 			t.Fatalf("flip accounting: %+v", res)
 		}
 	}
@@ -256,6 +256,8 @@ func TestNewPanics(t *testing.T) {
 		"t=0":        func() { New(10, 0, 512, false) },
 		"k=0":        func() { New(10, 2, 0, false) },
 		"k too big":  func() { New(4, 1, 100, false) },
+		"t > MaxT":   func() { New(10, MaxT+1, 512, false) },
+		"wide check": func() { New(13, 6, 512, false) },
 		"wrong data": func() { NewLine(2).Encode(bitvec.NewVector(100)) },
 	} {
 		func() {
@@ -359,5 +361,64 @@ func TestQuickSyndromesZeroForCodewords(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceEncode is the bit-serial LFSR division of x^degG·d(x) by g(x),
+// data fed MSB-first: the textbook systematic encoder the per-bit
+// remainder table must reproduce exactly.
+func referenceEncode(c *Code, data *bitvec.Vector) uint64 {
+	reg := make([]byte, c.degG)
+	for i := c.k - 1; i >= 0; i-- {
+		fb := byte(data.Bit(i)) ^ reg[c.degG-1]
+		copy(reg[1:], reg[:c.degG-1])
+		reg[0] = 0
+		if fb == 1 {
+			for j := 0; j < c.degG; j++ {
+				reg[j] ^= c.gen[j]
+			}
+		}
+	}
+	var out uint64
+	for j, b := range reg {
+		out |= uint64(b) << uint(j)
+	}
+	return out
+}
+
+func TestEncodeMatchesLFSR(t *testing.T) {
+	codes := []*Code{NewLine(2), NewLine(3), NewLine(6), New(10, 1, 512, false), New(4, 1, 5, true)}
+	r := xrand.New(9)
+	for _, c := range codes {
+		for trial := 0; trial < 50; trial++ {
+			data := randomVector(r, c.k)
+			if got, want := c.Encode(data).Bits, referenceEncode(c, data); got != want {
+				t.Fatalf("t=%d k=%d: Encode = %#x, LFSR = %#x", c.t, c.k, got, want)
+			}
+		}
+	}
+}
+
+func TestCodecAllocFree(t *testing.T) {
+	for _, tt := range []int{2, 6} {
+		c := NewLine(tt)
+		r := xrand.New(10)
+		data := randomVector(r, 512)
+		check := c.Encode(data)
+		bad := data.Clone()
+		for _, b := range r.Sample(512, tt) {
+			bad.FlipBit(b)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			_ = c.Encode(data)
+			var buf [bitvec.LineWords]uint64
+			copy(buf[:], bad.Words())
+			if res := c.Decode(bitvec.VectorOf(buf[:], 512), check); res.Status != Corrected {
+				t.Fatalf("t=%d: %v", tt, res.Status)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("t=%d: Encode+Decode allocate %.0f times", tt, allocs)
+		}
 	}
 }

@@ -9,9 +9,10 @@
 //	6EC7ED  = t=6 extended  (61 checkbits)
 //
 // The implementation is from scratch: GF(2^m) log/antilog tables, generator
-// polynomial construction from cyclotomic cosets, systematic LFSR encoding,
+// polynomial construction from cyclotomic cosets, systematic encoding from
+// a per-data-bit remainder table (checked against the bit-serial LFSR),
 // Berlekamp–Massey error-locator synthesis and Chien search decoding over
-// the shortened code.
+// the shortened code. Encoding and decoding allocate nothing.
 package bch
 
 import "fmt"

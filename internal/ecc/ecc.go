@@ -50,22 +50,23 @@ type Outcome struct {
 	DataBitsCorrected int
 }
 
+// MaxCheckBits is the widest checkbit payload a Check holds: one line's
+// worth, which covers every codec here up to MS-ECC's OLSC(11) at 506
+// bits.
+const MaxCheckBits = bitvec.LineBits
+
 // Check is an opaque stored-checkbit container produced by a Codec's
-// Encode and consumed by its Decode. Checks are not interchangeable across
-// codecs.
+// Encode and consumed by its Decode. It is a plain value with its bits
+// inline, so encoding and decoding never allocate. Checks are not
+// interchangeable across codecs.
 type Check struct {
-	bits   *bitvec.Vector
+	bits   [MaxCheckBits / 64]uint64
+	n      int
 	global uint
 }
 
 // Bits exposes the checkbit payload width for storage accounting.
-func (c Check) Bits() int {
-	n := 0
-	if c.bits != nil {
-		n = c.bits.Len()
-	}
-	return n
-}
+func (c Check) Bits() int { return c.n }
 
 // Codec encodes and decodes 512-bit cache lines.
 type Codec interface {
@@ -95,20 +96,13 @@ func (s secdedCodec) DetectsUpTo() int  { return 2 }
 
 func (s secdedCodec) Encode(l bitvec.Line) Check {
 	ck := s.c.EncodeLine(l)
-	v := bitvec.NewVector(s.c.CheckBits() - 1)
-	for j := 0; j < v.Len(); j++ {
-		v.SetBit(j, uint(ck.Bits>>uint(j))&1)
-	}
-	return Check{bits: v, global: ck.Global}
+	c := Check{n: s.c.CheckBits() - 1, global: ck.Global}
+	c.bits[0] = uint64(ck.Bits)
+	return c
 }
 
 func (s secdedCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	var ck secded.Check
-	for j := 0; j < c.bits.Len(); j++ {
-		ck.Bits |= uint32(c.bits.Bit(j)) << uint(j)
-	}
-	ck.Global = c.global
-	res := s.c.DecodeLine(l, ck)
+	res := s.c.DecodeLine(l, secded.Check{Bits: uint32(c.bits[0]), Global: c.global})
 	switch res.Status {
 	case secded.OK:
 		return Outcome{Status: OK}
@@ -134,22 +128,25 @@ func (b bchCodec) CorrectsUpTo() int { return b.c.T() }
 func (b bchCodec) DetectsUpTo() int  { return b.c.T() + 1 }
 
 func (b bchCodec) Encode(l bitvec.Line) Check {
-	data := lineToVector(l)
-	ck := b.c.Encode(data)
-	return Check{bits: ck.Bits, global: ck.Global}
+	ck := b.c.Encode(bitvec.VectorOf(l[:], bitvec.LineBits))
+	c := Check{n: b.c.CheckBits(), global: ck.Global}
+	if b.c.Extended() {
+		c.n-- // the extension bit travels in global
+	}
+	c.bits[0] = ck.Bits
+	return c
 }
 
 func (b bchCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	data := lineToVector(*l)
-	res := b.c.Decode(data, bch.Check{Bits: c.bits, Global: c.global})
+	// Decode a copy so an uncorrectable line is left as read.
+	d := *l
+	res := b.c.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), bch.Check{Bits: c.bits[0], Global: c.global})
 	switch res.Status {
 	case bch.OK:
 		return Outcome{Status: OK}
 	case bch.Corrected:
-		for _, bit := range res.DataBitsFlipped {
-			l.FlipBit(bit)
-		}
-		return Outcome{Status: Corrected, DataBitsCorrected: len(res.DataBitsFlipped)}
+		*l = d
+		return Outcome{Status: Corrected, DataBitsCorrected: res.DataBitsCorrected}
 	default:
 		return Outcome{Status: Detected}
 	}
@@ -168,27 +165,25 @@ func (o olscCodec) CorrectsUpTo() int { return o.c.T() }
 func (o olscCodec) DetectsUpTo() int  { return o.c.T() }
 
 func (o olscCodec) Encode(l bitvec.Line) Check {
-	return Check{bits: o.c.Encode(lineToVector(l))}
+	c := Check{n: o.c.CheckBits()}
+	o.c.EncodeTo(bitvec.VectorOf(c.bits[:], c.n), bitvec.VectorOf(l[:], bitvec.LineBits))
+	return c
 }
 
 func (o olscCodec) Decode(l *bitvec.Line, c Check) Outcome {
-	data := lineToVector(*l)
-	res := o.c.Decode(data, c.bits)
+	// Majority logic flips bits before it knows the line is correctable:
+	// decode a copy so an uncorrectable line is left as read.
+	d := *l
+	res := o.c.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), bitvec.VectorOf(c.bits[:], c.n))
 	switch res.Status {
 	case olsc.OK:
 		return Outcome{Status: OK}
 	case olsc.Corrected:
-		for _, bit := range res.DataBitsFlipped {
-			l.FlipBit(bit)
-		}
-		return Outcome{Status: Corrected, DataBitsCorrected: len(res.DataBitsFlipped)}
+		*l = d
+		return Outcome{Status: Corrected, DataBitsCorrected: res.DataBitsCorrected}
 	default:
 		return Outcome{Status: Detected}
 	}
-}
-
-func lineToVector(l bitvec.Line) *bitvec.Vector {
-	return bitvec.LineVector(l)
 }
 
 // Cached singleton codecs: construction (especially BCH generator
@@ -230,20 +225,33 @@ func bchByT(name string, t int) Codec {
 }
 
 // OLSC returns an Orthogonal-Latin-Square codec correcting t errors per
-// line (t=11 is the MS-ECC configuration).
+// line (t=11 is the MS-ECC configuration). It panics when t is not
+// positive or the code's checkbits exceed MaxCheckBits (t > 11).
 func OLSC(t int) Codec {
-	olscMu.Lock()
-	defer olscMu.Unlock()
-	if c, ok := olscInst[t]; ok {
-		return c
+	c, err := olscByT(t)
+	if err != nil {
+		panic(err)
 	}
-	c := olscCodec{name: fmt.Sprintf("olsc-%d", t), c: olsc.NewLine(t)}
-	olscInst[t] = c
 	return c
 }
 
+func olscByT(t int) (Codec, error) {
+	olscMu.Lock()
+	defer olscMu.Unlock()
+	if c, ok := olscInst[t]; ok {
+		return c, nil
+	}
+	code := olsc.NewLine(t)
+	if code.CheckBits() > MaxCheckBits {
+		return nil, fmt.Errorf("ecc: olsc-%d needs %d checkbits, more than the %d a Check holds", t, code.CheckBits(), MaxCheckBits)
+	}
+	c := olscCodec{name: fmt.Sprintf("olsc-%d", t), c: code}
+	olscInst[t] = c
+	return c, nil
+}
+
 // ByName resolves a codec by its Name. Recognized: "secded", "dected",
-// "tecqed", "6ec7ed", and "olsc-<t>".
+// "tecqed", "6ec7ed", and "olsc-<t>" for 1 ≤ t ≤ 11.
 func ByName(name string) (Codec, error) {
 	switch name {
 	case "secded":
@@ -257,7 +265,7 @@ func ByName(name string) (Codec, error) {
 	}
 	var t int
 	if _, err := fmt.Sscanf(name, "olsc-%d", &t); err == nil && t > 0 {
-		return OLSC(t), nil
+		return olscByT(t)
 	}
 	return nil, fmt.Errorf("ecc: unknown codec %q", name)
 }

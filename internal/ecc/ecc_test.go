@@ -123,6 +123,36 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("olsc-0"); err == nil {
 		t.Fatal("olsc-0 did not error")
 	}
+	// OLSC(12) needs 552 checkbits, more than a Check holds.
+	if _, err := ByName("olsc-12"); err == nil {
+		t.Fatal("olsc-12 did not error")
+	}
+}
+
+// TestEncodeDecodeAllocFree pins the codecs' hot path: encoding a line and
+// correcting up to t errors in it allocates nothing, for every codec the
+// protection schemes use.
+func TestEncodeDecodeAllocFree(t *testing.T) {
+	for _, c := range allCodecs() {
+		r := xrand.New(5)
+		l := randomLine(r)
+		flips := r.Sample(512, c.CorrectsUpTo())
+		// Decode takes the line through an interface, so it escapes; like
+		// the simulator's read buffer, it lives outside the measured loop.
+		bad := new(bitvec.Line)
+		allocs := testing.AllocsPerRun(20, func() {
+			*bad = l
+			for _, b := range flips {
+				bad.FlipBit(b)
+			}
+			if out := c.Decode(bad, c.Encode(l)); out.Status != Corrected || *bad != l {
+				t.Fatalf("%s: %+v", c.Name(), out)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Encode+Decode allocate %.0f times", c.Name(), allocs)
+		}
+	}
 }
 
 func TestSingletonsAreReused(t *testing.T) {

@@ -56,15 +56,16 @@ func (s Status) String() string {
 // Result reports a decode outcome.
 type Result struct {
 	Status Status
-	// DataBitsFlipped lists corrected data-bit indexes.
-	DataBitsFlipped []int
+	// DataBitsCorrected counts the data bits Decode flipped in place.
+	DataBitsCorrected int
 	// CheckGroupErrors counts residual parity-group mismatches attributed
 	// to checkbit errors.
 	CheckGroupErrors int
 }
 
-// Code is an OLS code over k data bits correcting up to t errors. The zero
-// value is unusable; construct with New.
+// Code is an OLS code over k data bits correcting up to t errors. A Code is
+// immutable after New, so one instance may serve concurrent encoders and
+// decoders. The zero value is unusable; construct with New.
 type Code struct {
 	k, t, m int
 	// groups[f][g] lists the data-bit indexes (only those < k) in group g
@@ -167,15 +168,25 @@ func (c *Code) CheckBits() int { return 2 * c.t * c.m }
 // Encode returns the checkbit vector: bit f·m+g is the even parity of
 // group g in family f.
 func (c *Code) Encode(data *bitvec.Vector) *bitvec.Vector {
+	check := bitvec.NewVector(c.CheckBits())
+	c.EncodeTo(check, data)
+	return check
+}
+
+// EncodeTo writes data's checkbits into check, a CheckBits()-wide vector,
+// as Encode would return them — without allocating, so a caller can keep
+// checkbits in storage of its own.
+func (c *Code) EncodeTo(check, data *bitvec.Vector) {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("olsc: Encode data width %d, want %d", data.Len(), c.k))
 	}
-	check := bitvec.NewVector(c.CheckBits())
+	if check.Len() != c.CheckBits() {
+		panic(fmt.Sprintf("olsc: Encode check width %d, want %d", check.Len(), c.CheckBits()))
+	}
 	words := data.Words()
 	for ck, mask := range c.groupMask {
 		check.SetBit(ck, c.maskParity(words, mask))
 	}
-	return check
 }
 
 // maskParity returns the even parity of data AND mask, word-parallel.
@@ -198,15 +209,14 @@ func (c *Code) Decode(data *bitvec.Vector, check *bitvec.Vector) Result {
 	if check.Len() != c.CheckBits() {
 		panic(fmt.Sprintf("olsc: Decode check width %d, want %d", check.Len(), c.CheckBits()))
 	}
-	failed := c.failedGroups(data, check)
-	anyFailed := false
-	for _, f := range failed {
-		if f {
-			anyFailed = true
-			break
-		}
+	// The failed-group flags as a bitset: on the stack for every strength
+	// up to MS-ECC's t=11 (506 groups), on the heap beyond.
+	var buf [8]uint64
+	failed := buf[:]
+	if n := (c.CheckBits() + 63) / 64; n > len(buf) {
+		failed = make([]uint64, n)
 	}
-	if !anyFailed {
+	if c.failedGroups(failed, data, check) == 0 {
 		return Result{Status: OK}
 	}
 	// Majority vote per data bit: flip iff more than t of its 2t checks
@@ -215,30 +225,22 @@ func (c *Code) Decode(data *bitvec.Vector, check *bitvec.Vector) Result {
 	for idx := 0; idx < c.k; idx++ {
 		votes := 0
 		for _, ck := range c.bitGroups[idx] {
-			if failed[ck] {
-				votes++
-			}
+			votes += int(failed[ck>>6] >> (uint(ck) & 63) & 1)
 		}
 		if votes > c.t {
 			data.FlipBit(idx)
-			res.DataBitsFlipped = append(res.DataBitsFlipped, idx)
+			res.DataBitsCorrected++
 		}
 	}
 	// Verify: recompute. Remaining single-group mismatches are checkbit
 	// errors; they are tolerable while the total error count stays ≤ t.
-	failed = c.failedGroups(data, check)
-	remaining := 0
-	for _, f := range failed {
-		if f {
-			remaining++
-		}
-	}
+	remaining := c.failedGroups(failed, data, check)
 	res.CheckGroupErrors = remaining
 	if remaining == 0 {
 		res.Status = Corrected
 		return res
 	}
-	if len(res.DataBitsFlipped)+remaining <= c.t {
+	if res.DataBitsCorrected+remaining <= c.t {
 		res.Status = Corrected
 		return res
 	}
@@ -247,15 +249,17 @@ func (c *Code) Decode(data *bitvec.Vector, check *bitvec.Vector) Result {
 }
 
 // failedGroups recomputes every parity group over data and compares with
-// the stored checkbits, returning a mismatch flag per flattened group
-// index.
-func (c *Code) failedGroups(data *bitvec.Vector, check *bitvec.Vector) []bool {
-	failed := make([]bool, c.CheckBits())
+// the stored checkbits, setting bit f·m+g of failed for each mismatching
+// group (and clearing the rest). It returns the mismatch count.
+func (c *Code) failedGroups(failed []uint64, data *bitvec.Vector, check *bitvec.Vector) int {
+	clear(failed)
 	words := data.Words()
+	n := 0
 	for ck, mask := range c.groupMask {
 		if c.maskParity(words, mask) != check.Bit(ck) {
-			failed[ck] = true
+			failed[ck>>6] |= 1 << (uint(ck) & 63)
+			n++
 		}
 	}
-	return failed
+	return n
 }

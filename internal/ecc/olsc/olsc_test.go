@@ -226,3 +226,36 @@ func BenchmarkDecodeMSECC(b *testing.B) {
 		_ = c.Decode(d, check)
 	}
 }
+
+func TestEncodeToMatchesEncode(t *testing.T) {
+	c := NewLine(11)
+	data := randomVector(xrand.New(12), 512)
+	var buf [8]uint64
+	check := bitvec.VectorOf(buf[:], c.CheckBits())
+	c.EncodeTo(check, data)
+	if !check.Equal(c.Encode(data)) {
+		t.Fatal("EncodeTo disagrees with Encode")
+	}
+}
+
+func TestCodecAllocFree(t *testing.T) {
+	c := NewLine(11)
+	r := xrand.New(13)
+	data := randomVector(r, 512)
+	bad := data.Clone()
+	for _, b := range r.Sample(512, 11) {
+		bad.FlipBit(b)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var ck, d [8]uint64
+		check := bitvec.VectorOf(ck[:], c.CheckBits())
+		c.EncodeTo(check, data)
+		copy(d[:], bad.Words())
+		if res := c.Decode(bitvec.VectorOf(d[:], 512), check); res.Status != Corrected || res.DataBitsCorrected != 11 {
+			t.Fatalf("decode: %+v", res)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("EncodeTo+Decode allocate %.0f times", allocs)
+	}
+}

@@ -405,7 +405,8 @@ func cacheable(res gpu.Result) simcache.Result {
 }
 
 // cachedResult rebuilds a gpu.Result from a cache entry. Counters stay nil:
-// the sweep merge consumes only the scalars.
+// the sweep merge consumes only the scalars, for simulated and cached tasks
+// alike.
 func cachedResult(c simcache.Result) gpu.Result {
 	res := gpu.Result{
 		Cycles:           c.Cycles,
@@ -491,8 +492,13 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 		}
 	}
 
+	// Each task keeps only its scalar result, in the cache's shape whether
+	// it was simulated or read back: a gpu.Result's Counters alias its
+	// System, so retaining those until the merge would keep every finished
+	// simulation's arrays alive and make the sweep's memory grow with its
+	// task count instead of its worker count.
 	var tasksDone atomic.Int64
-	runTask := func(t task) (gpu.Result, error) {
+	runTask := func(t task) (simcache.Result, error) {
 		g := base
 		var newScheme protection.Factory
 		var schemeName string
@@ -511,7 +517,7 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 			schemeName = specs[t.scheme].Name
 			faults = faultsLV
 		}
-		done := func(res gpu.Result) gpu.Result {
+		done := func(res simcache.Result) simcache.Result {
 			if cfg.Progress != nil {
 				cfg.Progress(int(tasksDone.Add(1)), len(tasks))
 			}
@@ -521,24 +527,25 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 		if store != nil {
 			key = simcache.Key(taskDesc(cfg, g, schemeName, loads[t.workload].Name))
 			if c, ok := store.Get(key); ok {
-				return done(cachedResult(c)), nil
+				return done(c), nil
 			}
 		}
 		sys := gpu.NewShared(g, newScheme, faults)
 		sys.SetShards(cfg.Shards)
 		res, err := runKernels(ctx, sys, traces[t.workload], cfg.ScrubKernels)
 		if err != nil {
-			return gpu.Result{}, err
+			return simcache.Result{}, err
 		}
+		c := cacheable(res)
 		if store != nil {
 			// Best-effort: a full disk or read-only cache directory must
 			// not fail the sweep; Store.WriteFailures keeps it observable.
-			_ = store.Put(key, cacheable(res))
+			_ = store.Put(key, c)
 		}
-		return done(res), nil
+		return done(c), nil
 	}
 
-	results := make([]gpu.Result, len(tasks))
+	results := make([]simcache.Result, len(tasks))
 	if workers := min(cfg.Parallelism, len(tasks)); workers <= 1 {
 		for i, t := range tasks {
 			if ctx.Err() != nil {
@@ -585,7 +592,7 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	// its stable name, normalized against the workload's baseline task.
 	rows := make([]Row, len(loads))
 	for i, t := range tasks {
-		res := results[i]
+		res := cachedResult(results[i])
 		row := &rows[t.workload]
 		if t.scheme < 0 {
 			row.Workload = loads[t.workload].Name

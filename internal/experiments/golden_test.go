@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"killi/internal/gpu"
 	"killi/internal/killi"
 	"killi/internal/obs"
 	"killi/internal/protection"
@@ -100,5 +101,57 @@ func TestGoldenCounterDigestObserved(t *testing.T) {
 	}
 	if last := eps[len(eps)-1]; last.Cycle != res.Cycles {
 		t.Fatalf("final flush sampled at cycle %d, want run end %d", last.Cycle, res.Cycles)
+	}
+}
+
+// TestGoldenSoftErrorDigest pins the simulator's soft-error semantics: the
+// counters and result scalars of fixed-seed runs with per-read soft errors
+// (unprotected and under Killi) and with a mixed fault-class spec whose
+// transient strikes flip resident lines between accesses. The digests were
+// captured while soft flips still rewrote the stored payload and the bank
+// kept a second copy of every line as SDC ground truth; the sparse flip
+// overlay that replaced both must reproduce them bit for bit.
+func TestGoldenSoftErrorDigest(t *testing.T) {
+	soft := gpu.DefaultConfig()
+	soft.SoftErrorPerRead = 0.01
+	cases := []struct {
+		name     string
+		workload string
+		scheme   string
+		cfg      Config
+		want     uint64
+	}{
+		// nekbone's shared hot set makes plenty of L2 read hits, the only
+		// accesses that draw per-read soft errors.
+		{"none/soft", "nekbone", "none", Config{GPU: &soft, WarmupKernels: 1}, 0xeb21b6557bf8c27f},
+		{"killi/soft", "nekbone", "killi-1:64", Config{GPU: &soft, WarmupKernels: 1}, 0x67d1c35facb8d25a},
+		{"killi/mixed", "xsbench", "killi-1:64", Config{
+			FaultClasses:  "mixed:i=0.2@0.5,a=0.1@0.5,t=1e-7",
+			WarmupKernels: 2, ScrubKernels: 1}, 0xdba84646bfbe4443},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.RequestsPerCU, cfg.Seed = 1500, 1
+			newScheme, err := SchemeFactoryByName(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunOne(context.Background(), cfg, tc.workload, newScheme, 0.625)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, n := range res.Counters.Names() {
+				fmt.Fprintf(h, "%s=%d\n", n, res.Counters.Get(n))
+			}
+			fmt.Fprintf(h, "%+v\n", CacheableResult(res))
+			if got := h.Sum64(); got != tc.want {
+				for _, n := range res.Counters.Names() {
+					t.Logf("%s=%d", n, res.Counters.Get(n))
+				}
+				t.Fatalf("digest = %#x, want %#x (soft-error semantics changed)", got, tc.want)
+			}
+		})
 	}
 }

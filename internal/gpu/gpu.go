@@ -150,7 +150,11 @@ type Result struct {
 	// valid when HasMisclass is set (the scheme exposes DFH codes).
 	Misclass    Misclass
 	HasMisclass bool
-	Counters    *stats.Counters
+	// Counters is the System's own cumulative counter set, not a copy: it
+	// aliases the System, so a held Result keeps the whole simulated
+	// machine (arrays, tags, scheme state) alive. Keep only the scalars
+	// when retaining many results.
+	Counters *stats.Counters
 	// Sched is the engine's deterministic scheduling ledger for this run
 	// (barrier rounds, fired events/timestamps, cross-shard traffic). It is
 	// a pure function of the simulation and the shard count — not of the
@@ -263,9 +267,10 @@ type bankDomain struct {
 	// observable while the line is resident in this bank or being fetched.
 	lineState         lineTable
 	versionsHighWater int
-	// lineData mirrors the true (fault-free) content of each resident
-	// line, indexed by bank-local line ID, for the SDC ground-truth check.
-	lineData []bitvec.Line
+	// readBuf holds the line a read hit is decoding: the scheme corrects
+	// it in place through a pointer, and a bank field keeps that pointer
+	// from moving a local to the heap on every hit.
+	readBuf bitvec.Line
 
 	free uint64 // bank pipeline busy-until cycle
 
@@ -402,7 +407,6 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 				GapCycles:     orDefault(cfg.Mem).GapCycles * uint64(effBanks),
 			}),
 			versionsHighWater: 4 * bankLines,
-			lineData:          make([]bitvec.Line, bankLines),
 			softRNG:           xrand.New(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
 			replRNG:           xrand.New(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5),
 			wayScratch:        make([]int, cfg.L2Ways),
@@ -666,9 +670,9 @@ func (s *System) InjectAgingFaults(seed uint64, n int) {
 // has a transient rate: at each fault-epoch boundary it draws this epoch's
 // strike count per bank from the bank's private Poisson stream (banks in
 // index order, so the draw order is canonical) and flips stored bits.
-// Strikes corrupt the payload itself and are erased by the next write —
-// the same mechanism as SoftErrorPerRead, but time-driven rather than
-// access-driven, so cold resident lines accumulate flips.
+// Strikes flip stored cells and are erased by the next write — the same
+// mechanism as SoftErrorPerRead, but time-driven rather than access-driven,
+// so cold resident lines accumulate flips.
 func (s *System) onStrikeTick(boundary uint64) {
 	for _, b := range s.banks {
 		cells := float64(b.data.Lines()) * float64(bitvec.LineBits)
@@ -1068,11 +1072,11 @@ func (b *bankDomain) read(addr uint64, cu int) {
 			b.data.InjectSoftError(id, b.softRNG.Intn(bitvec.LineBits))
 			b.ctr.IncC(cSoftErrors)
 		}
-		data := b.data.Read(id)
-		verdict := b.scheme.OnReadHit(set, way, &data)
+		b.readBuf = b.data.Read(id)
+		verdict := b.scheme.OnReadHit(set, way, &b.readBuf)
 		if verdict == protection.Deliver {
 			b.ctr.IncC(cReadHits)
-			if data != b.lineData[id] {
+			if b.readBuf != b.data.ReadTrue(id) {
 				// Delivered data differs from ground truth: silent data
 				// corruption the scheme failed to catch.
 				b.ctr.IncC(cSDC)
@@ -1139,7 +1143,6 @@ func (b *bankDomain) store(addr uint64, l1Hit bool) {
 		id := b.tags.LineID(set, way)
 		newData := b.memContent(lineAddr)
 		b.data.Write(id, newData)
-		b.lineData[id] = newData
 		b.scheme.OnWriteHit(set, way, newData)
 	}
 	b.mem.AccessWrite(b.d.Now())
@@ -1187,7 +1190,6 @@ func (b *bankDomain) installL2(addr uint64, data bitvec.Line) {
 	b.tags.Install(set, way, tag)
 	id := b.tags.LineID(set, way)
 	b.data.Write(id, data)
-	b.lineData[id] = data
 	b.scheme.OnFill(set, way, data)
 }
 

@@ -3,6 +3,7 @@ package killi
 import (
 	"killi/internal/bitvec"
 	"killi/internal/cache"
+	"killi/internal/ecc/bch"
 	"killi/internal/ecc/secded"
 )
 
@@ -14,9 +15,8 @@ type eccEntry struct {
 	check    secded.Check
 	parity12 uint16 // the 12 high parity bits of an Initial line
 	// dected holds the 21-bit DECTED checkbits when the entry protects a
-	// line in the DECTED-extended stable state. nil otherwise.
-	dected       *bitvec.Vector
-	dectedGlobal uint
+	// line in the DECTED-extended stable state; zero otherwise.
+	dected bch.Check
 	// olscCheck holds the OLSC checkbit vector in §5.5 low-Vmin mode.
 	olscCheck *bitvec.Vector
 }

@@ -2,6 +2,7 @@ package killi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
@@ -364,19 +365,17 @@ func (k *Scheme) OnFill(set, way int, data bitvec.Line) {
 		entry := k.allocECC(set, way)
 		entry.parity12 = uint16(p16 >> 4)
 		entry.check = k.code.EncodeLine(data)
-		entry.dected = nil
+		entry.dected = bch.Check{}
 	case Stable0:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 	case Stable1:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 		entry := k.allocECC(set, way)
 		if k.dectedOn[id] {
-			ck := k.dected.Encode(lineVector(data))
-			entry.dected = ck.Bits
-			entry.dectedGlobal = ck.Global
+			entry.dected = k.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 		} else {
 			entry.check = k.code.EncodeLine(data)
-			entry.dected = nil
+			entry.dected = bch.Check{}
 		}
 	default:
 		panic("killi: fill into a disabled line")
@@ -554,19 +553,20 @@ func (k *Scheme) invertedCheck(id int, data bitvec.Line) int {
 // invertedFaultCount writes the line's inverted data, reads it back,
 // restores the original, and returns the number of cells that failed
 // either polarity — which is exactly the line's unmasked-able stuck-at
-// fault count (§5.6.2's write → read → write-inverted → read flow).
+// fault count (§5.6.2's write → read → write-inverted → read flow). The
+// test writes are patterns, not program data: the array's ground truth
+// stays the line's last real write even when data is a corrupted read.
 func invertedFaultCount(arr *sram.Array, id int, data bitvec.Line) int {
 	inv := data.Invert()
-	arr.Write(id, inv)
-	mismatch := map[int]bool{}
-	for _, b := range arr.Read(id).DiffBits(inv) {
-		mismatch[b] = true
+	arr.WritePattern(id, inv)
+	failInv := arr.Read(id).Xor(inv)
+	arr.WritePattern(id, data)
+	failData := arr.Read(id).Xor(data)
+	n := 0
+	for w := range failInv {
+		n += bits.OnesCount64(failInv[w] | failData[w])
 	}
-	arr.Write(id, data)
-	for _, b := range arr.Read(id).DiffBits(data) {
-		mismatch[b] = true
-	}
-	return len(mismatch)
+	return n
 }
 
 // readStable1 handles hits on lines with one known LV fault.
@@ -631,15 +631,13 @@ func (k *Scheme) readStable1(set, way int, data *bitvec.Line) protection.Verdict
 
 // readDECTED verifies a DECTED-protected stable line (§5.2 extension).
 func (k *Scheme) readDECTED(set, way, id int, data *bitvec.Line, entry *eccEntry) protection.Verdict {
-	vec := lineVector(*data)
-	res := k.dected.Decode(vec, bch.Check{Bits: entry.dected, Global: entry.dectedGlobal})
+	d := *data
+	res := k.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.dected)
 	switch res.Status {
 	case bch.OK:
 		return protection.Deliver
 	case bch.Corrected:
-		for _, b := range res.DataBitsFlipped {
-			data.FlipBit(b)
-		}
+		*data = d
 		k.h.Stats().IncC(cCorrectedReads)
 		return protection.Deliver
 	default:
@@ -771,9 +769,4 @@ func (k *Scheme) Scrub() (reclaimed int) {
 		reclaimed++
 	})
 	return reclaimed
-}
-
-// lineVector copies a Line into a 512-bit Vector for the BCH codec.
-func lineVector(l bitvec.Line) *bitvec.Vector {
-	return bitvec.LineVector(l)
 }

@@ -820,3 +820,25 @@ func TestOLSCModeName(t *testing.T) {
 		t.Fatal("OLSC-mode name wrong")
 	}
 }
+
+// TestPolarityCheckKeepsGroundTruth pins that the §5.6.2 polarity test
+// writes patterns, not data: it counts the stuck cells, leaves the line's
+// cells holding what it was told to restore — here a read corrupted by a
+// soft flip — and leaves the array's ground truth at the last real write,
+// so a later delivery of the corrupted line still counts as SDC.
+func TestPolarityCheckKeepsGroundTruth(t *testing.T) {
+	h := newHost(t, 4, 4, [][]faultmodel.Fault{{stuck(13, 1), stuck(200, 0)}}, 0.625)
+	truth := randomLine(xrand.New(31))
+	h.data.Write(0, truth)
+	h.data.InjectSoftError(0, 77)
+	read := h.data.Read(0)
+	if got := invertedFaultCount(h.data, 0, read); got != 2 {
+		t.Fatalf("polarity test found %d stuck cells, want 2", got)
+	}
+	if h.data.Read(0) != read {
+		t.Fatal("polarity test did not restore the line's cells")
+	}
+	if h.data.ReadTrue(0) != truth {
+		t.Fatal("polarity test replaced the ground truth with its restore pattern")
+	}
+}

@@ -25,13 +25,13 @@ func (k *Scheme) olscFill(set, way, id int, data bitvec.Line) {
 		k.parity4[id] = uint8(p16 & 0xf)
 		entry := k.allocECC(set, way)
 		entry.parity12 = uint16(p16 >> 4)
-		entry.olscCheck = k.olsc.Encode(lineVector(data))
+		entry.olscCheck = k.olsc.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 	case Stable0:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 	case Stable1:
 		k.parity4[id] = uint8(k.p4.Generate(data))
 		entry := k.allocECC(set, way)
-		entry.olscCheck = k.olsc.Encode(lineVector(data))
+		entry.olscCheck = k.olsc.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 	default:
 		panic("killi: fill into a disabled line")
 	}
@@ -49,8 +49,8 @@ func (k *Scheme) olscReadInitial(set, way int, data *bitvec.Line) protection.Ver
 	k.ecc.touch(eSet, eWay)
 	stored16 := uint64(k.parity4[id]) | uint64(entry.parity12)<<4
 
-	vec := lineVector(*data)
-	res := k.olsc.Decode(vec, entry.olscCheck)
+	d := *data
+	res := k.olsc.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.olscCheck)
 	switch res.Status {
 	case olsc.OK:
 		if _, segMis := k.p16.Check(*data, stored16); segMis != 0 {
@@ -64,9 +64,7 @@ func (k *Scheme) olscReadInitial(set, way int, data *bitvec.Line) protection.Ver
 		k.ecc.invalidate(set, id)
 		return protection.Deliver
 	case olsc.Corrected:
-		for _, b := range res.DataBitsFlipped {
-			data.FlipBit(b)
-		}
+		*data = d
 		if _, bad := k.p16.Check(*data, stored16); bad != 0 {
 			k.h.Stats().IncC(cMiscorrection)
 			k.setDFH(set, way, Disabled)
@@ -92,15 +90,13 @@ func (k *Scheme) olscReadStable1(set, way int, data *bitvec.Line) protection.Ver
 		panic("killi: Stable1 line without an ECC cache entry")
 	}
 	k.ecc.touch(eSet, eWay)
-	vec := lineVector(*data)
-	res := k.olsc.Decode(vec, entry.olscCheck)
+	d := *data
+	res := k.olsc.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.olscCheck)
 	switch res.Status {
 	case olsc.OK:
 		return protection.Deliver
 	case olsc.Corrected:
-		for _, b := range res.DataBitsFlipped {
-			data.FlipBit(b)
-		}
+		*data = d
 		if _, bad := k.p4.Check(*data, uint64(k.parity4[id])); bad != 0 {
 			k.h.Stats().IncC(cMiscorrection)
 			k.setDFH(set, way, Disabled)
@@ -122,8 +118,7 @@ func (k *Scheme) olscClassifyDeparting(set, way, id int, entry *eccEntry) {
 	stored16 := uint64(k.parity4[id]) | uint64(entry.parity12)<<4
 	_, segMis := k.p16.Check(data, stored16)
 	k.h.Stats().IncC(cEvictionTrainings)
-	vec := lineVector(data)
-	res := k.olsc.Decode(vec, entry.olscCheck)
+	res := k.olsc.Decode(bitvec.VectorOf(data[:], bitvec.LineBits), entry.olscCheck)
 	switch {
 	case res.Status == olsc.OK && segMis == 0:
 		k.setDFH(set, way, Stable0)

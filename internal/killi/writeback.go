@@ -293,13 +293,11 @@ func (c *WriteBackCache) protect(set, way, id int, data bitvec.Line) {
 		if c.dirty[id] {
 			// Dirty data on a 1-fault line: upgrade to DECTED using the
 			// entry's 23 free bits.
-			ck := c.dected.Encode(lineVector(data))
-			entry.dected = ck.Bits
-			entry.dectedGlobal = ck.Global
+			entry.dected = c.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 			c.useDEC[id] = true
 		} else {
 			entry.check = c.secded.EncodeLine(data)
-			entry.dected = nil
+			entry.dected = bch.Check{}
 			c.useDEC[id] = false
 		}
 	default:
@@ -439,9 +437,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 			c.setWBDFH(set, way, Stable1)
 			c.parity4[id] = uint8(parity.Fold(stored16))
 			if c.dirty[id] {
-				ck := c.dected.Encode(lineVector(*data))
-				entry.dected = ck.Bits
-				entry.dectedGlobal = ck.Global
+				entry.dected = c.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 				c.useDEC[id] = true
 			}
 			return true, nil
@@ -474,15 +470,13 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 		return true, nil
 	case Stable1:
 		if c.useDEC[id] {
-			vec := lineVector(*data)
-			res := c.dected.Decode(vec, bch.Check{Bits: entry.dected, Global: entry.dectedGlobal})
+			d := *data
+			res := c.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.dected)
 			switch res.Status {
 			case bch.OK:
 				return true, nil
 			case bch.Corrected:
-				for _, b := range res.DataBitsFlipped {
-					data.FlipBit(b)
-				}
+				*data = d
 				c.ctr.Inc("wb.corrected_reads")
 				return true, nil
 			default:

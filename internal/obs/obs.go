@@ -14,7 +14,9 @@
 // Collector is the standard Observer implementation; cmd/killi-sim wires
 // it behind the -timeseries and -trace-events flags. The package also
 // provides the expvar/HTTP metrics endpoint behind killi-sim's
-// -metrics-addr flag for watching long sweeps live.
+// -metrics-addr flag for watching long sweeps live, and StartProfiles, the
+// one pprof setup behind the -cpuprofile/-memprofile flags of killi-sim,
+// killi-fleet and killi-bench.
 package obs
 
 // DFH state indices, mirroring the killi package's two-bit encoding. The

@@ -74,14 +74,12 @@ type PerLine struct {
 	name  string
 	codec ecc.Codec
 	h     Host
-	// Fills store the line's true data and encode lazily: checkbits are
-	// deterministic functions of the data, so they are only materialized
-	// (encoded[id] set) the first time a read-back mismatches stored[id].
-	// A clean read hit is an 8-word compare with no codec work — and since
-	// Decode(d, Encode(d)) is OK for every codec, the outcome is identical.
-	stored  []bitvec.Line
-	check   []ecc.Check // per line ID, valid only where encoded[id]
-	encoded []bool
+	// Fills store the line's true data, and checkbits — a pure function
+	// of it — are encoded on demand, only when a read-back mismatches
+	// stored[id]. A clean read hit is an 8-word compare with no codec
+	// work, and since Decode(d, Encode(d)) is OK for every codec, the
+	// outcome is identical to decoding every read.
+	stored []bitvec.Line
 }
 
 // NewPerLine returns a per-line scheme using the given codec.
@@ -115,8 +113,6 @@ func (p *PerLine) Attach(h Host) {
 	p.h = h
 	lines := h.Tags().Config().Lines()
 	p.stored = make([]bitvec.Line, lines)
-	p.check = make([]ecc.Check, lines)
-	p.encoded = make([]bool, lines)
 }
 
 // Codec exposes the underlying codec for area accounting.
@@ -171,9 +167,7 @@ func (p *PerLine) VictimFunc() cache.VictimFunc { return nil }
 
 // OnFill implements Scheme.
 func (p *PerLine) OnFill(set, way int, data bitvec.Line) {
-	id := p.h.Tags().LineID(set, way)
-	p.stored[id] = data
-	p.encoded[id] = false
+	p.stored[p.h.Tags().LineID(set, way)] = data
 }
 
 // OnReadHit implements Scheme.
@@ -184,11 +178,7 @@ func (p *PerLine) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 		// by construction, so the decode outcome is OK.
 		return Deliver
 	}
-	if !p.encoded[id] {
-		p.check[id] = p.codec.Encode(p.stored[id])
-		p.encoded[id] = true
-	}
-	out := p.codec.Decode(data, p.check[id])
+	out := p.codec.Decode(data, p.codec.Encode(p.stored[id]))
 	switch out.Status {
 	case ecc.OK:
 		return Deliver

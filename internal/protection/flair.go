@@ -30,11 +30,9 @@ type FLAIR struct {
 
 	h     Host
 	codec ecc.Codec
-	// Lazy checkbits, as in PerLine: fills store the true line and encode
-	// only on the first mismatching read-back.
+	// On-demand checkbits, as in PerLine: fills store the true line and
+	// only a mismatching read-back encodes it.
 	stored   []bitvec.Line
-	check    []ecc.Check
-	encoded  []bool
 	accesses uint64
 	training bool
 }
@@ -57,8 +55,6 @@ func (f *FLAIR) Attach(h Host) {
 	f.codec = ecc.SECDED()
 	lines := h.Tags().Config().Lines()
 	f.stored = make([]bitvec.Line, lines)
-	f.check = make([]ecc.Check, lines)
-	f.encoded = make([]bool, lines)
 }
 
 // Training reports whether the online MBIST pass is still running.
@@ -124,9 +120,7 @@ func (f *FLAIR) VictimFunc() cache.VictimFunc { return nil }
 // OnFill implements Scheme.
 func (f *FLAIR) OnFill(set, way int, data bitvec.Line) {
 	f.tick()
-	id := f.h.Tags().LineID(set, way)
-	f.stored[id] = data
-	f.encoded[id] = false
+	f.stored[f.h.Tags().LineID(set, way)] = data
 }
 
 // OnReadHit implements Scheme.
@@ -137,11 +131,7 @@ func (f *FLAIR) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 		// Zero syndrome by construction: decoding would report OK.
 		return Deliver
 	}
-	if !f.encoded[id] {
-		f.check[id] = f.codec.Encode(f.stored[id])
-		f.encoded[id] = true
-	}
-	out := f.codec.Decode(data, f.check[id])
+	out := f.codec.Decode(data, f.codec.Encode(f.stored[id]))
 	switch out.Status {
 	case ecc.OK:
 		return Deliver
@@ -166,9 +156,7 @@ func (f *FLAIR) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 
 // OnWriteHit implements Scheme.
 func (f *FLAIR) OnWriteHit(set, way int, data bitvec.Line) {
-	id := f.h.Tags().LineID(set, way)
-	f.stored[id] = data
-	f.encoded[id] = false
+	f.stored[f.h.Tags().LineID(set, way)] = data
 }
 
 // OnEvict implements Scheme.

@@ -18,9 +18,12 @@
 // current fault epoch (SetFaultEpoch, driven by the simulator clock). The
 // zero-spec path is byte-identical to the legacy persistent model.
 //
-// Soft errors (transient bit flips) are injected by flipping the stored
-// payload itself; unlike LV faults they disappear on the next write.
-// Transient fault-class strikes use the same mechanism.
+// Soft errors (transient bit flips) live in a sparse per-line XOR overlay
+// on top of the stored payload: Read sees the flipped cells, ReadTrue the
+// last written payload, and the next Write erases them — unlike LV faults.
+// Transient fault-class strikes use the same mechanism, and so do the test
+// patterns a scheme's built-in self-test writes (WritePattern), so the
+// array alone is the simulator's ground truth for silent data corruption.
 //
 // Per the paper's dual-rail design (§2.4), the tag array runs at nominal
 // voltage, so only the data array modeled here experiences LV faults.
@@ -36,7 +39,14 @@ import (
 // Array is a low-voltage SRAM data array of fixed-size 64-byte lines.
 // Construct with New or NewResolved.
 type Array struct {
-	lines   []bitvec.Line
+	// lines holds each line's last Write: the ground-truth payload.
+	lines []bitvec.Line
+	// flips is the sparse XOR overlay of cells that differ from lines —
+	// soft errors and self-test patterns — keyed by line; flipped marks
+	// its lines one bit each, so a read tests a bit instead of probing the
+	// map. Both stay nil until the first flip.
+	flips   map[int]bitvec.Line
+	flipped []uint64
 	faults  *faultmodel.Map
 	voltage float64
 	// active is the voltage-pre-resolved view of the fault map: per-line
@@ -192,9 +202,51 @@ func (a *Array) SetVoltage(vNorm float64) {
 
 // Write stores data into line i. The true payload is retained; corruption
 // is applied on read, which keeps fault application idempotent and lets
-// masked faults unmask when the data changes.
+// masked faults unmask when the data changes. Writing erases the line's
+// soft errors.
 func (a *Array) Write(i int, data bitvec.Line) {
 	a.lines[i] = data
+	if a.flipped != nil {
+		a.setFlips(i, bitvec.Line{})
+	}
+}
+
+// WritePattern stores p in line i's cells without changing its ground
+// truth: ReadTrue still returns the last Write, while Read sees p (under
+// the stuck-at faults) until the next Write. It models a self-test that
+// writes patterns into a line and restores what it read back — Killi's
+// §5.6.2 polarity check, which may restore a corrupted read — so the data
+// the program last wrote stays the reference for silent data corruption.
+func (a *Array) WritePattern(i int, p bitvec.Line) {
+	a.setFlips(i, p.Xor(a.lines[i]))
+}
+
+// stored returns line i's cells as written: the ground-truth payload with
+// the flip overlay applied.
+func (a *Array) stored(i int) bitvec.Line {
+	if a.flipped != nil && a.flipped[i>>6]&(1<<(uint(i)&63)) != 0 {
+		return a.lines[i].Xor(a.flips[i])
+	}
+	return a.lines[i]
+}
+
+// setFlips sets line i's flip overlay to x, dropping the entry when x is
+// zero.
+func (a *Array) setFlips(i int, x bitvec.Line) {
+	mask := uint64(1) << (uint(i) & 63)
+	if x.IsZero() {
+		if a.flipped != nil && a.flipped[i>>6]&mask != 0 {
+			a.flipped[i>>6] &^= mask
+			delete(a.flips, i)
+		}
+		return
+	}
+	if a.flipped == nil {
+		a.flipped = make([]uint64, (len(a.lines)+63)/64)
+		a.flips = make(map[int]bitvec.Line)
+	}
+	a.flipped[i>>6] |= mask
+	a.flips[i] = x
 }
 
 // Read returns the line as the failing cells present it: every active
@@ -203,7 +255,7 @@ func (a *Array) Write(i int, data bitvec.Line) {
 // (injected) faults apply after the voltage-dependent population, matching
 // their injection order.
 func (a *Array) Read(i int) bitvec.Line {
-	out := a.lines[i]
+	out := a.stored(i)
 	mi := a.mapIndex(i)
 	if !a.classed {
 		for _, f := range a.active.LineFaults(mi) {
@@ -224,9 +276,10 @@ func (a *Array) Read(i int) bitvec.Line {
 	return out
 }
 
-// ReadTrue returns the stored payload without fault application — the
-// value a fault-free array would return. Simulation harnesses use it to
-// check for silent data corruption; hardware has no such port.
+// ReadTrue returns the last payload written to line i, without fault
+// application or soft errors — the value a fault-free array would return.
+// Simulation harnesses use it to check for silent data corruption;
+// hardware has no such port.
 func (a *Array) ReadTrue(i int) bitvec.Line { return a.lines[i] }
 
 // ActiveFaultCount returns the number of faults in line i active at the
@@ -280,21 +333,23 @@ func (a *Array) CapableFaultCount(i int) int {
 
 // UnmaskedFaultCount returns the number of active faults in line i whose
 // stuck value currently differs from the stored data — the faults that are
-// observable right now.
+// observable right now. Soft errors count: a flipped cell is compared as
+// it is stored.
 func (a *Array) UnmaskedFaultCount(i int) int {
 	mi := a.mapIndex(i)
+	cells := a.stored(i)
 	n := 0
 	for _, f := range a.active.LineFaults(mi) {
 		if a.classed && !a.faultActive(mi, f.Bit) {
 			continue
 		}
-		if a.lines[i].Bit(f.Bit) != f.StuckAt {
+		if cells.Bit(f.Bit) != f.StuckAt {
 			n++
 		}
 	}
 	if a.injected != nil {
 		for _, f := range a.injected[i] {
-			if a.lines[i].Bit(f.Bit) != f.StuckAt {
+			if cells.Bit(f.Bit) != f.StuckAt {
 				n++
 			}
 		}
@@ -302,11 +357,16 @@ func (a *Array) UnmaskedFaultCount(i int) int {
 	return n
 }
 
-// InjectSoftError flips bit within the stored payload of line i, modeling a
-// transient particle strike. Unlike a persistent fault it is erased by the
-// next Write.
+// InjectSoftError flips bit within the stored cells of line i, modeling a
+// transient particle strike. Read sees the flip and ReadTrue does not;
+// unlike a persistent fault it is erased by the next Write.
 func (a *Array) InjectSoftError(i, bit int) {
-	a.lines[i].FlipBit(bit)
+	var x bitvec.Line
+	if a.flipped != nil {
+		x = a.flips[i]
+	}
+	x.FlipBit(bit)
+	a.setFlips(i, x)
 }
 
 // InjectPersistentFault adds a new always-active stuck-at fault to line i,

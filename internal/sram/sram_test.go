@@ -196,6 +196,120 @@ func TestReadTrueBypassesFaults(t *testing.T) {
 	}
 }
 
+// flipAt returns l with the given bits inverted.
+func flipAt(l bitvec.Line, bits ...int) bitvec.Line {
+	for _, b := range bits {
+		l.FlipBit(b)
+	}
+	return l
+}
+
+// overlayLen counts the lines holding soft flips, checking the map and the
+// per-line bitmap agree.
+func overlayLen(t *testing.T, a *Array) int {
+	t.Helper()
+	marked := 0
+	for _, w := range a.flipped {
+		for ; w != 0; w &= w - 1 {
+			marked++
+		}
+	}
+	if marked != len(a.flips) {
+		t.Fatalf("flip bitmap marks %d lines, overlay holds %d", marked, len(a.flips))
+	}
+	return marked
+}
+
+func TestSoftErrorShowsInReadNotReadTrue(t *testing.T) {
+	a := newTestArray(t, 21, 100, 1.0)
+	l := randomLine(xrand.New(22))
+	a.Write(7, l)
+	a.InjectSoftError(7, 3)
+	a.InjectSoftError(7, 300)
+	if got := a.Read(7); got != flipAt(l, 3, 300) {
+		t.Fatal("Read does not show the soft flips")
+	}
+	if a.ReadTrue(7) != l {
+		t.Fatal("ReadTrue shows a soft flip; it must return the last write")
+	}
+	// A second strike on the same cell flips it back; once every flip has
+	// cancelled the line holds no overlay entry at all.
+	a.InjectSoftError(7, 3)
+	if got := a.Read(7); got != flipAt(l, 300) {
+		t.Fatal("a repeated flip did not cancel")
+	}
+	a.InjectSoftError(7, 300)
+	if a.Read(7) != l || overlayLen(t, a) != 0 {
+		t.Fatal("cancelled flips left an overlay entry")
+	}
+}
+
+func TestWriteErasesSoftErrors(t *testing.T) {
+	a := newTestArray(t, 23, 100, 1.0)
+	r := xrand.New(24)
+	old, next := randomLine(r), randomLine(r)
+	a.Write(1, old)
+	a.Write(2, old)
+	a.InjectSoftError(1, 9)
+	a.InjectSoftError(2, 9)
+	a.Write(1, next)
+	if a.Read(1) != next || a.ReadTrue(1) != next {
+		t.Fatal("a soft flip survived a write")
+	}
+	if a.Read(2) != flipAt(old, 9) || overlayLen(t, a) != 1 {
+		t.Fatal("writing one line disturbed another line's flip")
+	}
+}
+
+func TestUnmaskedFaultCountSeesSoftErrors(t *testing.T) {
+	// A soft flip on a stuck-at cell changes what the cell stores, so it
+	// unmasks (or masks) that fault, though the read value stays stuck.
+	a := newTestArray(t, 25, 5000, 0.55)
+	for i := 0; i < a.Lines(); i++ {
+		if a.ActiveFaultCount(i) == 0 {
+			continue
+		}
+		f := a.faults.ActiveFaults(i, a.Voltage())[0]
+		var l bitvec.Line
+		l.SetBit(f.Bit, f.StuckAt) // the stored value masks the fault
+		a.Write(i, l)
+		before, read := a.UnmaskedFaultCount(i), a.Read(i)
+		a.InjectSoftError(i, f.Bit)
+		if got := a.UnmaskedFaultCount(i); got != before+1 {
+			t.Fatalf("unmasked faults %d after flipping a masked stuck cell, want %d", got, before+1)
+		}
+		if a.Read(i) != read {
+			t.Fatal("a soft flip on a stuck cell changed the read value")
+		}
+		return
+	}
+	t.Fatal("no faulty line found")
+}
+
+func TestWritePatternKeepsGroundTruth(t *testing.T) {
+	a := newTestArray(t, 26, 100, 1.0)
+	r := xrand.New(27)
+	truth, pattern := randomLine(r), randomLine(r)
+	a.Write(4, truth)
+	a.WritePattern(4, pattern)
+	if a.Read(4) != pattern || a.ReadTrue(4) != truth {
+		t.Fatal("WritePattern must change the cells but not the ground truth")
+	}
+	a.InjectSoftError(4, 11)
+	if a.Read(4) != flipAt(pattern, 11) || a.ReadTrue(4) != truth {
+		t.Fatal("a soft flip over a pattern is not applied to the pattern")
+	}
+	a.WritePattern(4, truth)
+	if a.Read(4) != truth || overlayLen(t, a) != 0 {
+		t.Fatal("restoring the truth left an overlay entry")
+	}
+	a.WritePattern(4, pattern)
+	a.Write(4, truth.Invert())
+	if a.Read(4) != truth.Invert() || a.ReadTrue(4) != truth.Invert() || overlayLen(t, a) != 0 {
+		t.Fatal("Write did not replace both the pattern and the ground truth")
+	}
+}
+
 func TestNewPanics(t *testing.T) {
 	fm := faultmodel.NewMap(xrand.New(1), faultmodel.Default(), 10, bitvec.LineBits, 0.6, 1.0)
 	defer func() {
