@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"strings"
 	"testing"
 
 	"killi/internal/faultmodel"
+	"killi/internal/gpu"
+	"killi/internal/obs"
 )
 
 // TestFaultClassSyntaxSingleSource pins the fault-class grammar's
@@ -146,4 +150,71 @@ func TestSweepFaultClassParallelismInvariance(t *testing.T) {
 		Workloads: []string{"fft"}, FaultClasses: "mixed:nope"}); err == nil {
 		t.Fatal("sweep accepted a malformed fault-class spec")
 	}
+}
+
+// TestNominalClassSpecRule pins the two class-spec rules at nominal
+// voltage. The single-run entry points drop cfg.FaultClasses at exactly
+// 1.0 — a nominal run is the sweep's fault-free reference machine — so
+// under a transient-bearing mix they must match the persistent run bit for
+// bit. RunMisclass applies the spec at every voltage, so the same mix at
+// 1.0 must show strikes there.
+func TestNominalClassSpecRule(t *testing.T) {
+	ctx := context.Background()
+	const spec = "mixed:i=0.2@0.5,t=1e-6"
+	cfg := func(classes string) Config {
+		return Config{RequestsPerCU: 500, Seed: 1, GPU: smallGPU(), FaultClasses: classes}
+	}
+	newScheme, err := SchemeFactoryByName("killi-1:64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(res gpu.Result) uint64 {
+		h := fnv.New64a()
+		for _, n := range res.Counters.Names() {
+			fmt.Fprintf(h, "%s=%d\n", n, res.Counters.Get(n))
+		}
+		fmt.Fprintf(h, "%+v\n", CacheableResult(res))
+		return h.Sum64()
+	}
+	entries := []struct {
+		name string
+		run  func(c Config) (gpu.Result, error)
+	}{
+		{"RunOne", func(c Config) (gpu.Result, error) {
+			return RunOne(ctx, c, "xsbench", newScheme, 1.0)
+		}},
+		{"RunOneNamed", func(c Config) (gpu.Result, error) {
+			return RunOneNamed(ctx, c, "xsbench", "killi-1:64", 1.0)
+		}},
+		{"RunOneObserved", func(c Config) (gpu.Result, error) {
+			return RunOneObserved(ctx, c, "xsbench", newScheme, 1.0, obs.NewCollector(), 0)
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			persistent, err := e.run(cfg(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed, err := e.run(cfg(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mixed.TransientStrikes != 0 {
+				t.Errorf("nominal run under %s reports %d transient strikes, want 0", spec, mixed.TransientStrikes)
+			}
+			if got, want := digest(mixed), digest(persistent); got != want {
+				t.Errorf("nominal run under %s digests %#x, persistent run %#x: the spec leaked into a 1.0 V run", spec, got, want)
+			}
+		})
+	}
+	t.Run("RunMisclass", func(t *testing.T) {
+		row, err := RunMisclass(ctx, cfg(spec), "xsbench", "killi-1:64", 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.TransientStrikes == 0 {
+			t.Errorf("RunMisclass at 1.0 V under %s reports no transient strikes: the spec was dropped", spec)
+		}
+	})
 }
