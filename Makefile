@@ -1,14 +1,15 @@
 # Tier-1 verification: what CI runs and what every PR must keep green.
 #
 #   make tier1     vet + build + race-enabled tests + short shape test + doccheck
+#                  + vet/test of the separate perfbench module
 #   make shape     the full Figure 4/5 shape-regression suite (slower)
 #   make bench     core benchmarks (-benchmem) + refresh BENCH_core.json
 
 GO ?= go
 
-.PHONY: tier1 vet build test shape shape-full bench bench-enforce doccheck timeseries soak e2e fleet faultclasses
+.PHONY: tier1 vet build test shape shape-full perfbench bench bench-enforce doccheck timeseries soak e2e fleet faultclasses
 
-tier1: vet build test shape doccheck
+tier1: vet build test shape doccheck perfbench
 
 vet:
 	$(GO) vet ./...
@@ -20,8 +21,9 @@ doccheck:
 build:
 	$(GO) build ./...
 
-# -race guards the experiment sweep's worker pool; -short keeps the
-# simulation-heavy shape assertions at their scaled-down fast variant.
+# -race guards the ordered worker pool (internal/pool) the sweep and
+# campaigns run on; -short keeps the simulation-heavy shape assertions at
+# their scaled-down fast variant.
 test:
 	$(GO) test -race -short ./...
 
@@ -29,6 +31,13 @@ test:
 # coarse golden-shape assertions (seconds, not minutes).
 shape:
 	$(GO) test -short -run TestFig45Shape ./internal/experiments
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# `go build ./...` never compiles it: vet and test it here so an API it
+# uses cannot break unseen.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # The full steady-state shape suite (a little over a minute single-core).
 shape-full:

@@ -20,24 +20,24 @@
 // pairwise independent and stable across hosts.
 //
 // Aggregation is streaming and bounded: online Welford moments and P²
-// quantile sketches per cell, fed in canonical die order through a bounded
-// reorder window, so memory stays O(window + cells) at any N and a campaign
-// with a fixed seed is bit-reproducible at any parallelism or shard count.
+// quantile sketches per cell, fed in canonical die order through
+// internal/pool's bounded reorder window, so memory stays O(window + cells)
+// at any N and a campaign with a fixed seed is bit-reproducible at any
+// parallelism or shard count.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"killi/internal/experiments"
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
+	"killi/internal/pool"
 	"killi/internal/protection"
 	"killi/internal/simcache"
 	"killi/internal/workload"
@@ -243,15 +243,7 @@ func (c Config) Normalized() (Config, error) {
 	if c.PassThreshold <= 1 {
 		return c, fmt.Errorf("campaign: pass threshold must exceed 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Parallelism < 0 {
-		c.Parallelism = max(1, runtime.GOMAXPROCS(0)/c.Shards)
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
-	}
+	c.Parallelism, c.Shards = pool.Budget(c.Parallelism, c.Shards)
 	if c.Window < 0 {
 		return c, fmt.Errorf("campaign: window must be >= 0 (0 means 4 x workers), got %d", c.Window)
 	}
@@ -453,18 +445,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// use — so a campaign sharing a (seed, die, workload, scheme,
 		// classes) prefix with any earlier run only simulates new cells.
 		simCell := func(g gpu.Config, f protection.Factory, schemeName string, wi int, pick func() *gpu.SharedFaults) (gpu.Result, error) {
-			var key string
-			if store != nil {
-				key = experiments.CellKey(g, schemeName, cfg.Workloads[wi], cfg.Seed, cfg.RequestsPerCU, cfg.WarmupKernels)
-				if c, ok := store.Get(key); ok {
-					rec.cellHits++
-					return experiments.ResultFromCache(c), nil
-				}
-			}
-			ensureFaults()
-			res, err := sim(ctx, g, f, pick(), traces[wi], cfg.Shards)
-			if err == nil && store != nil {
-				_ = store.Put(key, experiments.CacheableResult(res)) // best-effort, like the sweep
+			res, hit, err := experiments.Cached(store,
+				func() string {
+					return experiments.CellKey(g, schemeName, cfg.Workloads[wi], cfg.Seed, cfg.RequestsPerCU, cfg.WarmupKernels)
+				},
+				func() (gpu.Result, error) {
+					ensureFaults()
+					return sim(ctx, g, f, pick(), traces[wi], cfg.Shards)
+				})
+			if hit {
+				rec.cellHits++
 			}
 			return res, err
 		}
@@ -516,8 +506,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 
 	// fail funnels every error exit: by the time it runs no worker is
-	// mid-Put (the serial loop is single-threaded; runParallel only returns
-	// after its pool drains), so sweeping stranded cache temp files is safe.
+	// mid-Put (pool.Ordered only returns after its workers drain), so
+	// sweeping stranded cache temp files is safe.
 	var ckpt *checkpoint
 	fail := func(err error) (*Result, error) {
 		if ckpt != nil {
@@ -532,7 +522,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// deliver is the single in-order aggregation point: every record —
 	// resumed, cached, or computed — passes through here exactly once, in
 	// die order, on one goroutine.
-	deliver := func(rec *dieRecord) error {
+	deliver := func(_ int, rec *dieRecord) error {
 		agg.consume(rec)
 		if ckpt != nil && !rec.resumed {
 			if err := ckpt.append(rec); err != nil {
@@ -558,27 +548,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			rec := fromCache(c)
 			rec.resumed = true
-			if err := deliver(rec); err != nil {
+			if err := deliver(c.Die, rec); err != nil {
 				return fail(err)
 			}
 		}
 		firstDie = agg.done
 	}
 
-	if cfg.Parallelism <= 1 {
-		for d := firstDie; d < cfg.Dies; d++ {
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			rec, err := runDie(d)
-			if err != nil {
-				return fail(err)
-			}
-			if err := deliver(rec); err != nil {
-				return fail(err)
-			}
-		}
-	} else if err := runParallel(ctx, &cfg, firstDie, runDie, deliver); err != nil {
+	if err := pool.Ordered(ctx, firstDie, cfg.Dies, cfg.Parallelism, cfg.Window, runDie, deliver); err != nil {
 		return fail(err)
 	}
 
@@ -593,108 +570,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.DiesPerSecond = float64(cfg.Dies) / res.ElapsedSeconds
 	}
 	return res, nil
-}
-
-// runParallel fans dies [firstDie, cfg.Dies) out over a worker pool while
-// the caller goroutine aggregates completed records strictly in die order
-// (through deliver — the aggregation, checkpointing, and progress hook).
-// The token channel is the memory bound: a die may only be dispatched while
-// fewer than cfg.Window dies are un-aggregated, so pending records (in the
-// reorder map or the results buffer) never exceed the window. Because the
-// results channel's capacity equals the window, workers never block on it —
-// the pipeline cannot deadlock.
-func runParallel(parent context.Context, cfg *Config, firstDie int, runDie func(int) (*dieRecord, error), deliver func(*dieRecord) error) error {
-	// A failed die leaves a permanent gap at the reorder point: no later
-	// delivery can release its token, so without cancellation the producer
-	// would eventually block on a full window while workers block on an
-	// empty (unclosed) dies channel. The internal context breaks that cycle:
-	// the first error cancels it, the producer stops dispatching, and the
-	// pool drains.
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	workers := min(cfg.Parallelism, cfg.Dies-firstDie)
-	tokens := make(chan struct{}, cfg.Window)
-	dies := make(chan int)
-	recs := make(chan *dieRecord, cfg.Window)
-	errc := make(chan error, 1)
-
-	go func() {
-		defer close(dies)
-		for d := firstDie; d < cfg.Dies; d++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case dies <- d:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range dies {
-				if ctx.Err() != nil {
-					continue // drain the channel without starting work
-				}
-				rec, err := runDie(d)
-				if err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					cancel()
-					continue
-				}
-				recs <- rec
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(recs) }()
-
-	pending := make(map[int]*dieRecord, cfg.Window)
-	next := firstDie
-	var deliverErr error
-	for rec := range recs {
-		pending[rec.die] = rec
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if deliverErr == nil {
-				deliverErr = deliver(r)
-			}
-			next++
-			<-tokens
-		}
-	}
-	// The parent context outranks everything (a cancelled campaign is
-	// cancelled, whatever else went wrong); a worker's error outranks the
-	// internal cancellation it triggered.
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	select {
-	case err := <-errc:
-		return err
-	default:
-	}
-	if deliverErr != nil {
-		return deliverErr
-	}
-	if next != cfg.Dies {
-		return fmt.Errorf("campaign: aggregated %d of %d dies without an error (dispatch bug)", next, cfg.Dies)
-	}
-	return nil
 }
 
 // cellAgg is the streaming state of one (workload, scheme, class, voltage)

@@ -170,17 +170,20 @@ func TestSweepWarmsRunOneNamed(t *testing.T) {
 // TestProgressConcurrent drives the parallel sweep's Progress callback and
 // obs.Metrics.TaskDone together under the race detector (CI runs this
 // package with -race): every cumulative count 1..total must be reported
-// exactly once, and the metrics document must land on done == total.
+// exactly once, in strictly increasing order — Progress runs in task order
+// on one goroutine — and the metrics document must land on done == total.
 func TestProgressConcurrent(t *testing.T) {
 	m := obs.NewMetrics()
 	var mu sync.Mutex
 	seen := map[int]int{}
+	var order []int
 	var total int
 	cfg := cancelConfig("", 4)
 	cfg.Progress = func(done, tot int) {
 		m.TaskDone(done, tot)
 		mu.Lock()
 		seen[done]++
+		order = append(order, done)
 		total = tot
 		mu.Unlock()
 	}
@@ -197,6 +200,11 @@ func TestProgressConcurrent(t *testing.T) {
 	}
 	if len(seen) != total {
 		t.Fatalf("%d distinct counts reported, want %d", len(seen), total)
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] <= order[i-1] {
+			t.Fatalf("done counts arrived out of order: %v", order)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@
 // model, with execution time normalized to the fault-free nominal-voltage
 // baseline and L2 MPKI per configuration.
 //
-// The sweep fans out over a worker pool (Config.Parallelism): every
-// workload × scheme simulation is an independent task with its own
-// gpu.System and protection.Scheme, sharing only read-only traces, and the
-// merge order is fixed, so the parallel path produces bit-for-bit the same
-// rows as the serial one.
+// The sweep fans out over internal/pool's ordered worker pool
+// (Config.Parallelism): every workload × scheme simulation is an
+// independent task with its own gpu.System and protection.Scheme, sharing
+// only read-only traces, and results are folded into rows in task order,
+// so every worker count produces bit-for-bit the same rows.
 //
 // The package is shared by cmd/killi-sim and the repository's benchmark
 // harness so both print identical rows.
@@ -16,17 +16,15 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/killi"
 	"killi/internal/obs"
+	"killi/internal/pool"
 	"killi/internal/protection"
 	"killi/internal/simcache"
 	"killi/internal/workload"
@@ -200,8 +198,8 @@ type Config struct {
 	// 0 or 1 runs the sweep serially; higher values use a worker pool of
 	// that size; negative values mean GOMAXPROCS divided by Shards (so
 	// shards x sweep workers stays budgeted against the machine). Every
-	// task builds its own gpu.System and protection schemes and the merge
-	// order is fixed, so results are bit-for-bit identical at any
+	// task builds its own gpu.System and protection schemes and results
+	// are folded in task order, so rows are bit-for-bit identical at any
 	// parallelism.
 	Parallelism int
 	// Shards is the intra-run shard count each simulation runs with
@@ -230,10 +228,9 @@ type Config struct {
 	// scrubber ignore the knob.
 	ScrubKernels int
 	// Progress, when non-nil, is called once per completed sweep task with
-	// the cumulative completed count and the total task count. With
-	// Parallelism > 1 it is called from worker goroutines (the counts stay
-	// consistent; call order across workers is not deterministic), so the
-	// callback must be safe for concurrent use. It feeds killi-sim's
+	// the cumulative completed count and the total task count. It is
+	// called in task order on one goroutine, so done rises by one per call
+	// and the callback needs no locking of its own. It feeds killi-sim's
 	// -metrics-addr live-progress endpoint and never affects results.
 	Progress func(done, total int)
 }
@@ -253,15 +250,7 @@ func (c Config) withDefaults() Config {
 			c.Workloads = append(c.Workloads, w.Name)
 		}
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Parallelism < 0 {
-		c.Parallelism = max(1, runtime.GOMAXPROCS(0)/c.Shards)
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
-	}
+	c.Parallelism, c.Shards = pool.Budget(c.Parallelism, c.Shards)
 	return c
 }
 
@@ -322,15 +311,23 @@ func KernelSeeds(seed uint64, warmups int) []uint64 {
 	return out
 }
 
-// runKernels drives one simulation through every warmup kernel and returns
-// the measured (final) kernel's result. Cancellation is checked between
-// kernels — one kernel is the unit of work the engine runs to completion,
-// so that is the granularity at which an interrupted run stops. When
-// scrubEvery is positive, the scheme's disabled-line scrubber runs after
-// every scrubEvery-th kernel except the last, so the measured kernel sees
-// the scrubber's steady-state reclaim/re-disable churn but never a scrub
+// simulate is the one simulation step every entry point shares: it builds
+// the System over faults (nil samples a private population from g, as
+// gpu.New does), sets its shard count, attaches o (when non-nil) before the
+// first kernel, drives every warmup kernel and returns the measured (final)
+// kernel's result. Cancellation is checked between kernels — one kernel is
+// the unit of work the engine runs to completion, so that is the
+// granularity at which an interrupted run stops. When scrubEvery is
+// positive, the scheme's disabled-line scrubber runs after every
+// scrubEvery-th kernel except the last, so the measured kernel sees the
+// scrubber's steady-state reclaim/re-disable churn but never a scrub
 // immediately before its own measurement.
-func runKernels(ctx context.Context, sys *gpu.System, traces *workload.TraceSet, scrubEvery int) (gpu.Result, error) {
+func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards, scrubEvery int, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
+	sys := gpu.NewShared(g, newScheme, faults)
+	sys.SetShards(shards)
+	if o != nil {
+		sys.SetObserver(o, epochCycles)
+	}
 	var res gpu.Result
 	for k := 0; k < traces.Kernels(); k++ {
 		if err := ctx.Err(); err != nil {
@@ -342,13 +339,6 @@ func runKernels(ctx context.Context, sys *gpu.System, traces *workload.TraceSet,
 		}
 	}
 	return res, nil
-}
-
-// task is one independent simulation of the sweep: a workload's fault-free
-// baseline (scheme == -1) or one of its LV scheme runs.
-type task struct {
-	workload int
-	scheme   int // index into Schemes(), or -1 for the baseline
 }
 
 // taskDesc canonically describes one sweep task's complete inputs for the
@@ -373,16 +363,8 @@ func CellKey(g gpu.Config, schemeName, workloadName string, seed uint64, request
 }
 
 // CacheableResult extracts the scalar slice of a result that the cache
-// stores; ResultFromCache inverts it. Exported for internal/campaign, which
-// shares the sweep's per-cell cache population.
-func CacheableResult(res gpu.Result) simcache.Result { return cacheable(res) }
-
-// ResultFromCache rebuilds a gpu.Result from a cache entry. Counters stay
-// nil: consumers of cached results use only the scalars.
-func ResultFromCache(c simcache.Result) gpu.Result { return cachedResult(c) }
-
-// cacheable extracts the scalar slice of a result that the cache stores.
-func cacheable(res gpu.Result) simcache.Result {
+// stores; ResultFromCache inverts it.
+func CacheableResult(res gpu.Result) simcache.Result {
 	c := simcache.Result{
 		Cycles:           res.Cycles,
 		Instructions:     res.Instructions,
@@ -404,10 +386,9 @@ func cacheable(res gpu.Result) simcache.Result {
 	return c
 }
 
-// cachedResult rebuilds a gpu.Result from a cache entry. Counters stay nil:
-// the sweep merge consumes only the scalars, for simulated and cached tasks
-// alike.
-func cachedResult(c simcache.Result) gpu.Result {
+// ResultFromCache rebuilds a gpu.Result from a cache entry. Counters stay
+// nil: consumers of cached results use only the scalars.
+func ResultFromCache(c simcache.Result) gpu.Result {
 	res := gpu.Result{
 		Cycles:           c.Cycles,
 		Instructions:     c.Instructions,
@@ -432,10 +413,36 @@ func cachedResult(c simcache.Result) gpu.Result {
 	return res
 }
 
+// Cached is the one cache-through step every cached entry point shares
+// (the sweep's tasks, RunOneNamed and the campaign's per-cell path): it
+// serves the entry at key() from store when there is a valid one and
+// otherwise runs sim and stores its scalars. hit reports a cache hit; a
+// hit's result carries no Counters. A nil store runs sim without hashing
+// a key. The Put is best-effort — a full disk or read-only cache directory
+// must not fail the simulation — and a failed Put is counted only in
+// store.WriteFailures, which only the store's holder can read. Run,
+// RunOneNamed and campaign.Run, and so every simserver job, open a Store
+// per call and drop it, so nothing reads their failed-write counts.
+func Cached(store *simcache.Store, key func() string, sim func() (gpu.Result, error)) (res gpu.Result, hit bool, err error) {
+	if store == nil {
+		res, err = sim()
+		return res, false, err
+	}
+	k := key()
+	if c, ok := store.Get(k); ok {
+		return ResultFromCache(c), true, nil
+	}
+	if res, err = sim(); err != nil {
+		return gpu.Result{}, false, err
+	}
+	_ = store.Put(k, CacheableResult(res))
+	return res, false, nil
+}
+
 // Run executes the full sweep: for each workload, a fault-free baseline at
-// nominal voltage plus every scheme at the LV operating point. With
-// cfg.Parallelism > 1 the tasks fan out over a worker pool; the output is
-// identical to the serial sweep in either case.
+// nominal voltage plus every scheme at the LV operating point. The tasks
+// run on pool.Ordered with cfg.Parallelism workers and are folded into
+// rows in task order, so the output is identical at any parallelism.
 //
 // Cancelling ctx stops the sweep at the next kernel boundary of every
 // in-flight task, drains the worker pool, removes any stranded simcache
@@ -448,7 +455,6 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := Schemes()
 
 	// Resolve workloads and generate every kernel's traces up front, so
 	// unknown names fail before any simulation runs and the (read-only)
@@ -473,20 +479,27 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	gBase, gLV := base, base
 	gBase.Voltage = 1.0
 	gLV.Voltage = cfg.Voltage
+	gLV.Classes = classes
 	faultsBase := gpu.BuildSharedFaults(gBase)
 	faultsLV := gpu.BuildSharedFaults(gLV)
 
-	tasks := make([]task, 0, len(loads)*(len(specs)+1))
-	for wi := range loads {
-		tasks = append(tasks, task{workload: wi, scheme: -1})
-		for si := range specs {
-			tasks = append(tasks, task{workload: wi, scheme: si})
-		}
+	// Every workload runs one task per column: the baseline first, then
+	// each scheme at the LV point. The baseline keeps the zero ClassSpec:
+	// it is the fault-free nominal reference, so not even transient
+	// strikes touch it.
+	type column struct {
+		name      string
+		newScheme protection.Factory
+		g         gpu.Config
+		faults    *gpu.SharedFaults
+	}
+	cols := []column{{"none", func() protection.Scheme { return protection.NewNone() }, gBase, faultsBase}}
+	for _, spec := range Schemes() {
+		cols = append(cols, column{spec.Name, spec.New, gLV, faultsLV})
 	}
 
 	var store *simcache.Store
 	if cfg.CacheDir != "" {
-		var err error
 		if store, err = simcache.Open(cfg.CacheDir); err != nil {
 			return nil, err
 		}
@@ -494,123 +507,84 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 
 	// Each task keeps only its scalar result, in the cache's shape whether
 	// it was simulated or read back: a gpu.Result's Counters alias its
-	// System, so retaining those until the merge would keep every finished
-	// simulation's arrays alive and make the sweep's memory grow with its
+	// System, so retaining those until delivery would keep finished
+	// simulations' arrays alive and make the sweep's memory grow with its
 	// task count instead of its worker count.
-	var tasksDone atomic.Int64
-	runTask := func(t task) (simcache.Result, error) {
-		g := base
-		var newScheme protection.Factory
-		var schemeName string
-		var faults *gpu.SharedFaults
-		if t.scheme < 0 {
-			// The baseline keeps the zero ClassSpec: it is the fault-free
-			// nominal reference, so not even transient strikes touch it.
-			g.Voltage = 1.0
-			newScheme = func() protection.Scheme { return protection.NewNone() }
-			schemeName = "none"
-			faults = faultsBase
-		} else {
-			g.Voltage = cfg.Voltage
-			g.Classes = classes
-			newScheme = specs[t.scheme].New
-			schemeName = specs[t.scheme].Name
-			faults = faultsLV
-		}
-		done := func(res simcache.Result) simcache.Result {
-			if cfg.Progress != nil {
-				cfg.Progress(int(tasksDone.Add(1)), len(tasks))
-			}
-			return res
-		}
-		var key string
-		if store != nil {
-			key = simcache.Key(taskDesc(cfg, g, schemeName, loads[t.workload].Name))
-			if c, ok := store.Get(key); ok {
-				return done(c), nil
-			}
-		}
-		sys := gpu.NewShared(g, newScheme, faults)
-		sys.SetShards(cfg.Shards)
-		res, err := runKernels(ctx, sys, traces[t.workload], cfg.ScrubKernels)
-		if err != nil {
-			return simcache.Result{}, err
-		}
-		c := cacheable(res)
-		if store != nil {
-			// Best-effort: a full disk or read-only cache directory must
-			// not fail the sweep; Store.WriteFailures keeps it observable.
-			_ = store.Put(key, c)
-		}
-		return done(c), nil
+	run := func(i int) (simcache.Result, error) {
+		wi, c := i/len(cols), cols[i%len(cols)]
+		res, _, err := Cached(store,
+			func() string { return simcache.Key(taskDesc(cfg, c.g, c.name, loads[wi].Name)) },
+			func() (gpu.Result, error) {
+				return simulate(ctx, c.g, c.newScheme, c.faults, traces[wi], cfg.Shards, cfg.ScrubKernels, nil, 0)
+			})
+		return CacheableResult(res), err
 	}
 
-	results := make([]simcache.Result, len(tasks))
-	if workers := min(cfg.Parallelism, len(tasks)); workers <= 1 {
-		for i, t := range tasks {
-			if ctx.Err() != nil {
-				break
+	// Rows fill in task order: a workload's baseline precedes the schemes
+	// that normalize against it.
+	n := len(loads) * len(cols)
+	rows := make([]Row, len(loads))
+	deliver := func(i int, c simcache.Result) error {
+		res := ResultFromCache(c)
+		wi, name := i/len(cols), cols[i%len(cols)].name
+		row := &rows[wi]
+		if i%len(cols) == 0 {
+			*row = Row{
+				Workload:       loads[wi].Name,
+				Class:          loads[wi].Class,
+				BaselineCycles: res.Cycles,
+				BaselineMPKI:   res.MPKI(),
+				Normalized:     map[string]float64{},
+				MPKI:           map[string]float64{},
+				Disabled:       map[string]int{},
 			}
-			results[i], _ = runTask(t)
+		} else {
+			row.Normalized[name] = float64(res.Cycles) / float64(row.BaselineCycles)
+			row.MPKI[name] = res.MPKI()
+			row.Disabled[name] = res.DisabledLines
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain the channel without starting work
-					}
-					results[i], _ = runTask(tasks[i])
-				}
-			}()
+		if cfg.Progress != nil {
+			cfg.Progress(i+1, n)
 		}
-	feed:
-		for i := range tasks {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Every worker has drained; any Put a worker was interrupted before
-		// finishing (or a previous crash stranded) is safe to sweep now.
+	// Results are scalars, so the window spans every task and no worker
+	// ever waits for delivery.
+	if err := pool.Ordered(ctx, 0, n, cfg.Parallelism, n, run, deliver); err != nil {
+		// Ordered returns only once its workers have drained, so any Put an
+		// interrupted task (or a previous crash) stranded is safe to sweep.
 		if store != nil {
 			_, _ = store.RemoveTemps()
 		}
 		return nil, err
 	}
-
-	// Deterministic merge: rows in workload order, every scheme keyed by
-	// its stable name, normalized against the workload's baseline task.
-	rows := make([]Row, len(loads))
-	for i, t := range tasks {
-		res := cachedResult(results[i])
-		row := &rows[t.workload]
-		if t.scheme < 0 {
-			row.Workload = loads[t.workload].Name
-			row.Class = loads[t.workload].Class
-			row.BaselineCycles = res.Cycles
-			row.BaselineMPKI = res.MPKI()
-			row.Normalized = map[string]float64{}
-			row.MPKI = map[string]float64{}
-			row.Disabled = map[string]int{}
-			continue
-		}
-		// The baseline task of this workload precedes its scheme tasks.
-		name := specs[t.scheme].Name
-		row.Normalized[name] = float64(res.Cycles) / float64(row.BaselineCycles)
-		row.MPKI[name] = res.MPKI()
-		row.Disabled[name] = res.DisabledLines
-	}
 	return rows, nil
+}
+
+// prepare resolves one single run's inputs on a defaulted cfg: the
+// workload lookup, the machine at voltage with its class spec, and a
+// builder for the workload's kernel traces — deferred, so a cache hit
+// never pays for a trace build. The class rule differs by caller and is
+// pinned by TestNominalClassSpecRule: the RunOne family drops
+// cfg.FaultClasses at exactly 1.0, since a nominal run is the sweep's
+// fault-free baseline machine; RunMisclass sets classesAtNominal to apply
+// the spec at every voltage, since its row measures the mix itself.
+func (cfg Config) prepare(workloadName string, voltage float64, classesAtNominal bool) (gpu.Config, func() *workload.TraceSet, error) {
+	w, err := workload.ByName(workloadName)
+	if err != nil {
+		return gpu.Config{}, nil, err
+	}
+	g := cfg.baseGPU()
+	g.Voltage = voltage
+	if voltage != 1.0 || classesAtNominal {
+		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
+			return gpu.Config{}, nil, err
+		}
+	}
+	traces := func() *workload.TraceSet {
+		return w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
+	}
+	return g, traces, nil
 }
 
 // RunOne runs a single workload × scheme pair at the given voltage and
@@ -623,22 +597,7 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 // Cancelling ctx stops the run at the next kernel boundary and returns
 // ctx.Err().
 func RunOne(ctx context.Context, cfg Config, workloadName string, newScheme protection.Factory, voltage float64) (gpu.Result, error) {
-	cfg = cfg.withDefaults()
-	w, err := workload.ByName(workloadName)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	g := cfg.baseGPU()
-	g.Voltage = voltage
-	if voltage != 1.0 {
-		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
-			return gpu.Result{}, err
-		}
-	}
-	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
-	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
-	return runKernels(ctx, sys, traces, cfg.ScrubKernels)
+	return RunOneObserved(ctx, cfg, workloadName, newScheme, voltage, nil, 0)
 }
 
 // RunShared runs one fully prepared simulation: the caller supplies the
@@ -653,9 +612,7 @@ func RunOne(ctx context.Context, cfg Config, workloadName string, newScheme prot
 // TestRunSharedMatchesRunOne). Cancelling ctx stops at the next kernel
 // boundary and returns ctx.Err().
 func RunShared(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards int) (gpu.Result, error) {
-	sys := gpu.NewShared(g, newScheme, faults)
-	sys.SetShards(shards)
-	return runKernels(ctx, sys, traces, 0)
+	return simulate(ctx, g, newScheme, faults, traces, shards, 0, nil, 0)
 }
 
 // RunOneNamed is RunOne with the scheme given by its SchemeSyntax name and,
@@ -670,62 +627,39 @@ func RunOneNamed(ctx context.Context, cfg Config, workloadName, schemeName strin
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	if cfg.CacheDir == "" {
-		return RunOne(ctx, cfg, workloadName, newScheme, voltage)
-	}
-	if _, err := workload.ByName(workloadName); err != nil {
-		return gpu.Result{}, err
-	}
-	store, err := simcache.Open(cfg.CacheDir)
+	// g carries the class spec RunOne would simulate, so it is part of the
+	// cache key.
+	g, traces, err := cfg.prepare(workloadName, voltage, false)
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	g := cfg.baseGPU()
-	g.Voltage = voltage
-	if voltage != 1.0 {
-		// Mirror RunOne: the class spec is part of the simulated machine,
-		// so it must be part of the cache key.
-		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
+	var store *simcache.Store
+	if cfg.CacheDir != "" {
+		if store, err = simcache.Open(cfg.CacheDir); err != nil {
 			return gpu.Result{}, err
 		}
 	}
-	key := simcache.Key(taskDesc(cfg, g, schemeName, workloadName))
-	if c, ok := store.Get(key); ok {
-		return cachedResult(c), nil
-	}
-	res, err := RunOne(ctx, cfg, workloadName, newScheme, voltage)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	// Best-effort, as in Run: a failed Put must not fail the simulation.
-	_ = store.Put(key, cacheable(res))
-	return res, nil
+	res, _, err := Cached(store,
+		func() string { return simcache.Key(taskDesc(cfg, g, schemeName, workloadName)) },
+		func() (gpu.Result, error) {
+			return simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, nil, 0)
+		})
+	return res, err
 }
 
 // RunOneObserved is RunOne with an observability sink attached before the
-// first kernel: o receives the initial DFH reset, every classification
-// transition, and an epoch Sample every epochCycles cycles (0 means
-// gpu.DefaultEpochCycles). The simulated machine is bit-identical to the
-// unobserved RunOne — sampling only reads state — so the returned Result
-// matches RunOne exactly (pinned by TestGoldenCounterDigestObserved).
+// first kernel: o (when non-nil) receives the initial DFH reset, every
+// classification transition, and an epoch Sample every epochCycles cycles
+// (0 means gpu.DefaultEpochCycles). The simulated machine is bit-identical
+// to the unobserved RunOne — sampling only reads state — so the returned
+// Result matches RunOne exactly (pinned by TestGoldenCounterDigestObserved).
 func RunOneObserved(ctx context.Context, cfg Config, workloadName string, newScheme protection.Factory, voltage float64, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
 	cfg = cfg.withDefaults()
-	w, err := workload.ByName(workloadName)
+	g, traces, err := cfg.prepare(workloadName, voltage, false)
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	g := cfg.baseGPU()
-	g.Voltage = voltage
-	if voltage != 1.0 {
-		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
-			return gpu.Result{}, err
-		}
-	}
-	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
-	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
-	sys.SetObserver(o, epochCycles)
-	return runKernels(ctx, sys, traces, cfg.ScrubKernels)
+	return simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, o, epochCycles)
 }
 
 // ValidateFlags rejects CLI knob combinations that would panic downstream

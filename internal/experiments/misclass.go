@@ -8,7 +8,6 @@ import (
 
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
-	"killi/internal/workload"
 )
 
 // MisclassRow is one workload × class-mix measurement of the DFH
@@ -51,7 +50,8 @@ func (r MisclassRow) FalseTrustRate() float64 {
 }
 
 // RunMisclass runs one workload × scheme pair at the given voltage under
-// cfg.FaultClasses and reports the misclassification measurement: the
+// cfg.FaultClasses — applied at every voltage, nominal included, unlike
+// RunOne — and reports the misclassification measurement: the
 // kernel sequence follows RunOne exactly (cfg.WarmupKernels warmups, then
 // the measured kernel, scrubbing per cfg.ScrubKernels), and the final
 // DFH state is compared against the ground-truth oracle. The scheme must
@@ -59,44 +59,33 @@ func (r MisclassRow) FalseTrustRate() float64 {
 // result cache is never consulted: the row needs live counters.
 func RunMisclass(ctx context.Context, cfg Config, workloadName, schemeName string, voltage float64) (MisclassRow, error) {
 	cfg = cfg.withDefaults()
-	spec, err := faultmodel.ParseClassSpec(cfg.FaultClasses)
-	if err != nil {
-		return MisclassRow{}, err
-	}
 	newScheme, err := SchemeFactoryByName(schemeName)
 	if err != nil {
 		return MisclassRow{}, err
 	}
-	w, err := workload.ByName(workloadName)
+	g, traces, err := cfg.prepare(workloadName, voltage, true)
 	if err != nil {
 		return MisclassRow{}, err
 	}
-	g := cfg.baseGPU()
-	g.Voltage = voltage
-	g.Classes = spec
-	traces := w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
-	sys := gpu.New(g, newScheme)
-	sys.SetShards(cfg.Shards)
-	res, err := runKernels(ctx, sys, traces, cfg.ScrubKernels)
+	res, err := simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, nil, 0)
 	if err != nil {
 		return MisclassRow{}, err
 	}
 	if !res.HasMisclass {
 		return MisclassRow{}, fmt.Errorf("scheme %q exposes no DFH codes; misclassification needs a killi variant", schemeName)
 	}
-	ctr := sys.Stats()
 	return MisclassRow{
 		Workload:         workloadName,
-		Classes:          classDisplay(spec),
+		Classes:          classDisplay(g.Classes),
 		ScrubKernels:     cfg.ScrubKernels,
-		Kernels:          traces.Kernels(),
+		Kernels:          cfg.WarmupKernels + 1,
 		Cycles:           res.Cycles,
 		SDC:              res.SDC,
 		TransientStrikes: res.TransientStrikes,
 		DisabledLines:    res.DisabledLines,
 		Misclass:         res.Misclass,
-		ScrubTests:       ctr.Get("killi.scrub_tests"),
-		ScrubReclaimed:   ctr.Get("killi.scrub_reclaimed"),
+		ScrubTests:       res.Counters.Get("killi.scrub_tests"),
+		ScrubReclaimed:   res.Counters.Get("killi.scrub_reclaimed"),
 	}, nil
 }
 

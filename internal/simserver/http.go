@@ -6,6 +6,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"killi/internal/campaign"
@@ -205,32 +206,14 @@ func (o *streamObserver) OnEpoch(sample obs.Sample) {
 	o.send(observeEvent{name: "epoch", data: epochEvent{Sample: sample, L2MPKI: sample.MPKI(), DFH: dfh}})
 }
 
-// outcome is a streamed job's final result, handed from the submitting
-// goroutine to the SSE loop.
-type outcome struct {
-	res *JobResult
-	err error
-}
-
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	req, err := observeRequest(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-
 	o := newStreamObserver()
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.SubmitObserved(r.Context(), req, o)
-		done <- outcome{res, err}
-	}()
-	s.streamSSE(w, r, flusher, o.ch, done, func() int64 { return o.dropped })
+	s.streamSSE(w, r, req, o, nil, o.ch, func() int64 { return o.dropped })
 }
 
 // handleCampaign runs a campaign job with a live progress subscription:
@@ -242,12 +225,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-
 	ch := make(chan observeEvent, 64)
 	var dropped int64
 	var lastSent int
@@ -268,22 +245,32 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			dropped++
 		}
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.SubmitCampaignObserved(r.Context(), req, progress)
-		done <- outcome{res, err}
-	}()
-	s.streamSSE(w, r, flusher, ch, done, func() int64 { return dropped })
+	s.streamSSE(w, r, req, nil, progress, ch, func() int64 { return dropped })
 }
 
-// streamSSE pumps a streamed job's events and final outcome to an SSE
-// subscriber. The SSE headers are only correct once the job is admitted; a
-// queue rejection must still be a plain 429. Admission is fast (it never
-// waits on simulations), so peek for an immediate error before committing
-// to the stream: the first event or the outcome, whichever comes first,
-// decides. dropped is read only after the job finishes (the submit
-// goroutine's send on done orders it).
-func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, flusher http.Flusher, events <-chan observeEvent, done <-chan outcome, dropped func() int64) {
+// streamSSE submits req as a streamed job (o or progress is its
+// subscriber, feeding events) and pumps the events and final outcome to an
+// SSE subscriber. The SSE headers are only correct once the job is
+// admitted; a queue rejection must still be a plain 429. Admission is fast
+// (it never waits on simulations), so peek for an immediate error before
+// committing to the stream: the first event or the outcome, whichever
+// comes first, decides. dropped is read only after the job finishes (the
+// submit goroutine's send on done orders it).
+func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, req JobRequest, o obs.Observer, progress func(campaign.ProgressInfo), events <-chan observeEvent, dropped func() int64) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
+		return
+	}
+	type outcome struct {
+		res *JobResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.submitStreamed(r.Context(), req, o, progress)
+		done <- outcome{res, err}
+	}()
 	var started bool
 	writeEvent := func(ev observeEvent) {
 		if !started {
@@ -342,20 +329,14 @@ func observeRequest(r *http.Request) (JobRequest, error) {
 		Workload: q.Get("workload"),
 		Scheme:   q.Get("scheme"),
 	}
-	for name, set := range map[string]func(uint64){
+	if err := queryUints(q, map[string]func(uint64){
 		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
 		"seed":     func(v uint64) { req.Seed = v },
 		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
 		"shards":   func(v uint64) { req.Shards = int(v) },
 		"epoch":    func(v uint64) { req.EpochCycles = v },
-	} {
-		if raw := q.Get(name); raw != "" {
-			v, err := strconv.ParseUint(raw, 10, 63)
-			if err != nil {
-				return req, fmt.Errorf("bad %s %q: %v", name, raw, err)
-			}
-			set(v)
-		}
+	}); err != nil {
+		return req, err
 	}
 	if raw := q.Get("voltage"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -376,20 +357,14 @@ func campaignRequest(r *http.Request) (JobRequest, error) {
 		Workloads: experiments.SplitList(q.Get("workloads")),
 		Schemes:   experiments.SplitList(q.Get("schemes")),
 	}
-	for name, set := range map[string]func(uint64){
+	if err := queryUints(q, map[string]func(uint64){
 		"dies":     func(v uint64) { req.Dies = int(v) },
 		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
 		"seed":     func(v uint64) { req.Seed = v },
 		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
 		"shards":   func(v uint64) { req.Shards = int(v) },
-	} {
-		if raw := q.Get(name); raw != "" {
-			v, err := strconv.ParseUint(raw, 10, 63)
-			if err != nil {
-				return req, fmt.Errorf("bad %s %q: %v", name, raw, err)
-			}
-			set(v)
-		}
+	}); err != nil {
+		return req, err
 	}
 	if raw := q.Get("threshold"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -406,4 +381,20 @@ func campaignRequest(r *http.Request) (JobRequest, error) {
 		req.Voltages = append(req.Voltages, v)
 	}
 	return req, nil
+}
+
+// queryUints parses each named query param that is present as a
+// non-negative integer and hands it to its setter; the first malformed one
+// is the error.
+func queryUints(q url.Values, setters map[string]func(uint64)) error {
+	for name, set := range setters {
+		if raw := q.Get(name); raw != "" {
+			v, err := strconv.ParseUint(raw, 10, 63)
+			if err != nil {
+				return fmt.Errorf("bad %s %q: %v", name, raw, err)
+			}
+			set(v)
+		}
+	}
+	return nil
 }

@@ -138,13 +138,7 @@ func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) 
 	if r.WarmupKernels < 0 {
 		return r, fmt.Errorf("warmup_kernels must be >= 0, got %d", r.WarmupKernels)
 	}
-	if r.Shards == 0 {
-		r.Shards = defaultShards
-	}
-	if r.Parallelism == 0 {
-		r.Parallelism = -1
-	}
-	if err := experiments.ValidateFlags(r.RequestsPerCU, r.Parallelism, r.Shards, maxProcs); err != nil {
+	if err := r.budget(defaultShards, maxProcs, r.RequestsPerCU); err != nil {
 		return r, err
 	}
 	if r.EpochCycles == 0 {
@@ -213,13 +207,8 @@ func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest,
 	if r.EpochCycles != 0 {
 		return r, fmt.Errorf(`"epoch_cycles" is an observe field; campaigns stream progress, not epochs`)
 	}
-	if r.Shards == 0 {
-		r.Shards = defaultShards
-	}
-	if r.Parallelism == 0 {
-		r.Parallelism = -1
-	}
-	if err := experiments.ValidateFlags(max(r.RequestsPerCU, 1), r.Parallelism, r.Shards, maxProcs); err != nil {
+	// A campaign's own normalization defaults and checks its trace length.
+	if err := r.budget(defaultShards, maxProcs, max(r.RequestsPerCU, 1)); err != nil {
 		return r, err
 	}
 	cc, err := r.campaignConfig().Normalized()
@@ -233,6 +222,19 @@ func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest,
 	r.WarmupKernels = cc.WarmupKernels
 	r.PassThreshold = cc.PassThreshold
 	return r, nil
+}
+
+// budget defaults the execution knobs every kind shares — Shards to the
+// server's, Parallelism to auto — and rejects the combinations
+// experiments.ValidateFlags refuses for a trace of requests per CU.
+func (r *JobRequest) budget(defaultShards, maxProcs, requests int) error {
+	if r.Shards == 0 {
+		r.Shards = defaultShards
+	}
+	if r.Parallelism == 0 {
+		r.Parallelism = -1
+	}
+	return experiments.ValidateFlags(requests, r.Parallelism, r.Shards, maxProcs)
 }
 
 // key is the job's content address: the simcache SHA-256 digest of its

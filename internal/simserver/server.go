@@ -363,51 +363,21 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (*JobResult, error)
 	return &joined, nil
 }
 
-// SubmitObserved is Submit for a run job with a live observer attached:
-// o receives the run's DFH resets, classification transitions, and
-// per-epoch samples from the simulation goroutine while the job executes.
-// Observed jobs go through the same queue, budget, and backpressure as
-// plain jobs but are never coalesced (each subscriber needs its own event
-// stream) and never served from the result cache. Unlike Submit,
-// cancelling ctx also cancels the running simulation at its next kernel
+// submitStreamed is Submit for a job with a live subscriber: o receives a
+// run job's DFH resets, classification transitions and per-epoch samples,
+// progress receives a campaign job's cumulative die counts in die order —
+// the feeds behind the /v1/observe and /v1/campaign SSE streams. Streamed
+// jobs go through the same queue, budget and backpressure as plain jobs
+// but are never coalesced or retained (each subscriber needs its own
+// stream), and an observed run never reads the result cache. Unlike
+// Submit, cancelling ctx also cancels the running job at its next kernel
 // boundary — a vanished subscriber must not keep burning a worker.
-func (s *Server) SubmitObserved(ctx context.Context, req JobRequest, o obs.Observer) (*JobResult, error) {
-	if req.Kind != KindRun {
-		return nil, &ValidationError{Err: fmt.Errorf("observe streams are run jobs; got kind %q", req.Kind)}
-	}
+func (s *Server) submitStreamed(ctx context.Context, req JobRequest, o obs.Observer, progress func(campaign.ProgressInfo)) (*JobResult, error) {
 	norm, err := req.normalized(s.cfg.Shards, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, &ValidationError{Err: err}
 	}
-	c := &call{req: norm, key: norm.key(), observer: o, subCtx: ctx, done: make(chan struct{})}
-	if _, _, err := s.admit(c); err != nil {
-		return nil, err
-	}
-	return s.wait(ctx, c)
-}
-
-// SubmitCampaignObserved is Submit for a campaign job with a live progress
-// subscriber: progress receives cumulative die counts (done/total plus how
-// many were served from the die cache or replayed from a checkpoint) in die
-// order while the campaign executes — the feed behind killi-simd's
-// GET /v1/campaign SSE stream. Like observe streams, subscribed campaigns
-// share the queue, budget, and backpressure but are never coalesced or
-// retained, and cancelling ctx cancels the running campaign at the next
-// kernel boundary. Plain (unsubscribed) campaigns go through Submit like
-// any other job and get coalescing, retention, and metrics-based progress
-// for free.
-func (s *Server) SubmitCampaignObserved(ctx context.Context, req JobRequest, progress func(campaign.ProgressInfo)) (*JobResult, error) {
-	if req.Kind != KindCampaign {
-		return nil, &ValidationError{Err: fmt.Errorf("campaign streams are campaign jobs; got kind %q", req.Kind)}
-	}
-	if progress == nil {
-		return nil, &ValidationError{Err: fmt.Errorf("campaign stream needs a progress callback; use Submit for a plain campaign")}
-	}
-	norm, err := req.normalized(s.cfg.Shards, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, &ValidationError{Err: err}
-	}
-	c := &call{req: norm, key: norm.key(), progress: progress, subCtx: ctx, done: make(chan struct{})}
+	c := &call{req: norm, key: norm.key(), observer: o, progress: progress, subCtx: ctx, done: make(chan struct{})}
 	if _, _, err := s.admit(c); err != nil {
 		return nil, err
 	}
