@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,4 +237,23 @@ func TestOrderedSerial(t *testing.T) {
 	}
 	wantRange(t, got, 2, 40)
 	wantRange(t, order, 2, 40)
+}
+
+// TestBudget pins the shared (parallelism, shards) defaults.
+func TestBudget(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct{ parallel, shards, wantWorkers, wantShards int }{
+		{-1, 0, procs, 1},
+		{-1, 1, procs, 1},
+		{-1, procs + 1, 1, procs + 1}, // more shards than procs still gets a worker
+		{0, 2, 1, 2},
+		{3, -4, 3, 1},
+		{5, 2, 5, 2},
+	}
+	for _, c := range cases {
+		w, s := Budget(c.parallel, c.shards)
+		if w != c.wantWorkers || s != c.wantShards {
+			t.Errorf("Budget(%d, %d) = (%d, %d), want (%d, %d)", c.parallel, c.shards, w, s, c.wantWorkers, c.wantShards)
+		}
+	}
 }
