@@ -155,3 +155,61 @@ func TestGoldenSoftErrorDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenBaselineDigest pins the MBIST baselines (SECDED, DECTED, FLAIR
+// and MS-ECC) under per-read soft errors, a mixed fault-class spec and
+// plain persistent faults, with the digest recipe of
+// TestGoldenSoftErrorDigest. The digests were captured while each baseline
+// kept a private copy of every line to re-encode from; reading the
+// controller's payload from the data array instead must reproduce them bit
+// for bit.
+func TestGoldenBaselineDigest(t *testing.T) {
+	soft := gpu.DefaultConfig()
+	soft.SoftErrorPerRead = 0.01
+	conds := []struct {
+		name     string
+		workload string
+		vdd      float64
+		cfg      Config
+	}{
+		{"soft", "nekbone", 0.625, Config{GPU: &soft, WarmupKernels: 1}},
+		{"mixed", "xsbench", 0.6, Config{
+			FaultClasses:  "mixed:i=0.2@0.5,a=0.1@0.5,t=1e-7",
+			WarmupKernels: 2, ScrubKernels: 1}},
+		{"plain", "fft", 0.575, Config{WarmupKernels: 1}},
+	}
+	want := map[string]uint64{
+		"secded/soft": 0xc63bde1402373361, "secded/mixed": 0x45830bb7a3fd5609, "secded/plain": 0x2baa750a43bb9e71,
+		"dected/soft": 0x016140c816c0238d, "dected/mixed": 0xfd6edd7e9e8bde92, "dected/plain": 0x61c3f0ada72fb090,
+		"flair/soft": 0x5119b931eef6093a, "flair/mixed": 0x0fe9588945cdd9ce, "flair/plain": 0x2baa750a43bb9e71,
+		"msecc/soft": 0x8d7704f985099f39, "msecc/mixed": 0x490392c8f8043969, "msecc/plain": 0xbbf7b7a22d4e4b0d,
+	}
+	for _, scheme := range []string{"secded", "dected", "flair", "msecc"} {
+		for _, c := range conds {
+			name := scheme + "/" + c.name
+			t.Run(name, func(t *testing.T) {
+				cfg := c.cfg
+				cfg.RequestsPerCU, cfg.Seed = 1500, 1
+				newScheme, err := SchemeFactoryByName(scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunOne(context.Background(), cfg, c.workload, newScheme, c.vdd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				for _, n := range res.Counters.Names() {
+					fmt.Fprintf(h, "%s=%d\n", n, res.Counters.Get(n))
+				}
+				fmt.Fprintf(h, "%+v\n", CacheableResult(res))
+				if got := h.Sum64(); got != want[name] {
+					for _, n := range res.Counters.Names() {
+						t.Logf("%s=%d", n, res.Counters.Get(n))
+					}
+					t.Fatalf("digest = %#x, want %#x (a baseline's statistics changed)", got, want[name])
+				}
+			})
+		}
+	}
+}
