@@ -623,12 +623,6 @@ func (s *System) DisabledLines() int {
 	return n
 }
 
-// SchemeProbe returns one of the per-bank scheme instances, for callers
-// that need to inspect the scheme's type or static configuration (e.g.
-// MBIST-need classification). All banks hold identically configured
-// instances.
-func (s *System) SchemeProbe() protection.Scheme { return s.banks[0].scheme }
-
 // ECCStats sums ECC-cache occupancy and capacity across the per-bank
 // scheme instances; ok reports whether the scheme exposes an ECC cache at
 // all (Killi does, the baselines do not).
@@ -884,7 +878,9 @@ func (s *System) Run(traces [][]workload.Request) Result {
 	}
 	startCycle := s.eng.Now()
 	s.mergeCounters()
-	snap := s.ctr.Snapshot()
+	readMisses, errorMisses := s.ctr.GetC(cReadMisses), s.ctr.GetC(cErrorMisses)
+	accesses, sdc := s.ctr.GetC(cL2Accesses), s.ctr.GetC(cSDC)
+	strikes := s.ctr.GetC(cTransientStrikes)
 	startMem := s.memReads()
 	if s.observer != nil {
 		s.startObserver()
@@ -905,12 +901,12 @@ func (s *System) Run(traces [][]workload.Request) Result {
 	s.mergeCounters()
 	res := Result{
 		Cycles:           cycles - startCycle,
-		L2Misses:         s.ctr.Since(snap, "l2.read_misses") + s.ctr.Since(snap, "l2.error_misses"),
-		L2Accesses:       s.ctr.Since(snap, "l2.accesses"),
+		L2Misses:         s.ctr.GetC(cReadMisses) - readMisses + s.ctr.GetC(cErrorMisses) - errorMisses,
+		L2Accesses:       s.ctr.GetC(cL2Accesses) - accesses,
 		MemAccesses:      s.memReads() - startMem,
 		DisabledLines:    s.DisabledLines(),
-		SDC:              s.ctr.Since(snap, "l2.silent_data_corruption"),
-		TransientStrikes: s.ctr.Since(snap, "l2.transient_strikes"),
+		SDC:              s.ctr.GetC(cSDC) - sdc,
+		TransientStrikes: s.ctr.GetC(cTransientStrikes) - strikes,
 		Counters:         &s.ctr,
 		Sched:            s.eng.Stats(),
 	}

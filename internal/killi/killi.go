@@ -36,15 +36,19 @@ var (
 	cScrubTests        = stats.Intern("killi.scrub_tests")
 	cScrubReclaimed    = stats.Intern("killi.scrub_reclaimed")
 
-	cDFHTransition = func() (m [4][4]stats.Counter) {
-		for p := Stable0; p <= Disabled; p++ {
-			for n := Stable0; n <= Disabled; n++ {
-				m[p][n] = stats.Intern(fmt.Sprintf("killi.dfh_%s_to_%s", p, n))
-			}
-		}
-		return
-	}()
+	cDFHTransition = dfhTransitions("killi.")
 )
+
+// dfhTransitions interns one counter per prev→next DFH pair, named
+// prefix + "dfh_<prev>_to_<next>".
+func dfhTransitions(prefix string) (m [4][4]stats.Counter) {
+	for p := Stable0; p <= Disabled; p++ {
+		for n := Stable0; n <= Disabled; n++ {
+			m[p][n] = stats.Intern(prefix + "dfh_" + p.String() + "_to_" + n.String())
+		}
+	}
+	return
+}
 
 // Config parameterizes a Killi instance.
 type Config struct {

@@ -14,6 +14,25 @@ import (
 	"killi/internal/stats"
 )
 
+// Pre-interned handles for the write-back variant's counters.
+var (
+	cWBWriteBypass    = stats.Intern("wb.write_bypass")
+	cWBWrites         = stats.Intern("wb.writes")
+	cWBWriteDiverted  = stats.Intern("wb.write_verify_diverted")
+	cWBReadBypass     = stats.Intern("wb.read_bypass")
+	cWBReadMisses     = stats.Intern("wb.read_misses")
+	cWBReadHits       = stats.Intern("wb.read_hits")
+	cWBErrorRefetch   = stats.Intern("wb.error_refetch")
+	cWBDataLoss       = stats.Intern("wb.data_loss")
+	cWBWritebacks     = stats.Intern("wb.writebacks")
+	cWBECCContention  = stats.Intern("wb.ecc_contention_evictions")
+	cWBInvertedMulti  = stats.Intern("wb.inverted_unmasked_multi")
+	cWBInvertedSingle = stats.Intern("wb.inverted_unmasked_single")
+	cWBCorrectedReads = stats.Intern("wb.corrected_reads")
+	cWBLinesDisabled  = stats.Intern("wb.lines_disabled")
+	cWBDFHTransition  = dfhTransitions("wb.")
+)
+
 // ErrDataLoss reports an uncorrectable error on a dirty line: unlike the
 // write-through configuration, a write-back cache holds the only copy of
 // modified data, so a detected-but-uncorrectable pattern cannot be
@@ -121,7 +140,7 @@ func (c *WriteBackCache) Write(addr uint64, data bitvec.Line) error {
 		way, err = c.allocate(set, tag)
 		if err != nil {
 			// No usable way: write through to backing.
-			c.ctr.Inc("wb.write_bypass")
+			c.ctr.IncC(cWBWriteBypass)
 			c.backing[addr/64] = data
 			return nil
 		}
@@ -131,7 +150,7 @@ func (c *WriteBackCache) Write(addr uint64, data bitvec.Line) error {
 	c.data.Write(id, data)
 	c.dirty[id] = true
 	c.protect(set, way, id, data)
-	c.ctr.Inc("wb.writes")
+	c.ctr.IncC(cWBWrites)
 
 	// §5.6.2-style write verification for unclassified lines: a dirty
 	// store into a DFH b'01 line immediately reads back and checks, so
@@ -160,7 +179,7 @@ func (c *WriteBackCache) Write(addr uint64, data bitvec.Line) error {
 			c.ecc.invalidate(set, id)
 			c.dirty[id] = false
 			c.backing[addr/64] = data
-			c.ctr.Inc("wb.write_verify_diverted")
+			c.ctr.IncC(cWBWriteDiverted)
 		}
 	}
 	return nil
@@ -175,7 +194,7 @@ func (c *WriteBackCache) Read(addr uint64) (bitvec.Line, error) {
 	if !hit {
 		way, err := c.allocate(set, tag)
 		if err != nil {
-			c.ctr.Inc("wb.read_bypass")
+			c.ctr.IncC(cWBReadBypass)
 			return c.backing[addr/64], nil
 		}
 		data := c.backing[addr/64]
@@ -183,11 +202,11 @@ func (c *WriteBackCache) Read(addr uint64) (bitvec.Line, error) {
 		c.data.Write(id, data)
 		c.dirty[id] = false
 		c.protect(set, way, id, data)
-		c.ctr.Inc("wb.read_misses")
+		c.ctr.IncC(cWBReadMisses)
 		return data, nil
 	}
 	c.tags.Touch(set, way)
-	c.ctr.Inc("wb.read_hits")
+	c.ctr.IncC(cWBReadHits)
 	id := c.tags.LineID(set, way)
 	data := c.data.Read(id)
 	clean, err := c.verify(set, way, id, &data)
@@ -199,7 +218,7 @@ func (c *WriteBackCache) Read(addr uint64) (bitvec.Line, error) {
 	}
 	// Uncorrectable but the line is clean: refetch from backing, reinstall
 	// elsewhere on the next access.
-	c.ctr.Inc("wb.error_refetch")
+	c.ctr.IncC(cWBErrorRefetch)
 	c.tags.Invalidate(set, way)
 	return c.backing[addr/64], nil
 }
@@ -254,13 +273,13 @@ func (c *WriteBackCache) writeback(set, way, id int, e *cache.Entry) error {
 		return err
 	}
 	if !clean {
-		c.ctr.Inc("wb.data_loss")
+		c.ctr.IncC(cWBDataLoss)
 		return ErrDataLoss
 	}
 	lineAddr := c.lineAddr(set, e.Tag)
 	c.backing[lineAddr] = data
 	c.dirty[id] = false
-	c.ctr.Inc("wb.writebacks")
+	c.ctr.IncC(cWBWritebacks)
 	return nil
 }
 
@@ -311,7 +330,7 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 	id := c.tags.LineID(set, way)
 	entry, evicted, old := c.ecc.allocate(set, id)
 	if evicted >= 0 {
-		c.ctr.Inc("wb.ecc_contention_evictions")
+		c.ctr.IncC(cWBECCContention)
 		ways := c.tags.Config().Ways
 		vSet, vWay := evicted/ways, evicted%ways
 		ve := c.tags.Entry(vSet, vWay)
@@ -326,7 +345,7 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 				if clean, _ := c.verifyWith(vSet, vWay, vID, &data, &old); clean {
 					c.backing[c.lineAddr(vSet, ve.Tag)] = data
 					c.dirty[vID] = false
-					c.ctr.Inc("wb.writebacks")
+					c.ctr.IncC(cWBWritebacks)
 				}
 			}
 			c.tags.Invalidate(vSet, vWay)
@@ -358,7 +377,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 		c.setWBDFH(set, way, Disabled)
 		c.ecc.invalidate(set, id)
 		if c.dirty[id] {
-			c.ctr.Inc("wb.data_loss")
+			c.ctr.IncC(cWBDataLoss)
 			return false, fmt.Errorf("%w: set %d way %d", ErrDataLoss, set, way)
 		}
 		return false, nil
@@ -381,12 +400,12 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 					// saved and delivered (the documented residual risk).
 					c.setWBDFH(set, way, Disabled)
 					c.ecc.invalidate(set, id)
-					c.ctr.Inc("wb.inverted_unmasked_multi")
+					c.ctr.IncC(cWBInvertedMulti)
 					if c.dirty[id] {
 						e := c.tags.Entry(set, way)
 						c.backing[c.lineAddr(set, e.Tag)] = *data
 						c.dirty[id] = false
-						c.ctr.Inc("wb.writebacks")
+						c.ctr.IncC(cWBWritebacks)
 						return true, nil
 					}
 					return false, nil
@@ -394,7 +413,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 					c.setWBDFH(set, way, Stable1)
 					c.parity4[id] = uint8(parity.Fold(stored16))
 					c.protect(set, way, id, *data)
-					c.ctr.Inc("wb.inverted_unmasked_single")
+					c.ctr.IncC(cWBInvertedSingle)
 					return true, nil
 				}
 			}
@@ -422,18 +441,18 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 					// if dirty.
 					c.setWBDFH(set, way, Disabled)
 					c.ecc.invalidate(set, id)
-					c.ctr.Inc("wb.inverted_unmasked_multi")
+					c.ctr.IncC(cWBInvertedMulti)
 					if c.dirty[id] {
 						e := c.tags.Entry(set, way)
 						c.backing[c.lineAddr(set, e.Tag)] = *data
 						c.dirty[id] = false
-						c.ctr.Inc("wb.writebacks")
+						c.ctr.IncC(cWBWritebacks)
 						return true, nil
 					}
 					return false, nil
 				}
 			}
-			c.ctr.Inc("wb.corrected_reads")
+			c.ctr.IncC(cWBCorrectedReads)
 			c.setWBDFH(set, way, Stable1)
 			c.parity4[id] = uint8(parity.Fold(stored16))
 			if c.dirty[id] {
@@ -456,7 +475,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 				if _, bad := c.p4.Check(*data, uint64(c.parity4[id])); bad != 0 {
 					return fail()
 				}
-				c.ctr.Inc("wb.corrected_reads")
+				c.ctr.IncC(cWBCorrectedReads)
 				return true, nil
 			default:
 				return fail()
@@ -477,7 +496,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 				return true, nil
 			case bch.Corrected:
 				*data = d
-				c.ctr.Inc("wb.corrected_reads")
+				c.ctr.IncC(cWBCorrectedReads)
 				return true, nil
 			default:
 				return fail()
@@ -493,7 +512,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 				if _, bad := c.p4.Check(*data, uint64(c.parity4[id])); bad != 0 {
 					return fail()
 				}
-				c.ctr.Inc("wb.corrected_reads")
+				c.ctr.IncC(cWBCorrectedReads)
 				return true, nil
 			}
 		}
@@ -508,12 +527,12 @@ func (c *WriteBackCache) setWBDFH(set, way int, next DFH) {
 	e := c.tags.Entry(set, way)
 	prev := DFH(e.Class)
 	if prev != next {
-		c.ctr.Inc(fmt.Sprintf("wb.dfh_%s_to_%s", prev, next))
+		c.ctr.IncC(cWBDFHTransition[prev][next])
 	}
 	e.Class = int(next)
 	if next == Disabled {
 		e.Disabled = true
 		e.Valid = false
-		c.ctr.Inc("wb.lines_disabled")
+		c.ctr.IncC(cWBLinesDisabled)
 	}
 }

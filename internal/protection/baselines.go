@@ -8,11 +8,14 @@ import (
 	"killi/internal/stats"
 )
 
-// Pre-interned handles for the scheme hot-path counters.
+// Pre-interned handles for the schemes' counters.
 var (
-	cCorrectedReads   = stats.Intern("protection.corrected_reads")
-	cErrorInducedMiss = stats.Intern("protection.error_induced_miss")
-	cLinesDisabled    = stats.Intern("protection.lines_disabled")
+	cCorrectedReads     = stats.Intern("protection.corrected_reads")
+	cErrorInducedMiss   = stats.Intern("protection.error_induced_miss")
+	cLinesDisabled      = stats.Intern("protection.lines_disabled")
+	cMBISTOps           = stats.Intern("protection.mbist_ops")
+	cCapacitySacrificed = stats.Intern("protection.capacity_lines_sacrificed")
+	cTrainingCompleted  = stats.Intern("flair.training_completed")
 )
 
 // None is the fault-free baseline scheme: no metadata, every read trusted.
@@ -74,12 +77,6 @@ type PerLine struct {
 	name  string
 	codec ecc.Codec
 	h     Host
-	// Fills store the line's true data, and checkbits — a pure function
-	// of it — are encoded on demand, only when a read-back mismatches
-	// stored[id]. A clean read hit is an 8-word compare with no codec
-	// work, and since Decode(d, Encode(d)) is OK for every codec, the
-	// outcome is identical to decoding every read.
-	stored []bitvec.Line
 }
 
 // NewPerLine returns a per-line scheme using the given codec.
@@ -109,11 +106,7 @@ func NewMSECC() *PerLine {
 func (p *PerLine) Name() string { return p.name }
 
 // Attach implements Scheme.
-func (p *PerLine) Attach(h Host) {
-	p.h = h
-	lines := h.Tags().Config().Lines()
-	p.stored = make([]bitvec.Line, lines)
-}
+func (p *PerLine) Attach(h Host) { p.h = h }
 
 // Codec exposes the underlying codec for area accounting.
 func (p *PerLine) Codec() ecc.Codec { return p.codec }
@@ -131,7 +124,7 @@ func (p *PerLine) Reset(vNorm float64) {
 	faultCount := data.ActiveFaultCount
 	if p.UseMarchTest {
 		res := march.CMinus(data, tags.Config().Lines())
-		p.h.Stats().Add("protection.mbist_ops", res.Ops)
+		p.h.Stats().AddC(cMBISTOps, res.Ops)
 		faultCount = res.FaultCount
 	}
 	// Below the Figure 1 fault knee an InArrayCheckbits scheme switches to
@@ -150,7 +143,7 @@ func (p *PerLine) Reset(vNorm float64) {
 		case way >= ways/2:
 			// Check way: stores the partner's checkbits, never data.
 			e.Disabled = true
-			p.h.Stats().Inc("protection.capacity_lines_sacrificed")
+			p.h.Stats().IncC(cCapacitySacrificed)
 			return
 		default:
 			pair := tags.LineID(set, way+ways/2)
@@ -165,20 +158,22 @@ func (p *PerLine) Reset(vNorm float64) {
 // VictimFunc implements Scheme.
 func (p *PerLine) VictimFunc() cache.VictimFunc { return nil }
 
-// OnFill implements Scheme.
-func (p *PerLine) OnFill(set, way int, data bitvec.Line) {
-	p.stored[p.h.Tags().LineID(set, way)] = data
-}
+// OnFill implements Scheme. Checkbits are a pure function of the line,
+// which the data array already holds, so a fill records nothing.
+func (p *PerLine) OnFill(set, way int, data bitvec.Line) {}
 
-// OnReadHit implements Scheme.
+// OnReadHit implements Scheme. Checkbits are encoded on demand from the
+// payload the controller wrote, only when the read-back mismatches it. A
+// clean read hit is an 8-word compare with no codec work, and since
+// Decode(d, Encode(d)) is OK for every codec, the outcome is identical to
+// decoding every read.
 func (p *PerLine) OnReadHit(set, way int, data *bitvec.Line) Verdict {
-	id := p.h.Tags().LineID(set, way)
-	if *data == p.stored[id] {
-		// Read-back matches the encoded data exactly: the syndrome is zero
-		// by construction, so the decode outcome is OK.
+	truth := p.h.Data().ReadTrue(p.h.Tags().LineID(set, way))
+	if *data == truth {
+		// Zero syndrome by construction: decoding would report OK.
 		return Deliver
 	}
-	out := p.codec.Decode(data, p.codec.Encode(p.stored[id]))
+	out := p.codec.Decode(data, p.codec.Encode(truth))
 	switch out.Status {
 	case ecc.OK:
 		return Deliver
@@ -194,10 +189,8 @@ func (p *PerLine) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 	}
 }
 
-// OnWriteHit implements Scheme.
-func (p *PerLine) OnWriteHit(set, way int, data bitvec.Line) {
-	p.OnFill(set, way, data)
-}
+// OnWriteHit implements Scheme; see OnFill.
+func (p *PerLine) OnWriteHit(set, way int, data bitvec.Line) {}
 
 // OnEvict implements Scheme.
 func (p *PerLine) OnEvict(set, way int) {}

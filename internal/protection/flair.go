@@ -28,11 +28,8 @@ type FLAIR struct {
 	// needs. Zero means pre-trained.
 	TrainAccesses uint64
 
-	h     Host
-	codec ecc.Codec
-	// On-demand checkbits, as in PerLine: fills store the true line and
-	// only a mismatching read-back encodes it.
-	stored   []bitvec.Line
+	h        Host
+	codec    ecc.Codec
 	accesses uint64
 	training bool
 }
@@ -53,8 +50,6 @@ func (f *FLAIR) Name() string { return "flair" }
 func (f *FLAIR) Attach(h Host) {
 	f.h = h
 	f.codec = ecc.SECDED()
-	lines := h.Tags().Config().Lines()
-	f.stored = make([]bitvec.Line, lines)
 }
 
 // Training reports whether the online MBIST pass is still running.
@@ -110,28 +105,27 @@ func (f *FLAIR) tick() {
 	if f.accesses >= f.TrainAccesses {
 		f.training = false
 		f.applyMBIST()
-		f.h.Stats().Inc("flair.training_completed")
+		f.h.Stats().IncC(cTrainingCompleted)
 	}
 }
 
 // VictimFunc implements Scheme.
 func (f *FLAIR) VictimFunc() cache.VictimFunc { return nil }
 
-// OnFill implements Scheme.
-func (f *FLAIR) OnFill(set, way int, data bitvec.Line) {
-	f.tick()
-	f.stored[f.h.Tags().LineID(set, way)] = data
-}
+// OnFill implements Scheme. As in PerLine, checkbits are encoded on
+// demand from the data array, so a fill only advances training.
+func (f *FLAIR) OnFill(set, way int, data bitvec.Line) { f.tick() }
 
-// OnReadHit implements Scheme.
+// OnReadHit implements Scheme. As in PerLine, only a read-back that
+// mismatches the payload the controller wrote is encoded and decoded.
 func (f *FLAIR) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 	f.tick()
-	id := f.h.Tags().LineID(set, way)
-	if *data == f.stored[id] {
+	truth := f.h.Data().ReadTrue(f.h.Tags().LineID(set, way))
+	if *data == truth {
 		// Zero syndrome by construction: decoding would report OK.
 		return Deliver
 	}
-	out := f.codec.Decode(data, f.codec.Encode(f.stored[id]))
+	out := f.codec.Decode(data, f.codec.Encode(truth))
 	switch out.Status {
 	case ecc.OK:
 		return Deliver
@@ -154,10 +148,8 @@ func (f *FLAIR) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 	}
 }
 
-// OnWriteHit implements Scheme.
-func (f *FLAIR) OnWriteHit(set, way int, data bitvec.Line) {
-	f.stored[f.h.Tags().LineID(set, way)] = data
-}
+// OnWriteHit implements Scheme; see OnFill.
+func (f *FLAIR) OnWriteHit(set, way int, data bitvec.Line) {}
 
 // OnEvict implements Scheme.
 func (f *FLAIR) OnEvict(set, way int) {}

@@ -46,7 +46,11 @@ type Host interface {
 	// Tags returns the L2 tag structure. Schemes own Entry.Class and
 	// Entry.Disabled.
 	Tags() *cache.Cache
-	// Data returns the low-voltage data array.
+	// Data returns the low-voltage data array. The controller writes a
+	// line's payload into it before calling OnFill or OnWriteHit, so from
+	// then on Data().ReadTrue(id) is exactly the data those hooks were
+	// given, and a scheme may encode its checkbits from it instead of
+	// keeping a copy of the line.
 	Data() *sram.Array
 	// SchemeInvalidate evicts a valid line at the scheme's request (e.g.
 	// Killi's ECC-cache contention evictions). The host counts it and
@@ -89,13 +93,14 @@ type Scheme interface {
 	VictimFunc() cache.VictimFunc
 	// OnFill is invoked after fill data was written at (set, way); the
 	// scheme generates and stores its metadata. data is the true (encoder
-	// input) payload.
+	// input) payload, the same line Data().ReadTrue returns.
 	OnFill(set, way int, data bitvec.Line)
 	// OnReadHit verifies read data (as read from the faulty array),
 	// correcting it in place when possible. On ErrorMiss the scheme has
 	// already invalidated or disabled the line.
 	OnReadHit(set, way int, data *bitvec.Line) Verdict
-	// OnWriteHit regenerates metadata after a store updated the line.
+	// OnWriteHit regenerates metadata after a store updated the line; as
+	// in OnFill, data equals Data().ReadTrue of the line.
 	OnWriteHit(set, way int, data bitvec.Line)
 	// OnEvict observes a valid line leaving the cache (before tag
 	// invalidation). Killi uses this to train DFH bits.

@@ -41,7 +41,7 @@ const (
 // The GPU model is always the paper's Table 3 configuration; jobs
 // parameterize the operating point, trace, and protection scheme around it.
 type JobRequest struct {
-	// Kind is KindSweep or KindRun.
+	// Kind is KindSweep, KindRun or KindCampaign.
 	Kind string `json:"kind"`
 	// Voltage is the LV operating point (default 0.625).
 	Voltage float64 `json:"voltage,omitempty"`

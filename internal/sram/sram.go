@@ -278,8 +278,9 @@ func (a *Array) Read(i int) bitvec.Line {
 
 // ReadTrue returns the last payload written to line i, without fault
 // application or soft errors — the value a fault-free array would return.
-// Simulation harnesses use it to check for silent data corruption;
-// hardware has no such port.
+// Simulation harnesses use it to check for silent data corruption, and
+// the MBIST baselines to derive checkbits, a pure function of the written
+// payload, on demand instead of storing them; hardware has no such port.
 func (a *Array) ReadTrue(i int) bitvec.Line { return a.lines[i] }
 
 // ActiveFaultCount returns the number of faults in line i active at the

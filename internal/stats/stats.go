@@ -2,10 +2,10 @@
 // runs, with stable deterministic rendering.
 //
 // Counter names are interned in a package-level registry: each distinct name
-// resolves once to a dense Counter index, and hot paths increment a slice
-// slot through a pre-resolved handle instead of hashing a string per event.
-// The string-keyed API (Add/Inc/Get/Since/Names/String) remains as a thin
-// view over the same storage for tests and reports.
+// resolves once to a dense Counter index, and every writer increments a
+// slice slot through a handle it interned at construction (AddC/IncC),
+// never hashing a string per event. Get, Names and String are the
+// read-only by-name view that reports, examples and tests render.
 package stats
 
 import (
@@ -133,12 +133,6 @@ func (c *Counters) MergeFrom(src *Counters) {
 	}
 }
 
-// Add increments a counter by n.
-func (c *Counters) Add(name string, n uint64) { c.AddC(Intern(name), n) }
-
-// Inc increments a counter by one.
-func (c *Counters) Inc(name string) { c.AddC(Intern(name), 1) }
-
 // Get returns a counter's value (zero if never touched).
 func (c *Counters) Get(name string) uint64 {
 	h, ok := lookup(name)
@@ -146,23 +140,6 @@ func (c *Counters) Get(name string) uint64 {
 		return 0
 	}
 	return c.GetC(h)
-}
-
-// Snapshot returns a copy of the current nonzero counter values, for
-// computing per-phase deltas.
-func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.vals))
-	for h, v := range c.vals {
-		if v != 0 {
-			out[CounterName(Counter(h))] = v
-		}
-	}
-	return out
-}
-
-// Since returns the counter's increase since a snapshot.
-func (c *Counters) Since(snap map[string]uint64, name string) uint64 {
-	return c.Get(name) - snap[name]
 }
 
 // Names returns the names of all nonzero counters in sorted order.

@@ -12,8 +12,9 @@ func TestCountersZeroValue(t *testing.T) {
 	if c.Get("x") != 0 {
 		t.Fatal("untouched counter nonzero")
 	}
-	c.Inc("x")
-	c.Add("x", 4)
+	x := Intern("x")
+	c.IncC(x)
+	c.AddC(x, 4)
 	if c.Get("x") != 5 {
 		t.Fatalf("x = %d", c.Get("x"))
 	}
@@ -21,9 +22,9 @@ func TestCountersZeroValue(t *testing.T) {
 
 func TestNamesSorted(t *testing.T) {
 	var c Counters
-	c.Inc("zeta")
-	c.Inc("alpha")
-	c.Inc("mid")
+	c.IncC(Intern("zeta"))
+	c.IncC(Intern("alpha"))
+	c.IncC(Intern("mid"))
 	names := c.Names()
 	if len(names) != 3 || names[0] != "alpha" || names[1] != "mid" || names[2] != "zeta" {
 		t.Fatalf("names %v", names)
@@ -32,8 +33,8 @@ func TestNamesSorted(t *testing.T) {
 
 func TestStringContainsAll(t *testing.T) {
 	var c Counters
-	c.Add("hits", 10)
-	c.Add("misses", 3)
+	c.AddC(Intern("hits"), 10)
+	c.AddC(Intern("misses"), 3)
 	s := c.String()
 	if !strings.Contains(s, "hits") || !strings.Contains(s, "misses") {
 		t.Fatalf("render missing counters: %q", s)
@@ -53,24 +54,10 @@ func TestHandleStringParity(t *testing.T) {
 	}
 	var c Counters
 	c.AddC(h, 7)
-	c.Inc("parity.test.counter")
+	c.IncC(Intern("parity.test.counter"))
 	if c.Get("parity.test.counter") != 8 || c.GetC(h) != 8 {
 		t.Fatalf("handle/string views disagree: %d vs %d",
 			c.Get("parity.test.counter"), c.GetC(h))
-	}
-}
-
-func TestSnapshotSince(t *testing.T) {
-	var c Counters
-	c.Add("phase.work", 10)
-	snap := c.Snapshot()
-	c.Add("phase.work", 5)
-	c.Add("phase.other", 2)
-	if c.Since(snap, "phase.work") != 5 {
-		t.Fatalf("Since(work) = %d", c.Since(snap, "phase.work"))
-	}
-	if c.Since(snap, "phase.other") != 2 {
-		t.Fatalf("Since(other) = %d", c.Since(snap, "phase.other"))
 	}
 }
 
@@ -93,9 +80,7 @@ func TestConcurrentIntern(t *testing.T) {
 			var c Counters
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("race.%d", i%17)
-				h := Intern(name)
-				c.IncC(h)
-				c.Add(name, 1)
+				c.IncC(Intern(name))
 			}
 			if c.Get("race.0") == 0 {
 				t.Error("lost increments")
@@ -125,16 +110,6 @@ func BenchmarkIncHandle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.IncC(h)
-	}
-}
-
-func BenchmarkIncString(b *testing.B) {
-	var c Counters
-	c.Inc("bench.string")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc("bench.string")
 	}
 }
 
