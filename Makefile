@@ -3,7 +3,7 @@
 #   make tier1     vet + build + race-enabled tests + short shape test + doccheck
 #                  + vet/test of the separate perfbench module
 #   make shape     the full Figure 4/5 shape-regression suite (slower)
-#   make bench     core benchmarks (-benchmem) + refresh BENCH_core.json
+#   make bench     core benchmarks (-benchmem) + refresh the BENCH_core.json ledger
 
 GO ?= go
 
@@ -43,14 +43,14 @@ perfbench:
 shape-full:
 	$(GO) test -run TestFig45Shape -timeout 30m ./internal/experiments
 
-# Benchmarks for the hot packages plus the tracked core baseline:
-# killi-bench rewrites BENCH_core.json's "current" entry (ns/event,
-# allocs/event, single-run wall-clock, serial sweep wall-clock, cold/warm
-# cached sweep, K=1..8 shard-scaling curve) while preserving "baseline".
-# `make bench-enforce` additionally fails on a >15% regression against the
-# committed baseline (2x on the warm-cache sweep, 1.5x/2x throughput
-# floors on campaign dies/s and warm-request RPS) or on a zero-valued
-# gated baseline field — the same gate CI runs at K=1.
+# Benchmarks for the hot packages plus the tracked core ledger: killi-bench
+# rewrites BENCH_core.json with the tracked run's exact work counters
+# (allocs/event, cycles, events, serial timestamps, K=4 rounds and
+# cross-shard messages). `make bench-enforce` additionally fails unless the
+# fresh ledger matches the committed one exactly (K=4 rounds may only fall),
+# K=4 fires K=1's events, the K=1 run stays on the serial path, and, on a
+# host with >= 4 CPUs, K=4 runs >= 2x faster than K=1 — the same gate CI
+# runs. Wall-clock regressions are perfbench's job (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./internal/engine ./internal/stats
 	$(GO) run ./cmd/killi-bench -o BENCH_core.json

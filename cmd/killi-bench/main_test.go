@@ -3,25 +3,24 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"killi/internal/engine"
+	"killi/internal/gpu"
 )
 
-// goodPoint is a baseline/current pair that passes every gate.
-func goodPoint() point {
-	return point{
-		NsPerEvent:                100,
-		AllocsPerEvent:            0,
-		SingleRunSeconds:          0.03,
-		SweepSeconds:              1.1,
-		SweepColdSeconds:          1.0,
-		SweepWarmSeconds:          0.004,
-		ServerColdRPS:             25,
-		ServerHotRPS:              4500,
-		CampaignDiesPerSecond:     11,
-		CampaignWarmDiesPerSecond: 400,
-		SingleRunCycles:           65000,
-		SingleRunSerialTimestamps: 24000,
-		SingleRunRoundsK4:         12000,
-	}
+// goodRuns is a K=1/K=4 pair of tracked runs that passes every gate against
+// its own ledger.
+func goodRuns() (k1, k4 gpu.Result) {
+	k1 = gpu.Result{Cycles: 65000, Sched: engine.RunStats{Events: 75000, Timestamps: 24000}}
+	k4 = gpu.Result{Cycles: 65000, Sched: engine.RunStats{
+		Rounds: 12000, Events: 75000, Timestamps: 30000, CrossShardMessages: 40000, IngestsSkipped: 100,
+	}}
+	return k1, k4
+}
+
+func goodLedger() ledger {
+	k1, k4 := goodRuns()
+	return ledgerOf(0, k1, k4)
 }
 
 func assertViolation(t *testing.T, bad []string, substr string) {
@@ -35,178 +34,82 @@ func assertViolation(t *testing.T, bad []string, substr string) {
 }
 
 func TestEnforceCleanPass(t *testing.T) {
-	if bad := enforce(goodPoint(), goodPoint()); len(bad) != 0 {
+	k1, k4 := goodRuns()
+	if bad := enforce(goodLedger(), 0, k1, k4); len(bad) != 0 {
 		t.Fatalf("identical measurement flagged: %v", bad)
 	}
 }
 
-func TestEnforceThroughputRegressions(t *testing.T) {
-	base := goodPoint()
-	cur := base
-	cur.NsPerEvent = base.NsPerEvent * 1.2
-	cur.SweepSeconds = base.SweepSeconds * 1.2
-	cur.SweepWarmSeconds = base.SweepWarmSeconds * 2.5
-	bad := enforce(base, cur)
-	assertViolation(t, bad, "ns_per_event")
-	assertViolation(t, bad, "sweep_seconds")
-	assertViolation(t, bad, "sweep_warm_seconds")
-	if len(bad) != 3 {
-		t.Fatalf("want exactly 3 violations, got %v", bad)
-	}
-	// Within budget: 10% over is fine.
-	cur = base
-	cur.SweepSeconds = base.SweepSeconds * 1.1
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("10%% sweep drift flagged: %v", bad)
-	}
-	// The fsync-bound cold sweep gets 1.5x of headroom, not 15%: a 30%
-	// swing is host I/O noise, a 60% swing is a cache-write regression.
-	cur = base
-	cur.SweepColdSeconds = base.SweepColdSeconds * 1.3
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("30%% cold-sweep drift flagged: %v", bad)
-	}
-	cur.SweepColdSeconds = base.SweepColdSeconds * 1.6
-	assertViolation(t, enforce(base, cur), "sweep_cold_seconds")
-}
-
-// TestEnforceThroughputFloors pins the downward gates: campaign dies/s
-// fails below base/1.5, warm-request RPS only below base/2 (single-core
-// HTTP throughput is noisy, a halving is a cache-bypass shape), and
-// improvement in either direction never fires.
-func TestEnforceThroughputFloors(t *testing.T) {
-	base := goodPoint()
-
-	cur := base
-	cur.CampaignDiesPerSecond = base.CampaignDiesPerSecond / 1.7
-	assertViolation(t, enforce(base, cur), "campaign_dies_per_second")
-
-	cur = base
-	cur.ServerHotRPS = base.ServerHotRPS / 2.5
-	assertViolation(t, enforce(base, cur), "server_hot_rps")
-
-	// Inside the floors: 40% slower campaigns and 40% slower warm requests
-	// are host noise, not regressions; faster is always fine.
-	cur = base
-	cur.CampaignDiesPerSecond = base.CampaignDiesPerSecond / 1.4
-	cur.ServerHotRPS = base.ServerHotRPS / 1.4
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("in-floor throughput drift flagged: %v", bad)
-	}
-	cur = base
-	cur.CampaignDiesPerSecond = base.CampaignDiesPerSecond * 3
-	cur.ServerHotRPS = base.ServerHotRPS * 3
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("throughput improvement flagged: %v", bad)
-	}
-}
-
-// TestEnforceWarmCampaignGate pins the relative warm-campaign floor: the
-// gate compares against the same run's cold rate, not the baseline, so a
-// uniformly slow host passes while a cache that stopped answering fails.
-func TestEnforceWarmCampaignGate(t *testing.T) {
-	base := goodPoint()
-
-	cur := base
-	cur.CampaignWarmDiesPerSecond = cur.CampaignDiesPerSecond * 8
-	assertViolation(t, enforce(base, cur), "campaign_warm_dies_per_second")
-
-	// Exactly at the floor passes; a uniformly slow host (both rates down
-	// 3x, ratio preserved) is noise, not a regression.
-	cur = base
-	cur.CampaignWarmDiesPerSecond = cur.CampaignDiesPerSecond * 10
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("10x warm campaign flagged: %v", bad)
-	}
-	cur = base
-	cur.CampaignDiesPerSecond = base.CampaignDiesPerSecond / 1.4
-	cur.CampaignWarmDiesPerSecond = base.CampaignWarmDiesPerSecond / 1.4
-	if bad := enforce(base, cur); len(bad) != 0 {
-		t.Fatalf("uniformly slow host flagged: %v", bad)
-	}
-}
-
 func TestEnforceAllocGate(t *testing.T) {
-	cur := goodPoint()
-	cur.AllocsPerEvent = 0.01
-	assertViolation(t, enforce(goodPoint(), cur), "allocs_per_event")
+	k1, k4 := goodRuns()
+	assertViolation(t, enforce(goodLedger(), 0.01, k1, k4), "allocs_per_event")
 }
 
-// TestEnforceSchedulingGates pins the deterministic counters: cycles and
-// serial timestamps gate exactly (any difference is a semantic change),
-// rounds may only decrease, and rounds × 5 must stay within cycles.
+// TestEnforceSchedulingGates pins the exact counters: cycles, events,
+// serial timestamps and K=4 cross-shard messages match the committed ledger,
+// K=4 rounds may only decrease and stay within cycles / 5, K=4 fires K=1's
+// events, and the K=1 run stays on the serial path.
 func TestEnforceSchedulingGates(t *testing.T) {
-	base := goodPoint()
+	base := goodLedger()
+	for name, tc := range map[string]struct {
+		perturb func(k1, k4 *gpu.Result)
+		want    string
+	}{
+		"cycles":             {func(k1, _ *gpu.Result) { k1.Cycles++ }, "single_run_cycles"},
+		"serial timestamps":  {func(k1, _ *gpu.Result) { k1.Sched.Timestamps-- }, "single_run_serial_timestamps"},
+		"events":             {func(k1, k4 *gpu.Result) { k1.Sched.Events++; k4.Sched.Events++ }, "single_run_events"},
+		"cross-shard msgs":   {func(_, k4 *gpu.Result) { k4.Sched.CrossShardMessages-- }, "single_run_cross_shard_messages_k4"},
+		"rounds":             {func(_, k4 *gpu.Result) { k4.Sched.Rounds++ }, "coalescing regressed"},
+		"K=4 events":         {func(_, k4 *gpu.Result) { k4.Sched.Events-- }, "sharding changed"},
+		"K=1 rounds":         {func(k1, _ *gpu.Result) { k1.Sched.Rounds = 1 }, "serial fast path"},
+		"K=1 cross-shard":    {func(k1, _ *gpu.Result) { k1.Sched.CrossShardMessages = 1 }, "serial fast path"},
+		"K=1 skipped ingest": {func(k1, _ *gpu.Result) { k1.Sched.IngestsSkipped = 1 }, "serial fast path"},
+	} {
+		k1, k4 := goodRuns()
+		tc.perturb(&k1, &k4)
+		bad := enforce(base, 0, k1, k4)
+		assertViolation(t, bad, tc.want)
+		if len(bad) != 1 {
+			t.Errorf("%s: want exactly 1 violation, got %v", name, bad)
+		}
+	}
 
-	cur := base
-	cur.SingleRunCycles++
-	assertViolation(t, enforce(base, cur), "single_run_cycles")
-
-	cur = base
-	cur.SingleRunSerialTimestamps--
-	assertViolation(t, enforce(base, cur), "single_run_serial_timestamps")
-
-	cur = base
-	cur.SingleRunRoundsK4++
-	assertViolation(t, enforce(base, cur), "coalescing regressed")
-
-	// Fewer rounds than baseline is an improvement, not a violation.
-	cur = base
-	cur.SingleRunRoundsK4 = base.SingleRunRoundsK4 / 2
-	if bad := enforce(base, cur); len(bad) != 0 {
+	// Fewer rounds than committed is an improvement, not a violation.
+	k1, k4 := goodRuns()
+	k4.Sched.Rounds /= 2
+	if bad := enforce(base, 0, k1, k4); len(bad) != 0 {
 		t.Fatalf("round-count improvement flagged: %v", bad)
 	}
 
-	// The 5x coalescing floor is absolute, even when the baseline agrees.
-	cur = base
-	cur.SingleRunCycles = cur.SingleRunRoundsK4 * 4
-	base5 := base
-	base5.SingleRunCycles = cur.SingleRunCycles
-	assertViolation(t, enforce(base5, cur), "5")
+	// The 5x coalescing floor is absolute, even when the ledger agrees.
+	k1, k4 = goodRuns()
+	k1.Cycles = k4.Sched.Rounds * 4
+	k4.Cycles = k1.Cycles
+	assertViolation(t, enforce(ledgerOf(0, k1, k4), 0, k1, k4), "× 5 exceeds")
 }
 
-// TestEnforceZeroBaselines pins that a zero-valued gated baseline field is
-// itself a violation on every gated metric, deterministic ones included.
+// TestEnforceZeroBaselines pins that a zero or missing committed field is
+// itself a violation on every gated counter.
 func TestEnforceZeroBaselines(t *testing.T) {
-	bad := enforce(point{}, goodPoint())
+	k1, k4 := goodRuns()
+	bad := enforce(ledger{}, 0, k1, k4)
 	for _, name := range []string{
-		"ns_per_event", "single_run_seconds", "sweep_seconds",
-		"sweep_cold_seconds", "sweep_warm_seconds",
-		"campaign_dies_per_second", "server_hot_rps",
-		"single_run_cycles", "single_run_serial_timestamps", "single_run_rounds_k4",
+		"single_run_cycles", "single_run_events", "single_run_serial_timestamps",
+		"single_run_rounds_k4", "single_run_cross_shard_messages_k4",
 	} {
-		assertViolation(t, bad, name)
+		assertViolation(t, bad, "committed "+name+" is 0")
 	}
 }
 
 // TestEnforceCurveWideHost pins the >= 4-CPU speedup gate: K=4 must be at
-// least 2x faster than K=1, regardless of the recorded baseline.
+// least 2x faster than K=1. A narrower host gates nothing.
 func TestEnforceCurveWideHost(t *testing.T) {
-	base := map[string]float64{"1": 0.03, "2": 0.04, "4": 0.06, "8": 0.09}
-	win := map[string]float64{"1": 0.030, "2": 0.020, "4": 0.014, "8": 0.012}
-	if bad := enforceCurve(base, win, 8); len(bad) != 0 {
+	if bad := enforceCurve(0.030, 0.014, 8); len(bad) != 0 {
 		t.Fatalf("2.1x speedup flagged on an 8-CPU host: %v", bad)
 	}
-	lose := map[string]float64{"1": 0.030, "2": 0.025, "4": 0.016, "8": 0.015}
-	assertViolation(t, enforceCurve(base, lose, 4), "not >= 2x faster")
-	assertViolation(t, enforceCurve(base, map[string]float64{"1": 0.03}, 4), "missing")
-}
-
-// TestEnforceCurveNarrowHost pins the 1-core fallback: each point gates
-// against the committed baseline curve at 1.5x, and a missing baseline
-// point is an error, not a skip.
-func TestEnforceCurveNarrowHost(t *testing.T) {
-	base := map[string]float64{"1": 0.03, "2": 0.04, "4": 0.06, "8": 0.09}
-	same := map[string]float64{"1": 0.031, "2": 0.042, "4": 0.058, "8": 0.093}
-	if bad := enforceCurve(base, same, 1); len(bad) != 0 {
-		t.Fatalf("in-budget curve flagged on a 1-CPU host: %v", bad)
-	}
-	worse := map[string]float64{"1": 0.031, "2": 0.042, "4": 0.095, "8": 0.093}
-	assertViolation(t, enforceCurve(base, worse, 1), "K=4")
-	assertViolation(t, enforceCurve(map[string]float64{"1": 0.03}, same, 2), "no K=2 point")
-	// The wide-host gate must NOT fire on a narrow host even when K=4 is
-	// slower than K=1 — a 1-core curve is honestly overhead-only.
-	if bad := enforceCurve(base, same, 2); len(bad) != 0 {
+	assertViolation(t, enforceCurve(0.030, 0.016, 4), "not >= 2x faster")
+	assertViolation(t, enforceCurve(0.030, 0, 4), "missing")
+	if bad := enforceCurve(0.030, 0.090, 2); len(bad) != 0 {
 		t.Fatalf("overhead-only curve flagged on a 2-CPU host: %v", bad)
 	}
 }

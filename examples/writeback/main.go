@@ -8,6 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"slices"
 
 	"killi/internal/bitvec"
 	"killi/internal/faultmodel"
@@ -16,6 +19,12 @@ import (
 )
 
 func main() {
+	run(os.Stdout)
+}
+
+// run drives the demo and prints its report to out. Everything it does is a
+// pure function of the fixed seeds, so the report is identical every run.
+func run(out io.Writer) {
 	const sets, ways = 256, 4
 	fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
 		sets*ways, bitvec.LineBits, 0.575, 1.0)
@@ -35,39 +44,46 @@ func main() {
 			l[w] = r.Uint64()
 		}
 		if err := c.Write(addr, l); err != nil {
-			fmt.Printf("write %#x: %v\n", addr, err)
+			fmt.Fprintf(out, "write %#x: %v\n", addr, err)
 			continue
 		}
 		written[addr] = l
 	}
 
-	// Phase 2: read everything back and verify.
+	// Phase 2: read everything back and verify, in address order: reads
+	// train and evict lines, so the order decides the counters below.
+	addrs := make([]uint64, 0, len(written))
+	for addr := range written {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
 	verified, lost := 0, 0
-	for addr, want := range written {
+	for _, addr := range addrs {
+		want := written[addr]
 		got, err := c.Read(addr)
 		if err != nil {
 			lost++
 			continue
 		}
 		if got != want {
-			fmt.Printf("SILENT CORRUPTION at %#x\n", addr)
+			fmt.Fprintf(out, "SILENT CORRUPTION at %#x\n", addr)
 			continue
 		}
 		verified++
 	}
 	if err := c.Flush(); err != nil {
-		fmt.Printf("flush reported: %v\n", err)
+		fmt.Fprintf(out, "flush reported: %v\n", err)
 	}
 
-	fmt.Printf("lines verified:  %d\n", verified)
-	fmt.Printf("data-loss reads: %d (surfaced as errors, never silent)\n", lost)
-	fmt.Println()
-	fmt.Println("Write-back Killi activity at 0.575xVDD:")
+	fmt.Fprintf(out, "lines verified:  %d\n", verified)
+	fmt.Fprintf(out, "data-loss reads: %d (surfaced as errors, never silent)\n", lost)
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "Write-back Killi activity at 0.575xVDD:")
 	for _, name := range []string{
 		"wb.writes", "wb.read_hits", "wb.read_misses", "wb.writebacks",
 		"wb.corrected_reads", "wb.lines_disabled", "wb.data_loss",
 		"wb.ecc_contention_evictions",
 	} {
-		fmt.Printf("  %-30s %d\n", name, c.Stats().Get(name))
+		fmt.Fprintf(out, "  %-30s %d\n", name, c.Stats().Get(name))
 	}
 }

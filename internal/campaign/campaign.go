@@ -57,6 +57,11 @@ func DefaultVoltages() []float64 {
 // with a wide margin on both sides.
 const DefaultPassThreshold = 1.10
 
+// windowPerWorker sizes the reorder buffer between out-of-order die
+// completion and in-order aggregation, in dies per worker. Memory grows with
+// the window, never with Dies.
+const windowPerWorker = 4
+
 // simFunc executes one prepared simulation; tests substitute a stub so the
 // aggregation pipeline can be driven with 10k+ synthetic dies in
 // milliseconds. The default is experiments.RunShared.
@@ -107,10 +112,6 @@ type Config struct {
 	// PassThreshold is the normalized-execution-time yield criterion
 	// (default DefaultPassThreshold).
 	PassThreshold float64
-	// Window bounds the reorder buffer between out-of-order die completion
-	// and in-order aggregation, in dies (default 4 × workers). Memory grows
-	// with Window, never with Dies.
-	Window int
 	// CacheDir, when non-empty, enables the content-addressed result cache
 	// (internal/simcache) at two grains: a whole-die record keyed by the
 	// campaign axes plus the die index (a warm identical re-run is one read
@@ -244,12 +245,6 @@ func (c Config) Normalized() (Config, error) {
 		return c, fmt.Errorf("campaign: pass threshold must exceed 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
 	}
 	c.Parallelism, c.Shards = pool.Budget(c.Parallelism, c.Shards)
-	if c.Window < 0 {
-		return c, fmt.Errorf("campaign: window must be >= 0 (0 means 4 x workers), got %d", c.Window)
-	}
-	if c.Window == 0 {
-		c.Window = 4 * c.Parallelism
-	}
 	return c, nil
 }
 
@@ -264,7 +259,7 @@ func (c Config) baseGPU() gpu.Config {
 // single die's raw record — the normalized axes plus the base GPU config
 // with the campaign-owned fields (Voltage, FaultSeed, RefVoltage, Classes)
 // zeroed, since runDie overwrites them from the axes. Dies, PassThreshold,
-// Parallelism, Shards, and Window are deliberately absent: they change how
+// Parallelism and Shards are deliberately absent: they change how
 // much is computed, or how it is scheduled and aggregated, never a die's
 // outcome — which is exactly what lets a 10k-die campaign reuse the records
 // of an earlier 1k-die one, and a resumed run reuse a checkpoint regardless
@@ -343,10 +338,10 @@ func vminIndex(cfg *Config, wi, si, ki int) int {
 
 // Run executes the campaign. Dies simulate concurrently up to
 // cfg.Parallelism; aggregation consumes records strictly in die order
-// through a reorder window of cfg.Window records, so the returned Result is
-// bit-identical at any parallelism and memory stays bounded at any die
-// count. Cancelling ctx stops in-flight simulations at their next kernel
-// boundary and returns ctx.Err().
+// through a reorder window of windowPerWorker × cfg.Parallelism records, so
+// the returned Result is bit-identical at any parallelism and memory stays
+// bounded at any die count. Cancelling ctx stops in-flight simulations at
+// their next kernel boundary and returns ctx.Err().
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
@@ -555,7 +550,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		firstDie = agg.done
 	}
 
-	if err := pool.Ordered(ctx, firstDie, cfg.Dies, cfg.Parallelism, cfg.Window, runDie, deliver); err != nil {
+	if err := pool.Ordered(ctx, firstDie, cfg.Dies, cfg.Parallelism, windowPerWorker*cfg.Parallelism, runDie, deliver); err != nil {
 		return fail(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -86,8 +87,7 @@ func csvOf(t *testing.T, r *Result) string {
 
 // TestParallelismInvariance pins the headline determinism property: the same
 // campaign seed produces bit-identical aggregates (every float compared at
-// %.17g) at parallelism 1, at several worker counts, and under deliberately
-// tight and generous reorder windows.
+// %.17g) at parallelism 1 and at several worker counts.
 func TestParallelismInvariance(t *testing.T) {
 	ref, err := Run(context.Background(), stubConfig(300, 1))
 	if err != nil {
@@ -95,26 +95,94 @@ func TestParallelismInvariance(t *testing.T) {
 	}
 	refCSV := csvOf(t, ref)
 
-	for _, tc := range []struct{ parallel, window int }{
-		{2, 0}, {4, 0}, {16, 0},
-		{4, 1},  // tightest legal window: fully serialized dispatch
-		{4, 64}, // window far wider than needed
-	} {
-		cfg := stubConfig(300, tc.parallel)
-		cfg.Window = tc.window
-		got, err := Run(context.Background(), cfg)
+	for _, parallel := range []int{2, 4, 16} {
+		got, err := Run(context.Background(), stubConfig(300, parallel))
 		if err != nil {
-			t.Fatalf("parallel=%d window=%d: %v", tc.parallel, tc.window, err)
+			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		if gotCSV := csvOf(t, got); gotCSV != refCSV {
-			t.Errorf("parallel=%d window=%d: CSV differs from serial run", tc.parallel, tc.window)
+			t.Errorf("parallel=%d: CSV differs from serial run", parallel)
 		}
 		// The structural fields must agree too, not just the formatted rows.
 		got.ElapsedSeconds, got.DiesPerSecond = 0, 0
 		refCopy := *ref
 		refCopy.ElapsedSeconds, refCopy.DiesPerSecond = 0, 0
 		if !reflect.DeepEqual(got, &refCopy) {
-			t.Errorf("parallel=%d window=%d: Result struct differs from serial run", tc.parallel, tc.window)
+			t.Errorf("parallel=%d: Result struct differs from serial run", parallel)
+		}
+	}
+}
+
+// TestColdCampaignSharesState pins the campaign's shared-state discipline on
+// a cold, uncached run: one fault population per die, one trace set per
+// workload shared by every die and scheme, and one resolved fault view per
+// (die, voltage) shared by every workload and scheme at that point.
+func TestColdCampaignSharesState(t *testing.T) {
+	const dies = 5
+	cfg := stubConfig(dies, 4)
+	cfg.Workloads = []string{"xsbench", "fft"}
+	cfg.Voltages = []float64{0.600, 0.625, 0.650}
+
+	var builds atomic.Int64
+	cfg.dieFaults = func(_ gpu.Config, voltages []float64) ([]*gpu.SharedFaults, *gpu.SharedFaults) {
+		builds.Add(1)
+		at := make([]*gpu.SharedFaults, len(voltages))
+		for i := range at {
+			at[i] = &gpu.SharedFaults{}
+		}
+		return at, &gpu.SharedFaults{}
+	}
+	type point struct {
+		seed    uint64
+		voltage float64
+	}
+	var mu sync.Mutex
+	tracesSeen := map[*workload.TraceSet]int{}
+	faultsSeen := map[point]map[*gpu.SharedFaults]int{}
+	inner := cfg.runSim
+	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
+		mu.Lock()
+		tracesSeen[ts]++
+		p := point{g.FaultSeed, g.Voltage}
+		if faultsSeen[p] == nil {
+			faultsSeen[p] = map[*gpu.SharedFaults]int{}
+		}
+		faultsSeen[p][sf]++
+		mu.Unlock()
+		return inner(ctx, g, f, sf, ts, sh)
+	}
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	if got := builds.Load(); got != dies {
+		t.Errorf("dieFaults called %d times, want %d (one fault population per die)", got, dies)
+	}
+	// Each workload's cells: one nominal baseline plus scheme × voltage.
+	perWorkload := dies * (1 + len(cfg.Schemes)*len(cfg.Voltages))
+	if len(tracesSeen) != len(cfg.Workloads) {
+		t.Errorf("%d distinct trace sets, want %d (one per workload)", len(tracesSeen), len(cfg.Workloads))
+	}
+	for ts, n := range tracesSeen {
+		if ts == nil || n != perWorkload {
+			t.Errorf("trace set %p served %d cells, want %d", ts, n, perWorkload)
+		}
+	}
+	if want := dies * (len(cfg.Voltages) + 1); len(faultsSeen) != want {
+		t.Errorf("%d distinct (die, voltage) points, want %d", len(faultsSeen), want)
+	}
+	for p, views := range faultsSeen {
+		want := len(cfg.Workloads) * len(cfg.Schemes)
+		if p.voltage == 1.0 {
+			want = len(cfg.Workloads) // the nominal baseline runs scheme "none" only
+		}
+		if len(views) != 1 {
+			t.Errorf("die seed %#x at %.3f V: %d distinct fault views, want 1", p.seed, p.voltage, len(views))
+		}
+		for sf, n := range views {
+			if sf == nil || n != want {
+				t.Errorf("die seed %#x at %.3f V: view %p served %d cells, want %d", p.seed, p.voltage, sf, n, want)
+			}
 		}
 	}
 }
@@ -366,7 +434,6 @@ func TestRunErrors(t *testing.T) {
 		{Dies: 1, PassThreshold: 0.9},
 		{Dies: 1, RequestsPerCU: -4},
 		{Dies: 1, WarmupKernels: -1},
-		{Dies: 1, Window: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {

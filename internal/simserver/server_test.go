@@ -40,7 +40,9 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestSubmitRunAndSweep(t *testing.T) {
-	s := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	// No retained registry: every repeat must reach a worker, so a Cached
+	// answer can only come from RunOneNamed's disk cache.
+	s := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2, RetainJobs: -1})
 	ctx := context.Background()
 
 	run, err := s.Submit(ctx, smallRun(1))
@@ -65,9 +67,7 @@ func TestSubmitRunAndSweep(t *testing.T) {
 	if sweep.Kind != KindSweep || len(sweep.Rows) != 1 || sweep.Rows[0].Workload != "xsbench" {
 		t.Fatalf("degenerate sweep result: %+v", sweep)
 	}
-	// The sweep cached its killi-1:64 task under the same per-task key a
-	// run job uses, and the earlier run job cached its own entry: the
-	// identical run now hits.
+	// The earlier run job cached its own entry: the identical run now hits.
 	warm, err := s.Submit(ctx, smallRun(1))
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +77,22 @@ func TestSubmitRunAndSweep(t *testing.T) {
 	}
 	if *warm.Run != *run.Run {
 		t.Fatalf("cache-served run diverges: warm %+v, cold %+v", warm.Run, run.Run)
+	}
+	// Only the sweep simulated xsbench × msecc, under the same per-task key
+	// a run job uses: the run job is served from the sweep's entry, through
+	// a worker.
+	before := s.Stats().Executed
+	req := smallRun(1)
+	req.Scheme = "msecc"
+	fromSweep, err := s.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fromSweep.Cached {
+		t.Fatal("run of a sweep-simulated pair did not hit the sweep's cache entry")
+	}
+	if got := s.Stats().Executed - before; got != 1 {
+		t.Fatalf("run of a sweep-simulated pair executed %d jobs, want 1 (a worker, not the registry)", got)
 	}
 }
 
