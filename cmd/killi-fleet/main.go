@@ -184,6 +184,10 @@ func splitClasses(s string) []string {
 	return specs
 }
 
+// maxGridPoints bounds a lo:hi:step range: a step tiny against hi-lo would
+// otherwise overflow the point count or allocate without bound.
+const maxGridPoints = 1 << 16
+
 // parseVoltages parses the -voltages grammar: empty (the default grid), a
 // comma-separated list, or an inclusive lo:hi:step range. Range points are
 // computed as lo + i*step (not accumulated), so "0.55:0.725:0.025" lands
@@ -201,7 +205,7 @@ func parseVoltages(s string) ([]float64, error) {
 		var v [3]float64
 		for i, p := range parts {
 			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 				return nil, fmt.Errorf("bad range component %q", p)
 			}
 			v[i] = f
@@ -212,7 +216,11 @@ func parseVoltages(s string) ([]float64, error) {
 		}
 		// Half-step tolerance keeps the inclusive endpoint despite binary
 		// rounding of the decimal inputs.
-		n := int(math.Floor((hi-lo)/step + 0.5))
+		last := math.Floor((hi-lo)/step + 0.5)
+		if !(last < maxGridPoints) {
+			return nil, fmt.Errorf("range %q has more than %d points", s, maxGridPoints)
+		}
+		n := int(last)
 		var grid []float64
 		for i := 0; i <= n; i++ {
 			grid = append(grid, lo+float64(i)*step)

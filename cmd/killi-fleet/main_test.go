@@ -33,7 +33,13 @@ func TestParseVoltages(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"lo:hi:step", "0.6:0.5:0.1", "0.5:0.7:0", "0.5:0.7", "abc", ","} {
+	for _, bad := range []string{
+		"lo:hi:step", "0.6:0.5:0.1", "0.5:0.7:0", "0.5:0.7", "abc", ",",
+		// Once returned an empty grid with a nil error, which campaign.Config
+		// silently replaced with the default grid.
+		"0:1:1e-300", "nan:1:0.1", "0:inf:1",
+		"0:1:nan", "-inf:0.6:0.1", "0:1:1e-6",
+	} {
 		if _, err := parseVoltages(bad); err == nil {
 			t.Errorf("parseVoltages(%q) should fail", bad)
 		}

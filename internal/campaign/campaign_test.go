@@ -431,6 +431,8 @@ func TestRunErrors(t *testing.T) {
 		{Dies: 1, Schemes: []string{"no-such-scheme"}},
 		{Dies: 1, Voltages: []float64{0.6, 0.6}},
 		{Dies: 1, Voltages: []float64{-0.1}},
+		{Dies: 1, Voltages: []float64{0.6, math.NaN()}},
+		{Dies: 1, Voltages: []float64{math.Inf(1)}},
 		{Dies: 1, PassThreshold: 0.9},
 		{Dies: 1, RequestsPerCU: -4},
 		{Dies: 1, WarmupKernels: -1},

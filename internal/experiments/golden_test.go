@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
+	"time"
 
 	"killi/internal/gpu"
 	"killi/internal/killi"
@@ -211,5 +213,87 @@ func TestGoldenBaselineDigest(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// coreLedgerRun runs the tracked simulation of the core work ledger —
+// xsbench × killi-1:64 at 0.625×VDD, 2500 requests per CU, seed 1 — at
+// the given shard count.
+func coreLedgerRun(t *testing.T, shards int) gpu.Result {
+	t.Helper()
+	res, err := RunOne(context.Background(), Config{RequestsPerCU: 2500, Seed: 1, Shards: shards}, "xsbench",
+		func() protection.Scheme { return killi.New(killi.Config{Ratio: 64}) }, 0.625)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCoreLedger pins the simulator core's exact work ledger on the tracked
+// run at K=1 and K=4. Every counter is a pure function of the commit, the
+// same on every host. A changed cycle, event, timestamp or cross-shard
+// message count means the simulation's semantics moved: rebase it
+// deliberately, with the goldens. K=4 barrier rounds may only fall.
+func TestCoreLedger(t *testing.T) {
+	const (
+		cycles           = 64471
+		events           = 75073
+		serialTimestamps = 22777
+		roundsK4         = 12065
+		crossShardK4     = 39694
+	)
+	k1, k4 := coreLedgerRun(t, 1), coreLedgerRun(t, 4)
+	t.Logf("K=1: %d cycles, %d events, %d serial timestamps; K=4: %d rounds, %d cross-shard messages, %d ingests skipped",
+		k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, k4.Sched.Rounds, k4.Sched.CrossShardMessages, k4.Sched.IngestsSkipped)
+	if k1.Cycles != cycles || k1.Sched.Events != events || k1.Sched.Timestamps != serialTimestamps {
+		t.Errorf("K=1 run: %d cycles, %d events, %d serial timestamps; want %d, %d, %d (simulation semantics moved)",
+			k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, cycles, events, serialTimestamps)
+	}
+	if got := k4.Sched.CrossShardMessages; got != crossShardK4 {
+		t.Errorf("K=4 run: %d cross-shard messages, want %d", got, crossShardK4)
+	}
+	if got := k4.Sched.Rounds; got > roundsK4 {
+		t.Errorf("K=4 run: %d barrier rounds exceed %d (lookahead coalescing regressed)", got, roundsK4)
+	}
+	// The coalescing win over the old two-barriers-per-cycle structure.
+	if k4.Sched.Rounds*5 > k1.Cycles {
+		t.Errorf("K=4 rounds %d × 5 exceed %d cycles", k4.Sched.Rounds, k1.Cycles)
+	}
+	if k4.Sched.Events != k1.Sched.Events {
+		t.Errorf("K=4 run fired %d events, K=1 run %d (sharding changed the simulated work)",
+			k4.Sched.Events, k1.Sched.Events)
+	}
+	// K=1 must take the serial fast path, so it pays nothing for sharding.
+	if s := k1.Sched; s.Rounds != 0 || s.CrossShardMessages != 0 || s.IngestsSkipped != 0 {
+		t.Errorf("K=1 run reports %d rounds, %d cross-shard messages, %d skipped ingests; want all 0",
+			s.Rounds, s.CrossShardMessages, s.IngestsSkipped)
+	}
+}
+
+// TestShardSpeedup gates the sharded engine's parallel win: on a host with
+// at least four CPUs the tracked run must be at least 2× faster at K=4 than
+// at K=1. Each side is the best of three runs timed in this process, so no
+// stored baseline can drift. A narrower host cannot show the win; there the
+// test only logs the timings.
+func TestShardSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times six simulations")
+	}
+	best := func(shards int) time.Duration {
+		var b time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			coreLedgerRun(t, shards)
+			if d := time.Since(start); i == 0 || d < b {
+				b = d
+			}
+		}
+		return b
+	}
+	k1, k4 := best(1), best(4)
+	ncpu := runtime.NumCPU()
+	t.Logf("tracked run, best of 3: K=1 %v, K=4 %v (%d CPUs)", k1, k4, ncpu)
+	if ncpu >= 4 && k4 > k1/2 {
+		t.Errorf("K=4 run %v is not >= 2x faster than K=1 %v on a %d-CPU host", k4, k1, ncpu)
 	}
 }

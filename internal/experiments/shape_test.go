@@ -53,10 +53,11 @@ func TestFig45Shape(t *testing.T) {
 
 	lines := gpu.DefaultConfig().L2Bytes / gpu.DefaultConfig().LineBytes
 
-	// DESIGN.md §4: Killi within 5% of baseline for >= 8/10 workloads at
-	// every ECC cache ratio. Under -short the catalog is reduced, so demand
-	// all-but-one instead.
-	allowedOutliers := len(rows) - 8
+	// Killi within 5% of baseline on all but one workload at every ECC
+	// cache ratio. The one is miniamr, slowed by the per-bank DRAM queues
+	// (DESIGN.md § Divergences); the paper claims more (within 1% on 8/10,
+	// 5% at most). The -short catalog also allows one outlier.
+	allowedOutliers := len(rows) - 9
 	if short {
 		allowedOutliers = 1
 	}
@@ -76,9 +77,9 @@ func TestFig45Shape(t *testing.T) {
 	}
 
 	// The two ECC-cache-size-sensitive workloads (paper Fig. 4): normalized
-	// time falls monotonically as the ECC cache grows from 1:256 to 1:16,
-	// with a clearly nonzero spread (no more identical columns), and the
-	// smallest ECC cache costs real time.
+	// time falls from 1:256 to 1:16 with a clearly nonzero spread (no more
+	// identical columns), never rises by more than a slack as the ECC cache
+	// grows, and the smallest ECC cache costs real time.
 	for _, wname := range []string{"xsbench", "fft"} {
 		r, ok := byName[wname]
 		if !ok {

@@ -15,8 +15,8 @@
 // it behind the -timeseries and -trace-events flags. The package also
 // provides the expvar/HTTP metrics endpoint behind killi-sim's
 // -metrics-addr flag for watching long sweeps live, and StartProfiles, the
-// one pprof setup behind the -cpuprofile/-memprofile flags of killi-sim,
-// killi-fleet and killi-bench.
+// one pprof setup behind the -cpuprofile/-memprofile flags of killi-sim
+// and killi-fleet.
 package obs
 
 // DFH state indices, mirroring the killi package's two-bit encoding. The

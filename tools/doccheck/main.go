@@ -7,6 +7,12 @@
 //     registers — the drift that appears when a flag is renamed but its
 //     documentation is not.
 //
+// Its tests add a third gate, run by `go test ./tools/doccheck`: every
+// generated block in EXPERIMENTS.md — a fenced block introduced by a
+// `<!-- generated: go run ./cmd/… args -->` marker — must equal the marked
+// command's stdout (see generated_test.go). The killi-sim blocks simulate,
+// so -short skips them.
+//
 // A package is documented when at least one of its non-test files carries a
 // doc comment on the package clause. Test-only packages (*_test) and
 // testdata trees are exempt.
