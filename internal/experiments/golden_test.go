@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"killi/internal/engine"
 	"killi/internal/gpu"
 	"killi/internal/killi"
 	"killi/internal/obs"
@@ -229,44 +231,130 @@ func coreLedgerRun(t *testing.T, shards int) gpu.Result {
 	return res
 }
 
-// TestCoreLedger pins the simulator core's exact work ledger on the tracked
-// run at K=1 and K=4. Every counter is a pure function of the commit, the
-// same on every host. A changed cycle, event, timestamp or cross-shard
-// message count means the simulation's semantics moved: rebase it
-// deliberately, with the goldens. K=4 barrier rounds may only fall.
-func TestCoreLedger(t *testing.T) {
-	const (
-		cycles           = 64471
-		events           = 75073
-		serialTimestamps = 22777
-		roundsK4         = 12065
-		crossShardK4     = 39694
-	)
-	k1, k4 := coreLedgerRun(t, 1), coreLedgerRun(t, 4)
-	t.Logf("K=1: %d cycles, %d events, %d serial timestamps; K=4: %d rounds, %d cross-shard messages, %d ingests skipped",
-		k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, k4.Sched.Rounds, k4.Sched.CrossShardMessages, k4.Sched.IngestsSkipped)
-	if k1.Cycles != cycles || k1.Sched.Events != events || k1.Sched.Timestamps != serialTimestamps {
-		t.Errorf("K=1 run: %d cycles, %d events, %d serial timestamps; want %d, %d, %d (simulation semantics moved)",
-			k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, cycles, events, serialTimestamps)
+// coreLedger is the simulator core's exact work ledger on the tracked run
+// (see coreLedgerRun) at K=1 and K=4.
+type coreLedger struct {
+	cycles, events, serialTimestamps, roundsK4, crossShardK4 uint64
+}
+
+// trackedLedger is the committed ledger. Every counter is a pure function
+// of the commit, the same on every host. A changed cycle, event, timestamp
+// or cross-shard message count means the simulation's semantics moved:
+// rebase it deliberately, with the goldens. K=4 barrier rounds may only
+// fall.
+var trackedLedger = coreLedger{
+	cycles:           64471,
+	events:           75073,
+	serialTimestamps: 22777,
+	roundsK4:         12065,
+	crossShardK4:     39694,
+}
+
+// ledgerOf reads the ledger off a K=1/K=4 pair of runs.
+func ledgerOf(k1, k4 gpu.Result) coreLedger {
+	return coreLedger{k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, k4.Sched.Rounds, k4.Sched.CrossShardMessages}
+}
+
+// violations lists every gate a K=1/K=4 pair of tracked runs breaks
+// against the ledger l: cycles, events, serial timestamps and K=4
+// cross-shard messages exact, K=4 rounds at most l's and within cycles / 5,
+// K=4 firing K=1's events, and K=1 on the serial path.
+func (l coreLedger) violations(k1, k4 gpu.Result) []string {
+	cur := ledgerOf(k1, k4)
+	var bad []string
+	for _, g := range []struct {
+		name      string
+		cur, want uint64
+	}{
+		{"K=1 cycles", cur.cycles, l.cycles},
+		{"K=1 events", cur.events, l.events},
+		{"K=1 serial timestamps", cur.serialTimestamps, l.serialTimestamps},
+		{"K=4 cross-shard messages", cur.crossShardK4, l.crossShardK4},
+	} {
+		if g.cur != g.want {
+			bad = append(bad, fmt.Sprintf("%s %d, want %d (simulation semantics moved)", g.name, g.cur, g.want))
+		}
 	}
-	if got := k4.Sched.CrossShardMessages; got != crossShardK4 {
-		t.Errorf("K=4 run: %d cross-shard messages, want %d", got, crossShardK4)
-	}
-	if got := k4.Sched.Rounds; got > roundsK4 {
-		t.Errorf("K=4 run: %d barrier rounds exceed %d (lookahead coalescing regressed)", got, roundsK4)
+	if cur.roundsK4 > l.roundsK4 {
+		bad = append(bad, fmt.Sprintf("K=4 run: %d barrier rounds exceed %d (lookahead coalescing regressed)",
+			cur.roundsK4, l.roundsK4))
 	}
 	// The coalescing win over the old two-barriers-per-cycle structure.
-	if k4.Sched.Rounds*5 > k1.Cycles {
-		t.Errorf("K=4 rounds %d × 5 exceed %d cycles", k4.Sched.Rounds, k1.Cycles)
+	if cur.roundsK4*5 > cur.cycles {
+		bad = append(bad, fmt.Sprintf("K=4 rounds %d × 5 exceed %d cycles", cur.roundsK4, cur.cycles))
 	}
 	if k4.Sched.Events != k1.Sched.Events {
-		t.Errorf("K=4 run fired %d events, K=1 run %d (sharding changed the simulated work)",
-			k4.Sched.Events, k1.Sched.Events)
+		bad = append(bad, fmt.Sprintf("K=4 run fired %d events, K=1 run %d (sharding changed the simulated work)",
+			k4.Sched.Events, k1.Sched.Events))
 	}
 	// K=1 must take the serial fast path, so it pays nothing for sharding.
 	if s := k1.Sched; s.Rounds != 0 || s.CrossShardMessages != 0 || s.IngestsSkipped != 0 {
-		t.Errorf("K=1 run reports %d rounds, %d cross-shard messages, %d skipped ingests; want all 0",
-			s.Rounds, s.CrossShardMessages, s.IngestsSkipped)
+		bad = append(bad, fmt.Sprintf("K=1 run reports %d rounds, %d cross-shard messages, %d skipped ingests; want all 0 (it left the serial fast path)",
+			s.Rounds, s.CrossShardMessages, s.IngestsSkipped))
+	}
+	return bad
+}
+
+// TestCoreLedger runs the tracked simulation at K=1 and K=4 and requires
+// it to pass every gate against trackedLedger.
+func TestCoreLedger(t *testing.T) {
+	k1, k4 := coreLedgerRun(t, 1), coreLedgerRun(t, 4)
+	t.Logf("K=1: %d cycles, %d events, %d serial timestamps; K=4: %d rounds, %d cross-shard messages, %d ingests skipped",
+		k1.Cycles, k1.Sched.Events, k1.Sched.Timestamps, k4.Sched.Rounds, k4.Sched.CrossShardMessages, k4.Sched.IngestsSkipped)
+	for _, b := range trackedLedger.violations(k1, k4) {
+		t.Error(b)
+	}
+}
+
+// TestCoreLedgerGates perturbs a K=1/K=4 pair that matches trackedLedger
+// and requires each gate to fire alone on its own counter.
+func TestCoreLedgerGates(t *testing.T) {
+	l := trackedLedger
+	good := func() (k1, k4 gpu.Result) {
+		k1 = gpu.Result{Cycles: l.cycles, Sched: engine.RunStats{Events: l.events, Timestamps: l.serialTimestamps}}
+		k4 = gpu.Result{Cycles: l.cycles, Sched: engine.RunStats{
+			Rounds: l.roundsK4, Events: l.events, Timestamps: 30000, CrossShardMessages: l.crossShardK4, IngestsSkipped: 100,
+		}}
+		return k1, k4
+	}
+	k1, k4 := good()
+	if bad := l.violations(k1, k4); len(bad) != 0 {
+		t.Fatalf("the ledger's own counters flagged: %v", bad)
+	}
+	for name, tc := range map[string]struct {
+		perturb func(k1, k4 *gpu.Result)
+		want    string
+	}{
+		"cycles":             {func(k1, _ *gpu.Result) { k1.Cycles++ }, "K=1 cycles"},
+		"serial timestamps":  {func(k1, _ *gpu.Result) { k1.Sched.Timestamps-- }, "K=1 serial timestamps"},
+		"events":             {func(k1, k4 *gpu.Result) { k1.Sched.Events++; k4.Sched.Events++ }, "K=1 events"},
+		"cross-shard msgs":   {func(_, k4 *gpu.Result) { k4.Sched.CrossShardMessages-- }, "K=4 cross-shard messages"},
+		"rounds":             {func(_, k4 *gpu.Result) { k4.Sched.Rounds++ }, "coalescing regressed"},
+		"K=4 events":         {func(_, k4 *gpu.Result) { k4.Sched.Events-- }, "sharding changed"},
+		"K=1 rounds":         {func(k1, _ *gpu.Result) { k1.Sched.Rounds = 1 }, "serial fast path"},
+		"K=1 cross-shard":    {func(k1, _ *gpu.Result) { k1.Sched.CrossShardMessages = 1 }, "serial fast path"},
+		"K=1 skipped ingest": {func(k1, _ *gpu.Result) { k1.Sched.IngestsSkipped = 1 }, "serial fast path"},
+	} {
+		k1, k4 := good()
+		tc.perturb(&k1, &k4)
+		bad := l.violations(k1, k4)
+		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
+			t.Errorf("%s: want exactly 1 violation mentioning %q, got %v", name, tc.want, bad)
+		}
+	}
+
+	// Fewer rounds than committed is an improvement, not a violation.
+	k1, k4 = good()
+	k4.Sched.Rounds /= 2
+	if bad := l.violations(k1, k4); len(bad) != 0 {
+		t.Errorf("round-count improvement flagged: %v", bad)
+	}
+
+	// The 5x coalescing floor is absolute, even when the ledger agrees.
+	k1, k4 = good()
+	k1.Cycles = k4.Sched.Rounds * 4
+	if bad := ledgerOf(k1, k4).violations(k1, k4); len(bad) != 1 || !strings.Contains(bad[0], "× 5 exceed") {
+		t.Errorf("rounds × 5 > cycles: want exactly 1 violation, got %v", bad)
 	}
 }
 
