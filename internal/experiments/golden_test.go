@@ -14,6 +14,7 @@ import (
 	"killi/internal/killi"
 	"killi/internal/obs"
 	"killi/internal/protection"
+	"killi/internal/simcache"
 )
 
 // TestGoldenCounterDigest hashes every counter name and value after a short
@@ -44,6 +45,53 @@ func TestGoldenCounterDigest(t *testing.T) {
 		t.Fatalf("result fields diverged from golden: cycles=%d instrs=%d l2miss=%d l2acc=%d mem=%d disabled=%d",
 			res.Cycles, res.Instructions, res.L2Misses, res.L2Accesses,
 			res.MemAccesses, res.DisabledLines)
+	}
+}
+
+// TestGoldenVariantDigest pins the Killi variants TestGoldenCounterDigest
+// does not cover — the §5.2 DECTED extension, §5.5's OLSC mode and §5.6.2
+// inverted training — on the same run: a digest of every counter, and the
+// Result fields. The three share one DFH classifier with killi-1:64, so a
+// change to a transition that only one variant reaches shows here.
+func TestGoldenVariantDigest(t *testing.T) {
+	cases := []struct {
+		name     string
+		cfg      killi.Config
+		counters uint64
+		result   simcache.Result
+	}{
+		{"killi-dected-1:64", killi.Config{Ratio: 64, UseDECTED: true}, 0xc12453f6b85f8c5f,
+			simcache.Result{Cycles: 26032, Instructions: 12800, L2Misses: 5796, L2Accesses: 6361, MemAccesses: 5796,
+				MisclassLines: 32768, TrueFaulty: 1274, MisclassInitial: 27541, FalseTrust: 7}},
+		{"killi-olsc2-1:64", killi.Config{Ratio: 64, OLSCStrength: 2}, 0xba8a74a555c7aff9,
+			simcache.Result{Cycles: 27824, Instructions: 12800, L2Misses: 6211, L2Accesses: 6361, MemAccesses: 6211,
+				DisabledLines: 296, MisclassLines: 32768, TrueFaulty: 1274, MisclassDisabled: 296,
+				MisclassInitial: 27246, FalseDisable: 296, FalseTrust: 7}},
+		{"killi-1:64+inverted", killi.Config{Ratio: 64, InvertedTraining: true}, 0x12d6064ad586cc36,
+			simcache.Result{Cycles: 26032, Instructions: 12800, L2Misses: 5796, L2Accesses: 6361, MemAccesses: 5796,
+				DisabledLines: 4, MisclassLines: 32768, TrueFaulty: 1274, MisclassDisabled: 4, MisclassInitial: 27541}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunOne(context.Background(), Config{RequestsPerCU: 800, Seed: 1}, "xsbench",
+				func() protection.Scheme { return killi.New(tc.cfg) }, 0.625)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, n := range res.Counters.Names() {
+				fmt.Fprintf(h, "%s=%d\n", n, res.Counters.Get(n))
+			}
+			if got := h.Sum64(); got != tc.counters {
+				for _, n := range res.Counters.Names() {
+					t.Logf("%s=%d", n, res.Counters.Get(n))
+				}
+				t.Errorf("counter digest = %#x, want %#x (a statistic changed)", got, tc.counters)
+			}
+			if got := CacheableResult(res); got != tc.result {
+				t.Errorf("result fields = %#v, want %#v", got, tc.result)
+			}
+		})
 	}
 }
 
