@@ -16,7 +16,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/protection"
 	"killi/internal/simcache"
@@ -239,32 +241,45 @@ func TestCorruptedDieEntryRecomputedMidCampaign(t *testing.T) {
 	}
 }
 
-// interruptedCheckpoint runs the campaign with failure injection until it
-// dies mid-run, leaving a partial checkpoint behind. Returns how many dies
-// the checkpoint holds.
+// interruptedCheckpoint runs a campaign that fails its cells past the
+// failAfter-th simulation and returns how many dies its checkpoint holds.
+// The interruption waits until die 0's record is merged, and die 0's own
+// cells never fail, so the checkpoint always holds a merged prefix: at 16
+// workers a failure counted by calls alone could cancel the campaign
+// before die 0 finished, leaving only the header.
 func interruptedCheckpoint(t *testing.T, ckptDir string, dies, parallel int, failAfter int64) int {
 	t.Helper()
-	var calls atomic.Int64
 	cfg := stubConfig(dies, parallel)
 	cfg.CheckpointDir = ckptDir
-	cfg.runSim = countingSim(&calls, failAfter)
-	if _, err := Run(context.Background(), cfg); !errors.Is(err, errInjected) {
-		t.Fatalf("interrupted run returned %v, want injected failure", err)
-	}
 	norm, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := checkpointPath(ckptDir, simcache.Key(norm.axesDesc()))
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
+	records := func() int {
+		buf, _ := os.ReadFile(path)
+		return strings.Count(string(buf), "\n") - 1
 	}
-	lines := strings.Count(string(buf), "\n")
-	if lines < 2 {
-		t.Fatalf("checkpoint has %d lines, want a header plus at least one record", lines)
+	die0 := faultmodel.DieSeed(norm.Seed, 0)
+	var calls atomic.Int64
+	inner := stubSim()
+	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, shards int) (gpu.Result, error) {
+		if calls.Add(1) > failAfter && g.FaultSeed != die0 {
+			for deadline := time.Now().Add(10 * time.Second); records() < 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			return gpu.Result{}, errInjected
+		}
+		return inner(ctx, g, f, sf, ts, shards)
 	}
-	return lines - 1
+	if _, err := Run(context.Background(), cfg); !errors.Is(err, errInjected) {
+		t.Fatalf("interrupted run returned %v, want injected failure", err)
+	}
+	n := records()
+	if n < 1 {
+		t.Fatalf("checkpoint holds %d records, want at least one", n)
+	}
+	return n
 }
 
 // TestResumeBitIdentical pins checkpoint/resume: a campaign killed mid-run

@@ -63,7 +63,7 @@ func TestGoldenVariantDigest(t *testing.T) {
 		{"killi-dected-1:64", killi.Config{Ratio: 64, UseDECTED: true}, 0xc12453f6b85f8c5f,
 			simcache.Result{Cycles: 26032, Instructions: 12800, L2Misses: 5796, L2Accesses: 6361, MemAccesses: 5796,
 				MisclassLines: 32768, TrueFaulty: 1274, MisclassInitial: 27541, FalseTrust: 7}},
-		{"killi-olsc2-1:64", killi.Config{Ratio: 64, OLSCStrength: 2}, 0xba8a74a555c7aff9,
+		{"killi-olsc2-1:64", killi.Config{Ratio: 64, OLSCStrength: 2}, 0xdafa62bdb10a5e1d,
 			simcache.Result{Cycles: 27824, Instructions: 12800, L2Misses: 6211, L2Accesses: 6361, MemAccesses: 6211,
 				DisabledLines: 296, MisclassLines: 32768, TrueFaulty: 1274, MisclassDisabled: 296,
 				MisclassInitial: 27246, FalseDisable: 296, FalseTrust: 7}},

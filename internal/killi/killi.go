@@ -9,7 +9,6 @@ import (
 	"killi/internal/ecc/bch"
 	"killi/internal/ecc/olsc"
 	"killi/internal/ecc/parity"
-	"killi/internal/ecc/secded"
 	"killi/internal/obs"
 	"killi/internal/protection"
 	"killi/internal/sram"
@@ -17,38 +16,19 @@ import (
 )
 
 // Pre-interned counter handles for every event the scheme counts on a hot
-// path; the DFH transition matrix covers all 16 prev→next pairs so setDFH
-// never formats a counter name per event.
+// path; wt covers the classifier's events and all 16 prev→next DFH pairs,
+// so no counter name is formatted per event.
 var (
 	cLinesReclaim      = stats.Intern("killi.lines_reclaim_attempted")
-	cLinesDisabled     = stats.Intern("killi.lines_disabled")
 	cECCAccesses       = stats.Intern("killi.ecc_accesses")
 	cECCContention     = stats.Intern("killi.ecc_contention_evictions")
-	cInvertedSingle    = stats.Intern("killi.inverted_unmasked_single")
-	cInvertedMulti     = stats.Intern("killi.inverted_unmasked_multi")
-	cDECTEDPromotions  = stats.Intern("killi.dected_promotions")
-	cPostSingle        = stats.Intern("killi.post_training_single_error")
-	cPostMulti         = stats.Intern("killi.post_training_multi_error")
-	cMiscorrection     = stats.Intern("killi.miscorrection_caught")
-	cCorrectedReads    = stats.Intern("killi.corrected_reads")
 	cInvertedChecks    = stats.Intern("killi.inverted_checks")
 	cEvictionTrainings = stats.Intern("killi.eviction_trainings")
 	cScrubTests        = stats.Intern("killi.scrub_tests")
 	cScrubReclaimed    = stats.Intern("killi.scrub_reclaimed")
 
-	cDFHTransition = dfhTransitions("killi.")
+	wt = newHandles("killi.")
 )
-
-// dfhTransitions interns one counter per prev→next DFH pair, named
-// prefix + "dfh_<prev>_to_<next>".
-func dfhTransitions(prefix string) (m [4][4]stats.Counter) {
-	for p := Stable0; p <= Disabled; p++ {
-		for n := Stable0; n <= Disabled; n++ {
-			m[p][n] = stats.Intern(prefix + "dfh_" + p.String() + "_to_" + n.String())
-		}
-	}
-	return
-}
 
 // Config parameterizes a Killi instance.
 type Config struct {
@@ -103,13 +83,11 @@ func (c Config) withDefaults() Config {
 // Scheme is the Killi protection mechanism. It implements
 // protection.Scheme. Construct with New.
 type Scheme struct {
-	cfg    Config
-	h      protection.Host
-	code   *secded.Code
-	dected *bch.Code
-	p16    parity.Scheme
-	p4     parity.Scheme
-	ecc    *eccCache
+	cfg Config
+	h   protection.Host
+	codecs
+	pol policy
+	ecc *eccCache
 
 	// parity4 holds each line's cache-resident parity bits: during
 	// Initial, interleaved-16 segments 0–3; in stable states, the 4-bit
@@ -118,27 +96,22 @@ type Scheme struct {
 	// dectedOn marks Stable1 lines protected by DECTED instead of SECDED
 	// (only with UseDECTED).
 	dectedOn []bool
-	// olsc is the §5.5 low-Vmin codec (nil unless OLSCStrength > 0).
-	olsc *olsc.Code
 }
 
 // New returns a Killi scheme with the given configuration.
 func New(cfg Config) *Scheme {
 	cfg = cfg.withDefaults()
-	s := &Scheme{
-		cfg:  cfg,
-		code: secded.New(bitvec.LineBits),
-		p16:  parity.NewInterleaved(16),
-		p4:   parity.NewInterleaved(4),
-	}
 	if cfg.UseDECTED && cfg.OLSCStrength > 0 {
 		panic("killi: UseDECTED and OLSCStrength are mutually exclusive")
 	}
+	s := &Scheme{cfg: cfg, codecs: newCodecs(), pol: policy{limit: 1, polarity: cfg.InvertedTraining}}
 	if cfg.UseDECTED {
 		s.dected = bch.NewLine(2)
+		s.pol.promote, s.pol.limit = true, 2
 	}
 	if cfg.OLSCStrength > 0 {
 		s.olsc = olsc.NewLine(cfg.OLSCStrength)
+		s.pol.limit = cfg.OLSCStrength
 	}
 	return s
 }
@@ -257,25 +230,43 @@ func (k *Scheme) VictimFunc() cache.VictimFunc {
 // an observer attached it also emits the transition as a timestamped
 // event; the nil-observer check is the only cost on the default path.
 func (k *Scheme) setDFH(set, way int, next DFH) {
-	e := k.h.Tags().Entry(set, way)
-	prev := DFH(e.Class)
-	if prev != next {
-		k.h.Stats().IncC(cDFHTransition[prev][next])
-		if o := k.h.Observer(); o != nil {
-			o.OnTransition(obs.Transition{
-				Cycle: k.h.Now(),
-				Line:  k.h.Tags().LineID(set, way),
-				From:  uint8(prev),
-				To:    uint8(next),
-			})
-		}
+	prev := wt.set(k.h.Stats(), k.h.Tags().Entry(set, way), next)
+	if o := k.h.Observer(); o != nil && prev != next {
+		o.OnTransition(obs.Transition{Cycle: k.h.Now(), Line: k.h.Tags().LineID(set, way),
+			From: uint8(prev), To: uint8(next)})
 	}
-	e.Class = int(next)
-	if next == Disabled {
-		e.Disabled = true
-		e.Valid = false
-		k.h.Stats().IncC(cLinesDisabled)
+}
+
+// settle counts a classification's events, records a DECTED promotion and
+// moves the line to next.
+func (k *Scheme) settle(set, way, id int, next DFH, ev event) {
+	wt.count(k.h.Stats(), ev)
+	if ev&evPromotion != 0 {
+		k.dectedOn[id] = true
 	}
+	k.setDFH(set, way, next)
+}
+
+// codeOf names the code protecting a line in state.
+func (k *Scheme) codeOf(state DFH, id int) lineCode {
+	switch {
+	case k.olsc != nil:
+		return byOLSC
+	case state == Stable1 && k.dectedOn[id]:
+		return byDECTED
+	}
+	return bySECDED
+}
+
+// classify runs Table 2 on o, running the polarity test when the row
+// asks for it.
+func (k *Scheme) classify(o observation, id int, data bitvec.Line) outcome {
+	out := k.pol.next(o)
+	if out.act == probe {
+		o.stuck = k.invertedCheck(id, data)
+		out = k.pol.next(o)
+	}
+	return out
 }
 
 // allocECC obtains the ECC cache entry for a line. When contention evicts
@@ -289,67 +280,42 @@ func (k *Scheme) setDFH(set, way int, next DFH) {
 // L2 replacement).
 func (k *Scheme) allocECC(set, way int) *eccEntry {
 	tags := k.h.Tags()
-	id := tags.LineID(set, way)
 	k.h.Stats().IncC(cECCAccesses)
-	entry, evicted, old := k.ecc.allocate(set, id)
-	if evicted >= 0 {
-		k.h.Stats().IncC(cECCContention)
-		ways := tags.Config().Ways
-		vSet, vWay := evicted/ways, evicted%ways
-		ve := tags.Entry(vSet, vWay)
-		if ve.Valid {
-			switch DFH(ve.Class) {
-			case Initial:
-				if k.cfg.NoEvictionTraining {
-					// Untrained and unprotected: must leave the L2.
-					k.h.SchemeInvalidate(vSet, vWay)
-					break
-				}
-				k.classifyDeparting(vSet, vWay, evicted, &old)
-				// A victim classified Stable0 keeps operating on its
-				// folded parity and stays resident; Disabled already
-				// invalidated itself; Stable1 loses its checkbits with
-				// the entry and must leave.
-				if DFH(ve.Class) == Stable0 && !k.cfg.InvertedTraining {
-					// Unlike eviction training, the line's data stays
-					// live under 4-bit parity alone, so a fault masked by
-					// matching data (§5.6.2) would go unwatched until a
-					// write unmasks it. The polarity test costs one
-					// write/read pair and closes that window; with
-					// InvertedTraining it already ran inside
-					// classifyDeparting. Lines whose masked faults the
-					// codec could still correct go to Stable1 (refilled
-					// under fresh checkbits); only faults beyond its
-					// strength disable the line.
-					limit := 1
-					switch {
-					case k.olsc != nil:
-						limit = k.cfg.OLSCStrength
-					case k.cfg.UseDECTED:
-						limit = 2
-					}
-					switch faults := k.invertedCheck(evicted, k.h.Data().Read(evicted)); {
-					case faults == 0:
-						// Genuinely clean: stays resident.
-					case faults <= limit:
-						k.h.Stats().IncC(cInvertedSingle)
-						if k.cfg.UseDECTED && faults == 2 {
-							k.h.Stats().IncC(cDECTEDPromotions)
-							k.dectedOn[evicted] = true
-						}
-						k.setDFH(vSet, vWay, Stable1)
-					default:
-						k.h.Stats().IncC(cInvertedMulti)
-						k.setDFH(vSet, vWay, Disabled)
-					}
-				}
-				if DFH(ve.Class) == Stable1 {
-					k.h.SchemeInvalidate(vSet, vWay)
-				}
-			case Stable1:
-				k.h.SchemeInvalidate(vSet, vWay)
-			}
+	entry, evicted, old := k.ecc.allocate(set, tags.LineID(set, way))
+	if evicted < 0 {
+		return entry
+	}
+	k.h.Stats().IncC(cECCContention)
+	vSet, vWay := evicted/tags.Config().Ways, evicted%tags.Config().Ways
+	ve := tags.Entry(vSet, vWay)
+	if !ve.Valid {
+		return entry
+	}
+	if DFH(ve.Class) == Initial && !k.cfg.NoEvictionTraining {
+		k.classifyDeparting(vSet, vWay, evicted, &old)
+		// A victim classified Stable0 keeps operating on its folded parity
+		// and stays resident; Disabled already invalidated itself; Stable1
+		// loses its checkbits with the entry and must leave.
+		if DFH(ve.Class) == Stable0 && !k.cfg.InvertedTraining {
+			// Unlike eviction training, the line's data stays live under
+			// 4-bit parity alone, so a fault masked by matching data
+			// (§5.6.2) would go unwatched until a write unmasks it. The
+			// polarity test costs one write/read pair and closes that
+			// window; with InvertedTraining it already ran inside
+			// classifyDeparting. Lines whose masked faults the codec could
+			// still correct go to Stable1 (refilled under fresh
+			// checkbits); only faults beyond its strength disable the line.
+			p := k.pol
+			p.polarity = true
+			out := p.next(observation{state: Initial, recheckOK: true,
+				stuck: k.invertedCheck(evicted, k.h.Data().Read(evicted))})
+			k.settle(vSet, vWay, evicted, out.next, out.ev)
 		}
+	}
+	// An untrained (NoEvictionTraining) or Stable1 victim is unprotected
+	// without its entry: it must leave the L2.
+	if c := DFH(ve.Class); c == Initial || c == Stable1 {
+		k.h.SchemeInvalidate(vSet, vWay)
 	}
 	return entry
 }
@@ -358,32 +324,15 @@ func (k *Scheme) allocECC(set, way int) *eccEntry {
 // written into (set, way). data is the encoder-input (true) payload.
 func (k *Scheme) OnFill(set, way int, data bitvec.Line) {
 	id := k.h.Tags().LineID(set, way)
-	if k.olsc != nil {
-		k.olscFill(set, way, id, data)
-		return
-	}
-	switch k.DFHOf(set, way) {
-	case Initial:
-		p16 := k.p16.Generate(data)
-		k.parity4[id] = uint8(p16 & 0xf)
-		entry := k.allocECC(set, way)
-		entry.parity12 = uint16(p16 >> 4)
-		entry.check = k.code.EncodeLine(data)
-		entry.dected = bch.Check{}
-	case Stable0:
-		k.parity4[id] = uint8(k.p4.Generate(data))
-	case Stable1:
-		k.parity4[id] = uint8(k.p4.Generate(data))
-		entry := k.allocECC(set, way)
-		if k.dectedOn[id] {
-			entry.dected = k.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
-		} else {
-			entry.check = k.code.EncodeLine(data)
-			entry.dected = bch.Check{}
-		}
-	default:
+	state := k.DFHOf(set, way)
+	var entry *eccEntry
+	switch state {
+	case Disabled:
 		panic("killi: fill into a disabled line")
+	case Initial, Stable1:
+		entry = k.allocECC(set, way)
 	}
+	k.encode(state, k.codeOf(state, id), data, &k.parity4[id], entry)
 }
 
 // OnWriteHit implements protection.Scheme: a write-through store updated
@@ -392,160 +341,48 @@ func (k *Scheme) OnWriteHit(set, way int, data bitvec.Line) {
 	k.OnFill(set, way, data)
 }
 
-// OnReadHit implements protection.Scheme: the Table 2 state machine.
+// OnReadHit implements protection.Scheme: the Table 2 state machine on a
+// load hit. The write-through policy makes every line refetchable, so an
+// untrusted line is dropped and missed on.
 func (k *Scheme) OnReadHit(set, way int, data *bitvec.Line) protection.Verdict {
-	switch k.DFHOf(set, way) {
-	case Stable0:
-		return k.readStable0(set, way, data)
-	case Initial:
-		if k.olsc != nil {
-			return k.olscReadInitial(set, way, data)
-		}
-		return k.readInitial(set, way, data)
-	case Stable1:
-		if k.olsc != nil {
-			return k.olscReadStable1(set, way, data)
-		}
-		return k.readStable1(set, way, data)
-	default:
-		panic("killi: read hit on a disabled line")
-	}
-}
-
-// readStable0 handles hits on lines believed fault-free: 4-bit parity only.
-func (k *Scheme) readStable0(set, way int, data *bitvec.Line) protection.Verdict {
 	id := k.h.Tags().LineID(set, way)
-	_, mism := k.p4.Check(*data, uint64(k.parity4[id]))
-	switch {
-	case mism == 0:
+	o := observation{state: k.DFHOf(set, way), stuck: untested}
+	var entry *eccEntry
+	switch o.state {
+	case Disabled:
+		panic("killi: read hit on a disabled line")
+	case Initial, Stable1:
+		e, eSet, eWay, hit := k.ecc.lookup(set, id)
+		if !hit {
+			// The entry was lost to contention and the line should have
+			// been invalidated then; reaching here is a controller bug.
+			panic(fmt.Sprintf("killi: %v line without an ECC cache entry", o.state))
+		}
+		k.h.Stats().IncC(cECCAccesses)
+		// Coordinated replacement: the protected line was just touched, so
+		// its metadata moves to MRU with it (§4.4).
+		k.ecc.touch(eSet, eWay)
+		entry, o.code = e, k.codeOf(o.state, id)
+	}
+	stored := k.observe(&o, data, k.parity4[id], entry, true)
+	out := k.classify(o, id, *data)
+	if out.next == o.state && out.act == deliver {
 		return protection.Deliver
-	case mism == 1:
-		// A 1-bit error surfaced after training: the initial
-		// classification was wrong (a masked fault unmasked) or a soft
-		// error struck. Return the line to Initial and relearn.
-		k.h.Stats().IncC(cPostSingle)
-		k.setDFH(set, way, Initial)
+	}
+	k.settle(set, way, id, out.next, out.ev)
+	if o.state == Initial && (out.next == Stable0 || out.next == Stable1) {
+		k.parity4[id] = uint8(parity.Fold(stored))
+	}
+	if entry != nil && (out.next != Stable1 || out.act == refetch) {
+		k.ecc.invalidate(set, id)
+	}
+	switch out.act {
+	case deliver, deliverCorrected:
+		return protection.Deliver
+	case refetch:
 		k.h.Tags().Invalidate(set, way)
-		return protection.ErrorMiss
-	default:
-		k.h.Stats().IncC(cPostMulti)
-		k.setDFH(set, way, Disabled)
-		return protection.ErrorMiss
 	}
-}
-
-// readInitial classifies a line on its first (or any subsequent) hit while
-// in the unknown state, using segmented parity + SECDED syndrome + global
-// parity.
-func (k *Scheme) readInitial(set, way int, data *bitvec.Line) protection.Verdict {
-	tags := k.h.Tags()
-	id := tags.LineID(set, way)
-	entry, eSet, eWay, hit := k.ecc.lookup(set, id)
-	if !hit {
-		// The entry was lost to contention and the line should have been
-		// invalidated then; reaching here is a controller bug.
-		panic("killi: Initial line without an ECC cache entry")
-	}
-	k.h.Stats().IncC(cECCAccesses)
-	k.ecc.touch(eSet, eWay)
-	stored16 := uint64(k.parity4[id]) | uint64(entry.parity12)<<4
-	_, segMis := k.p16.Check(*data, stored16)
-	syn, gErr := k.code.SyndromeLine(*data, entry.check)
-
-	switch {
-	case segMis == 0 && syn == 0 && !gErr:
-		// No error — the most frequent case. Free the checkbits.
-		return k.finishTrainingClean(set, way, id, data, stored16, entry)
-
-	case segMis == 1 && syn != 0 && gErr:
-		// Single-bit LV error signature: correct with the stored
-		// checkbits, then verify the corrected data against ALL 16
-		// stored parity bits. A ≥3-error pattern can forge this
-		// signature (two errors sharing a segment plus one more) and
-		// trick SECDED into a miscorrection; the post-correction parity
-		// recheck is what makes detection the parity∧SECDED joint of the
-		// paper's §5.3 coverage analysis.
-		res := k.code.DecodeLine(data, entry.check)
-		if res.Status != secded.CorrectedData && res.Status != secded.CorrectedCheck {
-			k.setDFH(set, way, Disabled)
-			k.ecc.invalidate(set, id)
-			return protection.ErrorMiss
-		}
-		if _, stillBad := k.p16.Check(*data, stored16); stillBad != 0 {
-			k.h.Stats().IncC(cMiscorrection)
-			k.setDFH(set, way, Disabled)
-			k.ecc.invalidate(set, id)
-			return protection.ErrorMiss
-		}
-		if k.cfg.InvertedTraining {
-			// §5.6.2 applied to the 1-error path as well: additional
-			// faults may be hiding behind matching data; the polarity
-			// check counts every stuck cell.
-			switch faults := k.invertedCheck(id, *data); {
-			case faults >= 2:
-				k.h.Stats().IncC(cInvertedMulti)
-				k.setDFH(set, way, Disabled)
-				k.ecc.invalidate(set, id)
-				return protection.ErrorMiss
-			case faults == 0:
-				// The corrected error was transient: the line is clean.
-				k.h.Stats().IncC(cCorrectedReads)
-				k.setDFH(set, way, Stable0)
-				k.parity4[id] = uint8(parity.Fold(stored16))
-				k.ecc.invalidate(set, id)
-				return protection.Deliver
-			}
-		}
-		k.h.Stats().IncC(cCorrectedReads)
-		k.setDFH(set, way, Stable1)
-		k.parity4[id] = uint8(parity.Fold(stored16))
-		return protection.Deliver
-
-	case syn != 0 && !gErr && k.cfg.UseDECTED:
-		// Even error count (very likely exactly two). The DECTED
-		// extension keeps such lines enabled: refetch clean data and
-		// re-protect with the 21-bit code.
-		k.h.Stats().IncC(cDECTEDPromotions)
-		k.setDFH(set, way, Stable1)
-		k.dectedOn[id] = true
-		k.parity4[id] = uint8(parity.Fold(stored16))
-		k.ecc.invalidate(set, id)
-		tags.Invalidate(set, way)
-		return protection.ErrorMiss
-
-	default:
-		// Every remaining Table 2 row disables the line: multi-bit with
-		// even parity, odd multi-bit, or parity/ECC disagreement.
-		k.setDFH(set, way, Disabled)
-		k.ecc.invalidate(set, id)
-		return protection.ErrorMiss
-	}
-}
-
-// finishTrainingClean completes an Initial→Stable0 transition, optionally
-// running the inverted-data masked-fault check first (§5.6.2).
-func (k *Scheme) finishTrainingClean(set, way, id int, data *bitvec.Line, stored16 uint64, entry *eccEntry) protection.Verdict {
-	if k.cfg.InvertedTraining {
-		faults := k.invertedCheck(id, *data)
-		switch {
-		case faults == 1:
-			// A masked single fault: classify Stable1 and keep the
-			// checkbits (they match the current clean data).
-			k.h.Stats().IncC(cInvertedSingle)
-			k.setDFH(set, way, Stable1)
-			k.parity4[id] = uint8(parity.Fold(stored16))
-			return protection.Deliver
-		case faults >= 2:
-			k.h.Stats().IncC(cInvertedMulti)
-			k.setDFH(set, way, Disabled)
-			k.ecc.invalidate(set, id)
-			return protection.ErrorMiss
-		}
-	}
-	k.setDFH(set, way, Stable0)
-	k.parity4[id] = uint8(parity.Fold(stored16))
-	k.ecc.invalidate(set, id)
-	return protection.Deliver
+	return protection.ErrorMiss
 }
 
 // invertedCheck runs the §5.6.2 polarity test via the host's data array.
@@ -573,166 +410,49 @@ func invertedFaultCount(arr *sram.Array, id int, data bitvec.Line) int {
 	return n
 }
 
-// readStable1 handles hits on lines with one known LV fault.
-func (k *Scheme) readStable1(set, way int, data *bitvec.Line) protection.Verdict {
-	tags := k.h.Tags()
-	id := tags.LineID(set, way)
-	entry, eSet, eWay, hit := k.ecc.lookup(set, id)
-	if !hit {
-		panic("killi: Stable1 line without an ECC cache entry")
-	}
-	k.h.Stats().IncC(cECCAccesses)
-	// Coordinated replacement: the protected line was just touched, so
-	// its metadata moves to MRU with it (§4.4).
-	k.ecc.touch(eSet, eWay)
-
-	if k.dectedOn[id] {
-		return k.readDECTED(set, way, id, data, entry)
-	}
-
-	_, segMis := k.p4.Check(*data, uint64(k.parity4[id]))
-	syn, gErr := k.code.SyndromeLine(*data, entry.check)
-	switch {
-	case syn == 0 && !gErr && segMis == 0:
-		// The known fault has vanished (a transient that was overwritten,
-		// or a masked fault flipped back): reclassify as fault-free.
-		k.setDFH(set, way, Stable0)
-		k.ecc.invalidate(set, id)
-		return protection.Deliver
-	case syn == 0 && !gErr && segMis > 0:
-		// Parity disagrees while ECC sees nothing: a combination ECC
-		// cannot untangle (likely LV fault + new error). Disable.
-		k.setDFH(set, way, Disabled)
-		k.ecc.invalidate(set, id)
-		return protection.ErrorMiss
-	case syn != 0 && gErr:
-		// The single-bit LV error, as expected: correct and deliver
-		// (segmented parity is a don't-care for the decision per
-		// Table 2, but the corrected data must agree with the stored
-		// 4-bit parity — a cheap guard against ≥3-error aliases).
-		res := k.code.DecodeLine(data, entry.check)
-		if res.Status != secded.CorrectedData && res.Status != secded.CorrectedCheck {
-			k.setDFH(set, way, Disabled)
-			k.ecc.invalidate(set, id)
-			return protection.ErrorMiss
-		}
-		if _, stillBad := k.p4.Check(*data, uint64(k.parity4[id])); stillBad != 0 {
-			k.h.Stats().IncC(cMiscorrection)
-			k.setDFH(set, way, Disabled)
-			k.ecc.invalidate(set, id)
-			return protection.ErrorMiss
-		}
-		k.h.Stats().IncC(cCorrectedReads)
-		return protection.Deliver
-	default:
-		// syn != 0 && !gErr (an additional error on top of the known
-		// one), or syn == 0 && gErr: disable.
-		k.setDFH(set, way, Disabled)
-		k.ecc.invalidate(set, id)
-		return protection.ErrorMiss
-	}
-}
-
-// readDECTED verifies a DECTED-protected stable line (§5.2 extension).
-func (k *Scheme) readDECTED(set, way, id int, data *bitvec.Line, entry *eccEntry) protection.Verdict {
-	d := *data
-	res := k.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.dected)
-	switch res.Status {
-	case bch.OK:
-		return protection.Deliver
-	case bch.Corrected:
-		*data = d
-		k.h.Stats().IncC(cCorrectedReads)
-		return protection.Deliver
-	default:
-		k.setDFH(set, way, Disabled)
-		k.ecc.invalidate(set, id)
-		return protection.ErrorMiss
-	}
-}
-
 // OnEvict implements protection.Scheme: training on eviction (§4.4). For a
 // departing Initial line, Killi reads the data out, classifies it exactly
 // as a hit would, and persists the DFH verdict; the ECC entry is freed in
 // all cases because there is no resident data left to protect.
 func (k *Scheme) OnEvict(set, way int) {
-	tags := k.h.Tags()
-	id := tags.LineID(set, way)
+	id := k.h.Tags().LineID(set, way)
 	switch k.DFHOf(set, way) {
-	case Stable0:
-		return
 	case Stable1:
 		k.ecc.invalidate(set, id)
-		return
-	case Disabled:
-		return
+	case Initial:
+		entry, _, _, hit := k.ecc.lookup(set, id)
+		if !hit {
+			panic("killi: evicting Initial line without an ECC cache entry")
+		}
+		if !k.cfg.NoEvictionTraining {
+			k.classifyDeparting(set, way, id, entry)
+		}
+		k.ecc.invalidate(set, id)
 	}
-	// Initial: classify the evicted data.
-	entry, _, _, hit := k.ecc.lookup(set, id)
-	if !hit {
-		panic("killi: evicting Initial line without an ECC cache entry")
-	}
-	if !k.cfg.NoEvictionTraining {
-		k.classifyDeparting(set, way, id, entry)
-	}
-	k.ecc.invalidate(set, id)
 }
 
 // classifyDeparting runs §4.4 eviction training for an Initial line that is
 // leaving the cache (a regular L2 eviction or an ECC-cache contention
 // eviction): read the data out, evaluate parity + ECC against the given
-// (possibly already dying) entry, and persist the DFH verdict.
+// (possibly already dying) entry, and persist the DFH verdict. The data is
+// not delivered, so it is not corrected, and of the row's events only a
+// DECTED promotion counts.
 func (k *Scheme) classifyDeparting(set, way, id int, entry *eccEntry) {
-	if k.olsc != nil {
-		k.olscClassifyDeparting(set, way, id, entry)
-		return
-	}
 	data := k.h.Data().Read(id)
-	stored16 := uint64(k.parity4[id]) | uint64(entry.parity12)<<4
-	_, segMis := k.p16.Check(data, stored16)
-	syn, gErr := k.code.SyndromeLine(data, entry.check)
+	o := observation{state: Initial, code: k.codeOf(Initial, id), stuck: untested}
+	stored := k.observe(&o, &data, k.parity4[id], entry, false)
 	k.h.Stats().IncC(cEvictionTrainings)
-
-	switch {
-	case segMis == 0 && syn == 0 && !gErr:
-		if k.cfg.InvertedTraining {
-			switch faults := k.invertedCheck(id, data); {
-			case faults == 1:
-				k.setDFH(set, way, Stable1)
-			case faults >= 2:
-				k.setDFH(set, way, Disabled)
-			default:
-				k.setDFH(set, way, Stable0)
-			}
-		} else {
-			k.setDFH(set, way, Stable0)
-		}
-	case segMis == 1 && syn != 0 && gErr:
-		if k.cfg.InvertedTraining {
-			switch faults := k.invertedCheck(id, data); {
-			case faults >= 2:
-				k.setDFH(set, way, Disabled)
-			case faults == 0:
-				k.setDFH(set, way, Stable0)
-			default:
-				k.setDFH(set, way, Stable1)
-			}
-		} else {
-			k.setDFH(set, way, Stable1)
-		}
-	case syn != 0 && !gErr && k.cfg.UseDECTED:
-		k.h.Stats().IncC(cDECTEDPromotions)
-		k.setDFH(set, way, Stable1)
-		k.dectedOn[id] = true
-	default:
-		k.setDFH(set, way, Disabled)
-	}
+	out := k.classify(o, id, data)
+	k.settle(set, way, id, out.next, out.ev&evPromotion)
 	// A line that reached a stable state switches from the 16-bit training
 	// parity to the 4-bit fold — required when a cleanly-classified
 	// contention victim stays resident, and harmless for true departures
-	// (OnFill regenerates parity on the next install).
-	if c := k.DFHOf(set, way); c == Stable0 || c == Stable1 {
-		k.parity4[id] = uint8(parity.Fold(stored16))
+	// (OnFill regenerates parity on the next install). OLSC mode skips the
+	// fold, so its resident clean victims are disabled on their next hit: a
+	// known bug whose fix moves perfbench's pinned daemon digest (ROADMAP
+	// item 1's re-pin list).
+	if (out.next == Stable0 || out.next == Stable1) && k.olsc == nil {
+		k.parity4[id] = uint8(parity.Fold(stored))
 	}
 }
 

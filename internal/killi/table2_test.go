@@ -1,10 +1,14 @@
 package killi
 
-// Exhaustive tests for the paper's Table 2: every reachable row of the DFH
-// transition table, driven through real fault injection rather than by
-// poking the FSM directly.
+// Tests for the paper's Table 2. TestTable2Exhaustive drives the shared
+// transition function (policy.next) over its whole observation domain for
+// every variant against a literal expected table; the TestTable2Row_*
+// tests drive the write-through rows end to end through real fault
+// injection.
 
 import (
+	"fmt"
+	"path"
 	"testing"
 
 	"killi/internal/bitvec"
@@ -12,6 +16,190 @@ import (
 	"killi/internal/protection"
 	"killi/internal/xrand"
 )
+
+// table2 is the expected transition table. Each observation is written as
+// a key
+//
+//	<variant> p<polarity> <state> s<segment mismatches> <code> <verdict> r<recheck> k<stuck> d<dirty>
+//
+// where variant is wt (write-through SECDED), de (write-through DECTED),
+// ol (write-through OLSC(3)) or wb (write-back), polarity is 1 under
+// §5.6.2 inverted training, code is sec/dec/ols, verdict is
+// ok/fix/even/bad, and stuck is u before the polarity test. The first row
+// whose glob pattern matches a key gives its outcome.
+var table2 = []struct {
+	pattern string
+	want    outcome
+}{
+	// b'11: unusable until the DFH reset.
+	{"* * b'11 *", outcome{Disabled, disable, 0}},
+
+	// b'00 (clean): 4-bit parity only.
+	{"* * b'00 s0 * * * * d0", outcome{Stable0, deliver, 0}},
+	{"* * b'00 s1 * * * * d0", outcome{Initial, refetch, evPostSingle}},
+	{"* * b'00 s2 * * * * d0", outcome{Disabled, disable, evPostMulti}},
+
+	// b'01, no error: b'00 — under §5.6.2 only after the polarity test,
+	// whose stuck count may keep the line under its code or disable it.
+	{"* p0 b'01 s0 * ok r1 * *", outcome{Stable0, deliver, 0}},
+	{"* p1 b'01 s0 * ok r1 ku *", outcome{Initial, probe, 0}},
+	{"* p1 b'01 s0 * ok r1 k0 *", outcome{Stable0, deliver, 0}},
+	{"* p1 b'01 s0 * ok r1 k1 *", outcome{Stable1, deliver, evInvertedSingle}},
+	{"de p1 b'01 s0 * ok r1 k2 d0", outcome{Stable1, refetch, evInvertedSingle | evPromotion}},
+	{"de p1 b'01 s0 * ok r1 k2 d1", outcome{Stable1, deliver, evInvertedSingle}},
+	{"ol p1 b'01 s0 * ok r1 k[23] *", outcome{Stable1, deliver, evInvertedSingle}},
+	{"* p1 b'01 s0 * ok r1 * d0", outcome{Disabled, disable, evInvertedMulti}},
+	{"* p1 b'01 s0 * ok r1 * d1", outcome{Disabled, saveAndDeliver, evInvertedMulti}},
+	{"* * b'01 * * ok *", outcome{Disabled, disable, 0}},
+
+	// b'01, corrected: a single error flips exactly one segment (SECDED);
+	// OLSC corrects in any segments. The recheck catches miscorrections.
+	{"* * b'01 s[02] [sd]* fix *", outcome{Disabled, disable, 0}},
+	{"* * b'01 * * fix r0 *", outcome{Disabled, disable, evMiscorrection}},
+	{"* p0 b'01 * * fix r1 *", outcome{Stable1, deliverCorrected, evCorrected}},
+	{"* p1 b'01 * * fix r1 ku *", outcome{Initial, probe, 0}},
+	{"* p1 b'01 * * fix r1 k0 *", outcome{Stable0, deliverCorrected, evCorrected}},
+	{"* p1 b'01 * * fix r1 k1 *", outcome{Stable1, deliverCorrected, evCorrected}},
+	{"de p1 b'01 * * fix r1 k2 d0", outcome{Stable1, refetch, evPromotion}},
+	{"de p1 b'01 * * fix r1 k2 d1", outcome{Stable1, deliverCorrected, evCorrected}},
+	{"ol p1 b'01 * * fix r1 k[23] *", outcome{Stable1, deliverCorrected, evCorrected}},
+	{"* p1 b'01 * * fix r1 * d0", outcome{Disabled, disable, evInvertedMulti}},
+	{"* p1 b'01 * * fix r1 * d1", outcome{Disabled, saveAndDeliver, evInvertedMulti}},
+
+	// b'01, even error count: §5.2 refetches a clean line under DECTED;
+	// every other b'01 row disables.
+	{"de * b'01 * * even * * d0", outcome{Stable1, refetch, evPromotion}},
+	{"* * b'01 *", outcome{Disabled, disable, 0}},
+
+	// b'10, and a dirty b'00 line under write-back SECDED: read through
+	// the code. A SECDED b'10 line whose fault vanished is b'00; DECTED and
+	// OLSC deliver without a parity cross-check.
+	{"* * b'00 * * fix r1 *", outcome{Stable0, deliverCorrected, evCorrected}},
+	{"* * b'10 * * fix r1 *", outcome{Stable1, deliverCorrected, evCorrected}},
+	{"* * b'?0 * * fix r0 *", outcome{Disabled, disable, evMiscorrection}},
+	{"* * b'?0 s0 sec ok r1 *", outcome{Stable0, deliver, 0}},
+	{"* * b'00 * [do]* ok r1 *", outcome{Stable0, deliver, 0}},
+	{"* * b'10 * [do]* ok r1 *", outcome{Stable1, deliver, 0}},
+	{"* * b'?0 *", outcome{Disabled, disable, 0}},
+}
+
+var actionNames = [...]string{"deliver", "deliverCorrected", "refetch", "disable", "saveAndDeliver", "probe"}
+
+func (o outcome) String() string {
+	return fmt.Sprintf("{%v %s events=%07b}", o.next, actionNames[o.act], o.ev)
+}
+
+// table2Variants returns each variant's policy as its constructor builds it.
+func table2Variants(inverted bool) []struct {
+	name string
+	p    policy
+} {
+	fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
+	return []struct {
+		name string
+		p    policy
+	}{
+		{"wt", New(Config{InvertedTraining: inverted}).pol},
+		{"de", New(Config{UseDECTED: true, InvertedTraining: inverted}).pol},
+		{"ol", New(Config{OLSCStrength: 3, InvertedTraining: inverted}).pol},
+		{"wb", NewWriteBack(WriteBackConfig{Sets: 2, Ways: 2, InvertedTraining: inverted}, fm, 0.625).pol},
+	}
+}
+
+// forEachObservation enumerates the observation domain with its key
+// suffix (everything after the variant and polarity).
+func forEachObservation(fn func(o observation, key string)) {
+	codes := []string{"sec", "dec", "ols"}
+	verdicts := []string{"ok", "fix", "even", "bad"}
+	for _, state := range []DFH{Stable0, Initial, Stable1, Disabled} {
+		for seg := 0; seg <= 2; seg++ {
+			for c, cn := range codes {
+				for v, vn := range verdicts {
+					for r := 0; r <= 1; r++ {
+						for stuck := untested; stuck <= 4; stuck++ {
+							for d := 0; d <= 1; d++ {
+								k := fmt.Sprint(stuck)
+								if stuck == untested {
+									k = "u"
+								}
+								fn(observation{state: state, segMis: seg, code: lineCode(c), verdict: verdict(v),
+									recheckOK: r == 1, stuck: stuck, dirty: d == 1},
+									fmt.Sprintf("%v s%d %s %s r%d k%s d%d", state, seg, cn, vn, r, k, d))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTable2Exhaustive(t *testing.T) {
+	used := make([]bool, len(table2))
+	for p := 0; p <= 1; p++ {
+		for _, v := range table2Variants(p == 1) {
+			t.Run(fmt.Sprintf("%s/p%d", v.name, p), func(t *testing.T) {
+				forEachObservation(func(o observation, key string) {
+					key = fmt.Sprintf("%s p%d %s", v.name, p, key)
+					for i, row := range table2 {
+						if ok, err := path.Match(row.pattern, key); err != nil {
+							t.Fatalf("row %d: %v", i, err)
+						} else if ok {
+							used[i] = true
+							if got := v.p.next(o); got != row.want {
+								t.Errorf("%s: next = %v, row %d (%q) wants %v", key, got, i, row.pattern, row.want)
+							}
+							return
+						}
+					}
+					t.Errorf("%s: no row matches", key)
+				})
+			})
+		}
+	}
+	for i, u := range used {
+		if !u {
+			t.Errorf("row %d (%q) matches no observation", i, table2[i].pattern)
+		}
+	}
+}
+
+// FuzzClassify checks the transition function's invariants on arbitrary
+// observations: it never panics, always returns an architected DFH state,
+// never delivers data from a line it disables, never refetches a dirty
+// line (the only copy), and asks for the polarity test only under §5.6.2
+// training and only before it has run.
+func FuzzClassify(f *testing.F) {
+	f.Add(uint8(0), false, uint8(1), 1, uint8(0), uint8(1), true, -1, false)
+	f.Add(uint8(1), true, uint8(1), 0, uint8(0), uint8(2), true, 2, false)
+	f.Add(uint8(3), true, uint8(0), 1, uint8(0), uint8(1), true, 3, true)
+	variants := [2][]struct {
+		name string
+		p    policy
+	}{table2Variants(false), table2Variants(true)}
+	f.Fuzz(func(t *testing.T, variant uint8, inverted bool, state uint8, seg int, code, v uint8, recheck bool, stuck int, dirty bool) {
+		vs := variants[0]
+		if inverted {
+			vs = variants[1]
+		}
+		p := vs[int(variant)%len(vs)].p
+		o := observation{state: DFH(state), segMis: seg, code: lineCode(code), verdict: verdict(v),
+			recheckOK: recheck, stuck: stuck, dirty: dirty}
+		out := p.next(o)
+		switch {
+		case !out.next.Valid():
+			t.Fatalf("%+v: next state %v", o, out.next)
+		case out.act > probe:
+			t.Fatalf("%+v: action %d", o, out.act)
+		case out.next == Disabled && (out.act == deliver || out.act == deliverCorrected):
+			t.Fatalf("%+v: delivers from a disabled line", o)
+		case dirty && out.act == refetch:
+			t.Fatalf("%+v: refetches a dirty line", o)
+		case out.act == probe && (stuck >= 0 || !p.polarity):
+			t.Fatalf("%+v: probes with stuck %d, polarity %v", o, stuck, p.polarity)
+		}
+	})
+}
 
 // row helper: build host+scheme with given faults on line (0,0), fill with
 // data, optionally mutate, then read-hit and check verdict+state.

@@ -8,7 +8,6 @@ import (
 	"killi/internal/cache"
 	"killi/internal/ecc/bch"
 	"killi/internal/ecc/parity"
-	"killi/internal/ecc/secded"
 	"killi/internal/faultmodel"
 	"killi/internal/sram"
 	"killi/internal/stats"
@@ -16,21 +15,18 @@ import (
 
 // Pre-interned handles for the write-back variant's counters.
 var (
-	cWBWriteBypass    = stats.Intern("wb.write_bypass")
-	cWBWrites         = stats.Intern("wb.writes")
-	cWBWriteDiverted  = stats.Intern("wb.write_verify_diverted")
-	cWBReadBypass     = stats.Intern("wb.read_bypass")
-	cWBReadMisses     = stats.Intern("wb.read_misses")
-	cWBReadHits       = stats.Intern("wb.read_hits")
-	cWBErrorRefetch   = stats.Intern("wb.error_refetch")
-	cWBDataLoss       = stats.Intern("wb.data_loss")
-	cWBWritebacks     = stats.Intern("wb.writebacks")
-	cWBECCContention  = stats.Intern("wb.ecc_contention_evictions")
-	cWBInvertedMulti  = stats.Intern("wb.inverted_unmasked_multi")
-	cWBInvertedSingle = stats.Intern("wb.inverted_unmasked_single")
-	cWBCorrectedReads = stats.Intern("wb.corrected_reads")
-	cWBLinesDisabled  = stats.Intern("wb.lines_disabled")
-	cWBDFHTransition  = dfhTransitions("wb.")
+	cWBWriteBypass   = stats.Intern("wb.write_bypass")
+	cWBWrites        = stats.Intern("wb.writes")
+	cWBWriteDiverted = stats.Intern("wb.write_verify_diverted")
+	cWBReadBypass    = stats.Intern("wb.read_bypass")
+	cWBReadMisses    = stats.Intern("wb.read_misses")
+	cWBReadHits      = stats.Intern("wb.read_hits")
+	cWBErrorRefetch  = stats.Intern("wb.error_refetch")
+	cWBDataLoss      = stats.Intern("wb.data_loss")
+	cWBWritebacks    = stats.Intern("wb.writebacks")
+	cWBECCContention = stats.Intern("wb.ecc_contention_evictions")
+
+	wb = newHandles("wb.")
 )
 
 // ErrDataLoss reports an uncorrectable error on a dirty line: unlike the
@@ -78,16 +74,13 @@ type WriteBackCache struct {
 	data    *sram.Array
 	backing map[uint64]bitvec.Line
 
-	secded *secded.Code
-	dected *bch.Code
-	p16    parity.Scheme
-	p4     parity.Scheme
-	ecc    *eccCache
+	codecs
+	pol policy
+	ecc *eccCache
 
 	parity4 []uint8
 	dirty   []bool
-	secdedC []secded.Check // valid when protection is SECDED-in-ECC-cache
-	useDEC  []bool
+	useDEC  []bool // the line's entry holds DECTED (dirty b'10)
 
 	ctr stats.Counters
 }
@@ -108,16 +101,14 @@ func NewWriteBack(cfg WriteBackConfig, faults *faultmodel.Map, vNorm float64) *W
 		tags:    tags,
 		data:    sram.New(lines, faults, vNorm),
 		backing: make(map[uint64]bitvec.Line),
-		secded:  secded.New(bitvec.LineBits),
-		dected:  bch.NewLine(2),
-		p16:     parity.NewInterleaved(16),
-		p4:      parity.NewInterleaved(4),
+		codecs:  newCodecs(),
+		pol:     policy{limit: 1, polarity: cfg.InvertedTraining},
 		ecc:     newECCCache(lines, cfg.Ratio, cfg.Assoc),
 		parity4: make([]uint8, lines),
 		dirty:   make([]bool, lines),
-		secdedC: make([]secded.Check, lines),
 		useDEC:  make([]bool, lines),
 	}
+	c.dected = bch.NewLine(2)
 	tags.ForEach(func(set, way int, e *cache.Entry) { e.Class = int(Initial) })
 	return c
 }
@@ -155,33 +146,29 @@ func (c *WriteBackCache) Write(addr uint64, data bitvec.Line) error {
 	// §5.6.2-style write verification for unclassified lines: a dirty
 	// store into a DFH b'01 line immediately reads back and checks, so
 	// the only copy of modified data is never parked on a line that turns
-	// out to be multi-bit faulty. On failure the line is disabled and the
-	// store lands safely in the backing store.
-	if DFH(c.tags.Entry(set, way).Class) == Initial {
-		got := c.data.Read(id)
-		if got != data {
-			entry, _, _, hit := c.ecc.lookup(set, id)
-			if hit {
-				res := c.secded.DecodeLine(&got, entry.check)
-				if (res.Status == secded.CorrectedData || res.Status == secded.CorrectedCheck) && got == data {
-					if !c.cfg.InvertedTraining || invertedFaultCount(c.data, id, data) < 2 {
-						// Single stuck-at cell: classify as a one-fault
-						// line right away; protect() re-encodes per the
-						// dirty Stable1 policy (DECTED).
-						c.setWBDFH(set, way, Stable1)
-						c.protect(set, way, id, data)
-						return nil
-					}
-				}
-			}
-			// Uncorrectable at write time: disable, divert the store.
-			c.setWBDFH(set, way, Disabled)
-			c.ecc.invalidate(set, id)
-			c.dirty[id] = false
-			c.backing[addr/64] = data
-			c.ctr.IncC(cWBWriteDiverted)
-		}
+	// out to be multi-bit faulty. The written data is the recheck's
+	// reference; verification counts no read events. On failure the line
+	// is disabled and the store lands safely in the backing store.
+	if DFH(c.tags.Entry(set, way).Class) != Initial {
+		return nil
 	}
+	got := c.data.Read(id)
+	if got == data {
+		return nil
+	}
+	o := observation{state: Initial, dirty: true, stuck: untested}
+	c.observe(&o, &got, c.parity4[id], c.entry(set, id, Initial), true)
+	o.recheckOK = o.recheckOK && got == data
+	if out := c.classify(o, id, data); out.act == deliver || out.act == deliverCorrected {
+		c.setWBDFH(set, way, out.next)
+		c.protect(set, way, id, data)
+		return nil
+	}
+	c.setWBDFH(set, way, Disabled)
+	c.ecc.invalidate(set, id)
+	c.dirty[id] = false
+	c.backing[addr/64] = data
+	c.ctr.IncC(cWBWriteDiverted)
 	return nil
 }
 
@@ -290,38 +277,22 @@ func (c *WriteBackCache) lineAddr(set int, tag uint64) uint64 {
 
 // protect (re)generates metadata for a line per the §5.6.1 policy.
 func (c *WriteBackCache) protect(set, way, id int, data bitvec.Line) {
-	switch DFH(c.tags.Entry(set, way).Class) {
-	case Initial:
-		p16 := c.p16.Generate(data)
-		c.parity4[id] = uint8(p16 & 0xf)
-		entry := c.allocWB(set, way)
-		entry.parity12 = uint16(p16 >> 4)
-		entry.check = c.secded.EncodeLine(data)
-		c.useDEC[id] = false
-	case Stable0:
-		c.parity4[id] = uint8(c.p4.Generate(data))
-		if c.dirty[id] {
-			// Dirty data on a fault-free line: SECDED on demand.
-			entry := c.allocWB(set, way)
-			entry.check = c.secded.EncodeLine(data)
-			c.useDEC[id] = false
-		}
-	case Stable1:
-		c.parity4[id] = uint8(c.p4.Generate(data))
-		entry := c.allocWB(set, way)
-		if c.dirty[id] {
-			// Dirty data on a 1-fault line: upgrade to DECTED using the
-			// entry's 23 free bits.
-			entry.dected = c.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
-			c.useDEC[id] = true
-		} else {
-			entry.check = c.secded.EncodeLine(data)
-			entry.dected = bch.Check{}
-			c.useDEC[id] = false
-		}
-	default:
+	state := DFH(c.tags.Entry(set, way).Class)
+	if state == Disabled {
 		panic("killi: protect on disabled line")
 	}
+	var entry *eccEntry
+	if state != Stable0 || c.dirty[id] {
+		entry = c.allocWB(set, way)
+	}
+	// Dirty data on a fault-free line gets SECDED on demand; on a 1-fault
+	// line it is upgraded to DECTED in the entry's 23 free bits.
+	c.useDEC[id] = state == Stable1 && c.dirty[id]
+	code := bySECDED
+	if c.useDEC[id] {
+		code = byDECTED
+	}
+	c.encode(state, code, data, &c.parity4[id], entry)
 }
 
 // allocWB allocates an ECC entry, evicting a contending line (which, in
@@ -336,6 +307,7 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 		ve := c.tags.Entry(vSet, vWay)
 		if ve.Valid {
 			vID := c.tags.LineID(vSet, vWay)
+			c.tags.Invalidate(vSet, vWay)
 			if c.dirty[vID] {
 				// The victim loses its checkbits: it cannot stay dirty in
 				// the cache. Write it back now (§5.6.1's extra ECC-cache
@@ -348,10 +320,29 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 					c.ctr.IncC(cWBWritebacks)
 				}
 			}
-			c.tags.Invalidate(vSet, vWay)
 		}
 	}
 	return entry
+}
+
+// entry returns the ECC entry of a line that must hold one.
+func (c *WriteBackCache) entry(set, id int, state DFH) *eccEntry {
+	e, _, _, hit := c.ecc.lookup(set, id)
+	if !hit {
+		panic(fmt.Sprintf("killi: write-back %v line without ECC entry", state))
+	}
+	return e
+}
+
+// classify runs Table 2 on o, running the polarity test when the row
+// asks for it.
+func (c *WriteBackCache) classify(o observation, id int, data bitvec.Line) outcome {
+	out := c.pol.next(o)
+	if out.act == probe {
+		o.stuck = invertedFaultCount(c.data, id, data)
+		out = c.pol.next(o)
+	}
+	return out
 }
 
 // verify checks a line against its metadata, correcting data in place.
@@ -360,11 +351,7 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 func (c *WriteBackCache) verify(set, way, id int, data *bitvec.Line) (clean bool, err error) {
 	var entry *eccEntry
 	if state := DFH(c.tags.Entry(set, way).Class); state != Stable0 || c.dirty[id] {
-		got, _, _, hit := c.ecc.lookup(set, id)
-		if !hit {
-			panic(fmt.Sprintf("killi: write-back %v line without ECC entry", state))
-		}
-		entry = got
+		entry = c.entry(set, id, state)
 	}
 	return c.verifyWith(set, way, id, data, entry)
 }
@@ -372,167 +359,53 @@ func (c *WriteBackCache) verify(set, way, id int, data *bitvec.Line) (clean bool
 // verifyWith is verify with an explicit metadata entry, so departing lines
 // whose ECC slot was already reassigned can still be checked against a
 // copy of the dying entry. entry may be nil only for clean Stable0 lines.
+// The write policy: a trained dirty line keeps its code (DECTED on b'10),
+// a line retired with trustworthy data saves it, and untrustworthy dirty
+// data is reported lost.
 func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *eccEntry) (clean bool, err error) {
-	fail := func() (bool, error) {
-		c.setWBDFH(set, way, Disabled)
-		c.ecc.invalidate(set, id)
-		if c.dirty[id] {
-			c.ctr.IncC(cWBDataLoss)
-			return false, fmt.Errorf("%w: set %d way %d", ErrDataLoss, set, way)
-		}
-		return false, nil
-	}
-	switch DFH(c.tags.Entry(set, way).Class) {
-	case Initial:
-		stored16 := uint64(c.parity4[id]) | uint64(entry.parity12)<<4
-		_, segMis := c.p16.Check(*data, stored16)
-		syn, gErr := c.secded.SyndromeLine(*data, entry.check)
-		switch {
-		case segMis == 0 && syn == 0 && !gErr:
-			if c.cfg.InvertedTraining {
-				switch faults := invertedFaultCount(c.data, id, *data); {
-				case faults >= 2:
-					// ≥2 stuck cells hide behind data that passed parity
-					// and SECDED. Usually every fault is masked (data
-					// fine), but a zero-syndrome aliasing pattern is also
-					// possible, so a clean line is refetched rather than
-					// trusted. A dirty line has no other copy; it is
-					// saved and delivered (the documented residual risk).
-					c.setWBDFH(set, way, Disabled)
-					c.ecc.invalidate(set, id)
-					c.ctr.IncC(cWBInvertedMulti)
-					if c.dirty[id] {
-						e := c.tags.Entry(set, way)
-						c.backing[c.lineAddr(set, e.Tag)] = *data
-						c.dirty[id] = false
-						c.ctr.IncC(cWBWritebacks)
-						return true, nil
-					}
-					return false, nil
-				case faults == 1:
-					c.setWBDFH(set, way, Stable1)
-					c.parity4[id] = uint8(parity.Fold(stored16))
-					c.protect(set, way, id, *data)
-					c.ctr.IncC(cWBInvertedSingle)
-					return true, nil
-				}
-			}
-			c.setWBDFH(set, way, Stable0)
-			c.parity4[id] = uint8(parity.Fold(stored16))
-			if c.dirty[id] {
-				// Keep SECDED for the dirty data.
-				entry.check = c.secded.EncodeLine(*data)
-			} else {
-				c.ecc.invalidate(set, id)
-			}
-			return true, nil
-		case segMis == 1 && syn != 0 && gErr:
-			res := c.secded.DecodeLine(data, entry.check)
-			if res.Status != secded.CorrectedData && res.Status != secded.CorrectedCheck {
-				return fail()
-			}
-			if _, bad := c.p16.Check(*data, stored16); bad != 0 {
-				return fail()
-			}
-			if c.cfg.InvertedTraining {
-				if faults := invertedFaultCount(c.data, id, *data); faults >= 2 {
-					// More stuck cells hide behind the corrected data:
-					// retire the line; refetch if clean, save-and-deliver
-					// if dirty.
-					c.setWBDFH(set, way, Disabled)
-					c.ecc.invalidate(set, id)
-					c.ctr.IncC(cWBInvertedMulti)
-					if c.dirty[id] {
-						e := c.tags.Entry(set, way)
-						c.backing[c.lineAddr(set, e.Tag)] = *data
-						c.dirty[id] = false
-						c.ctr.IncC(cWBWritebacks)
-						return true, nil
-					}
-					return false, nil
-				}
-			}
-			c.ctr.IncC(cWBCorrectedReads)
-			c.setWBDFH(set, way, Stable1)
-			c.parity4[id] = uint8(parity.Fold(stored16))
-			if c.dirty[id] {
-				entry.dected = c.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
-				c.useDEC[id] = true
-			}
-			return true, nil
-		default:
-			return fail()
-		}
-	case Stable0:
-		if c.dirty[id] {
-			res := c.secded.DecodeLine(data, entry.check)
-			switch res.Status {
-			case secded.OK:
-				return true, nil
-			case secded.CorrectedData, secded.CorrectedCheck:
-				// Guard against ≥3-error aliases: corrected data must
-				// agree with the stored 4-bit parity.
-				if _, bad := c.p4.Check(*data, uint64(c.parity4[id])); bad != 0 {
-					return fail()
-				}
-				c.ctr.IncC(cWBCorrectedReads)
-				return true, nil
-			default:
-				return fail()
-			}
-		}
-		if _, mism := c.p4.Check(*data, uint64(c.parity4[id])); mism != 0 {
-			c.setWBDFH(set, way, Initial)
-			c.tags.Invalidate(set, way)
-			return false, nil
-		}
-		return true, nil
-	case Stable1:
-		if c.useDEC[id] {
-			d := *data
-			res := c.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), entry.dected)
-			switch res.Status {
-			case bch.OK:
-				return true, nil
-			case bch.Corrected:
-				*data = d
-				c.ctr.IncC(cWBCorrectedReads)
-				return true, nil
-			default:
-				return fail()
-			}
-		}
-		syn, gErr := c.secded.SyndromeLine(*data, entry.check)
-		if syn == 0 && !gErr {
-			return true, nil
-		}
-		if syn != 0 && gErr {
-			res := c.secded.DecodeLine(data, entry.check)
-			if res.Status == secded.CorrectedData || res.Status == secded.CorrectedCheck {
-				if _, bad := c.p4.Check(*data, uint64(c.parity4[id])); bad != 0 {
-					return fail()
-				}
-				c.ctr.IncC(cWBCorrectedReads)
-				return true, nil
-			}
-		}
-		return fail()
-	default:
+	o := observation{state: DFH(c.tags.Entry(set, way).Class), dirty: c.dirty[id], stuck: untested}
+	if o.state == Disabled {
 		panic("killi: verify on disabled line")
 	}
+	if o.state == Stable1 && c.useDEC[id] {
+		o.code = byDECTED
+	}
+	stored := c.observe(&o, data, c.parity4[id], entry, true)
+	out := c.classify(o, id, *data)
+	wb.count(&c.ctr, out.ev)
+	c.setWBDFH(set, way, out.next)
+	if o.state == Initial && (out.next == Stable0 || out.next == Stable1) {
+		c.parity4[id] = uint8(parity.Fold(stored))
+	}
+	switch out.act {
+	case deliver, deliverCorrected:
+		switch {
+		case o.state == Initial && out.next == Stable1 && c.tags.Entry(set, way).Valid:
+			c.protect(set, way, id, *data)
+		case o.state != Stable0 && out.next == Stable0 && !o.dirty:
+			c.ecc.invalidate(set, id)
+		}
+		return true, nil
+	case refetch:
+		c.tags.Invalidate(set, way)
+		return false, nil
+	}
+	c.ecc.invalidate(set, id)
+	switch {
+	case out.act == saveAndDeliver:
+		e := c.tags.Entry(set, way)
+		c.backing[c.lineAddr(set, e.Tag)] = *data
+		c.dirty[id] = false
+		c.ctr.IncC(cWBWritebacks)
+		return true, nil
+	case o.dirty:
+		c.ctr.IncC(cWBDataLoss)
+		return false, fmt.Errorf("%w: set %d way %d", ErrDataLoss, set, way)
+	}
+	return false, nil
 }
 
 // setWBDFH mirrors setDFH for the write-back variant.
 func (c *WriteBackCache) setWBDFH(set, way int, next DFH) {
-	e := c.tags.Entry(set, way)
-	prev := DFH(e.Class)
-	if prev != next {
-		c.ctr.IncC(cWBDFHTransition[prev][next])
-	}
-	e.Class = int(next)
-	if next == Disabled {
-		e.Disabled = true
-		e.Valid = false
-		c.ctr.IncC(cWBLinesDisabled)
-	}
+	wb.set(&c.ctr, c.tags.Entry(set, way), next)
 }

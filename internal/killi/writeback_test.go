@@ -161,6 +161,62 @@ func TestWriteBackCleanLineRefetches(t *testing.T) {
 	if got != data {
 		t.Fatal("refetched data wrong")
 	}
+	// Table 2: a multi-bit error discovered after training disables the
+	// line, as in the write-through design.
+	if c.DFHOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", c.DFHOf(0, 0))
+	}
+}
+
+// TestWriteBackSharedRows drives end to end the write-back rows that now
+// follow the shared classifier's write-through rows.
+func TestWriteBackSharedRows(t *testing.T) {
+	// trainedRead installs line 0 through a read miss, injects soft errors
+	// at bits, and reads it back.
+	trainedRead := func(c *WriteBackCache, data bitvec.Line, bits ...int) {
+		t.Helper()
+		c.backing[0] = data
+		if _, err := c.Read(0); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bits {
+			c.data.InjectSoftError(c.tags.LineID(0, 0), b)
+		}
+		if got, err := c.Read(0); err != nil || got != data {
+			t.Fatalf("read: %v, data ok %v", err, got == data)
+		}
+	}
+	t.Run("corrected transient trains b'00", func(t *testing.T) {
+		fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
+		c := NewWriteBack(WriteBackConfig{Sets: 4, Ways: 1, Ratio: 1, InvertedTraining: true}, fm, 0.625)
+		trainedRead(c, randomLine(xrand.New(9)), 77)
+		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 || c.Stats().Get("wb.corrected_reads") != 1 {
+			t.Fatalf("DFH %v, ECC occupancy %d, corrected reads %d; want b'00, 0, 1",
+				c.DFHOf(0, 0), c.ecc.occupancy(), c.Stats().Get("wb.corrected_reads"))
+		}
+	})
+	t.Run("miscorrection caught and counted", func(t *testing.T) {
+		c := newWB(t, 4, 1, [][]faultmodel.Fault{{stuck(0, 1), stuck(16, 1), stuck(5, 1)}}, 0.625)
+		trainedRead(c, bitvec.Line{})
+		if c.DFHOf(0, 0) != Disabled || c.Stats().Get("wb.miscorrection_caught") != 1 {
+			t.Fatalf("DFH %v, miscorrections %d; want b'11, 1", c.DFHOf(0, 0), c.Stats().Get("wb.miscorrection_caught"))
+		}
+	})
+	t.Run("b'10 line whose fault vanished trains b'00", func(t *testing.T) {
+		c := newWB(t, 4, 1, nil, 0.625)
+		data := randomLine(xrand.New(10))
+		trainedRead(c, data, 99)
+		if c.DFHOf(0, 0) != Stable1 {
+			t.Fatalf("setup: DFH %v, want b'10", c.DFHOf(0, 0))
+		}
+		c.data.Write(c.tags.LineID(0, 0), data) // the transient is overwritten
+		if got, err := c.Read(0); err != nil || got != data {
+			t.Fatalf("read: %v", err)
+		}
+		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 {
+			t.Fatalf("DFH %v, ECC occupancy %d; want b'00, 0", c.DFHOf(0, 0), c.ecc.occupancy())
+		}
+	})
 }
 
 func TestWriteBackDirtyVictimWrittenBackOnEviction(t *testing.T) {
@@ -307,7 +363,7 @@ func TestWriteBackCounterDigest(t *testing.T) {
 	for _, tc := range []struct {
 		inverted bool
 		want     uint64
-	}{{true, 0x3fce94bf28db910d}, {false, 0xcdda120ccfe6af44}} {
+	}{{true, 0xd748e4aff531aac5}, {false, 0xa25446b2602a3e2}} {
 		t.Run(fmt.Sprintf("inverted=%v", tc.inverted), func(t *testing.T) {
 			const sets, ways = 256, 4
 			fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
