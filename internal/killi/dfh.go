@@ -356,12 +356,12 @@ func (m *codecs) observe(o *observation, data *bitvec.Line, parity4 uint8, entry
 	}
 	switch o.code {
 	case byOLSC:
-		o.verdict = m.olscVerdict(data, entry.olscCheck, decode)
+		o.verdict = m.verdictOLSC(data, entry.olscCheck, decode)
 	case byDECTED:
-		o.verdict = m.dectedVerdict(data, entry.dected)
+		o.verdict = m.verdictDECTED(data, entry.dected)
 		return stored
 	default:
-		o.verdict = m.secdedVerdict(data, entry.check, decode)
+		o.verdict = m.verdictSECDED(data, entry.check, decode)
 	}
 	if o.verdict == corrected && decode {
 		_, bad := ps.Check(*data, stored)
@@ -370,9 +370,9 @@ func (m *codecs) observe(o *observation, data *bitvec.Line, parity4 uint8, entry
 	return stored
 }
 
-// secdedVerdict reads the syndrome and global parity; without decode the
+// verdictSECDED reads the syndrome and global parity; without decode the
 // single-error signature alone counts as corrected.
-func (m *codecs) secdedVerdict(data *bitvec.Line, check secded.Check, decode bool) verdict {
+func (m *codecs) verdictSECDED(data *bitvec.Line, check secded.Check, decode bool) verdict {
 	syn, gErr := m.secded.SyndromeLine(*data, check)
 	switch {
 	case syn == 0 && !gErr:
@@ -390,7 +390,7 @@ func (m *codecs) secdedVerdict(data *bitvec.Line, check secded.Check, decode boo
 	return uncorrectable
 }
 
-func (m *codecs) olscVerdict(data *bitvec.Line, check *bitvec.Vector, decode bool) verdict {
+func (m *codecs) verdictOLSC(data *bitvec.Line, check *bitvec.Vector, decode bool) verdict {
 	d := *data
 	switch m.olsc.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
 	case olsc.OK:
@@ -404,7 +404,7 @@ func (m *codecs) olscVerdict(data *bitvec.Line, check *bitvec.Vector, decode boo
 	return uncorrectable
 }
 
-func (m *codecs) dectedVerdict(data *bitvec.Line, check bch.Check) verdict {
+func (m *codecs) verdictDECTED(data *bitvec.Line, check bch.Check) verdict {
 	d := *data
 	switch m.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
 	case bch.OK:
