@@ -98,12 +98,26 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "killi-sim: unknown figure %d (want 4, 5, or 45)\n", *fig)
 		return 2
 	}
-	if _, err := faultmodel.ParseClassSpec(*classes); err != nil {
-		fmt.Fprintf(os.Stderr, "killi-sim: -classes: %v\n", err)
-		return 2
-	}
 	if *scrubKernels != 0 && !*misclass {
 		fmt.Fprintln(os.Stderr, "killi-sim: -scrub-kernels applies only to -misclass runs")
+		return 2
+	}
+	// Every mode's run inputs pass the one normalization its runs use; the
+	// explicit voltage must pass the voltage rule even where 0 would mean
+	// the default.
+	cfg := experiments.Config{Voltage: *voltage, RequestsPerCU: *requests, Seed: *seed,
+		Workloads: experiments.SplitList(*workloads), WarmupKernels: *warmup, Shards: *shards,
+		FaultClasses: *classes, ScrubKernels: *scrubKernels}
+	observed := *timeseries != "" || *traceEvents != ""
+	if observed && !*misclass {
+		cfg.Workloads = []string{*obsWorkload}
+	}
+	err := faultmodel.CheckVoltage(*voltage)
+	if err == nil {
+		_, err = cfg.Normalized()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
 		return 2
 	}
 
@@ -113,8 +127,7 @@ func run() int {
 	defer stop()
 
 	if *misclass {
-		err := misclassRun(ctx, *workloads, *obsScheme, *classes,
-			*voltage, *requests, *seed, *warmup, *scrubKernels, *shards)
+		err := misclassRun(ctx, cfg, *obsScheme)
 		switch {
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
@@ -126,9 +139,10 @@ func run() int {
 		return 0
 	}
 
-	if *timeseries != "" || *traceEvents != "" {
-		err := observedRun(ctx, *timeseries, *traceEvents, *obsWorkload, *obsScheme,
-			*voltage, *requests, *seed, *warmup, *epoch, *shards)
+	if observed {
+		// The observed run measures the persistent population.
+		cfg.FaultClasses = ""
+		err := observedRun(ctx, *timeseries, *traceEvents, cfg, *obsWorkload, *obsScheme, *epoch)
 		switch {
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
@@ -220,27 +234,18 @@ func run() int {
 	return 0
 }
 
-// misclassRun runs the DFH misclassification measurement for each named
-// workload (default xsbench) against the given scheme and prints the
+// misclassRun runs the DFH misclassification measurement for each of
+// cfg's workloads (default xsbench) against the given scheme and prints the
 // ground-truth comparison table. Runs are never cached: the measurement
 // needs live counters.
-func misclassRun(ctx context.Context, workloadsCSV, schemeName, classes string,
-	voltage float64, requests int, seed uint64, warmup, scrub, shards int) error {
-	names := experiments.SplitList(workloadsCSV)
+func misclassRun(ctx context.Context, cfg experiments.Config, schemeName string) error {
+	names := cfg.Workloads
 	if len(names) == 0 {
 		names = []string{"xsbench"}
 	}
-	cfg := experiments.Config{
-		RequestsPerCU: requests,
-		Seed:          seed,
-		WarmupKernels: warmup,
-		Shards:        shards,
-		FaultClasses:  classes,
-		ScrubKernels:  scrub,
-	}
 	var rows []experiments.MisclassRow
 	for _, w := range names {
-		row, err := experiments.RunMisclass(ctx, cfg, w, schemeName, voltage)
+		row, err := experiments.RunMisclass(ctx, cfg, w, schemeName, cfg.Voltage)
 		if err != nil {
 			return err
 		}
@@ -253,22 +258,14 @@ func misclassRun(ctx context.Context, workloadsCSV, schemeName, classes string,
 // attached and writes the requested exports, then prints the run summary —
 // including its own wall-clock, so the observation overhead claim is
 // measured rather than asserted — and the DFH training curve.
-func observedRun(ctx context.Context, tsPath, tePath, workloadName, schemeName string,
-	voltage float64, requests int, seed uint64, warmup int, epoch uint64, shards int) error {
+func observedRun(ctx context.Context, tsPath, tePath string, cfg experiments.Config, workloadName, schemeName string, epoch uint64) error {
 	newScheme, err := experiments.SchemeFactoryByName(schemeName)
 	if err != nil {
 		return err
 	}
 	col := obs.NewCollector()
-	cfg := experiments.Config{
-		Voltage:       voltage,
-		RequestsPerCU: requests,
-		Seed:          seed,
-		WarmupKernels: warmup,
-		Shards:        shards,
-	}
 	start := time.Now()
-	res, err := experiments.RunOneObserved(ctx, cfg, workloadName, newScheme, voltage, col, epoch)
+	res, err := experiments.RunOneObserved(ctx, cfg, workloadName, newScheme, cfg.Voltage, col, epoch)
 	wall := time.Since(start)
 	if err != nil {
 		return err
@@ -298,7 +295,7 @@ func observedRun(ctx context.Context, tsPath, tePath, workloadName, schemeName s
 		fmt.Printf("wrote trace_event JSON to %s (open at https://ui.perfetto.dev)\n", tePath)
 	}
 	fmt.Printf("\n%s × %s @ %.3fxVDD, %d requests/CU, %d warmup kernels, epoch %d cycles, %d shards\n",
-		workloadName, schemeName, voltage, requests, warmup, epoch, shards)
+		workloadName, schemeName, cfg.Voltage, cfg.RequestsPerCU, cfg.WarmupKernels, epoch, cfg.Shards)
 	fmt.Printf("cycles %d, instructions %d, L2 MPKI %.2f, disabled lines %d\n",
 		res.Cycles, res.Instructions, res.MPKI(), res.DisabledLines)
 	fmt.Printf("observed run wall-clock: %.3fs\n", wall.Seconds())

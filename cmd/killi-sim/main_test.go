@@ -86,6 +86,7 @@ func TestFlagValidation(t *testing.T) {
 		t.Skip("builds a real binary; skipped in -short")
 	}
 	bin := buildSim(t)
+	ts := filepath.Join(t.TempDir(), "ts.jsonl")
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -95,6 +96,13 @@ func TestFlagValidation(t *testing.T) {
 		{"zero parallel", []string{"-parallel", "0"}},
 		{"oversubscribed", []string{"-parallel", "64", "-shards", "64"}},
 		{"unknown figure", []string{"-fig", "6"}},
+		// Every mode's run inputs pass one normalization.
+		{"negative warmup", []string{"-warmup", "-1"}},
+		{"negative warmup misclass", []string{"-misclass", "-warmup", "-1"}},
+		{"negative warmup timeseries", []string{"-timeseries", ts, "-warmup", "-1"}},
+		{"nan voltage", []string{"-voltage", "nan"}},
+		{"nan voltage misclass", []string{"-misclass", "-voltage", "nan"}},
+		{"nan voltage timeseries", []string{"-timeseries", ts, "-voltage", "nan"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

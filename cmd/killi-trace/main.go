@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"killi/internal/experiments"
+	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/tracefile"
 	"killi/internal/workload"
@@ -43,6 +44,9 @@ func main() {
 	}
 	if *file == "" {
 		fatal(fmt.Errorf("-file is required (or use -dump)"))
+	}
+	if err := faultmodel.CheckVoltage(*voltage); err != nil {
+		fatal(err)
 	}
 
 	f, err := os.Open(*file)

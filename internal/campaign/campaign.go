@@ -219,8 +219,8 @@ func (c Config) Normalized() (Config, error) {
 	c.Voltages = append([]float64(nil), c.Voltages...)
 	sort.Float64s(c.Voltages)
 	for i, v := range c.Voltages {
-		if !(v > 0 && v <= 2) {
-			return c, fmt.Errorf("campaign: voltage %.3f is outside the plausible (0, 2] x VDD range", v)
+		if err := faultmodel.CheckVoltage(v); err != nil {
+			return c, fmt.Errorf("campaign: %w", err)
 		}
 		if i > 0 && v == c.Voltages[i-1] {
 			return c, fmt.Errorf("campaign: duplicate grid voltage %.3f", v)

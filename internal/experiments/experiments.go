@@ -16,6 +16,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -235,7 +236,17 @@ type Config struct {
 	Progress func(done, total int)
 }
 
-func (c Config) withDefaults() Config {
+// Normalized returns the config with every default made explicit — voltage
+// 0.625, 4,000 requests per CU, seed 1, the full workload catalog, and
+// pool.Budget's worker and shard counts — and its class spec in canonical
+// form ("" for persistent), or a one-line validation error: a voltage that
+// fails faultmodel.CheckVoltage, a negative trace length, warmup or scrub
+// count, a class spec that does not parse, or an unknown workload.
+// Normalizing twice equals normalizing once. It is the sweep and single-run
+// twin of campaign.Config.Normalized: Run and every single-run entry point
+// call it, and simserver normalizes run and sweep jobs through it, so a job
+// and a direct call with the same inputs mean the same simulation.
+func (c Config) Normalized() (Config, error) {
 	if c.Voltage == 0 {
 		c.Voltage = 0.625
 	}
@@ -245,13 +256,38 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if err := faultmodel.CheckVoltage(c.Voltage); err != nil {
+		return c, err
+	}
+	switch {
+	case c.RequestsPerCU < 0:
+		return c, fmt.Errorf("requests per CU must be positive, got %d", c.RequestsPerCU)
+	case c.WarmupKernels < 0:
+		return c, fmt.Errorf("warmup kernels must be >= 0, got %d", c.WarmupKernels)
+	case c.ScrubKernels < 0:
+		return c, fmt.Errorf("scrub kernels must be >= 0, got %d", c.ScrubKernels)
+	}
+	spec, err := faultmodel.ParseClassSpec(c.FaultClasses)
+	if err != nil {
+		return c, err
+	}
+	c.FaultClasses = ""
+	if !spec.IsZero() {
+		c.FaultClasses = spec.String()
+	}
+	catalog := workload.Catalog()
 	if len(c.Workloads) == 0 {
-		for _, w := range workload.Catalog() {
+		for _, w := range catalog {
 			c.Workloads = append(c.Workloads, w.Name)
 		}
 	}
+	for _, name := range c.Workloads {
+		if !slices.ContainsFunc(catalog, func(w workload.Workload) bool { return w.Name == name }) {
+			return c, fmt.Errorf("unknown workload %q", name)
+		}
+	}
 	c.Parallelism, c.Shards = pool.Budget(c.Parallelism, c.Shards)
-	return c
+	return c, nil
 }
 
 func (c Config) baseGPU() gpu.Config {
@@ -449,12 +485,12 @@ func Cached(store *simcache.Store, key func() string, sim func() (gpu.Result, er
 // "put-*" temp files, and returns ctx.Err() — an interrupted sweep leaves
 // no partial state behind (pinned by TestRunCancellation).
 func Run(ctx context.Context, cfg Config) ([]Row, error) {
-	cfg = cfg.withDefaults()
-	base := cfg.baseGPU()
-	classes, err := faultmodel.ParseClassSpec(cfg.FaultClasses)
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
+	base := cfg.baseGPU()
+	classes, _ := faultmodel.ParseClassSpec(cfg.FaultClasses) // Normalized parsed it
 
 	// Resolve workloads and generate every kernel's traces up front, so
 	// unknown names fail before any simulation runs and the (read-only)
@@ -561,15 +597,26 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// prepare resolves one single run's inputs on a defaulted cfg: the
-// workload lookup, the machine at voltage with its class spec, and a
-// builder for the workload's kernel traces — deferred, so a cache hit
-// never pays for a trace build. The class rule differs by caller and is
-// pinned by TestNominalClassSpecRule: the RunOne family drops
-// cfg.FaultClasses at exactly 1.0, since a nominal run is the sweep's
-// fault-free baseline machine; RunMisclass sets classesAtNominal to apply
-// the spec at every voltage, since its row measures the mix itself.
-func (cfg Config) prepare(workloadName string, voltage float64, classesAtNominal bool) (gpu.Config, func() *workload.TraceSet, error) {
+// prepare is the prologue every single-run entry point shares. It checks
+// the explicit voltage with faultmodel.CheckVoltage — 0 is an error here,
+// not the default it is in cfg.Voltage — normalizes cfg in place for one run
+// of workloadName at that voltage, and resolves the run's inputs: the
+// machine at voltage with its class spec, and a builder for the workload's
+// kernel traces — deferred, so a cache hit never pays for a trace build.
+// The class rule differs by caller and is pinned by
+// TestNominalClassSpecRule: the RunOne family drops cfg.FaultClasses at
+// exactly 1.0, since a nominal run is the sweep's fault-free baseline
+// machine; RunMisclass sets classesAtNominal to apply the spec at every
+// voltage, since its row measures the mix itself.
+func (cfg *Config) prepare(workloadName string, voltage float64, classesAtNominal bool) (gpu.Config, func() *workload.TraceSet, error) {
+	if err := faultmodel.CheckVoltage(voltage); err != nil {
+		return gpu.Config{}, nil, err
+	}
+	cfg.Voltage, cfg.Workloads = voltage, []string{workloadName}
+	var err error
+	if *cfg, err = cfg.Normalized(); err != nil {
+		return gpu.Config{}, nil, err
+	}
 	w, err := workload.ByName(workloadName)
 	if err != nil {
 		return gpu.Config{}, nil, err
@@ -577,14 +624,10 @@ func (cfg Config) prepare(workloadName string, voltage float64, classesAtNominal
 	g := cfg.baseGPU()
 	g.Voltage = voltage
 	if voltage != 1.0 || classesAtNominal {
-		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
-			return gpu.Config{}, nil, err
-		}
+		g.Classes, _ = faultmodel.ParseClassSpec(cfg.FaultClasses) // Normalized parsed it
 	}
-	traces := func() *workload.TraceSet {
-		return w.TraceSet(g.CUs, cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels))
-	}
-	return g, traces, nil
+	requests, seeds := cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels)
+	return g, func() *workload.TraceSet { return w.TraceSet(g.CUs, requests, seeds) }, nil
 }
 
 // RunOne runs a single workload × scheme pair at the given voltage and
@@ -622,7 +665,6 @@ func RunShared(ctx context.Context, g gpu.Config, newScheme protection.Factory, 
 // the fast path behind killi-simd's warm (cache-hit) requests. Cached
 // results carry no debug Counters, exactly as in Run.
 func RunOneNamed(ctx context.Context, cfg Config, workloadName, schemeName string, voltage float64) (gpu.Result, error) {
-	cfg = cfg.withDefaults()
 	newScheme, err := SchemeFactoryByName(schemeName)
 	if err != nil {
 		return gpu.Result{}, err
@@ -654,7 +696,6 @@ func RunOneNamed(ctx context.Context, cfg Config, workloadName, schemeName strin
 // to the unobserved RunOne — sampling only reads state — so the returned
 // Result matches RunOne exactly (pinned by TestGoldenCounterDigestObserved).
 func RunOneObserved(ctx context.Context, cfg Config, workloadName string, newScheme protection.Factory, voltage float64, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
-	cfg = cfg.withDefaults()
 	g, traces, err := cfg.prepare(workloadName, voltage, false)
 	if err != nil {
 		return gpu.Result{}, err

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"context"
+	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"killi/internal/gpu"
+	"killi/internal/obs"
 	"killi/internal/protection"
 )
 
@@ -79,7 +83,10 @@ func TestRunUnknownWorkloadErrors(t *testing.T) {
 }
 
 func TestDefaultsFillIn(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg, err := Config{}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Voltage != 0.625 || cfg.RequestsPerCU == 0 || cfg.Seed == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -214,5 +221,106 @@ func TestSchemeByNameOLSC(t *testing.T) {
 	s, err := SchemeByName("killi-olsc11-1:2")
 	if err != nil || s.Name() != "killi-olsc11-1:2" {
 		t.Fatalf("olsc scheme: %v / %v", s, err)
+	}
+}
+
+// probeCtx records whether anything consulted it. Every simulation polls
+// its context before each kernel and the sweep's pool before dispatching,
+// so an untouched probe means nothing was simulated.
+type probeCtx struct {
+	context.Context
+	used atomic.Bool
+}
+
+func (c *probeCtx) Err() error {
+	c.used.Store(true)
+	return c.Context.Err()
+}
+
+func (c *probeCtx) Done() <-chan struct{} {
+	c.used.Store(true)
+	return c.Context.Done()
+}
+
+// TestEntryPointsRejectBadInput pins that every entry point normalizes its
+// inputs through Config.Normalized before simulating: a voltage outside
+// (0, 2] x VDD (NaN included), or a negative trace length, warmup or scrub
+// count, is an error and simulates nothing. A single run's explicit voltage
+// of 0 is an error too; only Run reads its voltage from Config, where 0 is
+// the documented default, so Run has no 0 case.
+func TestEntryPointsRejectBadInput(t *testing.T) {
+	newScheme, err := SchemeFactoryByName("killi-1:64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(ctx context.Context, cfg Config, v float64) error
+	}{
+		{"Run", func(ctx context.Context, cfg Config, v float64) error {
+			cfg.Voltage = v
+			_, err := Run(ctx, cfg)
+			return err
+		}},
+		{"RunOne", func(ctx context.Context, cfg Config, v float64) error {
+			_, err := RunOne(ctx, cfg, "xsbench", newScheme, v)
+			return err
+		}},
+		{"RunOneNamed", func(ctx context.Context, cfg Config, v float64) error {
+			_, err := RunOneNamed(ctx, cfg, "xsbench", "killi-1:64", v)
+			return err
+		}},
+		{"RunOneObserved", func(ctx context.Context, cfg Config, v float64) error {
+			_, err := RunOneObserved(ctx, cfg, "xsbench", newScheme, v, obs.NewCollector(), 0)
+			return err
+		}},
+		{"RunMisclass", func(ctx context.Context, cfg Config, v float64) error {
+			_, err := RunMisclass(ctx, cfg, "xsbench", "killi-1:64", v)
+			return err
+		}},
+	}
+	cases := []struct {
+		name    string
+		voltage float64
+		edit    func(*Config)
+	}{
+		{"voltage NaN", math.NaN(), nil},
+		{"voltage 0", 0, nil},
+		{"voltage -0.5", -0.5, nil},
+		{"voltage 2.5", 2.5, nil},
+		{"warmup -1", 0.625, func(c *Config) { c.WarmupKernels = -1 }},
+		{"requests -1", 0.625, func(c *Config) { c.RequestsPerCU = -1 }},
+		{"scrub -1", 0.625, func(c *Config) { c.ScrubKernels = -1 }},
+	}
+	base := func(t *testing.T) Config {
+		return Config{RequestsPerCU: 50, Seed: 1, GPU: smallGPU(), Workloads: []string{"xsbench"}, CacheDir: t.TempDir()}
+	}
+	for _, e := range entries {
+		// The control: valid input simulates, and the probe sees it.
+		ctx := &probeCtx{Context: context.Background()}
+		if err := e.run(ctx, base(t), 0.625); err != nil || !ctx.used.Load() {
+			t.Fatalf("%s on valid input: err %v, context consulted %v", e.name, err, ctx.used.Load())
+		}
+		for _, tc := range cases {
+			if e.name == "Run" && tc.voltage == 0 {
+				continue
+			}
+			t.Run(e.name+"/"+tc.name, func(t *testing.T) {
+				cfg := base(t)
+				if tc.edit != nil {
+					tc.edit(&cfg)
+				}
+				ctx := &probeCtx{Context: context.Background()}
+				err := e.run(ctx, cfg, tc.voltage)
+				if err == nil {
+					t.Error("no error")
+				} else if strings.Contains(err.Error(), "\n") {
+					t.Errorf("multi-line error %q", err)
+				}
+				if ctx.used.Load() {
+					t.Error("simulated before rejecting its input")
+				}
+			})
+		}
 	}
 }

@@ -58,7 +58,6 @@ func (r MisclassRow) FalseTrustRate() float64 {
 // expose DFH codes (killi variants do; baselines return an error). The
 // result cache is never consulted: the row needs live counters.
 func RunMisclass(ctx context.Context, cfg Config, workloadName, schemeName string, voltage float64) (MisclassRow, error) {
-	cfg = cfg.withDefaults()
 	newScheme, err := SchemeFactoryByName(schemeName)
 	if err != nil {
 		return MisclassRow{}, err

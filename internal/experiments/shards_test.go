@@ -34,16 +34,16 @@ func TestSweepRowsShardInvariant(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsBudgetsWorkersAgainstShards pins the Parallelism<0
+// TestNormalizedBudgetsWorkersAgainstShards pins the Parallelism<0
 // budget: the auto worker count divides GOMAXPROCS by the shard count so
 // shards x workers stays at the machine size.
-func TestWithDefaultsBudgetsWorkersAgainstShards(t *testing.T) {
-	c := Config{Parallelism: -1, Shards: 1 << 30}.withDefaults()
-	if c.Parallelism != 1 {
-		t.Fatalf("Parallelism = %d with huge shard count, want 1", c.Parallelism)
+func TestNormalizedBudgetsWorkersAgainstShards(t *testing.T) {
+	c, err := Config{Parallelism: -1, Shards: 1 << 30}.Normalized()
+	if err != nil || c.Parallelism != 1 {
+		t.Fatalf("Parallelism = %d (err %v) with huge shard count, want 1", c.Parallelism, err)
 	}
-	c = Config{}.withDefaults()
-	if c.Shards != 1 || c.Parallelism != 1 {
-		t.Fatalf("zero config defaults: shards %d parallelism %d, want 1/1", c.Shards, c.Parallelism)
+	c, err = Config{}.Normalized()
+	if err != nil || c.Shards != 1 || c.Parallelism != 1 {
+		t.Fatalf("zero config defaults: shards %d parallelism %d (err %v), want 1/1", c.Shards, c.Parallelism, err)
 	}
 }

@@ -111,6 +111,17 @@ type Model struct {
 // Default returns the calibrated default model.
 func Default() Model { return Model{FreqSlope: 1.2, WriteShare: 0.6} }
 
+// CheckVoltage rejects a normalized supply voltage outside the plausible
+// (0, 2] x VDD range the model is evaluated on, NaN included (interpolating
+// at NaN indexes past the calibration knots). It is the one home of the
+// rule: every entry point that accepts a voltage calls it.
+func CheckVoltage(vNorm float64) error {
+	if !(vNorm > 0 && vNorm <= 2) {
+		return fmt.Errorf("voltage %g is outside the plausible (0, 2] x VDD range", vNorm)
+	}
+	return nil
+}
+
 func (m Model) freqSlope() float64 {
 	if m.FreqSlope == 0 {
 		return 1.2

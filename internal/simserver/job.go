@@ -20,10 +20,8 @@ import (
 
 	"killi/internal/campaign"
 	"killi/internal/experiments"
-	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/simcache"
-	"killi/internal/workload"
 )
 
 // Job kinds.
@@ -109,95 +107,72 @@ func (r JobRequest) campaignConfig() campaign.Config {
 
 // normalized returns the request with every default made explicit, or a
 // one-line validation error. maxProcs parameterizes the oversubscription
-// check exactly as experiments.ValidateFlags.
+// check exactly as experiments.ValidateFlags. Beyond the kind's field
+// checks, the execution budget and the epoch default, it delegates: a run
+// or sweep normalizes through experiments.Config.Normalized, a campaign
+// through campaign.Config.Normalized, and their canonical values are copied
+// back so identical jobs written differently share one key.
 func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) {
 	switch r.Kind {
-	case KindSweep, KindRun:
-	case KindCampaign:
-		return r.normalizedCampaign(defaultShards, maxProcs)
+	case KindSweep, KindRun, KindCampaign:
 	case "":
 		return r, fmt.Errorf(`job kind is required ("%s", "%s", or "%s")`, KindSweep, KindRun, KindCampaign)
 	default:
 		return r, fmt.Errorf("unknown job kind %q (want %q, %q, or %q)", r.Kind, KindSweep, KindRun, KindCampaign)
 	}
-	if r.Dies != 0 || len(r.Voltages) != 0 || len(r.Schemes) != 0 || r.PassThreshold != 0 {
-		return r, fmt.Errorf(`"dies"/"voltages"/"schemes"/"pass_threshold" are campaign fields`)
-	}
-	if r.Voltage == 0 {
-		r.Voltage = 0.625
-	}
-	if r.Voltage < 0 || r.Voltage > 2 {
-		return r, fmt.Errorf("voltage %.3f is outside the plausible (0, 2] x VDD range", r.Voltage)
-	}
-	if r.RequestsPerCU == 0 {
-		r.RequestsPerCU = 4000
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.WarmupKernels < 0 {
-		return r, fmt.Errorf("warmup_kernels must be >= 0, got %d", r.WarmupKernels)
-	}
-	if err := r.budget(defaultShards, maxProcs, r.RequestsPerCU); err != nil {
+	// Each kind's own normalization defaults and checks its trace length.
+	if err := r.budget(defaultShards, maxProcs, max(r.RequestsPerCU, 1)); err != nil {
 		return r, err
 	}
-	if r.EpochCycles == 0 {
-		r.EpochCycles = gpu.DefaultEpochCycles
+	if r.Kind == KindCampaign {
+		return r.normalizedCampaign()
+	}
+	if r.Dies != 0 || len(r.Voltages) != 0 || len(r.Schemes) != 0 || r.PassThreshold != 0 {
+		return r, fmt.Errorf(`"dies"/"voltages"/"schemes"/"pass_threshold" are campaign fields`)
 	}
 	if len(r.FaultClasses) > 1 {
 		return r, fmt.Errorf(`a %s job takes at most one "fault_classes" spec (the list is a campaign axis)`, r.Kind)
 	}
-	if len(r.FaultClasses) == 1 {
-		spec, err := faultmodel.ParseClassSpec(r.FaultClasses[0])
-		if err != nil {
-			return r, err
-		}
-		if spec.IsZero() {
-			r.FaultClasses = nil // the default population; coalesce with absent
-		} else {
-			r.FaultClasses = []string{spec.String()}
-		}
-	}
-	switch r.Kind {
-	case KindRun:
+	cfg := r.config("")
+	if r.Kind == KindRun {
 		if len(r.Workloads) != 0 {
 			return r, fmt.Errorf(`"workloads" is a sweep field; a run job takes "workload"`)
 		}
 		if r.Workload == "" || r.Scheme == "" {
 			return r, fmt.Errorf(`a run job needs "workload" and "scheme"`)
 		}
-		if _, err := workload.ByName(r.Workload); err != nil {
-			return r, err
-		}
 		if _, err := experiments.SchemeByName(r.Scheme); err != nil {
 			return r, err
 		}
-	case KindSweep:
-		if r.Workload != "" || r.Scheme != "" {
-			return r, fmt.Errorf(`"workload"/"scheme" are run fields; a sweep job takes "workloads"`)
-		}
-		if len(r.Workloads) == 0 {
-			for _, w := range workload.Catalog() {
-				r.Workloads = append(r.Workloads, w.Name)
-			}
-		}
-		for _, name := range r.Workloads {
-			if _, err := workload.ByName(name); err != nil {
-				return r, err
-			}
-		}
+		// The pair's workload is the run's one workload: normalization
+		// looks it up, and the sweep's catalog list is never built.
+		cfg.Workloads = []string{r.Workload}
+	} else if r.Workload != "" || r.Scheme != "" {
+		return r, fmt.Errorf(`"workload"/"scheme" are run fields; a sweep job takes "workloads"`)
+	}
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return r, err
+	}
+	r.Voltage, r.RequestsPerCU, r.Seed = cfg.Voltage, cfg.RequestsPerCU, cfg.Seed
+	r.FaultClasses = nil // the default population; coalesce with absent
+	if cfg.FaultClasses != "" {
+		r.FaultClasses = []string{cfg.FaultClasses}
+	}
+	if r.Kind == KindSweep {
+		r.Workloads = cfg.Workloads
+	}
+	if r.EpochCycles == 0 {
+		r.EpochCycles = gpu.DefaultEpochCycles
 	}
 	return r, nil
 }
 
-// normalizedCampaign is the campaign arm of normalized:
-// campaign.Config.Normalized does the defaulting and validation, and its
-// canonical values (sorted grid, explicit defaults) are copied back so
-// identical campaigns written differently share one key. Campaign defaults
+// normalizedCampaign is the campaign arm of normalized. Campaign defaults
 // deliberately differ from run/sweep where the statistics say they should —
 // 2000 requests per CU, not 4000: a campaign buys power from die count, not
 // trace length.
-func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest, error) {
+func (r JobRequest) normalizedCampaign() (JobRequest, error) {
 	if r.Workload != "" || r.Scheme != "" {
 		return r, fmt.Errorf(`"workload"/"scheme" are run fields; a campaign takes "workloads" and "schemes"`)
 	}
@@ -206,10 +181,6 @@ func (r JobRequest) normalizedCampaign(defaultShards, maxProcs int) (JobRequest,
 	}
 	if r.EpochCycles != 0 {
 		return r, fmt.Errorf(`"epoch_cycles" is an observe field; campaigns stream progress, not epochs`)
-	}
-	// A campaign's own normalization defaults and checks its trace length.
-	if err := r.budget(defaultShards, maxProcs, max(r.RequestsPerCU, 1)); err != nil {
-		return r, err
 	}
 	cc, err := r.campaignConfig().Normalized()
 	if err != nil {

@@ -1,6 +1,15 @@
 package simserver
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/url"
+	"reflect"
+	"testing"
+
+	"killi/internal/faultmodel"
+)
 
 // TestJobKeyGolden pins the content address of normalized requests of every
 // kind, as literal hex: a refactor of the normalization path must leave the
@@ -41,4 +50,55 @@ func TestJobKeyGolden(t *testing.T) {
 			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// FuzzJobNormalize drives the daemon's request boundary with arbitrary
+// input: a POST /v1/jobs body decoded as handleJob decodes it, and a query
+// string parsed as /v1/observe and /v1/campaign parse theirs (only a query
+// can carry a NaN). Normalization never panics; a request that normalizes
+// re-normalizes to itself with the same key; and every normalized run or
+// sweep voltage and every campaign grid point passes the voltage rule.
+func FuzzJobNormalize(f *testing.F) {
+	f.Add([]byte(`{"kind":"run","workload":"xsbench","scheme":"killi-1:64"}`), "workload=xsbench&scheme=killi-1:64&voltage=NaN")
+	f.Add([]byte(`{"kind":"sweep","workloads":["fft"],"fault_classes":[" mixed:t=1e-6"]}`), "dies=3&voltages=0.6,nan&requests=10")
+	f.Add([]byte(`{"kind":"campaign","dies":2,"voltages":[0.7,0.6],"fault_classes":["persistent"]}`), "dies=2&voltages=0.7,0.6&threshold=1.2")
+	f.Add([]byte(`{"kind":"run","workload":"fft","scheme":"msecc","voltage":2.5,"warmup_kernels":-1}`), "workload=fft&scheme=msecc&voltage=-0&warmup=3&epoch=5")
+	f.Fuzz(func(t *testing.T, body []byte, query string) {
+		var reqs []JobRequest
+		var req JobRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) == nil {
+			reqs = append(reqs, req)
+		}
+		hr := &http.Request{URL: &url.URL{RawQuery: query}}
+		if req, err := observeRequest(hr); err == nil {
+			reqs = append(reqs, req)
+		}
+		if req, err := campaignRequest(hr); err == nil {
+			reqs = append(reqs, req)
+		}
+		for _, req := range reqs {
+			norm, err := req.normalized(2, 4)
+			if err != nil {
+				continue
+			}
+			again, err := norm.normalized(2, 4)
+			if err != nil {
+				t.Fatalf("%+v normalizes to %+v, which fails to re-normalize: %v", req, norm, err)
+			}
+			if !reflect.DeepEqual(again, norm) || again.key() != norm.key() {
+				t.Fatalf("normalizing %+v twice gives %+v, once %+v", req, again, norm)
+			}
+			volts := norm.Voltages
+			if norm.Kind != KindCampaign {
+				volts = []float64{norm.Voltage}
+			}
+			for _, v := range volts {
+				if err := faultmodel.CheckVoltage(v); err != nil {
+					t.Fatalf("%+v normalizes to %+v: %v", req, norm, err)
+				}
+			}
+		}
+	})
 }

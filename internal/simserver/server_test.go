@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -111,6 +112,8 @@ func TestSubmitValidation(t *testing.T) {
 		"negative requests":   {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", RequestsPerCU: -1},
 		"negative warmup":     {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", WarmupKernels: -1},
 		"silly voltage":       {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Voltage: 9},
+		"NaN voltage":         {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Voltage: math.NaN()},
+		"NaN sweep voltage":   {Kind: KindSweep, Workloads: []string{"fft"}, Voltage: math.NaN()},
 		"bad shards":          {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Shards: -2},
 	} {
 		_, err := s.Submit(ctx, req)
@@ -507,14 +510,30 @@ func TestObserveStream(t *testing.T) {
 		t.Fatalf("stream ended with result=%d done=%d, want 1/1", events["result"], events["done"])
 	}
 
-	// Bad params are a plain 400, not a broken stream.
-	resp2, err := http.Get(ts.URL + "/v1/observe?workload=nope&scheme=killi-1:64")
+	// Bad params are a plain 400, not a broken stream — and never reach a
+	// worker: a NaN voltage once panicked one inside the fault model and
+	// took the daemon down, so the same server must still answer after.
+	for _, query := range []string{
+		"workload=nope&scheme=killi-1:64",
+		"workload=xsbench&scheme=killi-1:64&voltage=NaN",
+		"workload=xsbench&scheme=killi-1:64&voltage=-0.5",
+	} {
+		resp2, err := http.Get(ts.URL + "/v1/observe?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", query, resp2.StatusCode)
+		}
+	}
+	health, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad-workload status %d, want 400", resp2.StatusCode)
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after bad requests: status %d", health.StatusCode)
 	}
 }
 
