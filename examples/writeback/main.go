@@ -29,7 +29,7 @@ func run(out io.Writer) {
 	fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
 		sets*ways, bitvec.LineBits, 0.575, 1.0)
 	c := killi.NewWriteBack(killi.WriteBackConfig{
-		Sets: sets, Ways: ways, Ratio: 16, InvertedTraining: true,
+		Sets: sets, Ways: ways, Ratio: 16,
 	}, fm, 0.575)
 
 	r := xrand.New(12)

@@ -90,20 +90,28 @@ func (o outcome) String() string {
 }
 
 // table2Variants returns each variant's policy as its constructor builds it.
+// The write-back cache always runs the §5.6.2 polarity test, so it is a
+// variant only under inverted training.
 func table2Variants(inverted bool) []struct {
 	name string
 	p    policy
 } {
-	fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
-	return []struct {
+	vs := []struct {
 		name string
 		p    policy
 	}{
 		{"wt", New(Config{InvertedTraining: inverted}).pol},
 		{"de", New(Config{UseDECTED: true, InvertedTraining: inverted}).pol},
 		{"ol", New(Config{OLSCStrength: 3, InvertedTraining: inverted}).pol},
-		{"wb", NewWriteBack(WriteBackConfig{Sets: 2, Ways: 2, InvertedTraining: inverted}, fm, 0.625).pol},
 	}
+	if inverted {
+		fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
+		vs = append(vs, struct {
+			name string
+			p    policy
+		}{"wb", NewWriteBack(WriteBackConfig{Sets: 2, Ways: 2}, fm, 0.625).pol})
+	}
+	return vs
 }
 
 // forEachObservation enumerates the observation domain with its key

@@ -42,11 +42,6 @@ type WriteBackConfig struct {
 	Ratio int
 	// Assoc is the ECC cache associativity.
 	Assoc int
-	// InvertedTraining applies the §5.6.2 polarity check before a line is
-	// classified fault-free, unmasking hidden stuck-at faults. Strongly
-	// recommended for write-back operation: masked multi-bit faults under
-	// dirty data are the variant's residual silent-corruption window.
-	InvertedTraining bool
 }
 
 // WriteBackCache is the §5.6.1 extension: Killi on a write-back cache.
@@ -64,6 +59,12 @@ type WriteBackConfig struct {
 // 12 parity overflow bits are free after training (11 + 12 = 23 ≥ 21) — no
 // extra storage. Lines still in DFH b'01 keep the training-time
 // SECDED + 16-bit parity and are treated like dirty b'00 lines.
+//
+// The cache always runs the §5.6.2 polarity test before it trusts a line.
+// Write verification and training see only the faults the written data
+// unmasks, and a masked multi-bit fault under dirty data corrupts the only
+// copy silently: without the test, 67 of the 1,768 reads of the
+// examples/writeback workload returned wrong data with no error.
 //
 // This type is a self-contained single-level cache (with its own backing
 // store) rather than a protection.Scheme, because the write-through Scheme
@@ -102,7 +103,7 @@ func NewWriteBack(cfg WriteBackConfig, faults *faultmodel.Map, vNorm float64) *W
 		data:    sram.New(lines, faults, vNorm),
 		backing: make(map[uint64]bitvec.Line),
 		codecs:  newCodecs(),
-		pol:     policy{limit: 1, polarity: cfg.InvertedTraining},
+		pol:     policy{limit: 1, polarity: true},
 		ecc:     newECCCache(lines, cfg.Ratio, cfg.Assoc),
 		parity4: make([]uint8, lines),
 		dirty:   make([]bool, lines),

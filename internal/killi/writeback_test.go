@@ -188,7 +188,7 @@ func TestWriteBackSharedRows(t *testing.T) {
 	}
 	t.Run("corrected transient trains b'00", func(t *testing.T) {
 		fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
-		c := NewWriteBack(WriteBackConfig{Sets: 4, Ways: 1, Ratio: 1, InvertedTraining: true}, fm, 0.625)
+		c := NewWriteBack(WriteBackConfig{Sets: 4, Ways: 1, Ratio: 1}, fm, 0.625)
 		trainedRead(c, randomLine(xrand.New(9)), 77)
 		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 || c.Stats().Get("wb.corrected_reads") != 1 {
 			t.Fatalf("DFH %v, ECC occupancy %d, corrected reads %d; want b'00, 0, 1",
@@ -203,15 +203,22 @@ func TestWriteBackSharedRows(t *testing.T) {
 		}
 	})
 	t.Run("b'10 line whose fault vanished trains b'00", func(t *testing.T) {
-		c := newWB(t, 4, 1, nil, 0.625)
-		data := randomLine(xrand.New(10))
-		trainedRead(c, data, 99)
+		// A cell stuck at 1 under zero data: one corrected error that the
+		// polarity test confirms, so the line trains b'10.
+		c := newWB(t, 4, 1, [][]faultmodel.Fault{{stuck(99, 1)}}, 0.625)
+		trainedRead(c, bitvec.Line{})
 		if c.DFHOf(0, 0) != Stable1 {
 			t.Fatalf("setup: DFH %v, want b'10", c.DFHOf(0, 0))
 		}
-		c.data.Write(c.tags.LineID(0, 0), data) // the transient is overwritten
-		if got, err := c.Read(0); err != nil || got != data {
-			t.Fatalf("read: %v", err)
+		// A clean refill of the same way whose data masks the fault: its
+		// read hit sees a clean syndrome and a matching parity.
+		var masked bitvec.Line
+		masked.SetBit(99, 1)
+		c.backing[4] = masked // line address 4 maps to set 0
+		for range 2 {
+			if got, err := c.Read(4 * 64); err != nil || got != masked {
+				t.Fatalf("read: %v, data ok %v", err, got == masked)
+			}
 		}
 		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 {
 			t.Fatalf("DFH %v, ECC occupancy %d; want b'00, 0", c.DFHOf(0, 0), c.ecc.occupancy())
@@ -318,7 +325,7 @@ func TestWriteBackInvertedTrainingNoSilentCorruption(t *testing.T) {
 	fm := faultmodel.NewMap(xrand.New(21), faultmodel.Default(),
 		sets*ways, bitvec.LineBits, 0.575, 1.0)
 	c := NewWriteBack(WriteBackConfig{
-		Sets: sets, Ways: ways, Ratio: 8, InvertedTraining: true,
+		Sets: sets, Ways: ways, Ratio: 8,
 	}, fm, 0.575)
 
 	r := xrand.New(22)
@@ -357,61 +364,53 @@ func TestWriteBackInvertedTrainingNoSilentCorruption(t *testing.T) {
 
 // TestWriteBackCounterDigest pins every wb.* counter, DFH transitions
 // included, after the examples/writeback workload (map seed 11, op seed 12,
-// 256×4 lines, a 1:16 ECC cache at 0.575×VDD), with inverted training on
-// and off: the write-back adapter's share of the DFH classifier.
+// 256×4 lines, a 1:16 ECC cache at 0.575×VDD): the write-back adapter's
+// share of the DFH classifier.
 func TestWriteBackCounterDigest(t *testing.T) {
-	for _, tc := range []struct {
-		inverted bool
-		want     uint64
-	}{{true, 0xd748e4aff531aac5}, {false, 0xa25446b2602a3e2}} {
-		t.Run(fmt.Sprintf("inverted=%v", tc.inverted), func(t *testing.T) {
-			const sets, ways = 256, 4
-			fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
-				sets*ways, bitvec.LineBits, 0.575, 1.0)
-			c := NewWriteBack(WriteBackConfig{
-				Sets: sets, Ways: ways, Ratio: 16, InvertedTraining: tc.inverted,
-			}, fm, 0.575)
-			r := xrand.New(12)
-			written := map[uint64]bitvec.Line{}
-			for i := 0; i < 4096; i++ {
-				addr := uint64(r.Intn(2048)) * 64
-				var l bitvec.Line
-				for w := range l {
-					l[w] = r.Uint64()
-				}
-				if err := c.Write(addr, l); err == nil {
-					written[addr] = l
-				}
-			}
-			addrs := make([]uint64, 0, len(written))
-			for addr := range written {
-				addrs = append(addrs, addr)
-			}
-			slices.Sort(addrs)
-			verified, lost, silent := 0, 0, 0
-			for _, addr := range addrs {
-				switch got, err := c.Read(addr); {
-				case err != nil:
-					lost++
-				case got != written[addr]:
-					silent++
-				default:
-					verified++
-				}
-			}
-			flushErr := c.Flush()
-			h := fnv.New64a()
-			fmt.Fprintf(h, "verified=%d lost=%d silent=%d flush=%v\n", verified, lost, silent, flushErr)
-			for _, n := range c.Stats().Names() {
-				fmt.Fprintf(h, "%s=%d\n", n, c.Stats().Get(n))
-			}
-			if got := h.Sum64(); got != tc.want {
-				t.Logf("verified=%d lost=%d silent=%d flush=%v", verified, lost, silent, flushErr)
-				for _, n := range c.Stats().Names() {
-					t.Logf("%s=%d", n, c.Stats().Get(n))
-				}
-				t.Fatalf("write-back digest = %#x, want %#x", got, tc.want)
-			}
-		})
+	const want = 0xd748e4aff531aac5
+	const sets, ways = 256, 4
+	fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
+		sets*ways, bitvec.LineBits, 0.575, 1.0)
+	c := NewWriteBack(WriteBackConfig{Sets: sets, Ways: ways, Ratio: 16}, fm, 0.575)
+	r := xrand.New(12)
+	written := map[uint64]bitvec.Line{}
+	for i := 0; i < 4096; i++ {
+		addr := uint64(r.Intn(2048)) * 64
+		var l bitvec.Line
+		for w := range l {
+			l[w] = r.Uint64()
+		}
+		if err := c.Write(addr, l); err == nil {
+			written[addr] = l
+		}
+	}
+	addrs := make([]uint64, 0, len(written))
+	for addr := range written {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	verified, lost, silent := 0, 0, 0
+	for _, addr := range addrs {
+		switch got, err := c.Read(addr); {
+		case err != nil:
+			lost++
+		case got != written[addr]:
+			silent++
+		default:
+			verified++
+		}
+	}
+	flushErr := c.Flush()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "verified=%d lost=%d silent=%d flush=%v\n", verified, lost, silent, flushErr)
+	for _, n := range c.Stats().Names() {
+		fmt.Fprintf(h, "%s=%d\n", n, c.Stats().Get(n))
+	}
+	if got := h.Sum64(); got != want {
+		t.Logf("verified=%d lost=%d silent=%d flush=%v", verified, lost, silent, flushErr)
+		for _, n := range c.Stats().Names() {
+			t.Logf("%s=%d", n, c.Stats().Get(n))
+		}
+		t.Fatalf("write-back digest = %#x, want %#x", got, uint64(want))
 	}
 }
