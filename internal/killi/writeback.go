@@ -264,11 +264,21 @@ func (c *WriteBackCache) writeback(set, way, id int, e *cache.Entry) error {
 		c.ctr.IncC(cWBDataLoss)
 		return ErrDataLoss
 	}
-	lineAddr := c.lineAddr(set, e.Tag)
-	c.backing[lineAddr] = data
+	c.save(set, e.Tag, id, data)
+	return nil
+}
+
+// save writes a dirty line's verified data to the backing store and marks
+// the line clean. It is the one place a line is saved, so a line verify has
+// already retired through save-and-deliver is not saved or counted again by
+// the eviction that checked it.
+func (c *WriteBackCache) save(set int, tag uint64, id int, data bitvec.Line) {
+	if !c.dirty[id] {
+		return
+	}
+	c.backing[c.lineAddr(set, tag)] = data
 	c.dirty[id] = false
 	c.ctr.IncC(cWBWritebacks)
-	return nil
 }
 
 // lineAddr reconstructs the line address from (set, tag).
@@ -316,9 +326,7 @@ func (c *WriteBackCache) allocWB(set, way int) *eccEntry {
 				// entry since the ECC slot has already been reassigned.
 				data := c.data.Read(vID)
 				if clean, _ := c.verifyWith(vSet, vWay, vID, &data, &old); clean {
-					c.backing[c.lineAddr(vSet, ve.Tag)] = data
-					c.dirty[vID] = false
-					c.ctr.IncC(cWBWritebacks)
+					c.save(vSet, ve.Tag, vID, data)
 				}
 			}
 		}
@@ -394,10 +402,7 @@ func (c *WriteBackCache) verifyWith(set, way, id int, data *bitvec.Line, entry *
 	c.ecc.invalidate(set, id)
 	switch {
 	case out.act == saveAndDeliver:
-		e := c.tags.Entry(set, way)
-		c.backing[c.lineAddr(set, e.Tag)] = *data
-		c.dirty[id] = false
-		c.ctr.IncC(cWBWritebacks)
+		c.save(set, c.tags.Entry(set, way).Tag, id, *data)
 		return true, nil
 	case o.dirty:
 		c.ctr.IncC(cWBDataLoss)

@@ -317,6 +317,47 @@ func TestWriteBackECCContentionForcesWriteback(t *testing.T) {
 	}
 }
 
+// TestWriteBackRetiredLineSavedOnce pins that a dirty line the polarity
+// test retires on its way out is saved exactly once. The line holds two
+// stuck cells its data masks, so it stays b'01 and dirty until it leaves;
+// the departing check then finds more stuck cells than SECDED corrects,
+// disables the line and saves its data (save-and-deliver). The eviction
+// that triggered the check must not save and count it a second time.
+func TestWriteBackRetiredLineSavedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(c *WriteBackCache) error
+	}{
+		// One ECC entry for two lines: protecting line 1 evicts line 0's.
+		{"ECC contention victim", func(c *WriteBackCache) error { return c.Write(64, randomLine(xrand.New(3))) }},
+		{"flush", func(c *WriteBackCache) error { return c.Flush() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0,
+				[][]faultmodel.Fault{{stuck(3, 0), stuck(200, 0)}, nil})
+			c := NewWriteBack(WriteBackConfig{Sets: 2, Ways: 1, Ratio: 2, Assoc: 1}, fm, 0.625)
+			data := randomLine(xrand.New(4))
+			data.SetBit(3, 0)
+			data.SetBit(200, 0)
+			if err := c.Write(0, data); err != nil {
+				t.Fatal(err)
+			}
+			if c.DFHOf(0, 0) != Initial {
+				t.Fatalf("setup: DFH %v, want b'01", c.DFHOf(0, 0))
+			}
+			if err := tc.leave(c); err != nil {
+				t.Fatal(err)
+			}
+			if c.DFHOf(0, 0) != Disabled || c.backing[0] != data {
+				t.Fatalf("DFH %v, data saved %v; want b'11, true", c.DFHOf(0, 0), c.backing[0] == data)
+			}
+			if got := c.Stats().Get("wb.writebacks"); got != 1 {
+				t.Fatalf("wb.writebacks = %d, want 1", got)
+			}
+		})
+	}
+}
+
 func TestWriteBackInvertedTrainingNoSilentCorruption(t *testing.T) {
 	// End-to-end §5.6.1+§5.6.2: at an aggressive voltage, every read of a
 	// written line either returns exactly the written data or an explicit
@@ -367,7 +408,7 @@ func TestWriteBackInvertedTrainingNoSilentCorruption(t *testing.T) {
 // 256×4 lines, a 1:16 ECC cache at 0.575×VDD): the write-back adapter's
 // share of the DFH classifier.
 func TestWriteBackCounterDigest(t *testing.T) {
-	const want = 0xd748e4aff531aac5
+	const want = 0xa8af2834fedea510
 	const sets, ways = 256, 4
 	fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
 		sets*ways, bitvec.LineBits, 0.575, 1.0)
