@@ -183,11 +183,17 @@ func (c Config) Normalized() (Config, error) {
 	if len(c.Workloads) == 0 {
 		c.Workloads = []string{"xsbench"}
 	}
-	for _, name := range c.Workloads {
-		if _, err := workload.ByName(name); err != nil {
-			return c, err
-		}
+	if c.RequestsPerCU == 0 {
+		c.RequestsPerCU = 2000
 	}
+	// Every cell is a single run: its workload, trace, seed and budget
+	// pass the single runs' normalization.
+	run, err := experiments.Config{Workloads: c.Workloads, Seed: c.Seed, RequestsPerCU: c.RequestsPerCU,
+		WarmupKernels: c.WarmupKernels, Parallelism: c.Parallelism, Shards: c.Shards}.Normalized()
+	if err != nil {
+		return c, fmt.Errorf("campaign: %w", err)
+	}
+	c.Seed, c.Parallelism, c.Shards = run.Seed, run.Parallelism, run.Shards
 	if len(c.Schemes) == 0 {
 		c.Schemes = []string{"killi-1:64", "msecc"}
 	}
@@ -226,25 +232,12 @@ func (c Config) Normalized() (Config, error) {
 			return c, fmt.Errorf("campaign: duplicate grid voltage %.3f", v)
 		}
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.RequestsPerCU == 0 {
-		c.RequestsPerCU = 2000
-	}
-	if c.RequestsPerCU < 0 {
-		return c, fmt.Errorf("campaign: requests per CU must be positive, got %d", c.RequestsPerCU)
-	}
-	if c.WarmupKernels < 0 {
-		return c, fmt.Errorf("campaign: warmup kernels must be >= 0, got %d", c.WarmupKernels)
-	}
 	if c.PassThreshold == 0 {
 		c.PassThreshold = DefaultPassThreshold
 	}
 	if c.PassThreshold <= 1 {
 		return c, fmt.Errorf("campaign: pass threshold must exceed 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
 	}
-	c.Parallelism, c.Shards = pool.Budget(c.Parallelism, c.Shards)
 	return c, nil
 }
 

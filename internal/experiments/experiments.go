@@ -490,7 +490,10 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	base := cfg.baseGPU()
-	classes, _ := faultmodel.ParseClassSpec(cfg.FaultClasses) // Normalized parsed it
+	classes, err := faultmodel.ParseClassSpec(cfg.FaultClasses)
+	if err != nil {
+		return nil, err
+	}
 
 	// Resolve workloads and generate every kernel's traces up front, so
 	// unknown names fail before any simulation runs and the (read-only)
@@ -624,7 +627,9 @@ func (cfg *Config) prepare(workloadName string, voltage float64, classesAtNomina
 	g := cfg.baseGPU()
 	g.Voltage = voltage
 	if voltage != 1.0 || classesAtNominal {
-		g.Classes, _ = faultmodel.ParseClassSpec(cfg.FaultClasses) // Normalized parsed it
+		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
+			return gpu.Config{}, nil, err
+		}
 	}
 	requests, seeds := cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels)
 	return g, func() *workload.TraceSet { return w.TraceSet(g.CUs, requests, seeds) }, nil

@@ -120,8 +120,16 @@ func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) 
 	default:
 		return r, fmt.Errorf("unknown job kind %q (want %q, %q, or %q)", r.Kind, KindSweep, KindRun, KindCampaign)
 	}
-	// Each kind's own normalization defaults and checks its trace length.
-	if err := r.budget(defaultShards, maxProcs, max(r.RequestsPerCU, 1)); err != nil {
+	// The execution knobs every kind shares: Shards defaults to the
+	// server's, Parallelism to auto. The trace length is each kind's
+	// normalization's to check, so the budget check gets a valid one.
+	if r.Shards == 0 {
+		r.Shards = defaultShards
+	}
+	if r.Parallelism == 0 {
+		r.Parallelism = -1
+	}
+	if err := experiments.ValidateFlags(1, r.Parallelism, r.Shards, maxProcs); err != nil {
 		return r, err
 	}
 	if r.Kind == KindCampaign {
@@ -193,19 +201,6 @@ func (r JobRequest) normalizedCampaign() (JobRequest, error) {
 	r.WarmupKernels = cc.WarmupKernels
 	r.PassThreshold = cc.PassThreshold
 	return r, nil
-}
-
-// budget defaults the execution knobs every kind shares — Shards to the
-// server's, Parallelism to auto — and rejects the combinations
-// experiments.ValidateFlags refuses for a trace of requests per CU.
-func (r *JobRequest) budget(defaultShards, maxProcs, requests int) error {
-	if r.Shards == 0 {
-		r.Shards = defaultShards
-	}
-	if r.Parallelism == 0 {
-		r.Parallelism = -1
-	}
-	return experiments.ValidateFlags(requests, r.Parallelism, r.Shards, maxProcs)
 }
 
 // key is the job's content address: the simcache SHA-256 digest of its
