@@ -407,51 +407,55 @@ func TestWriteBackInvertedTrainingNoSilentCorruption(t *testing.T) {
 // included, after the examples/writeback workload (map seed 11, op seed 12,
 // 256×4 lines, a 1:16 ECC cache at 0.575×VDD): the write-back adapter's
 // share of the DFH classifier.
+// The subtest keeps the name the polarity-test run had while the
+// polarity test was optional.
 func TestWriteBackCounterDigest(t *testing.T) {
-	const want = 0xa8af2834fedea510
-	const sets, ways = 256, 4
-	fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
-		sets*ways, bitvec.LineBits, 0.575, 1.0)
-	c := NewWriteBack(WriteBackConfig{Sets: sets, Ways: ways, Ratio: 16}, fm, 0.575)
-	r := xrand.New(12)
-	written := map[uint64]bitvec.Line{}
-	for i := 0; i < 4096; i++ {
-		addr := uint64(r.Intn(2048)) * 64
-		var l bitvec.Line
-		for w := range l {
-			l[w] = r.Uint64()
+	t.Run("inverted=true", func(t *testing.T) {
+		const want = 0xa8af2834fedea510
+		const sets, ways = 256, 4
+		fm := faultmodel.NewMap(xrand.New(11), faultmodel.Default(),
+			sets*ways, bitvec.LineBits, 0.575, 1.0)
+		c := NewWriteBack(WriteBackConfig{Sets: sets, Ways: ways, Ratio: 16}, fm, 0.575)
+		r := xrand.New(12)
+		written := map[uint64]bitvec.Line{}
+		for i := 0; i < 4096; i++ {
+			addr := uint64(r.Intn(2048)) * 64
+			var l bitvec.Line
+			for w := range l {
+				l[w] = r.Uint64()
+			}
+			if err := c.Write(addr, l); err == nil {
+				written[addr] = l
+			}
 		}
-		if err := c.Write(addr, l); err == nil {
-			written[addr] = l
+		addrs := make([]uint64, 0, len(written))
+		for addr := range written {
+			addrs = append(addrs, addr)
 		}
-	}
-	addrs := make([]uint64, 0, len(written))
-	for addr := range written {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
-	verified, lost, silent := 0, 0, 0
-	for _, addr := range addrs {
-		switch got, err := c.Read(addr); {
-		case err != nil:
-			lost++
-		case got != written[addr]:
-			silent++
-		default:
-			verified++
+		slices.Sort(addrs)
+		verified, lost, silent := 0, 0, 0
+		for _, addr := range addrs {
+			switch got, err := c.Read(addr); {
+			case err != nil:
+				lost++
+			case got != written[addr]:
+				silent++
+			default:
+				verified++
+			}
 		}
-	}
-	flushErr := c.Flush()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "verified=%d lost=%d silent=%d flush=%v\n", verified, lost, silent, flushErr)
-	for _, n := range c.Stats().Names() {
-		fmt.Fprintf(h, "%s=%d\n", n, c.Stats().Get(n))
-	}
-	if got := h.Sum64(); got != want {
-		t.Logf("verified=%d lost=%d silent=%d flush=%v", verified, lost, silent, flushErr)
+		flushErr := c.Flush()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "verified=%d lost=%d silent=%d flush=%v\n", verified, lost, silent, flushErr)
 		for _, n := range c.Stats().Names() {
-			t.Logf("%s=%d", n, c.Stats().Get(n))
+			fmt.Fprintf(h, "%s=%d\n", n, c.Stats().Get(n))
 		}
-		t.Fatalf("write-back digest = %#x, want %#x", got, uint64(want))
-	}
+		if got := h.Sum64(); got != want {
+			t.Logf("verified=%d lost=%d silent=%d flush=%v", verified, lost, silent, flushErr)
+			for _, n := range c.Stats().Names() {
+				t.Logf("%s=%d", n, c.Stats().Get(n))
+			}
+			t.Fatalf("write-back digest = %#x, want %#x", got, uint64(want))
+		}
+	})
 }
