@@ -45,7 +45,7 @@ type mcClassifier struct {
 
 func newMCClassifier() *mcClassifier {
 	return &mcClassifier{
-		code: secded.New(bitvec.LineBits),
+		code: secded.NewLine(),
 		p16:  parity.NewInterleaved(16),
 	}
 }

@@ -200,6 +200,43 @@ func (v *Vector) FlipBit(i int) {
 	v.words[i>>6] ^= uint64(1) << (uint(i) & 63)
 }
 
+// Bits returns the n ≤ 64 bits starting at bit i as a word: bit i+b of v
+// is bit b of the result.
+func (v *Vector) Bits(i, n int) uint64 {
+	v.checkRange(i, n)
+	if n == 0 {
+		return 0
+	}
+	w, sh := i>>6, uint(i&63)
+	x := v.words[w] >> sh
+	if sh+uint(n) > 64 {
+		x |= v.words[w+1] << (64 - sh)
+	}
+	return x & (1<<uint(n) - 1)
+}
+
+// SetBits sets the n ≤ 64 bits starting at bit i to the low n bits of x,
+// leaving every other bit as it was.
+func (v *Vector) SetBits(i, n int, x uint64) {
+	v.checkRange(i, n)
+	if n == 0 {
+		return
+	}
+	w, sh := i>>6, uint(i&63)
+	mask := uint64(1)<<uint(n) - 1
+	x &= mask
+	v.words[w] = v.words[w]&^(mask<<sh) | x<<sh
+	if sh+uint(n) > 64 {
+		v.words[w+1] = v.words[w+1]&^(mask>>(64-sh)) | x>>(64-sh)
+	}
+}
+
+func (v *Vector) checkRange(i, n int) {
+	if i < 0 || n < 0 || n > 64 || i+n > v.n {
+		panic(fmt.Sprintf("bitvec: Vector bits [%d,%d+%d) out of range [0,%d) or wider than a word", i, i, n, v.n))
+	}
+}
+
 // PopCount returns the number of set bits.
 func (v *Vector) PopCount() int {
 	n := 0

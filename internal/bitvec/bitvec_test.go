@@ -300,3 +300,52 @@ func TestVectorOfAliases(t *testing.T) {
 		t.Fatalf("VectorOf over a stack buffer allocates %.0f times", allocs)
 	}
 }
+
+// TestVectorBitsMatchBit checks the word-wide reads and writes against
+// the one-bit accessors at every offset and width, including ranges that
+// straddle a word boundary, and that SetBits leaves every other bit alone.
+func TestVectorBitsMatchBit(t *testing.T) {
+	r := xrand.New(8)
+	const n = 200
+	for trial := 0; trial < 300; trial++ {
+		v := NewVector(n)
+		for i := 0; i < n; i++ {
+			v.SetBit(i, uint(r.Uint64()))
+		}
+		w := r.Intn(65)
+		i := r.Intn(n - w + 1)
+		got := v.Bits(i, w)
+		for b := 0; b < w; b++ {
+			if uint(got>>uint(b))&1 != v.Bit(i+b) {
+				t.Fatalf("Bits(%d, %d) bit %d disagrees with Bit", i, w, b)
+			}
+		}
+		x := r.Uint64()
+		before := v.Clone()
+		v.SetBits(i, w, x)
+		for b := 0; b < n; b++ {
+			want := before.Bit(b)
+			if b >= i && b < i+w {
+				want = uint(x>>uint(b-i)) & 1
+			}
+			if v.Bit(b) != want {
+				t.Fatalf("SetBits(%d, %d, %#x): bit %d = %d, want %d", i, w, x, b, v.Bit(b), want)
+			}
+		}
+	}
+	for name, fn := range map[string]func(){
+		"past end":   func() { NewVector(70).Bits(10, 61) },
+		"over word":  func() { NewVector(200).Bits(0, 65) },
+		"negative":   func() { NewVector(70).SetBits(-1, 3, 0) },
+		"set past n": func() { NewVector(70).SetBits(68, 3, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

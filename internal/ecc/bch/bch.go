@@ -3,6 +3,7 @@ package bch
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"killi/internal/bitvec"
 )
@@ -112,10 +113,24 @@ func New(m, t, k int, extended bool) *Code {
 }
 
 // NewLine returns the standard cache-line instantiation: GF(2^10), 512 data
-// bits, correcting t errors, extended.
+// bits, correcting t errors, extended. Each strength is built once per
+// process and shared: a Code is immutable.
 //
 //	t=2 → DECTED (21 checkbits), t=3 → TECQED (31), t=6 → 6EC7ED (61)
-func NewLine(t int) *Code { return New(10, t, bitvec.LineBits, true) }
+func NewLine(t int) *Code {
+	if t < 1 || t > MaxT {
+		return New(10, t, bitvec.LineBits, true) // panics
+	}
+	return lineCodes[t]()
+}
+
+// lineCodes[t] builds the line code of strength t once per process.
+var lineCodes = func() (codes [MaxT + 1]func() *Code) {
+	for t := 1; t <= MaxT; t++ {
+		codes[t] = sync.OnceValue(func() *Code { return New(10, t, bitvec.LineBits, true) })
+	}
+	return codes
+}()
 
 // generator returns the generator polynomial g(x) over GF(2) for a t-error-
 // correcting primitive BCH code: the least common multiple of the minimal

@@ -9,7 +9,6 @@ package ecc
 
 import (
 	"fmt"
-	"sync"
 
 	"killi/internal/bitvec"
 	"killi/internal/ecc/bch"
@@ -117,12 +116,17 @@ func (s secdedCodec) Decode(l *bitvec.Line, c Check) Outcome {
 
 // --- BCH adapter ---
 
-type bchCodec struct {
-	name string
-	c    *bch.Code
-}
+type bchCodec struct{ c *bch.Code }
 
-func (b bchCodec) Name() string      { return b.name }
+func (b bchCodec) Name() string {
+	switch b.c.T() {
+	case 2:
+		return "dected"
+	case 3:
+		return "tecqed"
+	}
+	return "6ec7ed"
+}
 func (b bchCodec) CheckBits() int    { return b.c.CheckBits() }
 func (b bchCodec) CorrectsUpTo() int { return b.c.T() }
 func (b bchCodec) DetectsUpTo() int  { return b.c.T() + 1 }
@@ -154,12 +158,9 @@ func (b bchCodec) Decode(l *bitvec.Line, c Check) Outcome {
 
 // --- OLSC adapter ---
 
-type olscCodec struct {
-	name string
-	c    *olsc.Code
-}
+type olscCodec struct{ c *olsc.Code }
 
-func (o olscCodec) Name() string      { return o.name }
+func (o olscCodec) Name() string      { return fmt.Sprintf("olsc-%d", o.c.T()) }
 func (o olscCodec) CheckBits() int    { return o.c.CheckBits() }
 func (o olscCodec) CorrectsUpTo() int { return o.c.T() }
 func (o olscCodec) DetectsUpTo() int  { return o.c.T() }
@@ -186,68 +187,47 @@ func (o olscCodec) Decode(l *bitvec.Line, c Check) Outcome {
 	}
 }
 
-// Cached singleton codecs: construction (especially BCH generator
-// synthesis) is not free, and the codes are immutable.
-var (
-	secdedOnce sync.Once
-	secdedInst Codec
-	bchOnce    = map[int]*sync.Once{2: {}, 3: {}, 6: {}}
-	bchInst    = map[int]Codec{}
-	bchMu      sync.Mutex
-	olscMu     sync.Mutex
-	olscInst   = map[int]Codec{}
-)
+// The codecs wrap each line code's one process-wide instance, so every
+// call returns an equal Codec and builds nothing after the first.
 
 // SECDED returns the 11-checkbit SECDED codec for 64-byte lines.
-func SECDED() Codec {
-	secdedOnce.Do(func() { secdedInst = secdedCodec{secded.New(bitvec.LineBits)} })
-	return secdedInst
-}
+func SECDED() Codec { return secdedCodec{secded.NewLine()} }
 
 // DECTED returns the 21-checkbit double-error-correcting codec.
-func DECTED() Codec { return bchByT("dected", 2) }
+func DECTED() Codec { return bchCodec{bch.NewLine(2)} }
 
 // TECQED returns the 31-checkbit triple-error-correcting codec.
-func TECQED() Codec { return bchByT("tecqed", 3) }
+func TECQED() Codec { return bchCodec{bch.NewLine(3)} }
 
 // SixEC7ED returns the 61-checkbit six-error-correcting codec.
-func SixEC7ED() Codec { return bchByT("6ec7ed", 6) }
-
-func bchByT(name string, t int) Codec {
-	bchMu.Lock()
-	defer bchMu.Unlock()
-	if c, ok := bchInst[t]; ok {
-		return c
-	}
-	c := bchCodec{name: name, c: bch.NewLine(t)}
-	bchInst[t] = c
-	return c
-}
+func SixEC7ED() Codec { return bchCodec{bch.NewLine(6)} }
 
 // OLSC returns an Orthogonal-Latin-Square codec correcting t errors per
-// line (t=11 is the MS-ECC configuration). It panics when t is not
-// positive or the code's checkbits exceed MaxCheckBits (t > 11).
+// line (t=11 is the MS-ECC configuration). It panics when CheckOLSC
+// rejects t.
 func OLSC(t int) Codec {
-	c, err := olscByT(t)
-	if err != nil {
+	if err := CheckOLSC(t); err != nil {
 		panic(err)
 	}
-	return c
+	return olscCodec{olsc.NewLine(t)}
 }
 
-func olscByT(t int) (Codec, error) {
-	olscMu.Lock()
-	defer olscMu.Unlock()
-	if c, ok := olscInst[t]; ok {
-		return c, nil
+// CheckOLSC reports whether a line OLSC code of strength t exists here:
+// t must be positive and its 2·t·m checkbits must fit a Check
+// (MaxCheckBits), which bounds t at 11. Every OLSC strength a scheme name
+// or codec name asks for is checked here.
+func CheckOLSC(t int) error {
+	if t < 1 {
+		return fmt.Errorf("ecc: OLSC strength must be positive, got %d", t)
 	}
-	code := olsc.NewLine(t)
-	if code.CheckBits() > MaxCheckBits {
-		return nil, fmt.Errorf("ecc: olsc-%d needs %d checkbits, more than the %d a Check holds", t, code.CheckBits(), MaxCheckBits)
+	if t > MaxCheckBits/4 {
+		// Every grid is at least 2×2, so 2·t·m ≥ 4t: too wide to size.
+		return fmt.Errorf("ecc: olsc-%d needs more than the %d checkbits a Check holds", t, MaxCheckBits)
 	}
-	c := olscCodec{name: fmt.Sprintf("olsc-%d", t), c: code}
-	olscInst[t] = c
-	return c, nil
+	if n := 2 * t * olsc.GridSize(bitvec.LineBits, t); n > MaxCheckBits {
+		return fmt.Errorf("ecc: olsc-%d needs %d checkbits, more than the %d a Check holds", t, n, MaxCheckBits)
+	}
+	return nil
 }
 
 // ByName resolves a codec by its Name. Recognized: "secded", "dected",
@@ -265,7 +245,10 @@ func ByName(name string) (Codec, error) {
 	}
 	var t int
 	if _, err := fmt.Sscanf(name, "olsc-%d", &t); err == nil && t > 0 {
-		return olscByT(t)
+		if err := CheckOLSC(t); err != nil {
+			return nil, err
+		}
+		return olscCodec{olsc.NewLine(t)}, nil
 	}
 	return nil, fmt.Errorf("ecc: unknown codec %q", name)
 }

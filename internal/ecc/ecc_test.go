@@ -127,6 +127,10 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("olsc-12"); err == nil {
 		t.Fatal("olsc-12 did not error")
 	}
+	// A strength far past any grid is rejected without sizing one.
+	if _, err := ByName("olsc-1000000000000000000"); err == nil {
+		t.Fatal("olsc-1000000000000000000 did not error")
+	}
 }
 
 // TestEncodeDecodeAllocFree pins the codecs' hot path: encoding a line and

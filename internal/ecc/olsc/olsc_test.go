@@ -1,6 +1,7 @@
 package olsc
 
 import (
+	"sync"
 	"testing"
 
 	"killi/internal/bitvec"
@@ -25,12 +26,15 @@ func TestMSECCConfiguration(t *testing.T) {
 	if c.CheckBits() != 506 {
 		t.Fatalf("checkbits = %d, want 506", c.CheckBits())
 	}
+	if NewLine(11) != c {
+		t.Fatal("NewLine(11) built a second code")
+	}
 }
 
 func TestOrthogonality(t *testing.T) {
 	// Any two groups from different families must share at most one data
 	// bit — the property that makes one-step majority decoding sound.
-	c := New(512, 4)
+	c := newReference(512, 4)
 	for f1 := range c.groups {
 		for f2 := f1 + 1; f2 < len(c.groups); f2++ {
 			for _, g1 := range c.groups[f1] {
@@ -55,7 +59,7 @@ func TestOrthogonality(t *testing.T) {
 }
 
 func TestEachBitHas2TGroups(t *testing.T) {
-	c := New(512, 11)
+	c := newReference(512, 11)
 	for idx, groups := range c.bitGroups {
 		if len(groups) != 2*c.t {
 			t.Fatalf("bit %d covered by %d groups, want %d", idx, len(groups), 2*c.t)
@@ -189,6 +193,10 @@ func TestNonSquareK(t *testing.T) {
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"k=0":         func() { New(0, 1) },
+		"grid ≥ 64":   func() { New(512, 40) }, // m = 79
+		"line t=32":   func() { NewLine(32) },  // m = 67
+		"huge t":      func() { New(512, 1<<60) },
+		"huge k":      func() { New(1<<60, 1) },
 		"t=0":         func() { New(9, 0) },
 		"enc width":   func() { New(9, 1).Encode(bitvec.NewVector(4)) },
 		"dec width":   func() { New(9, 1).Decode(bitvec.NewVector(4), bitvec.NewVector(6)) },
@@ -210,20 +218,6 @@ func TestStatusString(t *testing.T) {
 		DetectedUncorrectable.String() != "detected-uncorrectable" ||
 		Status(7).String() != "olsc.Status(7)" {
 		t.Fatal("status names wrong")
-	}
-}
-
-func BenchmarkDecodeMSECC(b *testing.B) {
-	c := NewLine(11)
-	r := xrand.New(6)
-	data := randomVector(r, 512)
-	check := c.Encode(data)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := data.Clone()
-		d.FlipBit(17)
-		d.FlipBit(300)
-		_ = c.Decode(d, check)
 	}
 }
 
@@ -258,4 +252,27 @@ func TestCodecAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("EncodeTo+Decode allocate %.0f times", allocs)
 	}
+}
+
+// TestNewLineConcurrent builds and uses the shared line codes from several
+// goroutines at once, as the daemon's workers do; run it under -race.
+func TestNewLineConcurrent(t *testing.T) {
+	data := randomVector(xrand.New(15), 512)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tt := 11; tt >= 1; tt-- {
+				c := NewLine(tt)
+				d := data.Clone()
+				check := c.Encode(d)
+				d.FlipBit(g * 100)
+				if res := c.Decode(d, check); res.Status != Corrected || !d.Equal(data) {
+					t.Errorf("t=%d goroutine %d: %+v", tt, g, res)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -13,9 +13,9 @@
 package secded
 
 import (
-	"math/bits"
-
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"killi/internal/bitvec"
 )
@@ -73,10 +73,11 @@ type Code struct {
 	dataPos  []int // codeword position (1-based) of each data bit
 	checkPos []int // codeword position of each Hamming checkbit (powers of two)
 	posData  map[int]int
-	// colMask[j] marks, word-parallel over a 512-bit line, the data bits
-	// participating in Hamming check j: checkbit j is the XOR-parity of
-	// data & colMask[j]. Only built for 512-bit codes (the fast path).
-	colMask [][bitvec.LineWords]uint64
+	// syn[b][v] is what byte b of a 512-bit line adds to the Hamming
+	// checkbits when it holds v: the XOR of the codeword positions of v's
+	// set bits, since checkbit j is the parity of the data bits whose
+	// position has bit j set. Only built for 512-bit codes (the line path).
+	syn [][256]uint16
 }
 
 // New returns a SECDED code over k data bits. It panics if k <= 0.
@@ -103,17 +104,22 @@ func New(k int) *Code {
 		c.dataPos = append(c.dataPos, pos)
 	}
 	if k == bitvec.LineBits {
-		c.colMask = make([][bitvec.LineWords]uint64, r)
-		for i, pos := range c.dataPos {
-			for j := 0; j < r; j++ {
-				if pos&(1<<uint(j)) != 0 {
-					c.colMask[j][i>>6] |= 1 << (uint(i) & 63)
-				}
+		c.syn = make([][256]uint16, bitvec.LineBits/8)
+		for b := range c.syn {
+			for v := 1; v < 256; v++ {
+				c.syn[b][v] = c.syn[b][v&(v-1)] ^ uint16(c.dataPos[b*8+bits.TrailingZeros8(uint8(v))])
 			}
 		}
 	}
 	return c
 }
+
+// line is the 512-bit code, built once per process.
+var line = sync.OnceValue(func() *Code { return New(bitvec.LineBits) })
+
+// NewLine returns the SECDED code for a 512-bit cache line (11 checkbits).
+// It is built once per process and shared: a Code is immutable.
+func NewLine() *Code { return line() }
 
 // DataBits returns the number of data bits the code protects.
 func (c *Code) DataBits() int { return c.k }
@@ -164,24 +170,25 @@ func (c *Code) Encode(data *bitvec.Vector) Check {
 }
 
 // EncodeLine is a convenience for 512-bit codes that encodes a cache line
-// using word-parallel column masks. It panics if the code is not 512 bits
-// wide.
+// a byte at a time through the syndrome table. It panics if the code is
+// not 512 bits wide.
 func (c *Code) EncodeLine(l bitvec.Line) Check {
-	if c.k != bitvec.LineBits {
+	s := c.lineSyndrome(l)
+	return Check{Bits: s, Global: uint(l.PopCount()+bits.OnesCount32(s)) & 1}
+}
+
+// lineSyndrome returns the Hamming checkbits of l.
+func (c *Code) lineSyndrome(l bitvec.Line) uint32 {
+	if c.syn == nil {
 		panic("secded: EncodeLine on non-512-bit code")
 	}
-	var check Check
-	for j := 0; j < c.hamming; j++ {
-		ones := 0
-		for w := 0; w < bitvec.LineWords; w++ {
-			ones += bits.OnesCount64(l[w] & c.colMask[j][w])
-		}
-		check.Bits |= uint32(ones&1) << uint(j)
+	var s uint16
+	for w, x := range l {
+		t := (*[8][256]uint16)(c.syn[w*8:])
+		s ^= t[0][uint8(x)] ^ t[1][uint8(x>>8)] ^ t[2][uint8(x>>16)] ^ t[3][uint8(x>>24)] ^
+			t[4][uint8(x>>32)] ^ t[5][uint8(x>>40)] ^ t[6][uint8(x>>48)] ^ t[7][uint8(x>>56)]
 	}
-	g := uint(l.PopCount()) & 1
-	g ^= uint(bits.OnesCount32(check.Bits)) & 1
-	check.Global = g
-	return check
+	return uint32(s)
 }
 
 // Syndrome returns the raw Hamming syndrome (recomputed data parities XOR
@@ -202,8 +209,7 @@ func (c *Code) Syndrome(data *bitvec.Vector, stored Check) (syndrome uint32, glo
 
 // SyndromeLine is Syndrome for 512-bit codes operating on a cache line.
 func (c *Code) SyndromeLine(l bitvec.Line, stored Check) (syndrome uint32, globalErr bool) {
-	fresh := c.EncodeLine(l)
-	return fresh.Bits ^ stored.Bits, c.receivedParityOdd(l.PopCount(), stored)
+	return c.lineSyndrome(l) ^ stored.Bits, c.receivedParityOdd(l.PopCount(), stored)
 }
 
 // receivedParityOdd reports whether the received codeword (dataOnes data

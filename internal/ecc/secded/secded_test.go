@@ -1,6 +1,7 @@
 package secded
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -335,5 +336,71 @@ func TestQuickSyndromeLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceEncodeLine is the word-parallel encoder the syndrome table
+// replaced, kept as a test oracle: checkbit j is the XOR-popcount of the
+// line AND a mask of the data bits whose codeword position has bit j set.
+func referenceEncodeLine(c *Code, l bitvec.Line) Check {
+	var check Check
+	for j := 0; j < c.hamming; j++ {
+		var mask bitvec.Line
+		for i, pos := range c.dataPos {
+			if pos&(1<<uint(j)) != 0 {
+				mask.SetBit(i, 1)
+			}
+		}
+		ones := 0
+		for w := range l {
+			ones += bits.OnesCount64(l[w] & mask[w])
+		}
+		check.Bits |= uint32(ones&1) << uint(j)
+	}
+	check.Global = uint(l.PopCount()+bits.OnesCount32(check.Bits)) & 1
+	return check
+}
+
+// TestEncodeLineMatchesReference pins the table-driven EncodeLine and
+// SyndromeLine to the mask/popcount oracle and to the bit-serial Encode, on
+// random and sparse lines against random stored checkbits.
+func TestEncodeLineMatchesReference(t *testing.T) {
+	c := NewLine()
+	r := xrand.New(14)
+	for trial := 0; trial < 200; trial++ {
+		l := randomLine(r)
+		if trial%2 == 1 {
+			// Sparse lines reach the table entries of single bytes.
+			l = bitvec.Line{}
+			for _, b := range r.Sample(bitvec.LineBits, trial%9) {
+				l.FlipBit(b)
+			}
+		}
+		want := referenceEncodeLine(c, l)
+		if got := c.EncodeLine(l); got != want {
+			t.Fatalf("EncodeLine = %+v, reference %+v", got, want)
+		}
+		if got := c.Encode(bitvec.VectorOf(l[:], bitvec.LineBits)); got != want {
+			t.Fatalf("Encode = %+v, reference %+v", got, want)
+		}
+		stored := Check{Bits: uint32(r.Uint64()) & (1<<c.hamming - 1), Global: uint(r.Uint64() & 1)}
+		syn, gErr := c.SyndromeLine(l, stored)
+		wantSyn, wantG := c.Syndrome(bitvec.VectorOf(l[:], bitvec.LineBits), stored)
+		if syn != wantSyn || gErr != wantG || syn != want.Bits^stored.Bits {
+			t.Fatalf("SyndromeLine = (%#x, %v), Syndrome (%#x, %v)", syn, gErr, wantSyn, wantG)
+		}
+	}
+}
+
+// TestNewLineBuiltOnce pins the shared line code: every call returns the
+// same instance and builds nothing.
+func TestNewLineBuiltOnce(t *testing.T) {
+	c := NewLine()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if NewLine() != c {
+			t.Fatal("NewLine returned a second code")
+		}
+	}); allocs != 0 {
+		t.Errorf("NewLine allocates %.0f times after the first call", allocs)
 	}
 }

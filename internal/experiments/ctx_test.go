@@ -228,6 +228,8 @@ func TestValidateFlags(t *testing.T) {
 		{"over 8x budget", 4000, 32, 4, 8, false},
 		{"single core small shards ok", 4000, 1, 8, 1, true},
 		{"single core oversubscribed", 4000, 3, 8, 1, false},
+		{"product wraps to zero", 1, 1 << 32, 1 << 32, 2, false},
+		{"shards alone over budget", 4000, 1, 17, 2, false},
 	}
 	for _, c := range cases {
 		err := ValidateFlags(c.requests, c.parallel, c.shards, c.maxProcs)

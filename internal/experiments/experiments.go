@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"killi/internal/ecc"
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/killi"
@@ -93,6 +94,9 @@ func SchemeByName(name string) (protection.Scheme, error) {
 			strength, err := strconv.Atoi(strengthStr)
 			if err != nil || strength < 1 {
 				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer", name)
+			}
+			if err := ecc.CheckOLSC(strength); err != nil {
+				return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
 			}
 			ratio, err := parseRatio(ratioStr)
 			if err != nil {
@@ -727,9 +731,11 @@ func ValidateFlags(requests, parallel, shards, maxProcs int) error {
 	if parallel == 0 || parallel < -1 {
 		return fmt.Errorf("-parallel must be -1 (auto: GOMAXPROCS/shards) or a positive worker count, got %d", parallel)
 	}
-	if parallel > 0 && maxProcs > 0 && parallel*shards > 8*maxProcs {
-		return fmt.Errorf("-parallel %d x -shards %d = %d concurrent workers oversubscribes GOMAXPROCS=%d by more than 8x; lower one or use -parallel -1 to auto-budget",
-			parallel, shards, parallel*shards, maxProcs)
+	// parallel > 8·maxProcs/shards is parallel·shards > 8·maxProcs for
+	// integers, without a product that can wrap.
+	if parallel > 0 && maxProcs > 0 && parallel > 8*maxProcs/shards {
+		return fmt.Errorf("-parallel %d x -shards %d concurrent workers oversubscribe GOMAXPROCS=%d by more than 8x; lower one or use -parallel -1 to auto-budget",
+			parallel, shards, maxProcs)
 	}
 	return nil
 }

@@ -15,10 +15,12 @@ import (
 
 // TestSystemSteadyStateAllocs pins the simulator's hot paths as
 // allocation-free in the steady state: after warm-up, one more kernel on
-// a System allocates nothing, unprotected and under every sweep scheme, at
-// the sweep's LV operating point.
+// a System allocates nothing, unprotected, under every sweep scheme and
+// under the Killi variants that keep DECTED or OLSC checkbits in their ECC
+// entries, at the sweep's LV operating point.
 // A per-access allocation — a read hit's decoded line escaping, a codec
-// building its syndromes on the heap — shows up here as thousands.
+// building its syndromes or checkbits on the heap — shows up here as
+// thousands.
 func TestSystemSteadyStateAllocs(t *testing.T) {
 	const maxAllocs = 0
 	w, err := workload.ByName("xsbench")
@@ -29,6 +31,13 @@ func TestSystemSteadyStateAllocs(t *testing.T) {
 	g.Voltage = 0.625
 	traces := w.TraceSet(g.CUs, 2000, KernelSeeds(1, 2))
 	specs := append([]SchemeSpec{{Name: "none", New: func() protection.Scheme { return protection.NewNone() }}}, Schemes()...)
+	for _, name := range []string{"killi-dected-1:64", "killi-olsc2-1:64", "killi-olsc11-1:64"} {
+		f, err := SchemeFactoryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, SchemeSpec{Name: name, New: f})
+	}
 	for _, spec := range specs {
 		sys := gpu.New(g, spec.New)
 		for k := 0; k < traces.Kernels(); k++ {

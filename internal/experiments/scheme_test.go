@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"killi/internal/killi"
 )
 
 // TestSchemeExamplesParse feeds every documented scheme-name form through
@@ -51,9 +53,47 @@ func TestSchemeByNameRejectsMalformed(t *testing.T) {
 		"", "killi", "killi-", "killi-1:0", "killi-1:64x", "killi-2:64",
 		"killi-olsc-1:64", "killi-olsc0-1:64", "killi-dected-1:",
 		"secded ", "Killi-1:64",
+		// Past t=11 an OLSC line code's checkbits outgrow an ECC entry.
+		"killi-olsc12-1:64", "killi-olsc40-1:64", "killi-olsc1000000000000000000-1:64",
+		"killi-olsc99999999999999999999-1:64",
 	} {
 		if _, err := SchemeByName(name); err == nil {
 			t.Errorf("SchemeByName(%q) should be an error", name)
+		}
+	}
+}
+
+// TestSchemeByNameOLSCStrengths pins the OLSC strength bound at its edge:
+// t=11 (506 checkbits) parses, t=12 (552) is a one-line error.
+func TestSchemeByNameOLSCStrengths(t *testing.T) {
+	if _, err := SchemeByName("killi-olsc11-1:64"); err != nil {
+		t.Fatalf("killi-olsc11-1:64: %v", err)
+	}
+	_, err := SchemeByName("killi-olsc12-1:64")
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "552 checkbits") {
+		t.Fatalf("killi-olsc12-1:64: err = %v, want a one-line checkbit-budget error", err)
+	}
+}
+
+// TestSchemesShareLineCodes pins build-once: after the first call, naming
+// or building a Killi scheme builds no codec tables — only the scheme's
+// own struct remains. A codec rebuilt per call costs from 9 allocations
+// (SECDED's position map and tables) to thousands (OLSC's group lists).
+func TestSchemesShareLineCodes(t *testing.T) {
+	const maxAllocs = 2
+	for name, build := range map[string]func(){
+		"SchemeByName(killi-1:64)": func() {
+			if _, err := SchemeByName("killi-1:64"); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"killi.New(olsc2)": func() { killi.New(killi.Config{Ratio: 64, OLSCStrength: 2}) },
+	} {
+		build()
+		allocs := testing.AllocsPerRun(10, build)
+		t.Logf("%s: %.0f allocs/call", name, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("%s: %.0f allocations per call, want <= %d", name, allocs, maxAllocs)
 		}
 	}
 }

@@ -312,7 +312,7 @@ type codecs struct {
 }
 
 func newCodecs() codecs {
-	return codecs{secded: secded.New(bitvec.LineBits),
+	return codecs{secded: secded.NewLine(),
 		p16: parity.NewInterleaved(16), p4: parity.NewInterleaved(4)}
 }
 
@@ -330,7 +330,7 @@ func (m *codecs) encode(state DFH, c lineCode, data bitvec.Line, parity4 *uint8,
 	switch {
 	case entry == nil:
 	case c == byOLSC:
-		entry.olscCheck = m.olsc.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
+		m.olsc.EncodeTo(m.olscVector(&entry.olscCheck), bitvec.VectorOf(data[:], bitvec.LineBits))
 	case c == byDECTED:
 		entry.dected = m.dected.Encode(bitvec.VectorOf(data[:], bitvec.LineBits))
 	default:
@@ -356,7 +356,7 @@ func (m *codecs) observe(o *observation, data *bitvec.Line, parity4 uint8, entry
 	}
 	switch o.code {
 	case byOLSC:
-		o.verdict = m.verdictOLSC(data, entry.olscCheck, decode)
+		o.verdict = m.verdictOLSC(data, m.olscVector(&entry.olscCheck), decode)
 	case byDECTED:
 		o.verdict = m.verdictDECTED(data, entry.dected)
 		return stored
@@ -388,6 +388,12 @@ func (m *codecs) verdictSECDED(data *bitvec.Line, check secded.Check, decode boo
 		return corrected
 	}
 	return uncorrectable
+}
+
+// olscVector views an entry's inline OLSC checkbits as the code's
+// checkbit vector.
+func (m *codecs) olscVector(check *[bitvec.LineWords]uint64) *bitvec.Vector {
+	return bitvec.VectorOf(check[:], m.olsc.CheckBits())
 }
 
 func (m *codecs) verdictOLSC(data *bitvec.Line, check *bitvec.Vector, decode bool) verdict {

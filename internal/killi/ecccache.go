@@ -17,8 +17,10 @@ type eccEntry struct {
 	// dected holds the 21-bit DECTED checkbits when the entry protects a
 	// line in the DECTED-extended stable state; zero otherwise.
 	dected bch.Check
-	// olscCheck holds the OLSC checkbit vector in §5.5 low-Vmin mode.
-	olscCheck *bitvec.Vector
+	// olscCheck holds the OLSC checkbits in §5.5 low-Vmin mode, inline:
+	// every strength killi.New accepts fits ecc.MaxCheckBits, one line's
+	// worth of words.
+	olscCheck [bitvec.LineWords]uint64
 }
 
 // eccCache is Killi's on-demand error-correction metadata store: a small

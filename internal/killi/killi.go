@@ -6,6 +6,7 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
+	"killi/internal/ecc"
 	"killi/internal/ecc/bch"
 	"killi/internal/ecc/olsc"
 	"killi/internal/ecc/parity"
@@ -62,7 +63,8 @@ type Config struct {
 	XORHashECCIndex bool
 	// OLSCStrength switches the ECC cache to Orthogonal Latin Square
 	// codes correcting up to this many errors per line (§5.5; Table 7
-	// uses 11). Lines with any correctable fault count stay enabled.
+	// uses 11, the strongest whose checkbits fit an entry — see
+	// ecc.CheckOLSC). Lines with any correctable fault count stay enabled.
 	// Mutually exclusive with UseDECTED.
 	OLSCStrength int
 }
@@ -98,7 +100,8 @@ type Scheme struct {
 	dectedOn []bool
 }
 
-// New returns a Killi scheme with the given configuration.
+// New returns a Killi scheme with the given configuration. It panics on an
+// OLSC strength ecc.CheckOLSC rejects.
 func New(cfg Config) *Scheme {
 	cfg = cfg.withDefaults()
 	if cfg.UseDECTED && cfg.OLSCStrength > 0 {
@@ -110,6 +113,9 @@ func New(cfg Config) *Scheme {
 		s.pol.promote, s.pol.limit = true, 2
 	}
 	if cfg.OLSCStrength > 0 {
+		if err := ecc.CheckOLSC(cfg.OLSCStrength); err != nil {
+			panic(fmt.Sprintf("killi: %v", err))
+		}
 		s.olsc = olsc.NewLine(cfg.OLSCStrength)
 		s.pol.limit = cfg.OLSCStrength
 	}

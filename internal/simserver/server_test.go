@@ -115,6 +115,9 @@ func TestSubmitValidation(t *testing.T) {
 		"NaN voltage":         {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Voltage: math.NaN()},
 		"NaN sweep voltage":   {Kind: KindSweep, Workloads: []string{"fft"}, Voltage: math.NaN()},
 		"bad shards":          {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Shards: -2},
+		"olsc too strong":     {Kind: KindRun, Workload: "xsbench", Scheme: "killi-olsc12-1:64"},
+		// The product 2^64 wraps to 0 in an int.
+		"overflowing budget": {Kind: KindRun, Workload: "xsbench", Scheme: "killi-1:64", Parallelism: 1 << 32, Shards: 1 << 32},
 	} {
 		_, err := s.Submit(ctx, req)
 		var verr *ValidationError
@@ -420,6 +423,8 @@ func TestHTTPJobEndpoint(t *testing.T) {
 		"malformed":     `{"kind":`,
 		"unknown field": `{"kind":"run","workload":"xsbench","scheme":"killi-1:64","frobnicate":1}`,
 		"invalid":       `{"kind":"run"}`,
+		// OLSC strength 40 would need a 79×79 grid and 3160 checkbits.
+		"olsc too strong": `{"kind":"run","workload":"xsbench","scheme":"killi-olsc40-1:64"}`,
 	} {
 		if resp, doc := post(body); resp.StatusCode != http.StatusBadRequest || doc["error"] == "" {
 			t.Errorf("%s: status %d doc %v, want 400 with error", name, resp.StatusCode, doc)
