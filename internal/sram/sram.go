@@ -358,6 +358,35 @@ func (a *Array) UnmaskedFaultCount(i int) int {
 	return n
 }
 
+// StuckCells is the §5.6.2 polarity test of line i: it returns the number
+// of distinct cells held by an active stuck-at fault — under a fault-class
+// spec, those manifesting in the current fault epoch, injected lifetime
+// faults included — and leaves the line's cells holding p, as
+// WritePattern(i, p) does. A self-test that writes a pattern and its
+// inverse and reads each back sees exactly these cells fail one polarity
+// or the other, whatever the data, soft flips or stuck values, so the
+// count is a property of the fault map, not of the write/read flow.
+func (a *Array) StuckCells(i int, p bitvec.Line) int {
+	a.WritePattern(i, p)
+	mi := a.mapIndex(i)
+	faults := a.active.LineFaults(mi)
+	if len(faults) == 0 && (a.injected == nil || len(a.injected[i]) == 0) {
+		return 0
+	}
+	var cells bitvec.Line
+	for _, f := range faults {
+		if !a.classed || a.faultActive(mi, f.Bit) {
+			cells.SetBit(f.Bit, 1)
+		}
+	}
+	if a.injected != nil {
+		for _, f := range a.injected[i] {
+			cells.SetBit(f.Bit, 1)
+		}
+	}
+	return cells.PopCount()
+}
+
 // InjectSoftError flips bit within the stored cells of line i, modeling a
 // transient particle strike. Read sees the flip and ReadTrue does not;
 // unlike a persistent fault it is erased by the next Write.
