@@ -38,8 +38,9 @@ func (c Config) validate() error {
 }
 
 // Entry is one tag-array entry. Protection schemes own Class and Disabled;
-// the cache core maintains Tag, Valid, and LastUse. Field order packs the
-// struct into 32 bytes so a 16-way set scan touches 8 cache lines, not 10.
+// the cache core maintains Tag, Valid, and LastUse. Field order and the
+// one-byte Class pack the struct into 24 bytes, so a 16-way set scan
+// touches 6 cache lines, not 8.
 type Entry struct {
 	Tag uint64
 	// LastUse is the recency stamp maintained by Touch/Install; larger is
@@ -47,7 +48,7 @@ type Entry struct {
 	LastUse uint64
 	// Class is scheme-defined (Killi stores the DFH state here so its
 	// allocation priority can see it).
-	Class int
+	Class uint8
 	Valid bool
 	// Disabled marks a line the replacement policy must never select and
 	// lookups must never hit (Killi's b'11, MBIST-disabled lines, MS-ECC

@@ -167,7 +167,7 @@ func TestCustomVictimFunc(t *testing.T) {
 	c := newTestCache(t)
 	for w := 0; w < 4; w++ {
 		c.Install(0, w, uint64(w))
-		c.Entry(0, w).Class = w
+		c.Entry(0, w).Class = uint8(w)
 	}
 	// Priority: highest class first (a stand-in for Killi's b'01 > b'00 > b'10).
 	pick := func(entries []Entry) int {
@@ -176,8 +176,8 @@ func TestCustomVictimFunc(t *testing.T) {
 			if entries[w].Disabled {
 				continue
 			}
-			if entries[w].Class > bestClass {
-				best, bestClass = w, entries[w].Class
+			if int(entries[w].Class) > bestClass {
+				best, bestClass = w, int(entries[w].Class)
 			}
 		}
 		return best

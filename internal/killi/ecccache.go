@@ -1,26 +1,15 @@
 package killi
 
-import (
-	"killi/internal/bitvec"
-	"killi/internal/cache"
-	"killi/internal/ecc/bch"
-	"killi/internal/ecc/secded"
-)
+import "killi/internal/cache"
 
 // eccEntry is one ECC cache line (paper Table 3: 41 bits — 11 SECDED
 // checkbits + 12 overflow parity bits + the index/way tag; our tag lives in
 // the cache structure). In DECTED mode the 11+12 bits are recombined into a
-// 21-bit DECTED code plus 2 spare (§5.2 / §5.6.1).
+// 21-bit DECTED code plus 2 spare (§5.2 / §5.6.1). The model keeps only
+// the parity bits: the checkbits are a pure function of the payload they
+// cover, so codecs.observe derives them from it when a read needs them.
 type eccEntry struct {
-	check    secded.Check
 	parity12 uint16 // the 12 high parity bits of an Initial line
-	// dected holds the 21-bit DECTED checkbits when the entry protects a
-	// line in the DECTED-extended stable state; zero otherwise.
-	dected bch.Check
-	// olscCheck holds the OLSC checkbits in §5.5 low-Vmin mode, inline:
-	// every strength killi.New accepts fits ecc.MaxCheckBits, one line's
-	// worth of words.
-	olscCheck [bitvec.LineWords]uint64
 }
 
 // eccCache is Killi's on-demand error-correction metadata store: a small
