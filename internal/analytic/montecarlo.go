@@ -86,6 +86,7 @@ func (c *mcClassifier) verdict(truth, corrupted bitvec.Line, stored16 uint64, ch
 func MonteCarloKilliCoverage(r *xrand.Rand, pCell float64, trials int) MCResult {
 	c := newMCClassifier()
 	res := MCResult{Trials: trials}
+	geo := xrand.NewGeometric(pCell, bitvec.LineBits)
 	for t := 0; t < trials; t++ {
 		var data bitvec.Line
 		for w := range data {
@@ -98,13 +99,13 @@ func MonteCarloKilliCoverage(r *xrand.Rand, pCell float64, trials int) MCResult 
 		// unmasked ones.
 		corrupted := data
 		unmasked := 0
-		for bit := r.Geometric(pCell); bit < bitvec.LineBits; {
+		for bit := geo.Draw(r); bit < bitvec.LineBits; {
 			stuckAt := uint(r.Uint64() & 1)
 			if data.Bit(bit) != stuckAt {
 				corrupted.SetBit(bit, stuckAt)
 				unmasked++
 			}
-			skip := r.Geometric(pCell)
+			skip := geo.Draw(r)
 			if skip >= bitvec.LineBits {
 				break
 			}
@@ -140,13 +141,14 @@ func MonteCarloKilliCoverage(r *xrand.Rand, pCell float64, trials int) MCResult 
 // SECDED curve, empirically.
 func MonteCarloSECDEDDetect(r *xrand.Rand, pCell float64, trials int) MCResult {
 	res := MCResult{Trials: trials}
+	geo := xrand.NewGeometric(pCell, bitvec.LineBits)
 	for t := 0; t < trials; t++ {
 		unmasked := 0
-		for bit := r.Geometric(pCell); bit < bitvec.LineBits; {
+		for bit := geo.Draw(r); bit < bitvec.LineBits; {
 			if r.Uint64()&1 == 0 {
 				unmasked++
 			}
-			skip := r.Geometric(pCell)
+			skip := geo.Draw(r)
 			if skip >= bitvec.LineBits {
 				break
 			}

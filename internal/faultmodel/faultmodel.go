@@ -262,15 +262,16 @@ func NewMap(r *xrand.Rand, m Model, lines, bitsPerLine int, refV, freqGHz float6
 		refProb: refProb,
 		offsets: make([]int32, lines+1),
 	}
+	geo := xrand.NewGeometric(refProb, bitsPerLine)
 	for line := 0; line < lines; line++ {
 		// Geometric skipping through the line's cells.
-		for bit := r.Geometric(refProb); bit < bitsPerLine; {
+		for bit := geo.Draw(r); bit < bitsPerLine; {
 			fm.faults = append(fm.faults, Fault{
 				Bit:      bit,
 				StuckAt:  uint(r.Uint64() & 1),
 				Severity: r.Float64() * refProb,
 			})
-			skip := r.Geometric(refProb)
+			skip := geo.Draw(r)
 			if skip >= bitsPerLine { // avoid overflow on the index addition
 				break
 			}

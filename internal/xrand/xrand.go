@@ -128,29 +128,73 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, i.e. a sample from the geometric distribution on {0, 1, 2, ...}.
-// It is the building block for sparse fault sampling: the index of the next
-// faulty cell in a long run of cells is the current index plus
-// Geometric(p) + 1. For p <= 0 it returns math.MaxInt. It panics if p > 1
-// is combined with a non-finite result; p >= 1 returns 0.
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
+// Geometric samples the geometric distribution on {0, 1, 2, ...} — the
+// number of Bernoulli(p) failures before the first success — capped at a
+// limit: a draw at or above the limit returns the limit. It is the building
+// block for sparse fault sampling, where only draws below a line's width
+// matter: the index of the next faulty cell is the current index plus a
+// draw plus one. A draw is the inversion ⌊log u / log(1−p)⌋ of one Float64
+// u (redrawn while it is 0), so it consumes the stream exactly as that
+// formula does; but where u is safely below exp(limit·log(1−p)), the
+// probability of reaching the limit, it skips the logarithm. At the sparse
+// cell-failure rates of a low-voltage cache that is nearly every draw.
+type Geometric struct {
+	p, logq float64
+	// skip is the no-fault threshold exp(limit·logq) lowered by a guard
+	// band, so every u below it draws at least limit by the exact formula
+	// too. The formula's rounding (log, the division, floor) and the
+	// threshold's (the product, exp) move the boundary by far less than
+	// geometricGuard: under 1e-13 relative wherever the threshold exceeds
+	// the smallest nonzero Float64.
+	skip  float64
+	limit int
+}
+
+// geometricGuard is the relative width of the band below the no-fault
+// threshold in which Geometric takes the exact formula.
+const geometricGuard = 1e-9
+
+// NewGeometric returns the sampler for success probability p capped at
+// limit: p >= 1 always draws 0, p <= 0 always draws limit, and neither
+// consumes the stream. It panics if limit < 1.
+func NewGeometric(p float64, limit int) Geometric {
+	if limit < 1 {
+		panic("xrand: NewGeometric called with limit < 1")
 	}
-	if p <= 0 {
-		return math.MaxInt
+	g := Geometric{p: p, limit: limit}
+	if !(p <= 0) && !(p >= 1) {
+		g.logq = math.Log1p(-p)
+		g.skip = math.Exp(float64(limit)*g.logq) * (1 - geometricGuard)
+	}
+	return g
+}
+
+// Draw returns the next sample, capped at the sampler's limit.
+func (g *Geometric) Draw(r *Rand) int {
+	switch {
+	case g.p >= 1:
+		return 0
+	case g.p <= 0:
+		return g.limit
 	}
 	u := r.Float64()
 	// Avoid log(0).
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
-	if g > float64(math.MaxInt/2) {
-		return math.MaxInt / 2
+	return g.fromUniform(u)
+}
+
+// fromUniform maps a uniform u in (0, 1) to its capped sample.
+func (g *Geometric) fromUniform(u float64) int {
+	if u < g.skip {
+		return g.limit
 	}
-	return int(g)
+	x := math.Floor(math.Log(u) / g.logq)
+	if x >= float64(g.limit) {
+		return g.limit
+	}
+	return int(x)
 }
 
 // Binomial returns a sample from Binomial(n, p) using geometric skipping,
@@ -164,7 +208,8 @@ func (r *Rand) Binomial(n int, p float64) int {
 	}
 	count := 0
 	// Skip from one success to the next.
-	for i := r.Geometric(p); i < n; i += r.Geometric(p) + 1 {
+	g := NewGeometric(p, n)
+	for i := g.Draw(r); i < n; i += g.Draw(r) + 1 {
 		count++
 	}
 	return count
