@@ -116,17 +116,11 @@ func (s secdedCodec) Decode(l *bitvec.Line, c Check) Outcome {
 
 // --- BCH adapter ---
 
+// bchCodec adapts the t=2 binary BCH line code: DECTED, its only
+// constructor here.
 type bchCodec struct{ c *bch.Code }
 
-func (b bchCodec) Name() string {
-	switch b.c.T() {
-	case 2:
-		return "dected"
-	case 3:
-		return "tecqed"
-	}
-	return "6ec7ed"
-}
+func (b bchCodec) Name() string      { return "dected" }
 func (b bchCodec) CheckBits() int    { return b.c.CheckBits() }
 func (b bchCodec) CorrectsUpTo() int { return b.c.T() }
 func (b bchCodec) DetectsUpTo() int  { return b.c.T() + 1 }
@@ -196,12 +190,6 @@ func SECDED() Codec { return secdedCodec{secded.NewLine()} }
 // DECTED returns the 21-checkbit double-error-correcting codec.
 func DECTED() Codec { return bchCodec{bch.NewLine(2)} }
 
-// TECQED returns the 31-checkbit triple-error-correcting codec.
-func TECQED() Codec { return bchCodec{bch.NewLine(3)} }
-
-// SixEC7ED returns the 61-checkbit six-error-correcting codec.
-func SixEC7ED() Codec { return bchCodec{bch.NewLine(6)} }
-
 // OLSC returns an Orthogonal-Latin-Square codec correcting t errors per
 // line (t=11 is the MS-ECC configuration). It panics when CheckOLSC
 // rejects t.
@@ -228,27 +216,4 @@ func CheckOLSC(t int) error {
 		return fmt.Errorf("ecc: olsc-%d needs %d checkbits, more than the %d a Check holds", t, n, MaxCheckBits)
 	}
 	return nil
-}
-
-// ByName resolves a codec by its Name. Recognized: "secded", "dected",
-// "tecqed", "6ec7ed", and "olsc-<t>" for 1 ≤ t ≤ 11.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "secded":
-		return SECDED(), nil
-	case "dected":
-		return DECTED(), nil
-	case "tecqed":
-		return TECQED(), nil
-	case "6ec7ed":
-		return SixEC7ED(), nil
-	}
-	var t int
-	if _, err := fmt.Sscanf(name, "olsc-%d", &t); err == nil && t > 0 {
-		if err := CheckOLSC(t); err != nil {
-			return nil, err
-		}
-		return olscCodec{olsc.NewLine(t)}, nil
-	}
-	return nil, fmt.Errorf("ecc: unknown codec %q", name)
 }

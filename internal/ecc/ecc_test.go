@@ -16,15 +16,13 @@ func randomLine(r *xrand.Rand) bitvec.Line {
 }
 
 func allCodecs() []Codec {
-	return []Codec{SECDED(), DECTED(), TECQED(), SixEC7ED(), OLSC(11)}
+	return []Codec{SECDED(), DECTED(), OLSC(11)}
 }
 
 func TestCheckBitCounts(t *testing.T) {
 	want := map[string]int{
 		"secded":  11,
 		"dected":  21,
-		"tecqed":  31,
-		"6ec7ed":  61,
 		"olsc-11": 506,
 	}
 	for _, c := range allCodecs() {
@@ -35,7 +33,7 @@ func TestCheckBitCounts(t *testing.T) {
 }
 
 func TestCorrectionStrengths(t *testing.T) {
-	want := map[string]int{"secded": 1, "dected": 2, "tecqed": 3, "6ec7ed": 6, "olsc-11": 11}
+	want := map[string]int{"secded": 1, "dected": 2, "olsc-11": 11}
 	for _, c := range allCodecs() {
 		if got := c.CorrectsUpTo(); got != want[c.Name()] {
 			t.Errorf("%s: CorrectsUpTo = %d, want %d", c.Name(), got, want[c.Name()])
@@ -87,7 +85,7 @@ func TestDetectBeyondStrength(t *testing.T) {
 	// must not be silently miscorrected for codes that guarantee t+1
 	// detection.
 	r := xrand.New(3)
-	for _, c := range []Codec{SECDED(), DECTED(), TECQED()} {
+	for _, c := range []Codec{SECDED(), DECTED()} {
 		e := c.CorrectsUpTo() + 1
 		for trial := 0; trial < 20; trial++ {
 			l := randomLine(r)
@@ -104,32 +102,6 @@ func TestDetectBeyondStrength(t *testing.T) {
 				t.Fatalf("%s: %d errors miscorrected", c.Name(), e)
 			}
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"secded", "dected", "tecqed", "6ec7ed", "olsc-11", "olsc-3"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if c.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, c.Name())
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown codec did not error")
-	}
-	if _, err := ByName("olsc-0"); err == nil {
-		t.Fatal("olsc-0 did not error")
-	}
-	// OLSC(12) needs 552 checkbits, more than a Check holds.
-	if _, err := ByName("olsc-12"); err == nil {
-		t.Fatal("olsc-12 did not error")
-	}
-	// A strength far past any grid is rejected without sizing one.
-	if _, err := ByName("olsc-1000000000000000000"); err == nil {
-		t.Fatal("olsc-1000000000000000000 did not error")
 	}
 }
 

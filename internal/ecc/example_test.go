@@ -31,7 +31,7 @@ func Example() {
 		out.Status, out.DataBitsCorrected, corrupted == line)
 
 	// Checkbit budgets per 64-byte line (paper §4.1 / §5.2):
-	for _, c := range []ecc.Codec{secded, dected, ecc.TECQED(), ecc.SixEC7ED(), ecc.OLSC(11)} {
+	for _, c := range []ecc.Codec{secded, dected, ecc.OLSC(11)} {
 		fmt.Printf("%s: %d checkbits, corrects %d\n", c.Name(), c.CheckBits(), c.CorrectsUpTo())
 	}
 
@@ -40,7 +40,5 @@ func Example() {
 	// dected: corrected, 2 bits corrected, restored=true
 	// secded: 11 checkbits, corrects 1
 	// dected: 21 checkbits, corrects 2
-	// tecqed: 31 checkbits, corrects 3
-	// 6ec7ed: 61 checkbits, corrects 6
 	// olsc-11: 506 checkbits, corrects 11
 }
