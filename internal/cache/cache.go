@@ -39,9 +39,11 @@ func (c Config) validate() error {
 
 // Entry is one tag-array entry. Protection schemes own Class and Disabled;
 // the cache core maintains Tag, Valid, and LastUse. Field order and the
-// one-byte Class pack the struct into 24 bytes, so a 16-way set scan
-// touches 6 cache lines, not 8.
+// one-byte Class pack the struct into 24 bytes.
 type Entry struct {
+	// Tag is written only by Install, which also mirrors it into the
+	// cache's packed tag words; writing it through Entry or Set would leave
+	// Lookup reading the old tag.
 	Tag uint64
 	// LastUse is the recency stamp maintained by Touch/Install; larger is
 	// more recent.
@@ -62,9 +64,13 @@ type VictimFunc func(entries []Entry) int
 
 // Cache is a set-associative tag store. Construct with New.
 type Cache struct {
-	cfg   Config
-	sets  [][]Entry
-	clock uint64
+	cfg Config
+	// entries holds every set's ways contiguously (set-major); tags mirrors
+	// each entry's Tag in one dense word array, so Lookup scans 16 tags in
+	// two cache lines and touches an Entry only on a tag match.
+	entries []Entry
+	tags    []uint64
+	clock   uint64
 	// Address-slicing fast path: LineBytes is always a power of two and
 	// Sets almost always is, so Index/Tag — on the critical path of every
 	// simulated access — run as shifts and masks instead of div/mod.
@@ -80,18 +86,22 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]Entry, cfg.Sets)}
+	c := &Cache{cfg: cfg, entries: make([]Entry, cfg.Lines()), tags: make([]uint64, cfg.Lines())}
 	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		c.pow2Sets = true
 		c.setShift = uint(bits.TrailingZeros64(uint64(cfg.Sets)))
 		c.setMask = uint64(cfg.Sets - 1)
 	}
-	backing := make([]Entry, cfg.Sets*cfg.Ways)
-	for s := range c.sets {
-		c.sets[s] = backing[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-	}
 	return c
+}
+
+// Reset empties the cache in place — every entry zeroed, recency clock
+// restarted — leaving it as New returned it, without allocating.
+func (c *Cache) Reset() {
+	clear(c.entries)
+	clear(c.tags)
+	c.clock = 0
 }
 
 // Config returns the cache geometry.
@@ -117,15 +127,16 @@ func (c *Cache) Tag(addr uint64) uint64 {
 // index.
 func (c *Cache) LineID(set, way int) int { return set*c.cfg.Ways + way }
 
-// Lookup searches a set for a valid, enabled entry with the given tag. The
-// tag compare comes first: it rejects 15 of 16 ways with one comparison,
-// where leading with the flag checks costs three per way on a warm cache.
+// Lookup searches a set for a valid, enabled entry with the given tag. It
+// scans the set's packed tag words and reads an entry's flags only when
+// its tag matches, so a miss touches no Entry at all.
 func (c *Cache) Lookup(set int, tag uint64) (way int, hit bool) {
-	es := c.sets[set]
-	for w := range es {
-		e := &es[w]
-		if e.Tag == tag && e.Valid && !e.Disabled {
-			return w, true
+	base := set * c.cfg.Ways
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			if e := &c.entries[base+w]; e.Valid && !e.Disabled {
+				return w, true
+			}
 		}
 	}
 	return -1, false
@@ -133,27 +144,31 @@ func (c *Cache) Lookup(set int, tag uint64) (way int, hit bool) {
 
 // Entry returns a pointer to the entry at (set, way) for inspection or
 // scheme-state mutation.
-func (c *Cache) Entry(set, way int) *Entry { return &c.sets[set][way] }
+func (c *Cache) Entry(set, way int) *Entry { return &c.entries[set*c.cfg.Ways+way] }
 
 // Set returns the entries of a set. The slice aliases cache state; it is
 // provided for read-mostly policy decisions and statistics.
-func (c *Cache) Set(set int) []Entry { return c.sets[set] }
+func (c *Cache) Set(set int) []Entry {
+	base := set * c.cfg.Ways
+	return c.entries[base : base+c.cfg.Ways : base+c.cfg.Ways]
+}
 
 // Touch marks (set, way) most recently used.
 func (c *Cache) Touch(set, way int) {
 	c.clock++
-	c.sets[set][way].LastUse = c.clock
+	c.Entry(set, way).LastUse = c.clock
 }
 
 // Install fills (set, way) with tag, marks it valid and most recently used.
 // The entry's Class is preserved: Killi's DFH state is a property of the
 // physical line, persistent across data installations (§4.4).
 func (c *Cache) Install(set, way int, tag uint64) {
-	e := &c.sets[set][way]
+	e := c.Entry(set, way)
 	if e.Disabled {
 		panic(fmt.Sprintf("cache: Install into disabled line set=%d way=%d", set, way))
 	}
 	e.Tag = tag
+	c.tags[set*c.cfg.Ways+way] = tag
 	e.Valid = true
 	c.Touch(set, way)
 }
@@ -161,7 +176,7 @@ func (c *Cache) Install(set, way int, tag uint64) {
 // Invalidate clears the valid bit at (set, way). Class and Disabled are
 // preserved.
 func (c *Cache) Invalidate(set, way int) {
-	c.sets[set][way].Valid = false
+	c.Entry(set, way).Valid = false
 }
 
 // Victim picks a victim in the set using pick (LRUVictim if nil).
@@ -169,11 +184,12 @@ func (c *Cache) Victim(set int, pick VictimFunc) (way int, ok bool) {
 	if pick == nil {
 		pick = LRUVictim
 	}
-	w := pick(c.sets[set])
+	es := c.Set(set)
+	w := pick(es)
 	if w < 0 {
 		return -1, false
 	}
-	if c.sets[set][w].Disabled {
+	if es[w].Disabled {
 		panic("cache: victim function returned a disabled way")
 	}
 	return w, true
@@ -204,8 +220,8 @@ func LRUVictim(entries []Entry) int {
 // EnabledWays counts non-disabled ways in a set.
 func (c *Cache) EnabledWays(set int) int {
 	n := 0
-	for w := range c.sets[set] {
-		if !c.sets[set][w].Disabled {
+	for _, e := range c.Set(set) {
+		if !e.Disabled {
 			n++
 		}
 	}
@@ -215,11 +231,9 @@ func (c *Cache) EnabledWays(set int) int {
 // DisabledLines counts disabled lines across the whole cache.
 func (c *Cache) DisabledLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Disabled {
-				n++
-			}
+	for i := range c.entries {
+		if c.entries[i].Disabled {
+			n++
 		}
 	}
 	return n
@@ -228,9 +242,10 @@ func (c *Cache) DisabledLines() int {
 // ForEach visits every (set, way, entry) for statistics and bulk state
 // transitions (e.g. Killi's DFH reset on a voltage change).
 func (c *Cache) ForEach(fn func(set, way int, e *Entry)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			fn(s, w, &c.sets[s][w])
+	for s := 0; s < c.cfg.Sets; s++ {
+		es := c.Set(s)
+		for w := range es {
+			fn(s, w, &es[w])
 		}
 	}
 }

@@ -266,3 +266,62 @@ func BenchmarkLookupHit(b *testing.B) {
 		_, _ = c.Lookup(0, uint64(i&15))
 	}
 }
+
+// TestLookupMatchesEntryScan pins the packed tag words against the entries
+// they mirror: under random installs, invalidations, disables and resets,
+// Lookup returns the first way whose Entry has the tag and is valid and
+// enabled — duplicate tags left behind in invalid or disabled ways
+// included — exactly as a scan of Set would.
+func TestLookupMatchesEntryScan(t *testing.T) {
+	c := New(Config{Sets: 4, Ways: 8, LineBytes: 64})
+	r := xrand.New(5)
+	scan := func(set int, tag uint64) (int, bool) {
+		for w, e := range c.Set(set) {
+			if e.Tag == tag && e.Valid && !e.Disabled {
+				return w, true
+			}
+		}
+		return -1, false
+	}
+	for step := 0; step < 20000; step++ {
+		set, way, tag := r.Intn(4), r.Intn(8), uint64(r.Intn(6))
+		switch op := r.Intn(100); {
+		case op < 45:
+			if !c.Entry(set, way).Disabled {
+				c.Install(set, way, tag)
+			}
+		case op < 75:
+			c.Invalidate(set, way)
+		case op < 90:
+			c.Entry(set, way).Disabled = r.Intn(2) == 0
+		case op == 99:
+			c.Reset()
+		}
+		for s := 0; s < 4; s++ {
+			for tg := uint64(0); tg < 6; tg++ {
+				gw, gh := c.Lookup(s, tg)
+				ww, wh := scan(s, tg)
+				if gw != ww || gh != wh {
+					t.Fatalf("step %d: Lookup(%d, %d) = (%d, %v), entry scan (%d, %v)", step, s, tg, gw, gh, ww, wh)
+				}
+			}
+		}
+	}
+}
+
+// TestResetEmptiesCache: Reset leaves the cache as New returned it.
+func TestResetEmptiesCache(t *testing.T) {
+	c := newTestCache(t)
+	c.Install(2, 1, 99)
+	c.Entry(3, 0).Disabled = true
+	c.Reset()
+	fresh := newTestCache(t)
+	if _, hit := c.Lookup(2, 99); hit || c.DisabledLines() != 0 {
+		t.Fatal("Reset left a line behind")
+	}
+	c.Install(1, 2, 7)
+	fresh.Install(1, 2, 7)
+	if *c.Entry(1, 2) != *fresh.Entry(1, 2) {
+		t.Fatalf("after Reset, Install gives %+v, fresh cache %+v", *c.Entry(1, 2), *fresh.Entry(1, 2))
+	}
+}

@@ -167,7 +167,11 @@ func runReference(seed uint64) *schedTrace {
 }
 
 func runShardedSchedule(seed uint64, k int) *schedTrace {
-	s := NewSharded(oracleDomains)
+	return runScheduleOn(NewSharded(oracleDomains), seed, k)
+}
+
+// runScheduleOn fires seed's schedule on s at k shards.
+func runScheduleOn(s *Sharded, seed uint64, k int) *schedTrace {
 	s.SetShards(k)
 	x := shardedSched{s}
 	// At K>1 shards fire concurrently, so only the per-domain traces
@@ -251,6 +255,42 @@ func TestSameCycleSchedulingOrderProperty(t *testing.T) {
 		if cur.cycle == prev.cycle && cur.schedOrder < prev.schedOrder {
 			t.Fatalf("same-cycle events out of scheduling order at %d: %d fired after %d",
 				i, cur.schedOrder, prev.schedOrder)
+		}
+	}
+}
+
+// TestResetMatchesFresh pins Sharded.Reset: an engine that ran a schedule
+// and was left with a later clock, a declared edge and an armed ticker,
+// then Reset, fires the next schedule exactly as a NewSharded engine does —
+// same per-domain firings at the same cycles, same ledger — at every shard
+// count, and its stale ticker never fires. A kept clock shifts every
+// cycle; a kept edge table panics on the schedule's undeclared Sends.
+func TestResetMatchesFresh(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		s := NewSharded(oracleDomains)
+		runScheduleOn(s, 11, 2)
+		stale := 0
+		s.SetTicker(1, 64, func(uint64) { stale++ })
+		s.DeclareEdge(0, 1, 5)
+		s.Reset()
+		if s.Now() != 0 || s.Shards() != 1 || s.Stats() != (RunStats{}) {
+			t.Fatalf("K=%d: Reset left now=%d shards=%d stats=%+v", k, s.Now(), s.Shards(), s.Stats())
+		}
+		got := runScheduleOn(s, 12, k)
+		want := runScheduleOn(NewSharded(oracleDomains), 12, k)
+		if stale != 0 {
+			t.Fatalf("K=%d: a ticker armed before Reset fired %d times after it", k, stale)
+		}
+		if k == 1 {
+			if i, ok := equalFirings(got.all, want.all); !ok {
+				t.Fatalf("K=1: global sequence diverges at event %d", i)
+			}
+		}
+		for dom := range want.byDom {
+			if i, ok := equalFirings(got.byDom[dom], want.byDom[dom]); !ok {
+				t.Fatalf("K=%d: domain %d diverges at event %d (fired %d, fresh %d)",
+					k, dom, i, len(got.byDom[dom]), len(want.byDom[dom]))
+			}
 		}
 	}
 }

@@ -379,16 +379,49 @@ func (s *Sharded) AssignShards(k int, shardOf func(domain int) int) {
 	}
 }
 
+// setShards rebuilds the shard states for k shards. Every queue is empty
+// (callers check Pending), so an unchanged shard count keeps the existing
+// states and their queue storage, restarted at the engine clock.
 func (s *Sharded) setShards(k int) {
-	s.shards = make([]shardState, k)
-	for i := range s.shards {
-		s.shards[i].out = make([][]sevent, k)
-		s.shards[i].now = s.now
-		s.shards[i].q.cur = s.now
+	if len(s.shards) != k {
+		s.shards = make([]shardState, k)
+		for i := range s.shards {
+			s.shards[i].out = make([][]sevent, k)
+		}
+		s.pub = make([]pubSlot, k)
+		s.bounds = make([]boundSlot, k)
 	}
-	s.pub = make([]pubSlot, k)
-	s.bounds = make([]boundSlot, k)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.now = s.now
+		sh.q.cur, sh.q.nearOK = s.now, false
+		sh.events, sh.timestamps, sh.crossSent = 0, 0, 0
+	}
+	for i := range s.pub {
+		s.pub[i].min = 0
+		s.pub[i].sent.Store(0)
+		s.bounds[i].v = 0
+	}
 	s.look = nil
+}
+
+// Reset returns the engine to the state NewSharded left it in — clock 0,
+// one shard, no declared edges or tickers, every domain's scheduling
+// sequence restarted — keeping its domains, their bound sinks and the
+// queue storage. It must be called with no queued events.
+func (s *Sharded) Reset() {
+	if s.Pending() != 0 {
+		panic("engine: Reset with events queued")
+	}
+	s.now = 0
+	s.stats = RunStats{}
+	s.edgeMin = nil
+	s.tickers = nil
+	for i := range s.domains {
+		s.domains[i].seq = 0
+		s.domains[i].shard = 0
+	}
+	s.setShards(1)
 }
 
 // buildLookahead fills look[to*K+from] with the minimum total delay of any

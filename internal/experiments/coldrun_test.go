@@ -46,3 +46,18 @@ func BenchmarkColdRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunFixedCost times a cold single run of one request per CU, so
+// almost nothing but its fixed cost: the machine (built or recycled), its
+// fault map, the schemes' DFH or MBIST reset and the end-of-run census.
+func BenchmarkRunFixedCost(b *testing.B) {
+	for _, scheme := range []string{"killi-1:64", "msecc"} {
+		b.Run(scheme, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunOneNamed(context.Background(), Config{RequestsPerCU: 1}, "xsbench", scheme, 0.625); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -352,18 +352,22 @@ func KernelSeeds(seed uint64, warmups int) []uint64 {
 }
 
 // simulate is the one simulation step every entry point shares: it builds
-// the System over faults (nil samples a private population from g, as
-// gpu.New does), sets its shard count, attaches o (when non-nil) before the
+// the System over faults (nil selects the private population gpu.New
+// uses), sets its shard count, attaches o (when non-nil) before the
 // first kernel, drives every warmup kernel and returns the measured (final)
-// kernel's result. Cancellation is checked between kernels — one kernel is
-// the unit of work the engine runs to completion, so that is the
-// granularity at which an interrupted run stops. When scrubEvery is
-// positive, the scheme's disabled-line scrubber runs after every
-// scrubEvery-th kernel except the last, so the measured kernel sees the
-// scrubber's steady-state reclaim/re-disable churn but never a scrub
-// immediately before its own measurement.
+// kernel's result with the end-of-run misclassification census. Cancellation
+// is checked between kernels — one kernel is the unit of work the engine
+// runs to completion, so that is the granularity at which an interrupted
+// run stops. When scrubEvery is positive, the scheme's disabled-line
+// scrubber runs after every scrubEvery-th kernel except the last, so the
+// measured kernel sees the scrubber's steady-state reclaim/re-disable churn
+// but never a scrub immediately before its own measurement.
+//
+// The returned Result carries a detached copy of the counters, so the
+// System is released for the next simulation to recycle.
 func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards, scrubEvery int, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
 	sys := gpu.NewShared(g, newScheme, faults)
+	defer sys.Release()
 	sys.SetShards(shards)
 	if o != nil {
 		sys.SetObserver(o, epochCycles)
@@ -373,11 +377,16 @@ func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, f
 		if err := ctx.Err(); err != nil {
 			return gpu.Result{}, err
 		}
-		res = sys.Run(traces.Kernel(k))
-		if scrubEvery > 0 && k+1 < traces.Kernels() && (k+1)%scrubEvery == 0 {
-			sys.Scrub()
+		if k+1 < traces.Kernels() {
+			sys.RunKernel(traces.Kernel(k))
+			if scrubEvery > 0 && (k+1)%scrubEvery == 0 {
+				sys.Scrub()
+			}
+			continue
 		}
+		res = sys.Run(traces.Kernel(k))
 	}
+	res.Counters = res.Counters.Clone()
 	return res, nil
 }
 
@@ -549,10 +558,8 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	}
 
 	// Each task keeps only its scalar result, in the cache's shape whether
-	// it was simulated or read back: a gpu.Result's Counters alias its
-	// System, so retaining those until delivery would keep finished
-	// simulations' arrays alive and make the sweep's memory grow with its
-	// task count instead of its worker count.
+	// it was simulated or read back: simulate's Result carries a copy of the
+	// counters, not the System, but the scalars are all a row needs.
 	run := func(i int) (simcache.Result, error) {
 		wi, c := i/len(cols), cols[i%len(cols)]
 		res, _, err := Cached(store,

@@ -104,3 +104,30 @@ func TestRunHeapBoundedByWorkers(t *testing.T) {
 	}
 	t.Logf("peak live heap growth %.1f MiB over %d tasks", float64(peak-start)/(1<<20), samples)
 }
+
+// TestColdRunRecyclesSystem gates what a cold single run allocates once a
+// System has been released: after one warm-up RunOneNamed, a second one —
+// killi-1:64 on a first-seen daemon job's shape, a different workload, no
+// result cache — must allocate at most 1 MB. It recycles the released
+// machine and reuses the memoized fault map, so it pays for its traces,
+// its schemes and a detached counter copy. A fresh machine is about 4 MB
+// (2 MB of payloads, 0.8 MB of tags, line tables, engine queues), so a
+// System that stops being recycled shows here.
+func TestColdRunRecyclesSystem(t *testing.T) {
+	const maxBytes = 1 << 20
+	cfg := Config{RequestsPerCU: 1500}
+	if _, err := RunOneNamed(context.Background(), cfg, "xsbench", "killi-1:64", 0.625); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunOneNamed(context.Background(), cfg, "fft", "killi-1:64", 0.625); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second cold run allocated %.2f MB", float64(got)/(1<<20))
+	if got > maxBytes {
+		t.Fatalf("second cold run allocated %d bytes, want <= %d: the released System was not recycled", got, maxBytes)
+	}
+}

@@ -31,6 +31,7 @@ package gpu
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
@@ -147,13 +148,14 @@ type Result struct {
 	SDC              uint64
 	TransientStrikes uint64
 	// Misclass is the DFH-vs-ground-truth tally at the end of the run,
-	// valid when HasMisclass is set (the scheme exposes DFH codes).
+	// valid when HasMisclass is set (the scheme exposes DFH codes; Run
+	// takes the census, RunKernel does not).
 	Misclass    Misclass
 	HasMisclass bool
-	// Counters is the System's own cumulative counter set, not a copy: it
-	// aliases the System, so a held Result keeps the whole simulated
-	// machine (arrays, tags, scheme state) alive. Keep only the scalars
-	// when retaining many results.
+	// Counters is the System's cumulative counter set. From Run it is the
+	// System's own set, not a copy: it aliases the System, so a held Result
+	// keeps the whole simulated machine alive and a released System reuses
+	// it. The experiments package's runs return a detached copy.
 	Counters *stats.Counters
 	// Sched is the engine's deterministic scheduling ledger for this run
 	// (barrier rounds, fired events/timestamps, cross-shard traffic). It is
@@ -183,8 +185,9 @@ const (
 // System is one simulated GPU with an attached protection scheme (one
 // instance per L2 bank, built by the factory). Construct with New.
 type System struct {
-	cfg Config
-	eng *engine.Sharded
+	cfg  Config
+	geom geometry
+	eng  *engine.Sharded
 
 	cus   []*cuDomain
 	banks []*bankDomain
@@ -226,6 +229,42 @@ type System struct {
 	obsEpoch   uint64
 	sampler    *obsSampler
 	obsScratch []bufferedObsEvent
+
+	// codes is Misclassification's per-bank DFH code buffer, allocated on
+	// its first census.
+	codes []uint8
+}
+
+// geometry is the part of a Config that sizes a System's buffers. A
+// released System is recycled only by a NewShared of equal geometry.
+type geometry struct {
+	cus, l1Sets, l1Ways, lineBytes int
+	globalSets, effBanks, l2Ways   int
+}
+
+// geometryOf validates cfg's shape and returns its geometry.
+func geometryOf(cfg Config) geometry {
+	if cfg.CUs <= 0 || cfg.L2Banks <= 0 || cfg.WindowPerCU <= 0 {
+		panic("gpu: invalid configuration")
+	}
+	if cfg.L1Lat < 1 {
+		panic("gpu: L1Lat must be >= 1 (it is the CU-to-bank message latency)")
+	}
+	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic("gpu: LineBytes must be a positive power of two")
+	}
+	globalSets := cfg.L2Bytes / cfg.LineBytes / cfg.L2Ways
+	effBanks := cfg.L2Banks
+	if effBanks > globalSets {
+		effBanks = globalSets
+	}
+	if globalSets%effBanks != 0 {
+		panic(fmt.Sprintf("gpu: %d L2 sets not divisible across %d banks", globalSets, effBanks))
+	}
+	return geometry{
+		cus: cfg.CUs, l1Sets: cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways, l1Ways: cfg.L1Ways,
+		lineBytes: cfg.LineBytes, globalSets: globalSets, effBanks: effBanks, l2Ways: cfg.L2Ways,
+	}
 }
 
 // cuDomain is one compute unit front-end: trace issue window plus its
@@ -259,7 +298,7 @@ type bankDomain struct {
 	tags   *cache.Cache // localSets x ways, addressed by (localSet, global tag)
 	data   *sram.Array  // strided view of the shared fault map
 	scheme protection.Scheme
-	mem    *mem.Memory // this bank's DRAM channel queue
+	mem    mem.Memory // this bank's DRAM channel queue
 
 	// lineState packs, per line address served by this bank, the write
 	// version together with the count of in-flight fetches; see the
@@ -274,10 +313,12 @@ type bankDomain struct {
 
 	free uint64 // bank pipeline busy-until cycle
 
-	ctr        stats.Counters
-	softRNG    *xrand.Rand
-	replRNG    *xrand.Rand
-	strikeRNG  *xrand.Rand // transient fault-class strikes; nil unless armed
+	ctr     stats.Counters
+	softRNG xrand.Rand
+	replRNG xrand.Rand
+	// strikeRNG draws transient fault-class strikes; only the strike
+	// ticker, armed by a transient rate, reads it.
+	strikeRNG  xrand.Rand
 	wayScratch []int
 
 	// obsBuf buffers scheme emissions for deterministic cross-bank
@@ -300,6 +341,19 @@ type SharedFaults struct {
 // configuration would build in New, pre-resolved at cfg.Voltage. The result
 // is bit-identical to the per-System map: same seed, same sampling order.
 func BuildSharedFaults(cfg Config) *SharedFaults {
+	return buildFaults(faultKeyOf(cfg))
+}
+
+// faultKey is everything of a Config that BuildSharedFaults reads: the
+// population is a pure function of it.
+type faultKey struct {
+	seed                uint64
+	model               faultmodel.Model
+	lines               int
+	refV, volt, freqGHz float64
+}
+
+func faultKeyOf(cfg Config) faultKey {
 	refV := cfg.RefVoltage
 	if refV == 0 {
 		refV = cfg.Voltage
@@ -308,9 +362,46 @@ func BuildSharedFaults(cfg Config) *SharedFaults {
 	// bit-identical to the one a private System would sample. The map is
 	// indexed by whole-L2 line ID; banks view it through strided slices.
 	lines := (cfg.L2Bytes / cfg.LineBytes / cfg.L2Ways) * cfg.L2Ways
-	fm := faultmodel.NewMap(xrand.New(cfg.FaultSeed), cfg.FaultModel,
-		lines, bitvec.LineBits, refV, cfg.FreqGHz)
-	return &SharedFaults{Map: fm, Resolved: fm.Resolve(cfg.Voltage)}
+	return faultKey{cfg.FaultSeed, cfg.FaultModel, lines, refV, cfg.Voltage, cfg.FreqGHz}
+}
+
+func buildFaults(k faultKey) *SharedFaults {
+	fm := faultmodel.NewMap(xrand.New(k.seed), k.model, k.lines, bitvec.LineBits, k.refV, k.freqGHz)
+	return &SharedFaults{Map: fm, Resolved: fm.Resolve(k.volt)}
+}
+
+// faultMemoSize bounds the private-map memo: a handful of operating points
+// covers a daemon's or a test binary's working set.
+const faultMemoSize = 4
+
+// faultMemo holds the last faultMemoSize private fault populations,
+// replaced round-robin. A SharedFaults is immutable, so every System built
+// at the same key can read one. Builds run under the lock, so concurrent
+// first runs at one key build it once.
+var faultMemo struct {
+	sync.Mutex
+	keys [faultMemoSize]faultKey
+	vals [faultMemoSize]*SharedFaults
+	next int
+}
+
+// privateFaults returns the fault population NewShared(cfg, f, nil) runs
+// over: BuildSharedFaults(cfg), memoized. Campaigns' per-die maps come in
+// through NewShared's shared argument and never reach the memo.
+func privateFaults(cfg Config) *SharedFaults {
+	k := faultKeyOf(cfg)
+	faultMemo.Lock()
+	defer faultMemo.Unlock()
+	for i, v := range faultMemo.vals {
+		if v != nil && faultMemo.keys[i] == k {
+			return v
+		}
+	}
+	v := buildFaults(k)
+	i := faultMemo.next
+	faultMemo.keys[i], faultMemo.vals[i] = k, v
+	faultMemo.next = (i + 1) % faultMemoSize
+	return v
 }
 
 // New builds a system with the given configuration; newScheme constructs
@@ -321,49 +412,19 @@ func New(cfg Config, newScheme protection.Factory) *System {
 }
 
 // NewShared builds a system over a pre-built fault population (nil falls
-// back to sampling a private map exactly as New does). The shared map and
-// resolved view are read-only; the System never mutates them, so one
-// SharedFaults can serve concurrent simulations. The view's voltage must
-// match cfg.Voltage and the map must cover the L2.
+// back to the private map New samples, memoized per (FaultSeed,
+// FaultModel, line count, RefVoltage, Voltage, FreqGHz) in a small fixed
+// table). The shared map and resolved view are read-only; the System
+// never mutates them, so one SharedFaults can serve concurrent
+// simulations. The view's voltage must match cfg.Voltage and the map must
+// cover the L2. When a System of the same geometry was released, NewShared
+// re-initializes it in place instead of allocating (see Release).
 func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *System {
-	if cfg.CUs <= 0 || cfg.L2Banks <= 0 || cfg.WindowPerCU <= 0 {
-		panic("gpu: invalid configuration")
-	}
-	if cfg.L1Lat < 1 {
-		panic("gpu: L1Lat must be >= 1 (it is the CU-to-bank message latency)")
-	}
-	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic("gpu: LineBytes must be a positive power of two")
-	}
-	globalSets := cfg.L2Bytes / cfg.LineBytes / cfg.L2Ways
-	effBanks := cfg.L2Banks
-	if effBanks > globalSets {
-		effBanks = globalSets
-	}
-	if globalSets%effBanks != 0 {
-		panic(fmt.Sprintf("gpu: %d L2 sets not divisible across %d banks", globalSets, effBanks))
-	}
-	s := &System{
-		cfg:        cfg,
-		effBanks:   effBanks,
-		globalSets: globalSets,
-		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		shards:     1,
-	}
-	if globalSets&(globalSets-1) == 0 {
-		s.pow2Sets = true
-		s.setMask = uint64(globalSets - 1)
-		s.setShift = uint(bits.TrailingZeros(uint(globalSets)))
-	}
-	if effBanks&(effBanks-1) == 0 {
-		s.pow2Banks = true
-		s.bankMask = uint64(effBanks - 1)
-		s.bankShift = uint(bits.TrailingZeros(uint(effBanks)))
-	}
+	geom := geometryOf(cfg)
 	if shared == nil {
-		shared = BuildSharedFaults(cfg)
+		shared = privateFaults(cfg)
 	}
-	totalLines := globalSets * cfg.L2Ways
+	totalLines := geom.globalSets * cfg.L2Ways
 	if shared.Map.Lines() < totalLines {
 		panic(fmt.Sprintf("gpu: shared fault map covers %d lines, L2 has %d",
 			shared.Map.Lines(), totalLines))
@@ -372,47 +433,163 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 		panic(fmt.Sprintf("gpu: shared fault view resolved at %v, system runs at %v",
 			shared.Resolved.Voltage(), cfg.Voltage))
 	}
+	s := released.take(geom)
+	if s == nil {
+		s = &System{geom: geom}
+	}
+	s.init(cfg, newScheme, shared)
+	return s
+}
 
-	s.eng = engine.NewSharded(cfg.CUs + effBanks)
+// released holds the Systems handed back by Release for NewShared to
+// recycle.
+var released freeList
 
-	l1Sets := cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways
-	s.cus = make([]*cuDomain, cfg.CUs)
-	for i := range s.cus {
-		c := &cuDomain{
-			sys: s,
-			d:   s.eng.Domain(i),
-			id:  i,
-			l1:  cache.New(cache.Config{Sets: l1Sets, Ways: cfg.L1Ways, LineBytes: cfg.LineBytes}),
-		}
-		c.d.Bind(c)
-		s.cus[i] = c
+// freeList is a list of idle Systems, all of one geometry: putting a
+// System of another shape drops the idle ones, so the list never holds
+// more than the peak number of concurrent simulations of the shape in use.
+type freeList struct {
+	sync.Mutex
+	idle []*System
+}
+
+// take pops the most recently released System of geometry g, or returns
+// nil.
+func (r *freeList) take(g geometry) *System {
+	r.Lock()
+	defer r.Unlock()
+	n := len(r.idle)
+	if n == 0 || r.idle[n-1].geom != g {
+		return nil
+	}
+	s := r.idle[n-1]
+	r.idle[n-1] = nil
+	r.idle = r.idle[:n-1]
+	return s
+}
+
+// Release hands s back for reuse: a later New or NewShared with the same
+// geometry re-initializes it in place — payloads, flip overlays, tags,
+// L1s, line tables, engine queues and counters cleared, DRAM queues and
+// RNGs re-seeded, schemes built fresh from the factory — and it behaves
+// exactly as a freshly allocated System. After Release the caller must
+// not use s or anything it handed out (a Run Result's Counters, Stats),
+// and must not release it again. Releasing is optional: an unreleased
+// System is garbage-collected as usual. A System whose Run did not
+// complete (a panic unwound it) is not recycled.
+func (s *System) Release() {
+	if s.eng.Pending() != 0 {
+		return
+	}
+	// Drop what the System only borrowed, so an idle one pins no traces,
+	// schemes or observer.
+	for _, c := range s.cus {
+		c.trace = nil
+	}
+	for _, b := range s.banks {
+		b.scheme, b.obsBuf = nil, nil
+	}
+	s.observer, s.sampler, s.obsScratch = nil, nil, nil
+	released.put(s)
+}
+
+func (r *freeList) put(s *System) {
+	r.Lock()
+	defer r.Unlock()
+	if len(r.idle) > 0 && r.idle[0].geom != s.geom {
+		clear(r.idle)
+		r.idle = r.idle[:0]
+	}
+	r.idle = append(r.idle, s)
+}
+
+// init makes s the machine cfg describes over shared. A System holding
+// only its geometry first allocates its buffers; a released one already
+// has them. Either way the buffers are then cleared in place and every
+// other field is rebuilt from scratch, so a fresh and a recycled System
+// run through the same reset.
+func (s *System) init(cfg Config, newScheme protection.Factory, shared *SharedFaults) {
+	g := s.geom
+	*s = System{
+		cfg:        cfg,
+		geom:       g,
+		eng:        s.eng,
+		cus:        s.cus,
+		banks:      s.banks,
+		codes:      s.codes,
+		effBanks:   g.effBanks,
+		globalSets: g.globalSets,
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		shards:     1,
+	}
+	if g.globalSets&(g.globalSets-1) == 0 {
+		s.pow2Sets = true
+		s.setMask = uint64(g.globalSets - 1)
+		s.setShift = uint(bits.TrailingZeros(uint(g.globalSets)))
+	}
+	if g.effBanks&(g.effBanks-1) == 0 {
+		s.pow2Banks = true
+		s.bankMask = uint64(g.effBanks - 1)
+		s.bankShift = uint(bits.TrailingZeros(uint(g.effBanks)))
 	}
 
-	localSets := globalSets / effBanks
-	bankLines := localSets * cfg.L2Ways
-	s.banks = make([]*bankDomain, effBanks)
-	for i := range s.banks {
-		b := &bankDomain{
-			sys:  s,
-			d:    s.eng.Domain(cfg.CUs + i),
-			bank: i,
-			tags: cache.New(cache.Config{Sets: localSets, Ways: cfg.L2Ways, LineBytes: cfg.LineBytes}),
-			data: sram.NewResolvedView(bankLines, shared.Map, shared.Resolved,
-				cfg.L2Ways, effBanks, i),
+	localSets := g.globalSets / g.effBanks
+	bankLines := localSets * g.l2Ways
+	if s.eng == nil {
+		s.eng = engine.NewSharded(g.cus + g.effBanks)
+		s.cus = make([]*cuDomain, g.cus)
+		for i := range s.cus {
+			s.cus[i] = &cuDomain{l1: cache.New(cache.Config{Sets: g.l1Sets, Ways: g.l1Ways, LineBytes: g.lineBytes})}
+		}
+		s.banks = make([]*bankDomain, g.effBanks)
+		for i := range s.banks {
+			s.banks[i] = &bankDomain{
+				tags: cache.New(cache.Config{Sets: localSets, Ways: g.l2Ways, LineBytes: g.lineBytes}),
+				data: sram.NewResolvedView(bankLines, shared.Map, shared.Resolved,
+					g.l2Ways, g.effBanks, i),
+				wayScratch: make([]int, g.l2Ways),
+			}
+		}
+	}
+	s.eng.Reset()
+	for _, c := range s.cus {
+		c.l1.Reset()
+	}
+	for _, b := range s.banks {
+		b.tags.Reset()
+		b.data.Reset(shared.Map, shared.Resolved)
+		b.lineState.reset()
+	}
+
+	for i, c := range s.cus {
+		*c = cuDomain{sys: s, d: s.eng.Domain(i), id: i, l1: c.l1, ctr: c.ctr}
+		c.ctr.Reset()
+		c.d.Bind(c)
+	}
+	for i, b := range s.banks {
+		*b = bankDomain{
+			sys:       s,
+			d:         s.eng.Domain(cfg.CUs + i),
+			bank:      i,
+			tags:      b.tags,
+			data:      b.data,
+			lineState: b.lineState,
+			ctr:       b.ctr,
 			// Each bank owns a DRAM channel queue; scaling the completion
 			// gap by the bank count keeps whole-GPU peak bandwidth equal
 			// to the configured mem.Config.
-			mem: mem.New(mem.Config{
+			mem: *mem.New(mem.Config{
 				LatencyCycles: orDefault(cfg.Mem).LatencyCycles,
-				GapCycles:     orDefault(cfg.Mem).GapCycles * uint64(effBanks),
+				GapCycles:     orDefault(cfg.Mem).GapCycles * uint64(g.effBanks),
 			}),
 			versionsHighWater: 4 * bankLines,
-			softRNG:           xrand.New(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
-			replRNG:           xrand.New(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5),
-			wayScratch:        make([]int, cfg.L2Ways),
+			wayScratch:        b.wayScratch,
 		}
+		b.ctr.Reset()
+		b.softRNG.Seed(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		b.replRNG.Seed(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5)
+		b.strikeRNG.Seed(cfg.FaultSeed ^ 0x57a1c3b0175eed ^ (uint64(i)+1)*0xd6e8feb86659fd93)
 		b.d.Bind(b)
-		s.banks[i] = b
 	}
 	for _, b := range s.banks {
 		b.scheme = newScheme()
@@ -431,9 +608,6 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 			b.data.SetFaultClasses(cfg.Classes, classSeed)
 		}
 		if cfg.Classes.TransientRate > 0 {
-			for i, b := range s.banks {
-				b.strikeRNG = xrand.New(cfg.FaultSeed ^ 0x57a1c3b0175eed ^ (uint64(i)+1)*0xd6e8feb86659fd93)
-			}
 			// Slot 1: the observer pacer owns slot 0 (obs.go). The ticker
 			// fires with every shard parked, so the handler may touch all
 			// banks; its fire-set is a pure function of the event timeline,
@@ -457,12 +631,11 @@ func NewShared(cfg Config, newScheme protection.Factory, shared *SharedFaults) *
 	}
 	resp++
 	for ci := 0; ci < cfg.CUs; ci++ {
-		for bi := 0; bi < effBanks; bi++ {
+		for bi := 0; bi < g.effBanks; bi++ {
 			s.eng.DeclareEdge(ci, cfg.CUs+bi, cfg.L1Lat)
 			s.eng.DeclareEdge(cfg.CUs+bi, ci, resp)
 		}
 	}
-	return s
 }
 
 func orDefault(c mem.Config) mem.Config {
@@ -681,11 +854,12 @@ func (s *System) onStrikeTick(boundary uint64) {
 }
 
 // dfhProber is implemented by classifier schemes that expose their per-line
-// DFH state (killi.Scheme does). Codes follow the paper's Table 1 two-bit
-// encoding: 0 = stable/0-fault, 1 = initial, 2 = stable/1-fault,
+// DFH state (killi.Scheme does): DFHCodes fills codes[id] for every
+// bank-local line ID, one call per bank. Codes follow the paper's Table 1
+// two-bit encoding: 0 = stable/0-fault, 1 = initial, 2 = stable/1-fault,
 // 3 = disabled. The interface lives here so gpu needs no import of the
 // scheme package.
-type dfhProber interface{ DFHCode(set, way int) uint8 }
+type dfhProber interface{ DFHCodes(codes []uint8) }
 
 // scrubber is implemented by schemes with an idle-cycle disabled-line
 // scrubber (killi's footnote-7 scrubber).
@@ -716,37 +890,36 @@ func (s *System) Misclassification() (Misclass, bool) {
 	if _, ok := s.banks[0].scheme.(dfhProber); !ok {
 		return m, false
 	}
-	ways := s.cfg.L2Ways
+	if s.codes == nil {
+		s.codes = make([]uint8, s.banks[0].data.Lines())
+	}
 	epoch := s.eng.Now() / s.classEpoch
 	for _, b := range s.banks {
 		if s.classed {
 			b.data.SetFaultEpoch(epoch)
 		}
-		p := b.scheme.(dfhProber)
-		sets := b.data.Lines() / ways
-		for set := 0; set < sets; set++ {
-			for way := 0; way < ways; way++ {
-				capable := b.data.CapableFaultCount(set*ways + way)
-				m.Lines++
-				if capable >= 1 {
-					m.TrueFaulty++
+		b.scheme.(dfhProber).DFHCodes(s.codes)
+		for id, code := range s.codes {
+			capable := b.data.CapableFaultCount(id)
+			m.Lines++
+			if capable >= 1 {
+				m.TrueFaulty++
+			}
+			switch code {
+			case 3:
+				m.Disabled++
+				if capable < 2 {
+					m.FalseDisable++
 				}
-				switch p.DFHCode(set, way) {
-				case 3:
-					m.Disabled++
-					if capable < 2 {
-						m.FalseDisable++
-					}
-				case 1:
-					m.Initial++
-				case 2:
-					if capable >= 2 {
-						m.FalseTrust++
-					}
-				default: // stable, 0 known faults
-					if capable >= 1 {
-						m.FalseTrust++
-					}
+			case 1:
+				m.Initial++
+			case 2:
+				if capable >= 2 {
+					m.FalseTrust++
+				}
+			default: // stable, 0 known faults
+				if capable >= 1 {
+					m.FalseTrust++
 				}
 			}
 		}
@@ -864,8 +1037,9 @@ func (b *bankDomain) pendingDec(lineAddr uint64) {
 // --- simulation ---
 
 // Run simulates the given per-CU traces to completion and returns the
-// result. The trace slice must have at least cfg.CUs entries; extras are
-// ignored.
+// result, with the end-of-run misclassification census (Misclassification)
+// when the scheme exposes DFH codes. The trace slice must have at least
+// cfg.CUs entries; extras are ignored.
 //
 // Run may be called repeatedly on the same System: cache, scheme, and DFH
 // state persist across calls (the paper's "training happens once per
@@ -873,6 +1047,15 @@ func (b *bankDomain) pendingDec(lineAddr uint64) {
 // run's cycles and event deltas. This is how steady-state measurements
 // exclude one-time warmup.
 func (s *System) Run(traces [][]workload.Request) Result {
+	res := s.RunKernel(traces)
+	res.Misclass, res.HasMisclass = s.Misclassification()
+	return res
+}
+
+// RunKernel is Run without the misclassification census, whose walk over
+// every L2 line a warmup kernel's result does not need: the Result leaves
+// Misclass and HasMisclass unset. The simulated machine is the same.
+func (s *System) RunKernel(traces [][]workload.Request) Result {
 	if len(traces) < s.cfg.CUs {
 		panic(fmt.Sprintf("gpu: %d traces for %d CUs", len(traces), s.cfg.CUs))
 	}
@@ -909,10 +1092,6 @@ func (s *System) Run(traces [][]workload.Request) Result {
 		TransientStrikes: s.ctr.GetC(cTransientStrikes) - strikes,
 		Counters:         &s.ctr,
 		Sched:            s.eng.Stats(),
-	}
-	if mc, ok := s.Misclassification(); ok {
-		res.Misclass = mc
-		res.HasMisclass = true
 	}
 	for _, c := range s.cus {
 		res.Instructions += c.instrs

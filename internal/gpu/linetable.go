@@ -38,6 +38,14 @@ func (t *lineTable) init(capacity int) {
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 }
 
+// reset empties the table in place, keeping its capacity. Capacity never
+// shows in lookups, so a reset table reads exactly as a new one.
+func (t *lineTable) reset() {
+	clear(t.keys)
+	clear(t.vals)
+	t.live = 0
+}
+
 func (t *lineTable) idx(key uint64) uint64 {
 	return key * 0x9e3779b97f4a7c15 >> t.shift
 }

@@ -154,14 +154,22 @@ func (k *Scheme) DFHOf(set, way int) DFH {
 	return DFH(k.h.Tags().Entry(set, way).Class)
 }
 
-// DFHCode returns the raw Table 1 two-bit encoding of the line's DFH state
-// (0 = b'00 stable/0-fault, 1 = b'01 initial, 2 = b'10 stable/1-fault,
-// 3 = b'11 disabled), for scheme-agnostic probes such as the gpu package's
-// misclassification oracle. Note what the classifier knows: DFH records
-// detected activations, not ground truth — a fault that never manifested
-// during training (dormant intermittent, unramped aging) leaves no trace
-// here, which is exactly the gap the oracle measures.
-func (k *Scheme) DFHCode(set, way int) uint8 { return uint8(k.DFHOf(set, way)) }
+// DFHCodes fills codes[id] with the raw Table 1 two-bit encoding of every
+// line's DFH state, indexed by dense line ID (0 = b'00 stable/0-fault,
+// 1 = b'01 initial, 2 = b'10 stable/1-fault, 3 = b'11 disabled), for
+// scheme-agnostic probes such as the gpu package's misclassification
+// oracle; codes must hold one byte per line. Note what the classifier
+// knows: DFH records detected activations, not ground truth — a fault that
+// never manifested during training (dormant intermittent, unramped aging)
+// leaves no trace here, which is exactly the gap the oracle measures.
+func (k *Scheme) DFHCodes(codes []uint8) {
+	tags := k.h.Tags()
+	for s := 0; s < tags.Config().Sets; s++ {
+		for w, e := range tags.Set(s) {
+			codes[tags.LineID(s, w)] = e.Class
+		}
+	}
+}
 
 // Reset implements protection.Scheme: the DFH reset that runs at power-on
 // or any voltage change. Every line — including previously disabled ones —

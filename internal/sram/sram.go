@@ -126,6 +126,24 @@ func NewResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *
 // population of the whole-cache map without copying or re-deriving it, so
 // a sharded simulation sees bit-identical faults to a monolithic one.
 func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved, ways, stride, offset int) *Array {
+	a := view(make([]bitvec.Line, n), faults, resolved, ways, stride, offset)
+	return &a
+}
+
+// Reset returns the array to the state NewResolvedView left it in, over a
+// new fault population and with the same view geometry: payloads zeroed;
+// the flip overlay, injected faults, fault classes and fault epoch
+// dropped. The payload buffer is kept, so a recycled array allocates
+// nothing.
+func (a *Array) Reset(faults *faultmodel.Map, resolved *faultmodel.Resolved) {
+	clear(a.lines)
+	*a = view(a.lines, faults, resolved, a.mapWays, a.mapStride, a.mapOffset)
+}
+
+// view validates a strided view geometry against the fault population and
+// returns a fresh array over the given (zeroed) payload buffer.
+func view(lines []bitvec.Line, faults *faultmodel.Map, resolved *faultmodel.Resolved, ways, stride, offset int) Array {
+	n := len(lines)
 	if ways < 1 || stride < 1 || offset < 0 || offset >= stride {
 		panic(fmt.Sprintf("sram: bad view geometry ways=%d stride=%d offset=%d", ways, stride, offset))
 	}
@@ -142,8 +160,8 @@ func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolve
 	if resolved.Lines() < need {
 		panic(fmt.Sprintf("sram: resolved view covers %d lines, view needs %d", resolved.Lines(), need))
 	}
-	return &Array{
-		lines:     make([]bitvec.Line, n),
+	return Array{
+		lines:     lines,
 		faults:    faults,
 		voltage:   resolved.Voltage(),
 		active:    resolved,

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"reflect"
 	"testing"
 
 	"killi/internal/bitvec"
@@ -418,4 +419,44 @@ func TestResolvedViewRejectsShortMap(t *testing.T) {
 	// offset 3 of stride 4 with 8 local lines of 4 ways needs map line
 	// ((8/4-1)*4+3+1)*4 = 32 > 16.
 	NewResolvedView(8, fm, fm.Resolve(0.6), 4, 4, 3)
+}
+
+// TestResetMatchesNewView: an array that was written, soft-flipped,
+// pattern-tested, given injected and classed faults and moved to another
+// voltage is, after Reset over a new population, the array
+// NewResolvedView builds over it — and reads back identically.
+func TestResetMatchesNewView(t *testing.T) {
+	const total, ways, banks = 256, 4, 4
+	old := faultmodel.NewMap(xrand.New(1), faultmodel.Default(), total, bitvec.LineBits, 0.5, 1.0)
+	a := NewResolvedView(total/banks, old, old.Resolve(0.55), ways, banks, 1)
+	r := xrand.New(2)
+	for i := 0; i < a.Lines(); i++ {
+		a.Write(i, randomLine(r))
+		a.InjectSoftError(i, r.Intn(bitvec.LineBits))
+	}
+	a.WritePattern(3, randomLine(r))
+	a.InjectPersistentFault(5, 17, 1)
+	spec, err := faultmodel.ParseClassSpec("mixed:i=0.5@0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetFaultClasses(spec, 9)
+	a.SetFaultEpoch(12)
+	a.SetVoltage(0.6)
+
+	fm := faultmodel.NewMap(xrand.New(3), faultmodel.Default(), total, bitvec.LineBits, 0.5, 1.0)
+	res := fm.Resolve(0.55)
+	a.Reset(fm, res)
+	want := NewResolvedView(total/banks, fm, res, ways, banks, 1)
+	if !reflect.DeepEqual(a, want) {
+		t.Fatalf("reset array %+v\nnew view    %+v", *a, *want)
+	}
+	for i := 0; i < a.Lines(); i++ {
+		l := randomLine(r)
+		a.Write(i, l)
+		want.Write(i, l)
+		if a.Read(i) != want.Read(i) || a.StuckCells(i, l) != want.StuckCells(i, l) {
+			t.Fatalf("line %d reads differently after Reset", i)
+		}
+	}
 }

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,6 +117,11 @@ func (c *Counters) Reset() {
 	for i := range c.vals {
 		c.vals[i] = 0
 	}
+}
+
+// Clone returns an independent copy of c.
+func (c *Counters) Clone() *Counters {
+	return &Counters{vals: slices.Clone(c.vals)}
 }
 
 // MergeFrom adds every counter of src into c. Handles are process-wide, so

@@ -30,6 +30,12 @@ func splitmix64(x *uint64) uint64 {
 // well-separated streams.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r as the stream New(seed) returns, in place.
+func (r *Rand) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -39,7 +45,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 // Split returns a new generator whose stream is independent of r's

@@ -90,17 +90,19 @@ var flagMethods = map[string]bool{
 // externalFlags are flags of tools outside this repository that doc
 // examples legitimately pass: go test / go build and curl.
 var externalFlags = map[string]bool{
-	"bench": true, "benchmem": true, "count": true, "cover": true,
+	"bench": true, "benchmem": true, "benchtime": true, "count": true, "cover": true,
 	"coverprofile": true, "d": true, "h": true, "help": true, "json": true,
 	"ldflags": true, "list": true, "race": true, "run": true, "short": true,
 	"tags": true, "timeout": true, "v": true,
 }
 
 // flagToken matches a CLI-flag reference in prose or a code span: a dash at
-// a word start — optionally opening an inline code span — followed by a
-// lowercase flag name. Mid-word dashes ("false-disable", "2e-08") and
-// suffixes hanging off a closing backtick ("`Host`-attached") never match.
-var flagToken = regexp.MustCompile("(^|[\\s(])`?-([a-z][a-z0-9-]*)")
+// a word start — optionally opening an inline code span, which may itself
+// follow "(" — followed by a lowercase flag name. Mid-word dashes
+// ("false-disable", "2e-08"), a minus right after "(" in prose math
+// ("log1p(-p)") and suffixes hanging off a closing backtick
+// ("`Host`-attached") never match.
+var flagToken = regexp.MustCompile("(?:(?:^|\\s)`?|\\(`)-([a-z][a-z0-9-]*)")
 
 // collectFlags AST-walks every non-test Go file under root/cmd and
 // root/tools and returns the set of registered flag names.
@@ -165,7 +167,7 @@ func checkDocFlags(root string) ([]string, error) {
 		}
 		for i, line := range strings.Split(string(buf), "\n") {
 			for _, m := range flagToken.FindAllStringSubmatch(line, -1) {
-				ref := m[2]
+				ref := m[1]
 				if !flags[ref] && !externalFlags[ref] {
 					stale = append(stale, fmt.Sprintf("%s:%d: flag -%s is not registered by any binary under cmd/ or tools/", name, i+1, ref))
 				}

@@ -61,8 +61,10 @@ func TestRepositoryIsFullyDocumented(t *testing.T) {
 }
 
 // TestStaleFlagDetection pins the flag-reference check: a doc flag that no
-// binary registers fails, registered flags and allowlisted external-tool
-// flags pass, and mid-word dashes are never flag references.
+// binary registers fails, also as a code span in parentheses; registered
+// flags and allowlisted external-tool flags (go test's -benchtime among
+// them) pass; mid-word dashes and a minus opening a parenthesised
+// expression ("log1p(-p)") are never flag references.
 func TestStaleFlagDetection(t *testing.T) {
 	root := t.TempDir()
 	write(t, filepath.Join(root, "cmd", "tool", "main.go"), `// Command tool.
@@ -80,9 +82,11 @@ func main() {
 	write(t, filepath.Join(root, "README.md"),
 		"Use `-alpha` or -beta-count here.\n"+
 			"go test -race -bench . is fine.\n"+
+			"So is `go test -run '^$' -bench BenchmarkColdRun -benchmem -benchtime=10x ./internal/experiments`.\n"+
 			"false-disable and 2e-08 are not flags.\n"+
+			"Nor is the minus in log1p(-p) or exp(-x).\n"+
 			"But -gamma was renamed long ago.\n"+
-			"And (-delta) hides in parens.\n")
+			"And (`-delta`) hides in parens.\n")
 
 	stale, err := checkDocFlags(root)
 	if err != nil {
