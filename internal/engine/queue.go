@@ -81,41 +81,46 @@ type calQueue struct {
 // len returns the number of queued events.
 func (q *calQueue) len() int { return q.inBuckets + len(q.spill) }
 
-// push queues ev. ev.when must be >= the cycle of the last popped event
-// (pushes never schedule into the past).
-func (q *calQueue) push(ev sevent) {
-	if ev.when-q.cur >= horizon {
-		q.spill = append(q.spill, ev)
+// push queues the event (when, key) carrying payload (kind, a, b) for
+// domain dst. when must be >= the cycle of the last popped event (pushes
+// never schedule into the past). The event arrives as scalars and is
+// stored field by field: a struct argument would be spilled with narrow
+// stores and reloaded with wide ones that straddle them, missing
+// store-to-load forwarding on every push.
+func (q *calQueue) push(when, key, a, b uint64, dst int32, kind uint8) {
+	if when-q.cur >= horizon {
+		q.spill = append(q.spill, sevent{when: when, key: key, a: a, b: b, dst: dst, kind: kind})
 		siftUp(q.spill, len(q.spill)-1)
 		return
 	}
 	n := q.alloc()
-	q.nodes[n].ev = ev
-	i := ev.when & horizonMask
+	ev := &q.nodes[n].ev
+	ev.when, ev.key, ev.a, ev.b, ev.dst, ev.kind = when, key, a, b, dst, kind
+	i := when & horizonMask
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if q.occ[w]&bit == 0 {
 		q.occ[w] |= bit
 		q.summary |= 1 << w
 		q.head[i], q.tail[i] = n, n
-	} else if t := q.tail[i]; q.nodes[t].ev.key < ev.key {
+	} else if t := q.tail[i]; q.nodes[t].ev.key < key {
 		q.nodes[t].next = n
 		q.tail[i] = n
 	} else {
 		// Out-of-order key: walk to the first node with a larger key.
 		p := q.head[i]
-		if ev.key < q.nodes[p].ev.key {
+		if key < q.nodes[p].ev.key {
 			q.nodes[n].next = p
 			q.head[i] = n
 		} else {
-			for nx := q.nodes[p].next; q.nodes[nx].ev.key < ev.key; nx = q.nodes[p].next {
+			for nx := q.nodes[p].next; q.nodes[nx].ev.key < key; nx = q.nodes[p].next {
 				p = nx
 			}
 			q.nodes[n].next = q.nodes[p].next
 			q.nodes[p].next = n
 		}
 	}
-	if q.inBuckets == 0 || (q.nearOK && ev.when < q.near) {
-		q.near, q.nearOK = ev.when, true
+	if q.inBuckets == 0 || (q.nearOK && when < q.near) {
+		q.near, q.nearOK = when, true
 	}
 	q.inBuckets++
 }
@@ -169,25 +174,34 @@ func (q *calQueue) minWhen() uint64 {
 	return m
 }
 
-// pop removes and returns the (when, key)-smallest event; the queue must
-// be non-empty.
-func (q *calQueue) pop() sevent {
+// pop removes the (when, key)-smallest event when its cycle is below
+// bound and returns its fields with ok set; otherwise it leaves the queue
+// unchanged and returns ok false (always, when the queue is empty). Like
+// push it moves the event as scalars, never as a struct value.
+func (q *calQueue) pop(bound uint64) (when uint64, dst int32, kind uint8, a, b uint64, ok bool) {
 	m := q.nearest()
 	if len(q.spill) > 0 && (m == noEvent || q.spill[0].less(&q.nodes[q.head[m&horizonMask]].ev)) {
-		top := q.spill[0]
+		top := &q.spill[0]
+		if top.when >= bound {
+			return
+		}
+		when, dst, kind, a, b = top.when, top.dst, top.kind, top.a, top.b
 		last := len(q.spill) - 1
 		q.spill[0] = q.spill[last]
 		q.spill = q.spill[:last]
 		if last > 0 {
 			siftDown(q.spill, 0)
 		}
-		q.cur = top.when
-		return top
+		q.cur = when
+		return when, dst, kind, a, b, true
+	}
+	if m >= bound {
+		return
 	}
 	i := m & horizonMask
 	n := q.head[i]
 	node := &q.nodes[n]
-	ev := node.ev
+	when, dst, kind, a, b = node.ev.when, node.ev.dst, node.ev.kind, node.ev.a, node.ev.b
 	if n == q.tail[i] {
 		w := i >> 6
 		q.occ[w] &^= 1 << (i & 63)
@@ -202,7 +216,7 @@ func (q *calQueue) pop() sevent {
 	q.free = n + 1
 	q.inBuckets--
 	q.cur = m
-	return ev
+	return when, dst, kind, a, b, true
 }
 
 func siftUp(h []sevent, i int) {

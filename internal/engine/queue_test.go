@@ -10,17 +10,34 @@ import (
 // a fuzzed comparison against a sorted-slice oracle, the engine-level
 // ordering contract it serves, and zero steady-state allocation.
 
+// pushEv queues ev through push's scalar arguments.
+func pushEv(q *calQueue, ev sevent) { q.push(ev.when, ev.key, ev.a, ev.b, ev.dst, ev.kind) }
+
+// popEv pops the smallest event whatever its cycle. pop hands back no key,
+// so the returned event's key is zero; tests that check order put the key
+// in a as well.
+func popEv(q *calQueue) (sevent, bool) {
+	when, dst, kind, a, b, ok := q.pop(noEvent)
+	return sevent{when: when, a: a, b: b, dst: dst, kind: kind}, ok
+}
+
 func TestZeroValueUsable(t *testing.T) {
 	var q calQueue
 	if q.len() != 0 || q.minWhen() != noEvent {
 		t.Fatalf("zero queue: len=%d minWhen=%d, want empty", q.len(), q.minWhen())
 	}
-	q.push(sevent{when: 3, key: 1})
+	if _, ok := popEv(&q); ok {
+		t.Fatal("pop on the zero queue reported an event")
+	}
+	pushEv(&q, sevent{when: 3, key: 1, a: 1})
 	if q.minWhen() != 3 {
 		t.Fatalf("minWhen=%d after push at 3", q.minWhen())
 	}
-	if ev := q.pop(); ev.when != 3 || ev.key != 1 || q.len() != 0 {
-		t.Fatalf("popped %+v, len %d", ev, q.len())
+	if _, _, _, _, _, ok := q.pop(3); ok || q.len() != 1 {
+		t.Fatalf("pop below cycle 3 took the event at 3 (len %d)", q.len())
+	}
+	if ev, ok := popEv(&q); !ok || ev.when != 3 || ev.a != 1 || q.len() != 0 {
+		t.Fatalf("popped %+v (ok %v), len %d", ev, ok, q.len())
 	}
 }
 
@@ -30,21 +47,24 @@ func TestZeroValueUsable(t *testing.T) {
 // by key alone.
 func TestSpillBucketTie(t *testing.T) {
 	var q calQueue
-	q.push(sevent{when: 5000, key: 10}) // beyond the horizon of cycle 0
+	pushEv(&q, sevent{when: 5000, key: 10, a: 10}) // beyond the horizon of cycle 0
 	if len(q.spill) != 1 {
 		t.Fatalf("event at 5000 not spilled (spill %d)", len(q.spill))
 	}
-	q.push(sevent{when: 2000, key: 1})
-	if ev := q.pop(); ev.when != 2000 {
+	pushEv(&q, sevent{when: 2000, key: 1, a: 1})
+	if ev, _ := popEv(&q); ev.when != 2000 {
 		t.Fatalf("first pop %+v, want cycle 2000", ev)
 	}
-	q.push(sevent{when: 5000, key: 20}) // now within the horizon: bucketed
-	q.push(sevent{when: 5000, key: 5})
+	if _, _, _, _, _, ok := q.pop(5000); ok {
+		t.Fatal("pop below cycle 5000 took a spilled event at 5000")
+	}
+	pushEv(&q, sevent{when: 5000, key: 20, a: 20}) // now within the horizon: bucketed
+	pushEv(&q, sevent{when: 5000, key: 5, a: 5})
 	if q.inBuckets != 2 {
 		t.Fatalf("%d bucketed events, want 2", q.inBuckets)
 	}
 	for _, want := range []uint64{5, 10, 20} {
-		if ev := q.pop(); ev.when != 5000 || ev.key != want {
+		if ev, _ := popEv(&q); ev.when != 5000 || ev.a != want {
 			t.Fatalf("popped %+v, want (5000, %d)", ev, want)
 		}
 	}
@@ -59,7 +79,10 @@ func TestSpillBucketTie(t *testing.T) {
 // popped cycle drawn from one of several classes: same-cycle, short,
 // straddling the horizon, far beyond it, or on a shared 1024-cycle grid
 // that makes spilled and bucketed events tie on cycle. Keys are unique
-// (a counter) but arrive out of order (the op byte sits above it).
+// (a counter) but arrive out of order (the op byte sits above it). Every
+// payload field is non-zero and no two fields of one event can be equal —
+// a and b differ in their top bits, dst is above any kind — so a push or
+// pop that drops or swaps a field fails the comparison.
 func FuzzQueueMatchesSort(f *testing.F) {
 	f.Add(uint64(0), []byte{1, 0, 5, 5, 0, 9, 0, 0, 0, 13, 1, 2, 0, 0, 0})
 	f.Add(uint64(1)<<40, []byte{17, 0, 3, 21, 200, 7, 9, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -90,8 +113,10 @@ func FuzzQueueMatchesSort(f *testing.F) {
 			}
 		}
 		pop := func(step int) {
-			got, want := q.pop(), ref[0]
+			got, _ := popEv(&q)
+			want := ref[0]
 			ref = ref[1:]
+			want.key = 0 // pop hands back no key; a pins the order
 			if got != want {
 				t.Fatalf("step %d: popped %+v, oracle %+v", step, got, want)
 			}
@@ -121,8 +146,15 @@ func FuzzQueueMatchesSort(f *testing.F) {
 				when = last + d%300
 			}
 			seq++
-			ev := sevent{when: when, key: uint64(op)<<48 | seq, a: d, kind: op}
-			q.push(ev)
+			ev := sevent{
+				when: when,
+				key:  uint64(op)<<48 | seq,
+				a:    1<<62 | d<<32 | seq,
+				b:    1<<63 | seq<<16 | d,
+				dst:  int32(256 + seq),
+				kind: op,
+			}
+			pushEv(&q, ev)
 			at := sort.Search(len(ref), func(j int) bool { return ev.less(&ref[j]) })
 			ref = append(ref, sevent{})
 			copy(ref[at+1:], ref[at:])

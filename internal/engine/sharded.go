@@ -144,13 +144,7 @@ func (d *Domain) Now() uint64 { return d.eng.shards[d.shard].now }
 func (d *Domain) After(delay uint64, kind uint8, a, b uint64) {
 	sh := &d.eng.shards[d.shard]
 	d.seq++
-	sh.q.push(sevent{
-		when: sh.now + delay,
-		key:  uint64(d.id)<<seqBits | d.seq,
-		a:    a, b: b,
-		dst:  d.id,
-		kind: kind,
-	})
+	sh.q.push(sh.now+delay, uint64(d.id)<<seqBits|d.seq, a, b, d.id, kind)
 }
 
 // Send schedules an event on another domain, delay cycles from the sending
@@ -176,17 +170,11 @@ func (d *Domain) Send(dst *Domain, delay uint64, kind uint8, a, b uint64) {
 	}
 	sh := &e.shards[d.shard]
 	d.seq++
-	ev := sevent{
-		when: sh.now + delay,
-		key:  msgClass | uint64(d.id)<<seqBits | d.seq,
-		a:    a, b: b,
-		dst:  dst.id,
-		kind: kind,
-	}
+	when, key := sh.now+delay, msgClass|uint64(d.id)<<seqBits|d.seq
 	if ds := dst.shard; ds == d.shard {
-		sh.q.push(ev)
+		sh.q.push(when, key, a, b, dst.id, kind)
 	} else {
-		sh.out[ds] = append(sh.out[ds], ev)
+		sh.out[ds] = append(sh.out[ds], sevent{when: when, key: key, a: a, b: b, dst: dst.id, kind: kind})
 		sh.crossSent++
 		e.pub[d.shard].sent.Store(1)
 	}
@@ -286,7 +274,8 @@ func (s *Sharded) Domain(i int) *Domain { return &s.domains[i] }
 // NumDomains returns the number of domains.
 func (s *Sharded) NumDomains() int { return len(s.domains) }
 
-// Now returns the engine clock: the cycle of the last fired event.
+// Now returns the engine clock: the cycle of the last fired event, as of
+// the end of the last Run. During a Run a sink reads its Domain's Now.
 func (s *Sharded) Now() uint64 { return s.now }
 
 // Shards returns the current shard count.
@@ -564,28 +553,56 @@ func (s *Sharded) Run() uint64 {
 	return s.runParallel()
 }
 
+// runSerial fires the one shard's events in (when, key) order. With
+// tickers armed it fires in stretches ending at the next ticker boundary,
+// running the boundary's hooks before the first event at or after it.
 func (s *Sharded) runSerial() uint64 {
 	sh := &s.shards[0]
-	var events, stamps, last uint64
-	last = noEvent
-	hasTickers := len(s.tickers) > 0
-	for sh.q.len() > 0 {
-		if hasTickers {
-			s.fireTickers(sh.q.minWhen())
+	for {
+		bound := uint64(noEvent)
+		if len(s.tickers) > 0 {
+			t := sh.q.minWhen()
+			if t == noEvent {
+				break
+			}
+			s.now = sh.now
+			s.fireTickers(t)
+			bound, _ = s.tickNext()
 		}
-		ev := sh.q.pop()
-		if ev.when != last {
+		s.fire(sh, bound)
+		if bound == noEvent {
+			break
+		}
+	}
+	s.now = sh.now
+	s.stats.Events, s.stats.Timestamps = sh.events, sh.timestamps
+	sh.events, sh.timestamps = 0, 0
+	return s.now
+}
+
+// fire pops and dispatches the shard's events below bound in (when, key)
+// order, the inner loop of both the serial run and a parallel round, and
+// adds them to the shard's event and timestamp counts. Every bound ends a
+// stretch on a cycle boundary, so a cycle split across two calls is never
+// counted twice.
+func (s *Sharded) fire(sh *shardState, bound uint64) {
+	var events, stamps uint64
+	last := uint64(noEvent)
+	for {
+		when, dst, kind, a, b, ok := sh.q.pop(bound)
+		if !ok {
+			break
+		}
+		if when != last {
 			stamps++
-			last = ev.when
+			last = when
 		}
 		events++
-		sh.now = ev.when
-		s.now = ev.when
-		s.domains[ev.dst].sink.OnEvent(ev.kind, ev.a, ev.b)
+		sh.now = when
+		s.domains[dst].sink.OnEvent(kind, a, b)
 	}
-	s.stats.Events = events
-	s.stats.Timestamps = stamps
-	return s.now
+	sh.events += events
+	sh.timestamps += stamps
 }
 
 func (s *Sharded) runParallel() uint64 {
@@ -720,17 +737,7 @@ func (s *Sharded) worker(w int, bar *barrier) {
 				bound = b
 			}
 		}
-		last := noEvent
-		for sh.q.minWhen() < bound {
-			ev := sh.q.pop()
-			if ev.when != last {
-				sh.timestamps++
-				last = ev.when
-			}
-			sh.events++
-			sh.now = ev.when
-			s.domains[ev.dst].sink.OnEvent(ev.kind, ev.a, ev.b)
-		}
+		s.fire(sh, bound)
 		bar.wait(s.combineTraffic)
 		if s.hdr.ingest != 0 {
 			s.ingest(w)
@@ -765,7 +772,8 @@ func (s *Sharded) ingest(w int) {
 		src := &s.shards[i]
 		row := src.out[w]
 		for j := range row {
-			sh.q.push(row[j])
+			ev := &row[j]
+			sh.q.push(ev.when, ev.key, ev.a, ev.b, ev.dst, ev.kind)
 		}
 		src.out[w] = row[:0]
 	}

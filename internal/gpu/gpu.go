@@ -899,27 +899,33 @@ func (s *System) Misclassification() (Misclass, bool) {
 			b.data.SetFaultEpoch(epoch)
 		}
 		b.scheme.(dfhProber).DFHCodes(s.codes)
-		for id, code := range s.codes {
-			capable := b.data.CapableFaultCount(id)
-			m.Lines++
-			if capable >= 1 {
-				m.TrueFaulty++
-			}
-			switch code {
-			case 3:
-				m.Disabled++
-				if capable < 2 {
-					m.FalseDisable++
-				}
-			case 1:
-				m.Initial++
-			case 2:
-				if capable >= 2 {
-					m.FalseTrust++
-				}
-			default: // stable, 0 known faults
+		// One ground-truth query per set; wayScratch is free between Runs.
+		counts := b.wayScratch
+		ways := len(counts)
+		for first := 0; first < len(s.codes); first += ways {
+			b.data.CapableFaultCounts(first, counts)
+			for w, code := range s.codes[first : first+ways] {
+				capable := counts[w]
+				m.Lines++
 				if capable >= 1 {
-					m.FalseTrust++
+					m.TrueFaulty++
+				}
+				switch code {
+				case 3:
+					m.Disabled++
+					if capable < 2 {
+						m.FalseDisable++
+					}
+				case 1:
+					m.Initial++
+				case 2:
+					if capable >= 2 {
+						m.FalseTrust++
+					}
+				default: // stable, 0 known faults
+					if capable >= 1 {
+						m.FalseTrust++
+					}
 				}
 			}
 		}
@@ -987,21 +993,15 @@ func lineContent(addr uint64, version uint32) bitvec.Line {
 	return l
 }
 
-// memContent returns the current true content of a line address. Any given
-// line address is always served by the same bank, so the version lives in
-// exactly one lineState table.
-func (b *bankDomain) memContent(lineAddr uint64) bitvec.Line {
-	return lineContent(lineAddr, packedVersion(b.lineState.get(lineAddr)))
-}
-
 // pruneLines rebuilds the bank's line-state table without entries for
 // lines that are no longer observable (not resident in this bank and with
 // no fetch in flight) once it exceeds its high-water mark (4x the bank
 // line count), bounding memory across repeated Runs on streaming
-// workloads. Survivors keep their exact packed state.
-func (b *bankDomain) pruneLines() {
+// workloads. Survivors keep their exact packed state. It reports whether
+// it rebuilt the table, which invalidates any value read from it before.
+func (b *bankDomain) pruneLines() bool {
 	if b.lineState.live <= b.versionsHighWater {
-		return
+		return false
 	}
 	old := b.lineState
 	b.lineState.init(len(old.keys))
@@ -1016,6 +1016,7 @@ func (b *bankDomain) pruneLines() {
 		}
 	}
 	b.ctr.IncC(cVersionPrunes)
+	return true
 }
 
 // resident reports whether this bank holds the line.
@@ -1023,15 +1024,6 @@ func (b *bankDomain) resident(lineAddr uint64) bool {
 	_, lset, tag := b.sys.split(lineAddr << b.sys.lineShift)
 	_, hit := b.tags.Lookup(lset, tag)
 	return hit
-}
-
-// pendingDec retires one in-flight fetch for a line address. The count is
-// decremented to zero rather than removed; dead entries are swept out
-// wholesale by pruneLines once the table outgrows its high-water mark.
-func (b *bankDomain) pendingDec(lineAddr uint64) {
-	p := b.lineState.ref(lineAddr)
-	*p = *p&^0xFFFFFFFF | uint64(uint32(*p)-1)
-	b.pruneLines()
 }
 
 // --- simulation ---
@@ -1241,7 +1233,6 @@ func (b *bankDomain) read(addr uint64, cu int) {
 	}
 
 	if way, hit := b.tags.Lookup(set, tag); hit {
-		b.tags.Touch(set, way)
 		id := b.tags.LineID(set, way)
 		if b.sys.cfg.SoftErrorPerRead > 0 && b.softRNG.Bernoulli(b.sys.cfg.SoftErrorPerRead) {
 			b.data.InjectSoftError(id, b.softRNG.Intn(bitvec.LineBits))
@@ -1295,10 +1286,22 @@ func (b *bankDomain) fetch(addr uint64, cu int, from uint64) {
 // stores that raced the fetch are reflected) and installed into the bank.
 // The CU response was already posted at fetch time for the cycle after
 // this event.
+//
+// The fetch retires in the line's one table probe: its pending count is
+// decremented to zero rather than removed (dead entries are swept out
+// wholesale by pruneLines once the table outgrows its high-water mark),
+// and the version is read back from the same slot. Only a prune, which
+// can drop this very line (it is neither resident nor pending any more),
+// makes a second probe.
 func (b *bankDomain) fill(addr uint64, cu int) {
 	lineAddr := addr >> b.sys.lineShift
-	b.pendingDec(lineAddr)
-	b.installL2(addr, b.memContent(lineAddr))
+	p := b.lineState.ref(lineAddr)
+	*p = *p&^0xFFFFFFFF | uint64(uint32(*p)-1)
+	v := *p
+	if b.pruneLines() {
+		v = b.lineState.get(lineAddr)
+	}
+	b.installL2(addr, lineContent(lineAddr, packedVersion(v)))
 }
 
 // store applies a write-through update at the bank. The line's content
@@ -1308,15 +1311,19 @@ func (b *bankDomain) store(addr uint64, l1Hit bool) {
 	lineAddr := addr >> b.sys.lineShift
 	_, set, tag := b.sys.split(addr)
 	way, l2Hit := b.tags.Lookup(set, tag)
+	var v uint64 // the packed line state after the bump, when l2Hit
 	if l1Hit || l2Hit || packedPending(b.lineState.get(lineAddr)) > 0 {
-		*b.lineState.ref(lineAddr) += 1 << 32
-		b.pruneLines()
+		p := b.lineState.ref(lineAddr)
+		*p += 1 << 32
+		v = *p
+		if b.pruneLines() {
+			v = b.lineState.get(lineAddr)
+		}
 	}
 	if l2Hit {
 		b.ctr.IncC(cWriteUpdates)
-		b.tags.Touch(set, way)
 		id := b.tags.LineID(set, way)
-		newData := b.memContent(lineAddr)
+		newData := lineContent(lineAddr, packedVersion(v))
 		b.data.Write(id, newData)
 		b.scheme.OnWriteHit(set, way, newData)
 	}
@@ -1337,17 +1344,9 @@ func (b *bankDomain) installL2(addr uint64, data bitvec.Line) {
 	// way is found or the set is exhausted.
 	way := -1
 	for attempt := 0; attempt < b.sys.cfg.L2Ways; attempt++ {
-		w, ok := b.tags.Victim(set, b.scheme.VictimFunc())
-		if !ok {
+		w := b.victimWay(set)
+		if w < 0 {
 			break
-		}
-		if b.tags.Entry(set, w).Valid {
-			// No invalid way was available and the scheme fell through to
-			// its recency tie-break. Real GPU L2s do not implement true
-			// LRU; pick pseudo-randomly among the valid enabled ways
-			// instead, which also keeps streaming fills from
-			// deterministically flushing resident reuse data.
-			w = b.randomValidWay(set, w)
 		}
 		if b.tags.Entry(set, w).Valid {
 			b.ctr.IncC(cEvictions)
@@ -1368,22 +1367,44 @@ func (b *bankDomain) installL2(addr uint64, data bitvec.Line) {
 	b.scheme.OnFill(set, way, data)
 }
 
-// randomValidWay picks a pseudo-random valid, enabled way of a bank set as
-// the replacement victim, falling back to the scheme's pick if the set has
-// none (cannot happen when the fallback way itself is valid and enabled).
-// The candidate scratch is sized to the configured associativity, so no
-// way can be silently excluded.
-func (b *bankDomain) randomValidWay(set, fallback int) int {
+// victimWay picks the way a fill of the bank set replaces, in one pass
+// over the set, or -1 when every way is disabled. While the set has an
+// invalid enabled way the scheme's VictimFunc chooses among the invalid
+// ways (the first one without a VictimFunc). Otherwise the victim is a
+// uniformly random valid enabled way, drawn from replRNG over the ways in
+// index order: real GPU L2s do not implement true LRU, and a random victim
+// also keeps streaming fills from deterministically flushing resident
+// reuse data. The L2 therefore keeps no recency. The candidate scratch is
+// sized to the configured associativity, so no way can be excluded.
+func (b *bankDomain) victimWay(set int) int {
+	es := b.tags.Set(set)
 	cand := b.wayScratch
-	n := 0
-	for w, e := range b.tags.Set(set) {
-		if e.Valid && !e.Disabled {
+	n, invalid := 0, -1
+	for w := range es {
+		switch e := &es[w]; {
+		case e.Disabled:
+		case !e.Valid:
+			if invalid < 0 {
+				invalid = w
+			}
+		default:
 			cand[n] = w
 			n++
 		}
 	}
+	if invalid >= 0 {
+		pick := b.scheme.VictimFunc()
+		if pick == nil {
+			return invalid
+		}
+		w := pick(es)
+		if w >= 0 && es[w].Disabled {
+			panic("gpu: victim function returned a disabled way")
+		}
+		return w
+	}
 	if n == 0 {
-		return fallback
+		return -1
 	}
 	return cand[b.replRNG.Intn(n)]
 }

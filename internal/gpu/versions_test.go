@@ -66,7 +66,7 @@ func TestVersionsMapBounded(t *testing.T) {
 		traces, next = streamTraces(cfg.CUs, 1000, next)
 		sys.Run(traces)
 		totalLines += uint64(cfg.CUs) * 1000
-		// pendingDec decrements counts to zero in place (dead entries are
+		// A fill decrements counts to zero in place (dead entries are
 		// swept in bulk at the high-water mark, not removed one by one);
 		// after a drain there must be no positive count left.
 		for _, b := range sys.banks {
@@ -135,7 +135,8 @@ func TestUnobservableStoreSkipsVersionEntry(t *testing.T) {
 
 // TestRandomValidWayWideAssoc verifies the victim candidate buffer scales
 // with the configured associativity: with 128 ways and every way valid,
-// selection must be able to return ways above the old 64-entry cap.
+// victimWay's random pick must be able to return ways above the old
+// 64-entry cap.
 func TestRandomValidWayWideAssoc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L2Bytes = 128 * 64 * 4 // 4 global sets of 128 ways
@@ -148,7 +149,7 @@ func TestRandomValidWayWideAssoc(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for i := 0; i < 4096; i++ {
-		seen[b.randomValidWay(0, 0)] = true
+		seen[b.victimWay(0)] = true
 	}
 	high := 0
 	for w := range seen {

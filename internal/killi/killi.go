@@ -206,7 +206,9 @@ func (k *Scheme) Reset(vNorm float64) {
 // (§4.4). Among invalid lines it prefers Initial > Stable0 > Stable1 —
 // filling Initial lines first accelerates DFH training, and preferring
 // Stable0 over Stable1 lowers the SDC exposure of combined soft-error +
-// LV-fault patterns. With no invalid line it falls back to LRU.
+// LV-fault patterns; the first invalid Initial line ends the scan, since
+// nothing outranks it. With no invalid line it falls back to LRU (the
+// simulated L2 calls it only while a set has an invalid enabled line).
 func (k *Scheme) VictimFunc() cache.VictimFunc {
 	if k.cfg.PlainLRUAllocation {
 		return nil
@@ -221,7 +223,7 @@ func (k *Scheme) VictimFunc() cache.VictimFunc {
 			pri := 0
 			switch DFH(e.Class) {
 			case Initial:
-				pri = 3
+				return w
 			case Stable0:
 				pri = 2
 			case Stable1:
@@ -304,7 +306,7 @@ func (k *Scheme) allocECC(set, way int) *eccEntry {
 		return entry
 	}
 	if DFH(ve.Class) == Initial && !k.cfg.NoEvictionTraining {
-		k.classifyDeparting(vSet, vWay, evicted, &old)
+		data := k.classifyDeparting(vSet, vWay, evicted, &old)
 		// A victim classified Stable0 keeps operating on its folded parity
 		// and stays resident; Disabled already invalidated itself; Stable1
 		// loses its checkbits with the entry and must leave.
@@ -317,10 +319,12 @@ func (k *Scheme) allocECC(set, way int) *eccEntry {
 			// classifyDeparting. Lines whose masked faults the codec could
 			// still correct go to Stable1 (refilled under fresh
 			// checkbits); only faults beyond its strength disable the line.
+			// The test starts from the line classifyDeparting read out:
+			// nothing has written the array since.
 			p := k.pol
 			p.polarity = true
 			out := p.next(observation{state: Initial, recheckOK: true,
-				stuck: k.invertedCheck(evicted, k.h.Data().Read(evicted))})
+				stuck: k.invertedCheck(evicted, data)})
 			k.settle(vSet, vWay, evicted, out.next, out.ev)
 		}
 	}
@@ -431,8 +435,10 @@ func (k *Scheme) OnEvict(set, way int) {
 // eviction): read the data out, evaluate parity + ECC against the given
 // (possibly already dying) entry, and persist the DFH verdict. The data is
 // not delivered, so it is not corrected, and of the row's events only a
-// DECTED promotion counts.
-func (k *Scheme) classifyDeparting(set, way, id int, entry *eccEntry) {
+// DECTED promotion counts. It returns the line as read: an Initial line is
+// observed under SECDED or OLSC, and observe without decode leaves it
+// unmodified.
+func (k *Scheme) classifyDeparting(set, way, id int, entry *eccEntry) bitvec.Line {
 	data := k.h.Data().Read(id)
 	o := observation{state: Initial, code: k.codeOf(Initial, id), stuck: untested}
 	stored := k.observe(&o, &data, k.h.Data().ReadTrue(id), k.parity4[id], entry, false)
@@ -449,6 +455,7 @@ func (k *Scheme) classifyDeparting(set, way, id int, entry *eccEntry) {
 	if (out.next == Stable0 || out.next == Stable1) && k.olsc == nil {
 		k.parity4[id] = uint8(parity.Fold(stored))
 	}
+	return data
 }
 
 // Scrub re-tests every disabled line with the §5.6.2 polarity test — an

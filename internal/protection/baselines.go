@@ -121,11 +121,11 @@ func (p *PerLine) Codec() ecc.Codec { return p.codec }
 func (p *PerLine) Reset(vNorm float64) {
 	tags := p.h.Tags()
 	data := p.h.Data()
-	faultCount := data.ActiveFaultCount
+	ctr := p.h.Stats()
+	var res march.Result
 	if p.UseMarchTest {
-		res := march.CMinus(data, tags.Config().Lines())
-		p.h.Stats().AddC(cMBISTOps, res.Ops)
-		faultCount = res.FaultCount
+		res = march.CMinus(data, tags.Config().Lines())
+		ctr.AddC(cMBISTOps, res.Ops)
 	}
 	// Below the Figure 1 fault knee an InArrayCheckbits scheme switches to
 	// its low-voltage layout: each data way pairs with a sacrificed check
@@ -134,25 +134,46 @@ func (p *PerLine) Reset(vNorm float64) {
 	// the full capacity returns.
 	ways := tags.Config().Ways
 	paired := p.InArrayCheckbits && vNorm < 0.7 && ways >= 2
-	tags.ForEach(func(set, way int, e *cache.Entry) {
-		id := tags.LineID(set, way)
-		e.Valid = false
-		switch {
-		case !paired:
-			e.Disabled = faultCount(id) > p.codec.CorrectsUpTo()
-		case way >= ways/2:
-			// Check way: stores the partner's checkbits, never data.
-			e.Disabled = true
-			p.h.Stats().IncC(cCapacitySacrificed)
-			return
-		default:
-			pair := tags.LineID(set, way+ways/2)
-			e.Disabled = faultCount(id)+faultCount(pair) > p.codec.CorrectsUpTo()
+	limit := p.codec.CorrectsUpTo()
+	// Direct set iteration with one fault-count query per set: a per-line
+	// ForEach closure and map-index translation are measurable across the
+	// 32K-line pass every run makes, as in Killi's Reset. The counts live
+	// on the stack unless a set is wider than the buffer.
+	var buf [32]int
+	counts := buf[:]
+	if ways > len(buf) {
+		counts = make([]int, ways)
+	}
+	counts = counts[:ways]
+	for set := 0; set < tags.Config().Sets; set++ {
+		first := tags.LineID(set, 0)
+		if p.UseMarchTest {
+			for w := range counts {
+				counts[w] = res.FaultCount(first + w)
+			}
+		} else {
+			data.ActiveFaultCounts(first, counts)
 		}
-		if e.Disabled {
-			p.h.Stats().IncC(cLinesDisabled)
+		es := tags.Set(set)
+		for way := range es {
+			e := &es[way]
+			e.Valid = false
+			switch {
+			case !paired:
+				e.Disabled = counts[way] > limit
+			case way >= ways/2:
+				// Check way: stores the partner's checkbits, never data.
+				e.Disabled = true
+				ctr.IncC(cCapacitySacrificed)
+				continue
+			default:
+				e.Disabled = counts[way]+counts[way+ways/2] > limit
+			}
+			if e.Disabled {
+				ctr.IncC(cLinesDisabled)
+			}
 		}
-	})
+	}
 }
 
 // VictimFunc implements Scheme.

@@ -88,8 +88,11 @@ type Scheme interface {
 	// Reset (re)initializes fault knowledge for a new voltage. MBIST-based
 	// schemes run their pre-characterization here; Killi clears DFH state.
 	Reset(vNorm float64)
-	// VictimFunc returns the allocation/replacement policy the scheme
-	// wants (nil for default LRU).
+	// VictimFunc returns the allocation policy the scheme wants among a
+	// set's invalid enabled lines (nil for the first one). The simulated
+	// L2 calls it only when the set has an invalid enabled way, and fills
+	// the way it returns (none on -1); with no invalid enabled way, the L2
+	// evicts a random valid enabled way instead.
 	VictimFunc() cache.VictimFunc
 	// OnFill is invoked after fill data was written at (set, way); the
 	// scheme generates and stores its metadata. data is the true (encoder

@@ -86,6 +86,21 @@ func (a *Array) mapIndex(i int) int {
 	return ((i/a.mapWays)*a.mapStride+a.mapOffset)*a.mapWays + i%a.mapWays
 }
 
+// runIndex returns the fault-map line of local line first, for a run of n
+// local lines that maps onto n consecutive map lines: any run of an
+// identity view, or a run within one group of mapWays lines (one cache set
+// of a bank view). It panics on a run that crosses a group of a strided
+// view.
+func (a *Array) runIndex(first, n int) int {
+	if a.mapStride == 1 && a.mapOffset == 0 {
+		return first
+	}
+	if first%a.mapWays+n > a.mapWays {
+		panic(fmt.Sprintf("sram: run of %d lines at %d crosses a %d-line map group", n, first, a.mapWays))
+	}
+	return a.mapIndex(first)
+}
+
 // New returns an array of n lines using the given persistent fault map,
 // initially operating at voltage vNorm. The fault map must cover at least n
 // lines of 512 bits.
@@ -307,8 +322,21 @@ func (a *Array) ReadTrue(i int) bitvec.Line { return a.lines[i] }
 // FLAIR's fill-time probe) observes, so intermittent faults that happen to
 // be dormant are missed exactly the way real profiling misses them; use
 // CapableFaultCount for ground truth.
-func (a *Array) ActiveFaultCount(i int) int {
-	mi := a.mapIndex(i)
+func (a *Array) ActiveFaultCount(i int) int { return a.activeCount(i, a.mapIndex(i)) }
+
+// ActiveFaultCounts sets counts[j] to ActiveFaultCount(first+j) for a run
+// of lines within one cache set of the array's view (see runIndex),
+// translating the run's map index once: the per-set form an MBIST pass
+// over the whole array uses.
+func (a *Array) ActiveFaultCounts(first int, counts []int) {
+	mi := a.runIndex(first, len(counts))
+	for j := range counts {
+		counts[j] = a.activeCount(first+j, mi+j)
+	}
+}
+
+// activeCount is ActiveFaultCount of local line i at map line mi.
+func (a *Array) activeCount(i, mi int) int {
 	n := 0
 	if !a.classed {
 		n = a.active.LineCount(mi)
@@ -331,8 +359,20 @@ func (a *Array) ActiveFaultCount(i int) int {
 // activation ramp is non-zero at the current epoch — plus injected
 // lifetime faults. The DFH misclassification oracle compares classifier
 // state against this; hardware has no such port.
-func (a *Array) CapableFaultCount(i int) int {
-	mi := a.mapIndex(i)
+func (a *Array) CapableFaultCount(i int) int { return a.capableCount(i, a.mapIndex(i)) }
+
+// CapableFaultCounts sets counts[j] to CapableFaultCount(first+j) for a
+// run of lines within one cache set of the array's view, translating the
+// run's map index once, as ActiveFaultCounts does.
+func (a *Array) CapableFaultCounts(first int, counts []int) {
+	mi := a.runIndex(first, len(counts))
+	for j := range counts {
+		counts[j] = a.capableCount(first+j, mi+j)
+	}
+}
+
+// capableCount is CapableFaultCount of local line i at map line mi.
+func (a *Array) capableCount(i, mi int) int {
 	n := 0
 	if !a.classed {
 		n = a.active.LineCount(mi)
