@@ -260,7 +260,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, w := range workload.Catalog() {
-			_ = w.Trace(0, 1000, uint64(i))
+			_ = w.Traces(1, 1000, uint64(i))
 		}
 	}
 }

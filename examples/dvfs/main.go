@@ -47,8 +47,9 @@ func main() {
 			func() protection.Scheme { return killi.New(killi.Config{Ratio: 64}) }},
 	} {
 		sys := gpu.New(cfg, tc.newScheme)
-		// A probe instance answers NeedsMBIST; the per-bank instances the
-		// system attached are interchangeable with it for that question.
+		// A probe instance answers whether the scheme needs MBIST; the
+		// per-bank instances the system attached are interchangeable with
+		// it for that question.
 		rep := dvfs.RunSchedule(sys, tc.newScheme(), mbist, phases)
 		fmt.Printf("%-48s %s\n", tc.name, rep)
 	}

@@ -55,20 +55,20 @@ const (
 	msECCAreaBitsPerLine = 198
 )
 
-// SECDEDPerLineBits returns the total extra bits of the conventional
+// secdedPerLineBits returns the total extra bits of the conventional
 // SECDED-per-line LV design (checkbits + disable bit per line) — the
 // normalization denominator of Tables 4 and 5.
-func SECDEDPerLineBits(g L2Geometry) int {
+func secdedPerLineBits(g L2Geometry) int {
 	return g.Lines * (secdedCheckBits + disableBit)
 }
 
-// DECTEDPerLineBits returns DECTED-per-line extra bits.
-func DECTEDPerLineBits(g L2Geometry) int {
+// dectedPerLineBits returns DECTED-per-line extra bits.
+func dectedPerLineBits(g L2Geometry) int {
 	return g.Lines * (dectedCheckBits + disableBit)
 }
 
-// MSECCBits returns MS-ECC's extra bits per Table 5's published density.
-func MSECCBits(g L2Geometry) int {
+// mseccBits returns MS-ECC's extra bits per Table 5's published density.
+func mseccBits(g L2Geometry) int {
 	return g.Lines * msECCAreaBitsPerLine
 }
 
@@ -84,23 +84,23 @@ func KilliECCEntryBits(codeCheckBits int) int {
 	return payload + eccEntryOverheadBits
 }
 
-// KilliBits returns Killi's total extra bits for an ECC cache with one
+// killiBits returns Killi's total extra bits for an ECC cache with one
 // entry per ratio L2 lines, using a stable-state code of codeCheckBits
 // (11 = SECDED, 21 = DECTED, …).
-func KilliBits(g L2Geometry, ratio, codeCheckBits int) int {
+func killiBits(g L2Geometry, ratio, codeCheckBits int) int {
 	entries := g.Lines / ratio
 	return g.Lines*killiPerLineBits + entries*KilliECCEntryBits(codeCheckBits)
 }
 
-// KilliRatio returns Killi's storage normalized to SECDED-per-line — the
+// killiRatio returns Killi's storage normalized to SECDED-per-line — the
 // cells of Tables 4 and 5.
-func KilliRatio(g L2Geometry, ratio, codeCheckBits int) float64 {
-	return float64(KilliBits(g, ratio, codeCheckBits)) / float64(SECDEDPerLineBits(g))
+func killiRatio(g L2Geometry, ratio, codeCheckBits int) float64 {
+	return float64(killiBits(g, ratio, codeCheckBits)) / float64(secdedPerLineBits(g))
 }
 
-// PercentOverL2 expresses extra bits as a percentage of the L2 data
+// percentOverL2 expresses extra bits as a percentage of the L2 data
 // capacity (Table 5's last row).
-func PercentOverL2(g L2Geometry, extraBits int) float64 {
+func percentOverL2(g L2Geometry, extraBits int) float64 {
 	return float64(extraBits) / float64(g.Lines*g.LineBits) * 100
 }
 
@@ -126,7 +126,7 @@ func Table4(g L2Geometry) []Table4Row {
 	for _, c := range codes {
 		row := Table4Row{Code: c.name, Ratios: map[int]float64{}}
 		for _, r := range []int{256, 128, 64, 32, 16} {
-			row.Ratios[r] = KilliRatio(g, r, c.bits)
+			row.Ratios[r] = killiRatio(g, r, c.bits)
 		}
 		out = append(out, row)
 	}
@@ -143,21 +143,21 @@ type Table5Entry struct {
 
 // Table5 reproduces the area comparison of Table 5 for the paper's L2.
 func Table5(g L2Geometry) []Table5Entry {
-	secded := SECDEDPerLineBits(g)
+	secded := secdedPerLineBits(g)
 	entries := []Table5Entry{
-		{Scheme: "DECTED", Bits: DECTEDPerLineBits(g)},
-		{Scheme: "MS-ECC", Bits: MSECCBits(g)},
+		{Scheme: "DECTED", Bits: dectedPerLineBits(g)},
+		{Scheme: "MS-ECC", Bits: mseccBits(g)},
 		{Scheme: "SECDED", Bits: secded},
 	}
 	for _, r := range []int{256, 128, 64, 32, 16} {
 		entries = append(entries, Table5Entry{
 			Scheme: fmt.Sprintf("Killi 1:%d", r),
-			Bits:   KilliBits(g, r, secdedCheckBits),
+			Bits:   killiBits(g, r, secdedCheckBits),
 		})
 	}
 	for i := range entries {
 		entries[i].Ratio = float64(entries[i].Bits) / float64(secded)
-		entries[i].PctOverL2 = PercentOverL2(g, entries[i].Bits)
+		entries[i].PctOverL2 = percentOverL2(g, entries[i].Bits)
 	}
 	return entries
 }
@@ -165,7 +165,7 @@ func Table5(g L2Geometry) []Table5Entry {
 // KilliBytesForRatio returns Killi's total overhead in kilobytes — the
 // paper quotes 24.6 KB (1:256) to 34.25 KB (1:16) for the 2 MB L2.
 func KilliBytesForRatio(g L2Geometry, ratio int) float64 {
-	return float64(KilliBits(g, ratio, secdedCheckBits)) / 8 / 1024
+	return float64(killiBits(g, ratio, secdedCheckBits)) / 8 / 1024
 }
 
 // Table7Row is one row of Table 7: Killi-with-OLSC area normalized to

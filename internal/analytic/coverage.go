@@ -61,16 +61,16 @@ const (
 	segmentBits    = 33
 )
 
-// SECDEDFailProb is P_fail(SECDED): the probability of three or more cell
+// secdedFailProb is P_fail(SECDED): the probability of three or more cell
 // failures in the 523-bit protected word (the paper conservatively treats
 // every ≥3-error pattern as a SECDED failure).
-func SECDEDFailProb(pCell float64) float64 {
+func secdedFailProb(pCell float64) float64 {
 	return 1 - binomCDF(secdedWordBits, 2, pCell)
 }
 
-// SegProbs returns the paper's per-segment probabilities over a 33-bit
+// segProbs returns the paper's per-segment probabilities over a 33-bit
 // segment: zero failures, an even (≥2) number, and an odd (≥3) number.
-func SegProbs(pCell float64) (p0, pEven, pOdd float64) {
+func segProbs(pCell float64) (p0, pEven, pOdd float64) {
 	p0 = binomPMF(segmentBits, 0, pCell)
 	for i := 2; i <= segmentBits; i += 2 {
 		pEven += binomPMF(segmentBits, i, pCell)
@@ -81,15 +81,15 @@ func SegProbs(pCell float64) (p0, pEven, pOdd float64) {
 	return p0, pEven, pOdd
 }
 
-// SegParityFailProb is the paper's P_fail(Seg.Parity): the probability that
+// segParityFailProb is the paper's P_fail(Seg.Parity): the probability that
 // the 16-segment interleaved parity fails to flag a multi-bit failure —
 // at most one segment with an odd (≥3) count while every other segment has
 // zero or an even number of failures. It follows §5.3's published
 // formulation:
 //
 //	P_fail = P¹⁵seg0·PsegOdd + Σᵢ P¹⁶⁻ⁱsegEven·Pⁱseg0
-func SegParityFailProb(pCell float64) float64 {
-	p0, pEven, pOdd := SegProbs(pCell)
+func segParityFailProb(pCell float64) float64 {
+	p0, pEven, pOdd := segProbs(pCell)
 	pn := func(p float64, n int) float64 {
 		// Pⁿ of the paper: binomial over segments.
 		return math.Exp(logChoose(segments, n) + float64(n)*safeLog(p) + float64(segments-n)*math.Log1p(-clamp01(p)))
@@ -118,16 +118,16 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// KilliFailProb is P_fail(Killi) = P_fail(SECDED) × P_fail(Seg.Parity):
+// killiFailProb is P_fail(Killi) = P_fail(SECDED) × P_fail(Seg.Parity):
 // both independent detectors must fail for a line to be misclassified.
-func KilliFailProb(pCell float64) float64 {
-	return SECDEDFailProb(pCell) * SegParityFailProb(pCell)
+func killiFailProb(pCell float64) float64 {
+	return secdedFailProb(pCell) * segParityFailProb(pCell)
 }
 
 // KilliCoverage is the §5.3 coverage: the percentage of lines whose fault
 // count Killi classifies correctly.
 func KilliCoverage(pCell float64) float64 {
-	return (1 - KilliFailProb(pCell)) * 100
+	return (1 - killiFailProb(pCell)) * 100
 }
 
 // DetectCoverage is the coverage of a plain detect-up-to-d code over a
@@ -144,7 +144,7 @@ func DetectCoverage(wordBits, d int, pCell float64) float64 {
 // each erroneous bit needs its twin to be faulty (p) and stuck at the
 // matching polarity (×1/2).
 func FLAIRCoverage(pCell float64) float64 {
-	escape := SECDEDFailProb(pCell) * math.Pow(pCell/2, 3)
+	escape := secdedFailProb(pCell) * math.Pow(pCell/2, 3)
 	return (1 - clamp01(escape)) * 100
 }
 

@@ -24,9 +24,9 @@ const (
 	killiECCCost     = 10.3 // scaled by 1/√ratio
 )
 
-// PowerBase returns the voltage-scaled baseline array power (in % of
+// powerBase returns the voltage-scaled baseline array power (in % of
 // nominal).
-func PowerBase(v float64) float64 { return 100 * v * v }
+func powerBase(v float64) float64 { return 100 * v * v }
 
 // storageFactor converts extra stored bits per line into an array-energy
 // multiplier.
@@ -36,25 +36,25 @@ func storageFactor(extraBitsPerLine float64) float64 {
 
 // PowerDECTED returns DECTED-per-line's normalized power at voltage v.
 func PowerDECTED(v float64) float64 {
-	return PowerBase(v)*storageFactor(dectedCheckBits+disableBit) + dectedDecodeCost
+	return powerBase(v)*storageFactor(dectedCheckBits+disableBit) + dectedDecodeCost
 }
 
 // PowerMSECC returns MS-ECC's normalized power at voltage v.
 func PowerMSECC(v float64) float64 {
-	return PowerBase(v)*storageFactor(msECCAreaBitsPerLine) + msECCDecodeCost
+	return powerBase(v)*storageFactor(msECCAreaBitsPerLine) + msECCDecodeCost
 }
 
 // PowerFLAIR returns FLAIR's normalized power at voltage v (steady state,
 // SECDED + disable bit, plus DMR/decode overheads).
 func PowerFLAIR(v float64) float64 {
-	return PowerBase(v)*storageFactor(secdedCheckBits+disableBit) + flairDecodeCost
+	return powerBase(v)*storageFactor(secdedCheckBits+disableBit) + flairDecodeCost
 }
 
 // PowerKilli returns Killi's normalized power at voltage v for an ECC
 // cache of one entry per ratio L2 lines.
 func PowerKilli(v float64, ratio int) float64 {
 	extra := float64(killiPerLineBits) + float64(KilliECCEntryBits(secdedCheckBits))/float64(ratio)
-	return PowerBase(v)*storageFactor(extra) + killiBaseCost + killiECCCost/math.Sqrt(float64(ratio))
+	return powerBase(v)*storageFactor(extra) + killiBaseCost + killiECCCost/math.Sqrt(float64(ratio))
 }
 
 // Table6Entry is one cell of Table 6.
@@ -102,18 +102,3 @@ func killiName(ratio int) string {
 // headline "Killi can reduce the power consumption of the L2 cache by
 // 59.3 %" corresponds to the middle Killi configurations at 0.625×VDD.
 func PowerSavingVsNominal(power float64) float64 { return 100 - power }
-
-// OvervoltHeadroom closes the paper's introductory motivation: "undervolting
-// of GPU L2 caches … allows for graceful over-volting of compute units for
-// improved performance within the allowed power budget". Given the L2's
-// share of total GPU power and the fractional L2 power saving a scheme
-// achieves, it returns the iso-power CU voltage uplift (CU power scales as
-// V³ when frequency tracks voltage).
-func OvervoltHeadroom(l2Share, l2SavingFraction float64) (cuVoltageUplift float64) {
-	if l2Share <= 0 || l2Share >= 1 || l2SavingFraction <= 0 {
-		return 0
-	}
-	freed := l2Share * l2SavingFraction
-	cuShare := 1 - l2Share
-	return math.Cbrt(1+freed/cuShare) - 1
-}

@@ -72,15 +72,6 @@ func (l Line) PopCount() int {
 	return n
 }
 
-// Invert returns the bitwise complement of l.
-func (l Line) Invert() Line {
-	var out Line
-	for i := range l {
-		out[i] = ^l[i]
-	}
-	return out
-}
-
 // IsZero reports whether all bits are clear.
 func (l Line) IsZero() bool {
 	for _, w := range l {
@@ -103,30 +94,6 @@ func (l Line) DiffBits(other Line) []int {
 		}
 	}
 	return out
-}
-
-// Bytes returns the 64-byte little-endian representation of the line.
-func (l *Line) Bytes() [64]byte {
-	var out [64]byte
-	for w, v := range l {
-		for b := 0; b < 8; b++ {
-			out[w*8+b] = byte(v >> (8 * uint(b)))
-		}
-	}
-	return out
-}
-
-// LineFromBytes builds a Line from 64 little-endian bytes.
-func LineFromBytes(b [64]byte) Line {
-	var l Line
-	for w := 0; w < LineWords; w++ {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(b[w*8+i])
-		}
-		l[w] = v
-	}
-	return l
 }
 
 // String renders the line as 128 hex digits, most significant word first.
@@ -263,19 +230,6 @@ func (v *Vector) Xor(other *Vector) {
 	}
 }
 
-// Equal reports whether v and other have identical length and bits.
-func (v *Vector) Equal(other *Vector) bool {
-	if v.n != other.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsZero reports whether every bit is clear.
 func (v *Vector) IsZero() bool {
 	for _, w := range v.words {
@@ -291,16 +245,3 @@ func (v *Vector) IsZero() bool {
 // read-only. It exists for word-parallel parity computations in ECC hot
 // paths.
 func (v *Vector) Words() []uint64 { return v.words }
-
-// OneBits returns the positions of all set bits in ascending order.
-func (v *Vector) OneBits() []int {
-	var out []int
-	for w, word := range v.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			out = append(out, w*64+b)
-			word &= word - 1
-		}
-	}
-	return out
-}

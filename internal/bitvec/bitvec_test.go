@@ -1,8 +1,8 @@
 package bitvec
 
 import (
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"killi/internal/xrand"
 )
@@ -82,22 +82,6 @@ func TestLineDiffBits(t *testing.T) {
 	}
 }
 
-func TestLineInvert(t *testing.T) {
-	var l Line
-	l.SetBit(7, 1)
-	inv := l.Invert()
-	if inv.PopCount() != LineBits-1 {
-		t.Fatalf("invert popcount = %d", inv.PopCount())
-	}
-	if inv.Bit(7) != 0 {
-		t.Fatal("inverted bit 7 should be 0")
-	}
-	back := inv.Invert()
-	if back != l {
-		t.Fatal("double invert is not identity")
-	}
-}
-
 func TestLineIsZero(t *testing.T) {
 	var l Line
 	if !l.IsZero() {
@@ -106,16 +90,6 @@ func TestLineIsZero(t *testing.T) {
 	l.SetBit(200, 1)
 	if l.IsZero() {
 		t.Fatal("non-zero line reported zero")
-	}
-}
-
-func TestLineBytesRoundTrip(t *testing.T) {
-	f := func(w0, w1, w2, w3, w4, w5, w6, w7 uint64) bool {
-		l := Line{w0, w1, w2, w3, w4, w5, w6, w7}
-		return LineFromBytes(l.Bytes()) == l
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -173,7 +147,7 @@ func TestVectorXorEqualClone(t *testing.T) {
 	b.SetBit(5, 1)
 	b.SetBit(99, 1)
 	c := a.Clone()
-	if !c.Equal(a) {
+	if !slices.Equal(c.Words(), a.Words()) {
 		t.Fatal("clone not equal")
 	}
 	a.Xor(b)
@@ -182,9 +156,6 @@ func TestVectorXorEqualClone(t *testing.T) {
 	}
 	if c.Bit(5) != 1 {
 		t.Fatal("clone aliases original")
-	}
-	if a.Equal(NewVector(101)) {
-		t.Fatal("vectors of different length compared equal")
 	}
 }
 
@@ -197,30 +168,10 @@ func TestVectorXorLengthMismatchPanics(t *testing.T) {
 	NewVector(10).Xor(NewVector(11))
 }
 
-func TestVectorOneBits(t *testing.T) {
-	v := NewVector(200)
-	set := []int{0, 63, 64, 128, 199}
-	for _, i := range set {
-		v.SetBit(i, 1)
-	}
-	got := v.OneBits()
-	if len(got) != len(set) {
-		t.Fatalf("OneBits = %v", got)
-	}
-	for i := range set {
-		if got[i] != set[i] {
-			t.Fatalf("OneBits = %v, want %v", got, set)
-		}
-	}
-}
-
 func TestVectorZeroWidth(t *testing.T) {
 	v := NewVector(0)
 	if v.Len() != 0 || !v.IsZero() || v.PopCount() != 0 {
 		t.Fatal("zero-width vector misbehaves")
-	}
-	if got := v.OneBits(); len(got) != 0 {
-		t.Fatalf("OneBits on empty = %v", got)
 	}
 }
 
@@ -232,12 +183,13 @@ func TestRandomLineRoundTripProperty(t *testing.T) {
 			l[w] = r.Uint64()
 		}
 		// SetBit(Bit(i)) must be identity for all words touched.
+		orig := l
 		for _, i := range []int{0, 17, 63, 64, 300, 511} {
 			v := l.Bit(i)
 			l.SetBit(i, v)
 		}
-		if got := LineFromBytes(l.Bytes()); got != l {
-			t.Fatal("byte round trip failed")
+		if l != orig {
+			t.Fatal("SetBit(Bit(i)) changed the line")
 		}
 	}
 }

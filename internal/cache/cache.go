@@ -217,17 +217,6 @@ func LRUVictim(entries []Entry) int {
 	return victim
 }
 
-// EnabledWays counts non-disabled ways in a set.
-func (c *Cache) EnabledWays(set int) int {
-	n := 0
-	for _, e := range c.Set(set) {
-		if !e.Disabled {
-			n++
-		}
-	}
-	return n
-}
-
 // DisabledLines counts disabled lines across the whole cache.
 func (c *Cache) DisabledLines() int {
 	n := 0

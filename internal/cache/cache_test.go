@@ -325,3 +325,14 @@ func TestResetEmptiesCache(t *testing.T) {
 		t.Fatalf("after Reset, Install gives %+v, fresh cache %+v", *c.Entry(1, 2), *fresh.Entry(1, 2))
 	}
 }
+
+// EnabledWays counts non-disabled ways in a set.
+func (c *Cache) EnabledWays(set int) int {
+	n := 0
+	for _, e := range c.Set(set) {
+		if !e.Disabled {
+			n++
+		}
+	}
+	return n
+}

@@ -29,7 +29,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -43,10 +42,10 @@ import (
 	"killi/internal/workload"
 )
 
-// DefaultVoltages is the grid a campaign sweeps when none is given: the
+// defaultVoltages is the grid a campaign sweeps when none is given: the
 // paper's operating points from the MS-ECC floor (0.575×VDD) up to the
 // fault-negligible region (0.700×VDD) in 25 mV steps.
-func DefaultVoltages() []float64 {
+func defaultVoltages() []float64 {
 	return []float64{0.575, 0.600, 0.625, 0.650, 0.675, 0.700}
 }
 
@@ -84,7 +83,7 @@ type Config struct {
 	// spec regardless of this list.
 	FaultClasses []string
 	// Voltages is the LV grid, any order; Run sorts it ascending. Default
-	// DefaultVoltages. Every die's fault map is sampled at the grid minimum
+	// defaultVoltages. Every die's fault map is sampled at the grid minimum
 	// (the map's reference voltage) and resolved per grid point.
 	Voltages []float64
 	// Dies is the number of Monte Carlo device instances (required, >= 1).
@@ -220,7 +219,7 @@ func (c Config) Normalized() (Config, error) {
 	}
 	c.FaultClasses = canon
 	if len(c.Voltages) == 0 {
-		c.Voltages = DefaultVoltages()
+		c.Voltages = defaultVoltages()
 	}
 	c.Voltages = append([]float64(nil), c.Voltages...)
 	sort.Float64s(c.Voltages)
@@ -842,18 +841,4 @@ type Result struct {
 	CachedDies     int     `json:"cached_dies,omitempty"`
 	ResumedDies    int     `json:"resumed_dies,omitempty"`
 	CellCacheHits  int64   `json:"cell_cache_hits,omitempty"`
-}
-
-// YieldAt returns the yield of one (workload, scheme, voltage) cell, or
-// NaN when the cell is not in the result. Voltage matches exactly (grid
-// values round-trip unchanged through the config). With multiple fault
-// classes in the axis it returns the first matching cell — the first
-// class mix in config order.
-func (r *Result) YieldAt(workloadName, scheme string, voltage float64) float64 {
-	for _, c := range r.Cells {
-		if c.Workload == workloadName && c.Scheme == scheme && c.Voltage == voltage {
-			return c.Yield
-		}
-	}
-	return math.NaN()
 }

@@ -79,7 +79,7 @@ func stubConfig(dies, parallelism int) Config {
 func csvOf(t *testing.T, r *Result) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := r.writeCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	return buf.String()
@@ -619,4 +619,18 @@ func TestFaultClassParallelismInvariance(t *testing.T) {
 	if a, b := csvOf(t, serial), csvOf(t, par); a != b {
 		t.Errorf("mixed-class campaign CSV differs between parallelism 1 and 3:\n%s\nvs\n%s", a, b)
 	}
+}
+
+// YieldAt returns the yield of one (workload, scheme, voltage) cell, or
+// NaN when the cell is not in the result. Voltage matches exactly (grid
+// values round-trip unchanged through the config). With multiple fault
+// classes in the axis it returns the first matching cell — the first
+// class mix in config order.
+func (r *Result) YieldAt(workloadName, scheme string, voltage float64) float64 {
+	for _, c := range r.Cells {
+		if c.Workload == workloadName && c.Scheme == scheme && c.Voltage == voltage {
+			return c.Yield
+		}
+	}
+	return math.NaN()
 }

@@ -19,9 +19,9 @@ const (
 func (r *Result) Write(w io.Writer, format string) error {
 	switch format {
 	case FormatTable:
-		return r.WriteTable(w)
+		return r.writeTable(w)
 	case FormatCSV:
-		return r.WriteCSV(w)
+		return r.writeCSV(w)
 	case FormatJSONL:
 		return r.WriteJSONL(w)
 	default:
@@ -30,10 +30,10 @@ func (r *Result) Write(w io.Writer, format string) error {
 	}
 }
 
-// WriteTable renders the human-readable report: the yield-vs-voltage grid
+// writeTable renders the human-readable report: the yield-vs-voltage grid
 // with confidence intervals and normalized-time statistics, then the Vmin
 // CDF per (workload, scheme).
-func (r *Result) WriteTable(w io.Writer) error {
+func (r *Result) writeTable(w io.Writer) error {
 	fmt.Fprintf(w, "campaign: %d dies, seed %d, %d req/CU, pass at <= %.2fx baseline\n\n",
 		r.Dies, r.Seed, r.RequestsPerCU, r.PassThreshold)
 
@@ -73,13 +73,13 @@ func (r *Result) WriteTable(w io.Writer) error {
 // bit pattern), the machine format the determinism tests compare.
 func g17(f float64) string { return fmt.Sprintf("%.17g", f) }
 
-// WriteCSV renders the machine-readable rows. Every row leads with a
+// writeCSV renders the machine-readable rows. Every row leads with a
 // record type: "cell" rows carry the per-grid-point aggregates, "vmin"
 // rows one CDF step each, and "vmin_summary" rows the per-(workload,
 // scheme) tail. Floats print at %.17g, so two byte-identical CSVs mean
 // bit-identical results — the property the parallelism-invariance test
 // pins.
-func (r *Result) WriteCSV(w io.Writer) error {
+func (r *Result) writeCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "type,workload,scheme,classes,voltage,dies,yield,yield_lo,yield_hi,norm_mean,norm_std,norm_q50,norm_q90,norm_q99,mpki_mean,mpki_std,disabled_mean,sdc_mean,false_disable_mean,false_trust_mean"); err != nil {
 		return err
 	}

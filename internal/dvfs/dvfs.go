@@ -48,10 +48,10 @@ func (m MBISTModel) StallCycles(lines int) uint64 {
 	return uint64(lines) * uint64(m.MarchOps) * m.CyclesPerOp / uint64(m.ParallelBanks)
 }
 
-// NeedsMBIST reports whether a scheme requires an offline MBIST pass at
+// needsMBIST reports whether a scheme requires an offline MBIST pass at
 // voltage transitions. Killi and online-training FLAIR relearn at runtime;
 // everything pre-characterized does not.
-func NeedsMBIST(s protection.Scheme) bool {
+func needsMBIST(s protection.Scheme) bool {
 	switch s.(type) {
 	case *protection.PerLine:
 		return true
@@ -92,14 +92,14 @@ func (r Report) String() string {
 // RunSchedule drives a system through a voltage schedule, charging the
 // MBIST stall at every transition when the scheme requires it. scheme is a
 // probe instance (e.g. one built from the factory the system was
-// constructed with) consulted only for NeedsMBIST.
+// constructed with) consulted only for needsMBIST.
 func RunSchedule(sys *gpu.System, scheme protection.Scheme, m MBISTModel, phases []Phase) Report {
 	rep := Report{}
 	lines := sys.L2Lines()
 	for i, ph := range phases {
 		if i > 0 || ph.Voltage != sys.Voltage() {
 			var stall uint64
-			if NeedsMBIST(scheme) {
+			if needsMBIST(scheme) {
 				stall = m.StallCycles(lines)
 			}
 			sys.SetVoltage(ph.Voltage, stall)

@@ -40,22 +40,22 @@ func TestMBISTStallCycles(t *testing.T) {
 }
 
 func TestNeedsMBIST(t *testing.T) {
-	if !NeedsMBIST(protection.NewSECDEDPerLine()) {
+	if !needsMBIST(protection.NewSECDEDPerLine()) {
 		t.Fatal("SECDED-per-line should need MBIST")
 	}
-	if !NeedsMBIST(protection.NewMSECC()) {
+	if !needsMBIST(protection.NewMSECC()) {
 		t.Fatal("MS-ECC should need MBIST")
 	}
-	if !NeedsMBIST(protection.NewFLAIR()) {
+	if !needsMBIST(protection.NewFLAIR()) {
 		t.Fatal("offline FLAIR should need MBIST")
 	}
-	if NeedsMBIST(protection.NewFLAIROnline(1000)) {
+	if needsMBIST(&protection.FLAIR{TrainAccesses: 1000}) {
 		t.Fatal("online FLAIR must not need MBIST")
 	}
-	if NeedsMBIST(killi.New(killi.DefaultConfig())) {
+	if needsMBIST(killi.New(killi.DefaultConfig())) {
 		t.Fatal("Killi must never need MBIST")
 	}
-	if NeedsMBIST(protection.NewNone()) {
+	if needsMBIST(protection.NewNone()) {
 		t.Fatal("None needs no MBIST")
 	}
 }

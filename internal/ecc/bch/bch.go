@@ -188,9 +188,6 @@ func polyMulGF2(a, b []byte) []byte {
 	return out
 }
 
-// DataBits returns k, the number of data bits.
-func (c *Code) DataBits() int { return c.k }
-
 // T returns the error-correction strength.
 func (c *Code) T() int { return c.t }
 
@@ -202,9 +199,6 @@ func (c *Code) CheckBits() int {
 	}
 	return c.degG
 }
-
-// Extended reports whether the code carries an overall parity bit.
-func (c *Code) Extended() bool { return c.extended }
 
 // Check holds the stored checkbits: bit i of Bits is the codeword
 // coefficient of x^i, for i < CheckBits() excluding the extension bit;

@@ -1,6 +1,7 @@
 package bch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,7 +156,7 @@ func TestCorrectUpToT(t *testing.T) {
 				if res.Status != Corrected {
 					t.Fatalf("t=%d e=%d: status %v", tt, e, res.Status)
 				}
-				if !data.Equal(orig) {
+				if !slices.Equal(data.Words(), orig.Words()) {
 					t.Fatalf("t=%d e=%d: data not restored", tt, e)
 				}
 				if res.DataBitsCorrected != e {
@@ -183,7 +184,7 @@ func TestDetectTPlusOne(t *testing.T) {
 			if res.Status == OK {
 				t.Fatalf("t=%d: %d errors decoded as OK", tt, tt+1)
 			}
-			if res.Status == Corrected && !data.Equal(orig) {
+			if res.Status == Corrected && !slices.Equal(data.Words(), orig.Words()) {
 				t.Fatalf("t=%d: %d errors miscorrected", tt, tt+1)
 			}
 		}
@@ -205,7 +206,7 @@ func TestCheckbitErrorsCorrected(t *testing.T) {
 		if res.Status != Corrected {
 			t.Fatalf("status %v", res.Status)
 		}
-		if !data.Equal(orig) {
+		if !slices.Equal(data.Words(), orig.Words()) {
 			t.Fatal("data not restored")
 		}
 		if res.CheckBitsFlipped != 1 || res.DataBitsCorrected != 1 {
@@ -231,8 +232,8 @@ func TestNonExtendedHasNoParityBit(t *testing.T) {
 	if c.CheckBits() != 20 {
 		t.Fatalf("non-extended t=2 checkbits = %d, want 20", c.CheckBits())
 	}
-	if c.Extended() {
-		t.Fatal("Extended() true for non-extended code")
+	if c.extended {
+		t.Fatal("non-extended code reports extended")
 	}
 }
 
@@ -245,7 +246,7 @@ func TestShortCode(t *testing.T) {
 		check := c.Encode(data)
 		orig := data.Clone()
 		data.FlipBit(r.Intn(5))
-		if res := c.Decode(data, check); res.Status != Corrected || !data.Equal(orig) {
+		if res := c.Decode(data, check); res.Status != Corrected || !slices.Equal(data.Words(), orig.Words()) {
 			t.Fatalf("short code failed: %+v", res)
 		}
 	}
@@ -285,7 +286,7 @@ func TestDecodePropertyRandomErrors(t *testing.T) {
 			data.FlipBit(b)
 		}
 		res := c.Decode(data, check)
-		if !data.Equal(orig) {
+		if !slices.Equal(data.Words(), orig.Words()) {
 			t.Fatalf("e=%d: data corrupted after decode (%v)", e, res.Status)
 		}
 	}
@@ -339,7 +340,7 @@ func TestQuickDECTEDRoundTrip(t *testing.T) {
 			data.FlipBit(p2)
 		}
 		res := c.Decode(data, check)
-		return res.Status == Corrected && data.Equal(orig)
+		return res.Status == Corrected && slices.Equal(data.Words(), orig.Words())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -421,4 +422,12 @@ func TestCodecAllocFree(t *testing.T) {
 			t.Errorf("t=%d: Encode+Decode allocate %.0f times", tt, allocs)
 		}
 	}
+}
+
+// Inv returns the multiplicative inverse of a. It panics on a == 0.
+func (f *Field) Inv(a uint32) uint32 {
+	if a == 0 {
+		panic("bch: inverse of zero")
+	}
+	return f.exp[f.n-f.log[a]]
 }

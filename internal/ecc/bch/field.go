@@ -69,9 +69,6 @@ func NewField(m int) *Field {
 	return f
 }
 
-// M returns the field degree m.
-func (f *Field) M() int { return f.m }
-
 // N returns the multiplicative group order 2^m - 1 (the natural BCH code
 // length).
 func (f *Field) N() int { return f.n }
@@ -82,14 +79,6 @@ func (f *Field) Mul(a, b uint32) uint32 {
 		return 0
 	}
 	return f.exp[f.log[a]+f.log[b]]
-}
-
-// Inv returns the multiplicative inverse of a. It panics on a == 0.
-func (f *Field) Inv(a uint32) uint32 {
-	if a == 0 {
-		panic("bch: inverse of zero")
-	}
-	return f.exp[f.n-f.log[a]]
 }
 
 // Div returns a/b. It panics on b == 0.

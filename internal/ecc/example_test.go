@@ -5,40 +5,35 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/ecc"
+	"killi/internal/ecc/olsc"
 )
 
-// Example demonstrates the codec family on a cache line: SECDED corrects a
-// single flipped bit; DECTED corrects two.
+// Example reads one written line back through each code: SECDED corrects
+// a single flipped bit, DECTED two, and MS-ECC's OLSC(11) eleven; a line
+// the code cannot correct is left as read.
 func Example() {
-	var line bitvec.Line
-	line[0] = 0xdeadbeefcafef00d
+	var payload bitvec.Line
+	payload[0] = 0xdeadbeefcafef00d
 
-	secded := ecc.SECDED()
-	check := secded.Encode(line)
-	corrupted := line
-	corrupted.FlipBit(17)
-	out := secded.Decode(&corrupted, check)
-	fmt.Printf("secded: %v, %d bit corrected, restored=%v\n",
-		out.Status, out.DataBitsCorrected, corrupted == line)
+	read := payload
+	read.FlipBit(17)
+	fmt.Println("secded, 1 flip:", ecc.ReadSECDED(&read, payload, true) == ecc.Corrected, read == payload)
 
-	dected := ecc.DECTED()
-	check = dected.Encode(line)
-	corrupted = line
-	corrupted.FlipBit(17)
-	corrupted.FlipBit(401)
-	out = dected.Decode(&corrupted, check)
-	fmt.Printf("dected: %v, %d bits corrected, restored=%v\n",
-		out.Status, out.DataBitsCorrected, corrupted == line)
+	read = payload
+	read.FlipBit(17)
+	read.FlipBit(401)
+	fmt.Println("secded, 2 flips:", ecc.ReadSECDED(&read, payload, true) == ecc.EvenDetected, read == payload)
+	fmt.Println("dected, 2 flips:", ecc.ReadDECTED(&read, payload, true) == ecc.Corrected, read == payload)
 
-	// Checkbit budgets per 64-byte line (paper §4.1 / §5.2):
-	for _, c := range []ecc.Codec{secded, dected, ecc.OLSC(11)} {
-		fmt.Printf("%s: %d checkbits, corrects %d\n", c.Name(), c.CheckBits(), c.CorrectsUpTo())
+	read = payload
+	for b := 0; b < 11; b++ {
+		read.FlipBit(40 * b)
 	}
+	fmt.Println("olsc-11, 11 flips:", ecc.ReadOLSC(olsc.NewLine(11), &read, payload, true) == ecc.Corrected, read == payload)
 
 	// Output:
-	// secded: corrected, 1 bit corrected, restored=true
-	// dected: corrected, 2 bits corrected, restored=true
-	// secded: 11 checkbits, corrects 1
-	// dected: 21 checkbits, corrects 2
-	// olsc-11: 506 checkbits, corrects 11
+	// secded, 1 flip: true true
+	// secded, 2 flips: true false
+	// dected, 2 flips: true true
+	// olsc-11, 11 flips: true true
 }

@@ -90,17 +90,17 @@ type Code struct {
 }
 
 // New returns an OLS code for k data bits correcting t errors. The grid
-// size m is GridSize(k, t). It panics on non-positive parameters and on a
+// size m is gridSize(k, t). It panics on non-positive parameters and on a
 // grid of 64 or more (m ≤ 61, so t ≤ 31 and k ≤ 3721).
 func New(k, t int) *Code {
 	if k <= 0 || t <= 0 {
 		panic("olsc: k and t must be positive")
 	}
 	// m ≥ 2t-1 and m² ≥ k: rule out the wide grids before sizing one.
-	if 2*t > maxGrid || k >= maxGrid*maxGrid || GridSize(k, t) >= maxGrid {
+	if 2*t > maxGrid || k >= maxGrid*maxGrid || gridSize(k, t) >= maxGrid {
 		panic(fmt.Sprintf("olsc: k=%d t=%d needs a grid of %d or more, beyond the row kernel", k, t, maxGrid))
 	}
-	m := GridSize(k, t)
+	m := gridSize(k, t)
 	return &Code{k: k, t: t, m: m, rows: (k + m - 1) / m, mask: 1<<uint(m) - 1}
 }
 
@@ -123,9 +123,28 @@ func NewLine(t int) *Code {
 	return lineCodes[t]()
 }
 
-// GridSize returns the grid dimension New(k, t) uses: the smallest prime m
+// CheckLine reports whether a line code of strength t exists here: t must
+// be positive and its 2·t·m checkbits must fit one line's worth of words
+// (bitvec.LineBits), the buffer a line's checkbits are derived into. That
+// bounds t at 11, MS-ECC's strength. Every OLSC strength a scheme name
+// asks for is checked here.
+func CheckLine(t int) error {
+	if t < 1 {
+		return fmt.Errorf("olsc: strength must be positive, got %d", t)
+	}
+	if t > bitvec.LineBits/4 {
+		// Every grid is at least 2×2, so 2·t·m ≥ 4t: too wide to size.
+		return fmt.Errorf("olsc: olsc-%d needs more than the %d checkbits a line holds", t, bitvec.LineBits)
+	}
+	if n := 2 * t * gridSize(bitvec.LineBits, t); n > bitvec.LineBits {
+		return fmt.Errorf("olsc: olsc-%d needs %d checkbits, more than the %d a line holds", t, n, bitvec.LineBits)
+	}
+	return nil
+}
+
+// gridSize returns the grid dimension New(k, t) uses: the smallest prime m
 // with m*m >= k and m+1 >= 2t. The code stores 2·t·m checkbits.
-func GridSize(k, t int) int {
+func gridSize(k, t int) int {
 	m := 2
 	for m*m < k || m+1 < 2*t {
 		m++
@@ -148,14 +167,8 @@ func isPrime(n int) bool {
 	return true
 }
 
-// DataBits returns k.
-func (c *Code) DataBits() int { return c.k }
-
 // T returns the correction strength.
 func (c *Code) T() int { return c.t }
-
-// M returns the grid dimension (a prime).
-func (c *Code) M() int { return c.m }
 
 // CheckBits returns the number of checkbits: 2·t·m.
 func (c *Code) CheckBits() int { return 2 * c.t * c.m }

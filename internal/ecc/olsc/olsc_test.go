@@ -1,6 +1,7 @@
 package olsc
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,8 +21,8 @@ func TestMSECCConfiguration(t *testing.T) {
 	// MS-ECC: correct up to 11 errors in a 64B line, costing about half
 	// the line in checkbits.
 	c := NewLine(11)
-	if c.M() != 23 {
-		t.Fatalf("m = %d, want 23 (smallest prime with m²≥512, m+1≥22)", c.M())
+	if c.m != 23 {
+		t.Fatalf("m = %d, want 23 (smallest prime with m²≥512, m+1≥22)", c.m)
 	}
 	if c.CheckBits() != 506 {
 		t.Fatalf("checkbits = %d, want 506", c.CheckBits())
@@ -95,7 +96,7 @@ func TestCorrectUpToT(t *testing.T) {
 				if res.Status != Corrected {
 					t.Fatalf("t=%d e=%d: status %v", tt, e, res.Status)
 				}
-				if !data.Equal(orig) {
+				if !slices.Equal(data.Words(), orig.Words()) {
 					t.Fatalf("t=%d e=%d: data not restored", tt, e)
 				}
 			}
@@ -121,7 +122,7 @@ func TestCheckbitErrorsTolerated(t *testing.T) {
 		if res.Status != Corrected {
 			t.Fatalf("status %v", res.Status)
 		}
-		if !data.Equal(orig) {
+		if !slices.Equal(data.Words(), orig.Words()) {
 			t.Fatal("data not restored")
 		}
 		if res.CheckGroupErrors != 3 {
@@ -159,8 +160,8 @@ func TestMassiveErrorsDetected(t *testing.T) {
 
 func TestSmallCode(t *testing.T) {
 	c := New(9, 1) // m=3 grid, single correction
-	if c.M() != 3 || c.CheckBits() != 6 {
-		t.Fatalf("m=%d check=%d", c.M(), c.CheckBits())
+	if c.m != 3 || c.CheckBits() != 6 {
+		t.Fatalf("m=%d check=%d", c.m, c.CheckBits())
 	}
 	r := xrand.New(4)
 	for trial := 0; trial < 50; trial++ {
@@ -168,7 +169,7 @@ func TestSmallCode(t *testing.T) {
 		check := c.Encode(data)
 		orig := data.Clone()
 		data.FlipBit(r.Intn(9))
-		if res := c.Decode(data, check); res.Status != Corrected || !data.Equal(orig) {
+		if res := c.Decode(data, check); res.Status != Corrected || !slices.Equal(data.Words(), orig.Words()) {
 			t.Fatalf("small code: %+v", res)
 		}
 	}
@@ -185,7 +186,7 @@ func TestNonSquareK(t *testing.T) {
 	for _, b := range r.Sample(500, 3) {
 		data.FlipBit(b)
 	}
-	if res := c.Decode(data, check); res.Status != Corrected || !data.Equal(orig) {
+	if res := c.Decode(data, check); res.Status != Corrected || !slices.Equal(data.Words(), orig.Words()) {
 		t.Fatalf("shortened code: %+v", res)
 	}
 }
@@ -227,7 +228,7 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 	var buf [8]uint64
 	check := bitvec.VectorOf(buf[:], c.CheckBits())
 	c.EncodeTo(check, data)
-	if !check.Equal(c.Encode(data)) {
+	if !slices.Equal(check.Words(), c.Encode(data).Words()) {
 		t.Fatal("EncodeTo disagrees with Encode")
 	}
 }
@@ -268,7 +269,7 @@ func TestNewLineConcurrent(t *testing.T) {
 				d := data.Clone()
 				check := c.Encode(d)
 				d.FlipBit(g * 100)
-				if res := c.Decode(d, check); res.Status != Corrected || !d.Equal(data) {
+				if res := c.Decode(d, check); res.Status != Corrected || !slices.Equal(d.Words(), data.Words()) {
 					t.Errorf("t=%d goroutine %d: %+v", tt, g, res)
 				}
 			}

@@ -33,14 +33,8 @@ func NewInterleaved(segments int) Scheme {
 	return Scheme{segments: segments}
 }
 
-// Segments returns the number of parity segments (and parity bits).
-func (s Scheme) Segments() int { return s.segments }
-
-// SegmentOf returns the segment that owns bit i of the line.
-func (s Scheme) SegmentOf(i int) int { return i % s.segments }
-
 // Generate returns the parity word: bit g of the result is the even parity
-// of segment g. Only the low Segments() bits are meaningful.
+// of segment g. Only the low bits, one per segment, are meaningful.
 func (s Scheme) Generate(l bitvec.Line) uint64 {
 	// Bit i of word w has global index w*64 + p, and since the segment
 	// count divides 64, its segment is p mod segments. XOR-folding all

@@ -227,3 +227,7 @@ func TestQuickGlobalIsParityOfSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SegmentOf returns the segment that owns bit i of the line: the
+// interleaved layout Generate and Check implement.
+func (s Scheme) SegmentOf(i int) int { return i % s.segments }

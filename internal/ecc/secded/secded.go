@@ -121,15 +121,9 @@ var line = sync.OnceValue(func() *Code { return New(bitvec.LineBits) })
 // It is built once per process and shared: a Code is immutable.
 func NewLine() *Code { return line() }
 
-// DataBits returns the number of data bits the code protects.
-func (c *Code) DataBits() int { return c.k }
-
 // CheckBits returns the total number of checkbits, including the global
 // parity bit (11 for k=512).
 func (c *Code) CheckBits() int { return c.hamming + 1 }
-
-// CodewordBits returns the total protected width: data + checkbits.
-func (c *Code) CodewordBits() int { return c.k + c.CheckBits() }
 
 // Check is the stored checkbit container: the Hamming checkbits in Bits'
 // low bits (bit j is the checkbit at codeword position 2^j) and the global
@@ -140,7 +134,7 @@ type Check struct {
 }
 
 // Encode computes the checkbits for the given data bits. The data vector
-// must be exactly DataBits wide.
+// must be exactly k bits wide.
 func (c *Code) Encode(data *bitvec.Vector) Check {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("secded: Encode data width %d, want %d", data.Len(), c.k))
@@ -191,7 +185,7 @@ func (c *Code) lineSyndrome(l bitvec.Line) uint32 {
 	return uint32(s)
 }
 
-// Syndrome returns the raw Hamming syndrome (recomputed data parities XOR
+// syndrome returns the raw Hamming syndrome (recomputed data parities XOR
 // the stored checkbits) and whether the global parity over the received
 // codeword — data bits, stored Hamming checkbits, and the stored global
 // bit — is odd. A zero syndrome with even global parity means no detectable
@@ -200,14 +194,14 @@ func (c *Code) lineSyndrome(l bitvec.Line) uint32 {
 // Note the global check runs over the *received* codeword; recomputing
 // fresh checkbits for it would let a data-bit flip cancel against the
 // checkbit flips it induces.
-func (c *Code) Syndrome(data *bitvec.Vector, stored Check) (syndrome uint32, globalErr bool) {
+func (c *Code) syndrome(data *bitvec.Vector, stored Check) (syndrome uint32, globalErr bool) {
 	fresh := c.Encode(data)
 	syndrome = fresh.Bits ^ stored.Bits
 	globalErr = c.receivedParityOdd(data.PopCount(), stored)
 	return syndrome, globalErr
 }
 
-// SyndromeLine is Syndrome for 512-bit codes operating on a cache line.
+// SyndromeLine is syndrome for 512-bit codes operating on a cache line.
 func (c *Code) SyndromeLine(l bitvec.Line, stored Check) (syndrome uint32, globalErr bool) {
 	return c.lineSyndrome(l) ^ stored.Bits, c.receivedParityOdd(l.PopCount(), stored)
 }
@@ -231,7 +225,7 @@ func (c *Code) receivedParityOdd(dataOnes int, stored Check) bool {
 //	syndrome != 0, global ok   → double error; detected, uncorrectable
 //	syndrome == 0, global bad  → error in the global parity bit itself
 func (c *Code) Decode(data *bitvec.Vector, stored Check) Result {
-	syndrome, globalErr := c.Syndrome(data, stored)
+	syndrome, globalErr := c.syndrome(data, stored)
 	res := Result{BitFlipped: -1, Syndrome: syndrome, GlobalParityError: globalErr}
 	switch {
 	case syndrome == 0 && !globalErr:

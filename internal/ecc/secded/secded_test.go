@@ -2,6 +2,7 @@ package secded
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestSingleBitCorrectionAllPositions(t *testing.T) {
 		if res.BitFlipped != bit {
 			t.Fatalf("bit %d: corrected %d", bit, res.BitFlipped)
 		}
-		if !corrupted.Equal(data) {
+		if !slices.Equal(corrupted.Words(), data.Words()) {
 			t.Fatalf("bit %d: data not restored", bit)
 		}
 	}
@@ -101,7 +102,7 @@ func TestSingleBitCorrection512(t *testing.T) {
 		corrupted := data.Clone()
 		corrupted.FlipBit(bit)
 		res := c.Decode(corrupted, check)
-		if res.Status != CorrectedData || res.BitFlipped != bit || !corrupted.Equal(data) {
+		if res.Status != CorrectedData || res.BitFlipped != bit || !slices.Equal(corrupted.Words(), data.Words()) {
 			t.Fatalf("trial %d bit %d: res=%+v", trial, bit, res)
 		}
 	}
@@ -144,7 +145,7 @@ func TestCheckbitErrorCorrection(t *testing.T) {
 		if res.Status != CorrectedCheck {
 			t.Fatalf("checkbit %d flip: status %v", j, res.Status)
 		}
-		if !cpy.Equal(data) {
+		if !slices.Equal(cpy.Words(), data.Words()) {
 			t.Fatal("checkbit error must not modify data")
 		}
 	}
@@ -207,7 +208,7 @@ func TestSyndromeZeroMeansMatch(t *testing.T) {
 	r := xrand.New(8)
 	data := randomVector(r, 512)
 	check := c.Encode(data)
-	syn, gp := c.Syndrome(data, check)
+	syn, gp := c.syndrome(data, check)
 	if syn != 0 || gp {
 		t.Fatalf("syndrome=%#x gp=%v on clean data", syn, gp)
 	}
@@ -385,7 +386,7 @@ func TestEncodeLineMatchesReference(t *testing.T) {
 		}
 		stored := Check{Bits: uint32(r.Uint64()) & (1<<c.hamming - 1), Global: uint(r.Uint64() & 1)}
 		syn, gErr := c.SyndromeLine(l, stored)
-		wantSyn, wantG := c.Syndrome(bitvec.VectorOf(l[:], bitvec.LineBits), stored)
+		wantSyn, wantG := c.syndrome(bitvec.VectorOf(l[:], bitvec.LineBits), stored)
 		if syn != wantSyn || gErr != wantG || syn != want.Bits^stored.Bits {
 			t.Fatalf("SyndromeLine = (%#x, %v), Syndrome (%#x, %v)", syn, gErr, wantSyn, wantG)
 		}
@@ -404,3 +405,6 @@ func TestNewLineBuiltOnce(t *testing.T) {
 		t.Errorf("NewLine allocates %.0f times after the first call", allocs)
 	}
 }
+
+// CodewordBits returns the total protected width: data + checkbits.
+func (c *Code) CodewordBits() int { return c.k + c.CheckBits() }

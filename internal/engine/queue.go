@@ -26,6 +26,13 @@ const (
 	bitmapWords = horizon / 64
 )
 
+// One 64-bit summary word indexes the occupancy words, bit w for word w,
+// so there may be at most 64 of them (horizonBits <= 12). Past that the
+// extra words drop out of the index silently and pop never finds their
+// events: the simulation hangs. This constant overflows uint64, failing
+// the build, when bitmapWords > 64.
+const _ uint64 = 1<<bitmapWords - 1
+
 // sevent is one queued event: payload (kind, a, b) for the sink of domain
 // dst, firing at cycle `when`, totally ordered by (when, key).
 type sevent struct {

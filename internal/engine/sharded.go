@@ -129,9 +129,6 @@ type Domain struct {
 // Bind attaches the sink that receives this domain's events.
 func (d *Domain) Bind(sink EventSink) { d.sink = sink }
 
-// ID returns the domain's index.
-func (d *Domain) ID() int { return int(d.id) }
-
 // Now returns the cycle the domain's shard is processing (equal to the
 // engine clock outside Run).
 func (d *Domain) Now() uint64 { return d.eng.shards[d.shard].now }
@@ -270,9 +267,6 @@ func NewSharded(numDomains int) *Sharded {
 
 // Domain returns domain i.
 func (s *Sharded) Domain(i int) *Domain { return &s.domains[i] }
-
-// NumDomains returns the number of domains.
-func (s *Sharded) NumDomains() int { return len(s.domains) }
 
 // Now returns the engine clock: the cycle of the last fired event, as of
 // the end of the last Run. During a Run a sink reads its Domain's Now.

@@ -338,7 +338,7 @@ func TestShardedRunReuse(t *testing.T) {
 		d := s.Domain(i)
 		d.Bind(sinkFunc(func(kind uint8, a, b uint64) {
 			if a > 0 {
-				d.Send(s.Domain((d.ID()+1)%4), 3, kind, a-1, b)
+				d.Send(s.Domain((int(d.id)+1)%4), 3, kind, a-1, b)
 			}
 		}))
 	}

@@ -21,7 +21,7 @@ import (
 	"strconv"
 	"strings"
 
-	"killi/internal/ecc"
+	"killi/internal/ecc/olsc"
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/killi"
@@ -91,11 +91,11 @@ func SchemeByName(name string) (protection.Scheme, error) {
 			if !found {
 				return nil, fmt.Errorf("experiments: bad scheme %q: want killi-olsc<strength>-1:<ratio>", name)
 			}
-			strength, err := strconv.Atoi(strengthStr)
-			if err != nil || strength < 1 {
-				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer", name)
+			strength, ok := parseDecimal(strengthStr)
+			if !ok {
+				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer with no sign or leading zero", name)
 			}
-			if err := ecc.CheckOLSC(strength); err != nil {
+			if err := olsc.CheckLine(strength); err != nil {
 				return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
 			}
 			ratio, err := parseRatio(ratioStr)
@@ -120,11 +120,28 @@ func parseRatio(s string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("want an ECC cache ratio of the form 1:<n>, got %q", s)
 	}
-	n, err := strconv.Atoi(digits)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("want a positive integer ECC cache ratio, got %q", digits)
+	n, ok := parseDecimal(digits)
+	if !ok {
+		return 0, fmt.Errorf("want a positive integer ECC cache ratio with no sign or leading zero, got %q", digits)
 	}
 	return n, nil
+}
+
+// parseDecimal parses a positive integer in its one canonical spelling:
+// decimal digits with no sign and no leading zero. A scheme's name is its
+// job, cache and campaign key, so "killi-1:064" must not build the scheme
+// named "killi-1:64".
+func parseDecimal(s string) (int, bool) {
+	if s == "" || s[0] == '0' {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // SchemeFactoryByName validates a scheme name once and returns a factory
@@ -153,16 +170,6 @@ func SchemeFactoryByName(name string) (protection.Factory, error) {
 func SchemeSyntax() string {
 	return "none | secded | dected | flair | msecc | killi-1:<ratio> | " +
 		"killi-dected-1:<ratio> | killi-olsc<strength>-1:<ratio>"
-}
-
-// SchemeExamples returns one concrete, parseable name per scheme form in
-// SchemeSyntax. Tests feed every example through SchemeByName so the
-// documented forms are guaranteed to construct.
-func SchemeExamples() []string {
-	return []string{
-		"none", "secded", "dected", "flair", "msecc",
-		"killi-1:64", "killi-dected-1:64", "killi-olsc2-1:64",
-	}
 }
 
 // SplitList splits a comma-separated CLI list, trimming whitespace around

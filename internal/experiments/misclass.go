@@ -31,18 +31,18 @@ type MisclassRow struct {
 	ScrubReclaimed uint64 // cumulative lines the scrubber reclaimed
 }
 
-// FalseDisableRate is the fraction of all L2 lines the classifier disabled
+// falseDisableRate is the fraction of all L2 lines the classifier disabled
 // although SECDED could have served them.
-func (r MisclassRow) FalseDisableRate() float64 {
+func (r MisclassRow) falseDisableRate() float64 {
 	if r.Misclass.Lines == 0 {
 		return 0
 	}
 	return float64(r.Misclass.FalseDisable) / float64(r.Misclass.Lines)
 }
 
-// FalseTrustRate is the fraction of all L2 lines trusted at a protection
+// falseTrustRate is the fraction of all L2 lines trusted at a protection
 // level below their capable fault count — the SDC exposure window.
-func (r MisclassRow) FalseTrustRate() float64 {
+func (r MisclassRow) falseTrustRate() float64 {
 	if r.Misclass.Lines == 0 {
 		return 0
 	}
@@ -110,8 +110,8 @@ func WriteMisclassTable(out io.Writer, rows []MisclassRow) error {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d (%.4f)\t%d (%.4f)\t%d\t%d\t%d\n",
 			r.Workload, r.Classes, scrub,
 			r.Misclass.TrueFaulty, r.Misclass.Disabled,
-			r.Misclass.FalseDisable, r.FalseDisableRate(),
-			r.Misclass.FalseTrust, r.FalseTrustRate(),
+			r.Misclass.FalseDisable, r.falseDisableRate(),
+			r.Misclass.FalseTrust, r.falseTrustRate(),
 			r.SDC, r.TransientStrikes, r.ScrubReclaimed)
 	}
 	return tw.Flush()

@@ -8,11 +8,18 @@ import (
 	"killi/internal/killi"
 )
 
+// schemeExamples holds one concrete, parseable name per scheme form in
+// SchemeSyntax.
+var schemeExamples = []string{
+	"none", "secded", "dected", "flair", "msecc",
+	"killi-1:64", "killi-dected-1:64", "killi-olsc2-1:64",
+}
+
 // TestSchemeExamplesParse feeds every documented scheme-name form through
 // the parser, so SchemeSyntax can never advertise a grammar SchemeByName
 // rejects.
 func TestSchemeExamplesParse(t *testing.T) {
-	for _, name := range SchemeExamples() {
+	for _, name := range schemeExamples {
 		if _, err := SchemeByName(name); err != nil {
 			t.Errorf("documented example %q does not parse: %v", name, err)
 		}
@@ -36,8 +43,8 @@ func TestSweepSchemeNamesParse(t *testing.T) {
 func TestSchemeSyntaxSingleSource(t *testing.T) {
 	syntax := SchemeSyntax()
 	forms := strings.Split(syntax, " | ")
-	if len(forms) != len(SchemeExamples()) {
-		t.Fatalf("grammar lists %d forms but SchemeExamples has %d entries", len(forms), len(SchemeExamples()))
+	if len(forms) != len(schemeExamples) {
+		t.Fatalf("grammar lists %d forms but schemeExamples has %d entries", len(forms), len(schemeExamples))
 	}
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -56,6 +63,10 @@ func TestSchemeByNameRejectsMalformed(t *testing.T) {
 		// Past t=11 an OLSC line code's checkbits outgrow an ECC entry.
 		"killi-olsc12-1:64", "killi-olsc40-1:64", "killi-olsc1000000000000000000-1:64",
 		"killi-olsc99999999999999999999-1:64",
+		// One scheme, one spelling: no sign and no leading zero, so
+		// equal simulations share job, cache and campaign keys.
+		"killi-1:064", "killi-1:+64", "killi-1:-64", "killi-dected-1:064",
+		"killi-olsc+5-1:64", "killi-olsc05-1:64", "killi-1: 64", "killi-1:6_4",
 	} {
 		if _, err := SchemeByName(name); err == nil {
 			t.Errorf("SchemeByName(%q) should be an error", name)
@@ -96,4 +107,23 @@ func TestSchemesShareLineCodes(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per call, want <= %d", name, allocs, maxAllocs)
 		}
 	}
+}
+
+// FuzzSchemeByName checks the scheme grammar on arbitrary names: parsing
+// never panics, and every accepted Killi name is its scheme's own Name(),
+// the one spelling its job, cache and campaign keys use.
+func FuzzSchemeByName(f *testing.F) {
+	for _, name := range append(schemeExamples, "killi-1:064", "killi-olsc05-1:64",
+		"killi-olsc12-1:64", "killi-dected-1:+8", "killi-1:99999999999999999999") {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		s, err := SchemeByName(name)
+		if err != nil {
+			return
+		}
+		if strings.HasPrefix(name, "killi-") && s.Name() != name {
+			t.Fatalf("SchemeByName(%q) builds %q", name, s.Name())
+		}
+	})
 }

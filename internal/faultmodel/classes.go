@@ -108,18 +108,6 @@ func ClassSyntax() string {
 	return "persistent | mixed:[i=<frac>@<prob>][,a=<frac>@<ramp>][,t=<rate>]"
 }
 
-// ClassExamples returns one parsable example per grammar form, covering
-// each mixed part alone and all three together.
-func ClassExamples() []string {
-	return []string{
-		"persistent",
-		"mixed:i=0.3@0.5",
-		"mixed:a=0.2@0.25",
-		"mixed:t=2e-08",
-		"mixed:i=0.2@0.25,a=0.1@0.05,t=1e-08",
-	}
-}
-
 // ParseClassSpec parses the ClassSyntax grammar. The empty string and
 // "persistent" both mean the pure-persistent zero spec. Parsing is strict:
 // unknown or duplicate parts, out-of-range values, and a "mixed:" spec

@@ -8,7 +8,7 @@ import (
 )
 
 func TestParseClassSpecRoundTrip(t *testing.T) {
-	for _, s := range ClassExamples() {
+	for _, s := range classExamples {
 		spec, err := ParseClassSpec(s)
 		if err != nil {
 			t.Fatalf("documented example %q does not parse: %v", s, err)
@@ -178,4 +178,14 @@ func TestFaultClassString(t *testing.T) {
 	if FaultClass(9).String() != "FaultClass(9)" {
 		t.Errorf("unknown class renders %q", FaultClass(9).String())
 	}
+}
+
+// classExamples holds one parsable example per grammar form, covering
+// each mixed part alone and all three together.
+var classExamples = []string{
+	"persistent",
+	"mixed:i=0.3@0.5",
+	"mixed:a=0.2@0.25",
+	"mixed:t=2e-08",
+	"mixed:i=0.2@0.25,a=0.1@0.05,t=1e-08",
 }

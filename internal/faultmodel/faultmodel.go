@@ -316,29 +316,6 @@ func (fm *Map) Lines() int { return len(fm.offsets) - 1 }
 // BitsPerLine returns the per-line cell count.
 func (fm *Map) BitsPerLine() int { return fm.bits }
 
-// ActiveFaults returns the faults of a line active at voltage vNorm
-// (vNorm must be ≥ the map's reference voltage for meaningful results;
-// higher voltages yield subsets — the monotonicity property). The result
-// may alias the map's packed storage and must not be modified. Callers that
-// query many lines at one voltage should Resolve once instead: this method
-// re-evaluates the failure probability per call.
-func (fm *Map) ActiveFaults(line int, vNorm float64) []Fault {
-	p := fm.model.CellFailureProb(vNorm, fm.freqGHz)
-	all := fm.AllFaults(line)
-	if p >= fm.refProb {
-		// At or below the reference voltage every sampled fault is active
-		// (severities are drawn within [0, refProb)).
-		return all
-	}
-	var out []Fault
-	for _, f := range all {
-		if f.Severity <= p {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // AllFaults returns every sampled fault of a line (active at the reference
 // voltage). The result aliases the map's packed storage and must not be
 // modified.

@@ -97,3 +97,25 @@ func TestResolveSharedViewsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// ActiveFaults returns the faults of a line active at voltage vNorm
+// (vNorm must be ≥ the map's reference voltage for meaningful results;
+// higher voltages yield subsets — the monotonicity property). The result
+// may alias the map's packed storage and must not be modified. It is the
+// per-line oracle of Resolve.
+func (fm *Map) ActiveFaults(line int, vNorm float64) []Fault {
+	p := fm.model.CellFailureProb(vNorm, fm.freqGHz)
+	all := fm.AllFaults(line)
+	if p >= fm.refProb {
+		// At or below the reference voltage every sampled fault is active
+		// (severities are drawn within [0, refProb)).
+		return all
+	}
+	var out []Fault
+	for _, f := range all {
+		if f.Severity <= p {
+			out = append(out, f)
+		}
+	}
+	return out
+}

@@ -107,7 +107,7 @@ func TestClassedShardInvariantAcrossRuns(t *testing.T) {
 func TestMisclassificationOracle(t *testing.T) {
 	traces := shortTraces("xsbench", 3000)
 
-	if _, ok := New(smallConfig(0.625), fac(protection.NewNone)).Misclassification(); ok {
+	if _, ok := New(smallConfig(0.625), fac(protection.NewNone)).misclassification(); ok {
 		t.Fatal("oracle claims availability on a scheme without DFH codes")
 	}
 

@@ -53,7 +53,6 @@ var (
 	cSchemeInvalidations = stats.Intern("l2.scheme_invalidations")
 	cVoltageTransitions  = stats.Intern("l2.voltage_transitions")
 	cTransitionStall     = stats.Intern("l2.transition_stall_cycles")
-	cAgingFaults         = stats.Intern("l2.aging_faults_injected")
 	cL1Writes            = stats.Intern("l1.writes")
 	cL1Reads             = stats.Intern("l1.reads")
 	cL1Hits              = stats.Intern("l1.hits")
@@ -811,28 +810,6 @@ func (s *System) ECCStats() (occupancy, entries int, ok bool) {
 	return occupancy, entries, true
 }
 
-// InjectAgingFaults sprinkles n new persistent stuck-at faults uniformly
-// over the data array, modeling wear-out accumulating between kernels.
-// Killi discovers them as post-training errors and relearns the affected
-// lines; MBIST schemes stay blind until their next characterization pass.
-// The RNG stream draws whole-L2 line IDs, so the fault population is
-// independent of the bank decomposition.
-func (s *System) InjectAgingFaults(seed uint64, n int) {
-	r := xrand.New(seed)
-	ways := s.cfg.L2Ways
-	lines := s.L2Lines()
-	for i := 0; i < n; i++ {
-		g := r.Intn(lines)
-		bit := r.Intn(bitvec.LineBits)
-		stuck := uint(r.Uint64() & 1)
-		gset := g / ways
-		way := g % ways
-		b := s.banks[gset%s.effBanks]
-		b.data.InjectPersistentFault((gset/s.effBanks)*ways+way, bit, stuck)
-	}
-	s.sysCtr.AddC(cAgingFaults, uint64(n))
-}
-
 // onStrikeTick is the slot-1 engine ticker armed when the fault-class spec
 // has a transient rate: at each fault-epoch boundary it draws this epoch's
 // strike count per bank from the bank's private Poisson stream (banks in
@@ -879,13 +856,13 @@ type Misclass struct {
 	FalseTrust   int // trusted at a protection level below the capable fault count
 }
 
-// Misclassification compares every line's DFH state against fault-map
+// misclassification compares every line's DFH state against fault-map
 // ground truth at the current fault epoch; ok reports whether the attached
 // scheme exposes DFH codes at all. A Stable0 line with any capable fault,
 // or a Stable1 line with two or more, counts as false trust (an SDC
 // window); a Disabled line with fewer than two counts as false disable
 // (lost capacity). Call only between Runs.
-func (s *System) Misclassification() (Misclass, bool) {
+func (s *System) misclassification() (Misclass, bool) {
 	var m Misclass
 	if _, ok := s.banks[0].scheme.(dfhProber); !ok {
 		return m, false
@@ -1040,7 +1017,7 @@ func (b *bankDomain) resident(lineAddr uint64) bool {
 // exclude one-time warmup.
 func (s *System) Run(traces [][]workload.Request) Result {
 	res := s.RunKernel(traces)
-	res.Misclass, res.HasMisclass = s.Misclassification()
+	res.Misclass, res.HasMisclass = s.misclassification()
 	return res
 }
 

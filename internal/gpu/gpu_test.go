@@ -3,9 +3,12 @@ package gpu
 import (
 	"testing"
 
+	"killi/internal/bitvec"
 	"killi/internal/killi"
 	"killi/internal/protection"
+	"killi/internal/stats"
 	"killi/internal/workload"
+	"killi/internal/xrand"
 )
 
 // smallConfig shrinks the system for fast tests: 128 KB L2 keeps the
@@ -313,7 +316,7 @@ func TestFLAIROnlineTrainingCostsPerformance(t *testing.T) {
 	traces := shortTraces("nekbone", 2500)
 	pre := New(smallConfig(0.625), fac(protection.NewFLAIR)).Run(traces)
 	online := New(smallConfig(0.625), func() protection.Scheme {
-		return protection.NewFLAIROnline(1 << 40)
+		return &protection.FLAIR{TrainAccesses: 1 << 40}
 	}).Run(traces)
 	if online.Cycles <= pre.Cycles {
 		t.Fatalf("online-training FLAIR (%d cycles) not slower than pre-trained (%d)",
@@ -455,4 +458,28 @@ func TestTable7OLSCModeCapacity(t *testing.T) {
 	if sdc := olscRes.Counters.Get("l2.silent_data_corruption"); sdc > 5 {
 		t.Fatalf("OLSC mode SDC = %d", sdc)
 	}
+}
+
+var cAgingFaults = stats.Intern("l2.aging_faults_injected")
+
+// InjectAgingFaults sprinkles n new persistent stuck-at faults uniformly
+// over the data array, modeling wear-out accumulating between kernels.
+// Killi discovers them as post-training errors and relearns the affected
+// lines; MBIST schemes stay blind until their next characterization pass.
+// The RNG stream draws whole-L2 line IDs, so the fault population is
+// independent of the bank decomposition.
+func (s *System) InjectAgingFaults(seed uint64, n int) {
+	r := xrand.New(seed)
+	ways := s.cfg.L2Ways
+	lines := s.L2Lines()
+	for i := 0; i < n; i++ {
+		g := r.Intn(lines)
+		bit := r.Intn(bitvec.LineBits)
+		stuck := uint(r.Uint64() & 1)
+		gset := g / ways
+		way := g % ways
+		b := s.banks[gset%s.effBanks]
+		b.data.InjectPersistentFault((gset/s.effBanks)*ways+way, bit, stuck)
+	}
+	s.sysCtr.AddC(cAgingFaults, uint64(n))
 }

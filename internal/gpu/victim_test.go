@@ -64,7 +64,7 @@ func TestVictimWayMatchesOracle(t *testing.T) {
 				for w := range b.tags.Set(set) {
 					e := b.tags.Entry(set, w)
 					e.Class = uint8(rng.Intn(4))
-					e.LastUse = rng.Uint64n(64)
+					e.LastUse = uint64(rng.Intn(64))
 					e.Disabled = rng.Bernoulli(pDisabled)
 					e.Valid = !rng.Bernoulli(pInvalid)
 				}

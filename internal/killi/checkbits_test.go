@@ -6,6 +6,7 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
+	"killi/internal/ecc"
 	"killi/internal/ecc/bch"
 	"killi/internal/ecc/olsc"
 	"killi/internal/ecc/parity"
@@ -43,9 +44,9 @@ func eagerEncode(m *codecs, state DFH, c lineCode, data bitvec.Line, parity4 *ui
 	case c == byOLSC:
 		m.olsc.EncodeTo(bitvec.VectorOf(ck.olsc[:], m.olsc.CheckBits()), dv)
 	case c == byDECTED:
-		ck.dected = m.dected.Encode(dv)
+		ck.dected = bch.NewLine(2).Encode(dv)
 	default:
-		ck.check = m.secded.EncodeLine(data)
+		ck.check = secded.NewLine().EncodeLine(data)
 		ck.dected = bch.Check{}
 	}
 }
@@ -63,18 +64,72 @@ func eagerObserve(m *codecs, o *observation, data *bitvec.Line, parity4 uint8, e
 	}
 	switch o.code {
 	case byOLSC:
-		o.verdict = m.verdictOLSC(data, bitvec.VectorOf(ck.olsc[:], m.olsc.CheckBits()), decode)
+		o.verdict = eagerVerdictOLSC(m.olsc, data, bitvec.VectorOf(ck.olsc[:], m.olsc.CheckBits()), decode)
 	case byDECTED:
-		o.verdict = m.verdictDECTED(data, ck.dected)
+		o.verdict = eagerVerdictDECTED(data, ck.dected, decode)
 		return stored
 	default:
-		o.verdict = m.verdictSECDED(data, ck.check, decode)
+		o.verdict = eagerVerdictSECDED(data, ck.check, decode)
 	}
-	if o.verdict == corrected && decode {
+	if o.verdict == ecc.Corrected && decode {
 		_, bad := ps.Check(*data, stored)
 		o.recheckOK = bad == 0
 	}
 	return stored
+}
+
+// eagerVerdictSECDED reads the syndrome and global parity against stored
+// checkbits; without decode the single-error signature alone counts as
+// corrected.
+func eagerVerdictSECDED(data *bitvec.Line, check secded.Check, decode bool) ecc.Reading {
+	c := secded.NewLine()
+	syn, gErr := c.SyndromeLine(*data, check)
+	switch {
+	case syn == 0 && !gErr:
+		return ecc.NoError
+	case !gErr:
+		return ecc.EvenDetected
+	case syn == 0:
+		return ecc.GlobalFlip
+	case !decode:
+		return ecc.Corrected
+	}
+	if st := c.DecodeLine(data, check).Status; st == secded.CorrectedData || st == secded.CorrectedCheck {
+		return ecc.Corrected
+	}
+	return ecc.Uncorrectable
+}
+
+func eagerVerdictOLSC(c *olsc.Code, data *bitvec.Line, check *bitvec.Vector, decode bool) ecc.Reading {
+	d := *data
+	switch c.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
+	case olsc.OK:
+		return ecc.NoError
+	case olsc.Corrected:
+		if decode {
+			*data = d
+		}
+		return ecc.Corrected
+	}
+	return ecc.Uncorrectable
+}
+
+// eagerVerdictDECTED leaves a line read without decode as read, as the
+// other codes do. No product path reads a DECTED line without decode (an
+// evicted Initial line is under SECDED or OLSC); only this test's evict op
+// on a write-back b'10 line does.
+func eagerVerdictDECTED(data *bitvec.Line, check bch.Check, decode bool) ecc.Reading {
+	d := *data
+	switch bch.NewLine(2).Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
+	case bch.OK:
+		return ecc.NoError
+	case bch.Corrected:
+		if decode {
+			*data = d
+		}
+		return ecc.Corrected
+	}
+	return ecc.Uncorrectable
 }
 
 // diffLine is one line of the differential run: the on-demand side's and
@@ -157,9 +212,6 @@ func runCheckbitDiff(v checkbitVariant, seed uint64, ops int) error {
 	}
 	arr := sram.New(lines, faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, perLine), 0.6)
 	m := newCodecs()
-	if v.dected {
-		m.dected = bch.NewLine(2)
-	}
 	if v.olsc > 0 {
 		m.olsc = olsc.NewLine(v.olsc)
 	}
@@ -308,7 +360,7 @@ type checkedScheme struct {
 }
 
 func (c checkedScheme) encoded(set, way int, data bitvec.Line) {
-	if s := c.DFHOf(set, way); s == Initial || s == Stable1 {
+	if s := c.dfhOf(set, way); s == Initial || s == Stable1 {
 		c.covered[c.h.Tags().LineID(set, way)] = data
 	}
 }

@@ -35,10 +35,9 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
-	"killi/internal/ecc/bch"
+	"killi/internal/ecc"
 	"killi/internal/ecc/olsc"
 	"killi/internal/ecc/parity"
-	"killi/internal/ecc/secded"
 	"killi/internal/stats"
 )
 
@@ -75,17 +74,6 @@ func (d DFH) String() string {
 
 // Valid reports whether d is one of the four architected states.
 func (d DFH) Valid() bool { return d >= Stable0 && d <= Disabled }
-
-// verdict is a line's code's reading of its data against the stored
-// checkbits.
-type verdict uint8
-
-const (
-	noError       verdict = iota // the code sees no error
-	corrected                    // an error the code corrects
-	evenDetected                 // SECDED: an even error count, detected
-	uncorrectable                // any other detected, uncorrectable pattern
-)
 
 // lineCode names the code behind an observation's verdict.
 type lineCode uint8
@@ -138,7 +126,7 @@ type observation struct {
 	segMis int // mismatching parity segments: 16-bit for b'01, the 4-bit fold otherwise
 	code   lineCode
 	// verdict is the code's reading; a clean b'00 line carries no code.
-	verdict verdict
+	verdict ecc.Reading
 	// recheckOK: the data to deliver agrees with its reference — the
 	// stored parity after a correction, the written data on write
 	// verification.
@@ -188,10 +176,10 @@ func (p policy) next(o observation) outcome {
 
 func (p policy) initial(o observation) outcome {
 	switch {
-	case o.verdict == noError && o.segMis == 0 && o.recheckOK:
+	case o.verdict == ecc.NoError && o.segMis == 0 && o.recheckOK:
 		// No error — the most frequent case.
 		return p.train(o, outcome{Stable0, deliver, 0})
-	case o.verdict == corrected && (o.segMis == 1 || o.code == byOLSC):
+	case o.verdict == ecc.Corrected && (o.segMis == 1 || o.code == byOLSC):
 		// One error flips one interleaved segment; OLSC(t) corrects up
 		// to t in any segments. A ≥3-error pattern can forge the SECDED
 		// signature: the parity recheck of the corrected data catches
@@ -200,7 +188,7 @@ func (p policy) initial(o observation) outcome {
 			return outcome{Disabled, disable, evMiscorrection}
 		}
 		return p.train(o, outcome{Stable1, deliverCorrected, evCorrected})
-	case o.verdict == evenDetected && p.promote && !o.dirty:
+	case o.verdict == ecc.EvenDetected && p.promote && !o.dirty:
 		// §5.2 keeps the line: refetch it under DECTED.
 		return outcome{Stable1, refetch, evPromotion}
 	}
@@ -240,7 +228,7 @@ func (p policy) train(o observation, out outcome) outcome {
 // dirty b'00 line under the write-back's SECDED.
 func stable(o observation) outcome {
 	switch {
-	case o.verdict == noError && o.recheckOK && (o.segMis == 0 || o.code != bySECDED):
+	case o.verdict == ecc.NoError && o.recheckOK && (o.segMis == 0 || o.code != bySECDED):
 		// §5.2/§5.5 codes deliver without a parity cross-check. Under
 		// SECDED a b'10 line whose fault vanished (a transient that was
 		// overwritten) is fault-free.
@@ -248,9 +236,9 @@ func stable(o observation) outcome {
 			return outcome{Stable0, deliver, 0}
 		}
 		return outcome{o.state, deliver, 0}
-	case o.verdict == corrected && o.recheckOK:
+	case o.verdict == ecc.Corrected && o.recheckOK:
 		return outcome{o.state, deliverCorrected, evCorrected}
-	case o.verdict == corrected:
+	case o.verdict == ecc.Corrected:
 		return outcome{Disabled, disable, evMiscorrection}
 	}
 	// Parity disagrees while the code sees nothing, or more errors than
@@ -302,18 +290,16 @@ func (h *handles) set(ctr *stats.Counters, e *cache.Entry, next DFH) DFH {
 	return prev
 }
 
-// codecs are the parity schemes and codes a variant reads lines through.
+// codecs are the parity schemes and the OLSC code a variant reads lines
+// through; SECDED and DECTED come from ecc.
 type codecs struct {
-	secded *secded.Code
-	dected *bch.Code  // nil unless a line can carry DECTED
-	olsc   *olsc.Code // nil unless OLSC mode
-	p16    parity.Scheme
-	p4     parity.Scheme
+	olsc *olsc.Code // nil unless OLSC mode
+	p16  parity.Scheme
+	p4   parity.Scheme
 }
 
 func newCodecs() codecs {
-	return codecs{secded: secded.NewLine(),
-		p16: parity.NewInterleaved(16), p4: parity.NewInterleaved(4)}
+	return codecs{p16: parity.NewInterleaved(16), p4: parity.NewInterleaved(4)}
 }
 
 // encode writes a line's parity bits for data. A b'01 line keeps 16, 4
@@ -348,68 +334,18 @@ func (m *codecs) observe(o *observation, data *bitvec.Line, payload bitvec.Line,
 	if entry == nil || *data == payload {
 		return stored
 	}
-	pv := bitvec.VectorOf(payload[:], bitvec.LineBits)
 	switch o.code {
 	case byOLSC:
-		var words [bitvec.LineWords]uint64
-		check := bitvec.VectorOf(words[:], m.olsc.CheckBits())
-		m.olsc.EncodeTo(check, pv)
-		o.verdict = m.verdictOLSC(data, check, decode)
+		o.verdict = ecc.ReadOLSC(m.olsc, data, payload, decode)
 	case byDECTED:
-		o.verdict = m.verdictDECTED(data, m.dected.Encode(pv))
+		o.verdict = ecc.ReadDECTED(data, payload, decode)
 		return stored
 	default:
-		o.verdict = m.verdictSECDED(data, m.secded.EncodeLine(payload), decode)
+		o.verdict = ecc.ReadSECDED(data, payload, decode)
 	}
-	if o.verdict == corrected && decode {
+	if o.verdict == ecc.Corrected && decode {
 		_, bad := ps.Check(*data, stored)
 		o.recheckOK = bad == 0
 	}
 	return stored
-}
-
-// verdictSECDED reads the syndrome and global parity; without decode the
-// single-error signature alone counts as corrected.
-func (m *codecs) verdictSECDED(data *bitvec.Line, check secded.Check, decode bool) verdict {
-	syn, gErr := m.secded.SyndromeLine(*data, check)
-	switch {
-	case syn == 0 && !gErr:
-		return noError
-	case !gErr:
-		return evenDetected
-	case syn == 0:
-		return uncorrectable
-	case !decode:
-		return corrected
-	}
-	if st := m.secded.DecodeLine(data, check).Status; st == secded.CorrectedData || st == secded.CorrectedCheck {
-		return corrected
-	}
-	return uncorrectable
-}
-
-func (m *codecs) verdictOLSC(data *bitvec.Line, check *bitvec.Vector, decode bool) verdict {
-	d := *data
-	switch m.olsc.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
-	case olsc.OK:
-		return noError
-	case olsc.Corrected:
-		if decode {
-			*data = d
-		}
-		return corrected
-	}
-	return uncorrectable
-}
-
-func (m *codecs) verdictDECTED(data *bitvec.Line, check bch.Check) verdict {
-	d := *data
-	switch m.dected.Decode(bitvec.VectorOf(d[:], bitvec.LineBits), check).Status {
-	case bch.OK:
-		return noError
-	case bch.Corrected:
-		*data = d
-		return corrected
-	}
-	return uncorrectable
 }

@@ -49,13 +49,14 @@ func Example() {
 	h.tags.Install(0, 0, 42)
 	h.data.Write(0, data)
 	k.OnFill(0, 0, data)
-	fmt.Println("after fill:", k.DFHOf(0, 0))
+	// The DFH bits live in the line's tag entry.
+	fmt.Println("after fill:", killi.DFH(h.tags.Entry(0, 0).Class))
 
 	// First load hit: parity + SECDED classify and correct on the fly.
 	got := h.data.Read(0)
 	verdict := k.OnReadHit(0, 0, &got)
 	fmt.Println("verdict:", verdict, "- data clean:", got == data)
-	fmt.Println("after hit:", k.DFHOf(0, 0))
+	fmt.Println("after hit:", killi.DFH(h.tags.Entry(0, 0).Class))
 
 	// Output:
 	// after fill: b'01
@@ -82,11 +83,11 @@ func ExampleScheme_Reset() {
 	k.OnFill(0, 0, data)
 	got := h.data.Read(0)
 	_ = k.OnReadHit(0, 0, &got) // two faults: the line is disabled
-	fmt.Println("at 0.625xVDD:", k.DFHOf(0, 0))
+	fmt.Println("at 0.625xVDD:", killi.DFH(h.tags.Entry(0, 0).Class))
 
 	// A voltage change is just a DFH reset — no MBIST pass anywhere.
 	k.Reset(1.0)
-	fmt.Println("after transition:", k.DFHOf(0, 0))
+	fmt.Println("after transition:", killi.DFH(h.tags.Entry(0, 0).Class))
 
 	// Output:
 	// at 0.625xVDD: b'11

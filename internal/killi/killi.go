@@ -5,8 +5,6 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
-	"killi/internal/ecc"
-	"killi/internal/ecc/bch"
 	"killi/internal/ecc/olsc"
 	"killi/internal/ecc/parity"
 	"killi/internal/obs"
@@ -62,7 +60,7 @@ type Config struct {
 	// OLSCStrength switches the ECC cache to Orthogonal Latin Square
 	// codes correcting up to this many errors per line (§5.5; Table 7
 	// uses 11, the strongest whose checkbits fit an entry — see
-	// ecc.CheckOLSC). Lines with any correctable fault count stay enabled.
+	// olsc.CheckLine). Lines with any correctable fault count stay enabled.
 	// Mutually exclusive with UseDECTED.
 	OLSCStrength int
 }
@@ -99,7 +97,7 @@ type Scheme struct {
 }
 
 // New returns a Killi scheme with the given configuration. It panics on an
-// OLSC strength ecc.CheckOLSC rejects.
+// OLSC strength olsc.CheckLine rejects.
 func New(cfg Config) *Scheme {
 	cfg = cfg.withDefaults()
 	if cfg.UseDECTED && cfg.OLSCStrength > 0 {
@@ -107,11 +105,10 @@ func New(cfg Config) *Scheme {
 	}
 	s := &Scheme{cfg: cfg, codecs: newCodecs(), pol: policy{limit: 1, polarity: cfg.InvertedTraining}}
 	if cfg.UseDECTED {
-		s.dected = bch.NewLine(2)
 		s.pol.promote, s.pol.limit = true, 2
 	}
 	if cfg.OLSCStrength > 0 {
-		if err := ecc.CheckOLSC(cfg.OLSCStrength); err != nil {
+		if err := olsc.CheckLine(cfg.OLSCStrength); err != nil {
 			panic(fmt.Sprintf("killi: %v", err))
 		}
 		s.olsc = olsc.NewLine(cfg.OLSCStrength)
@@ -149,8 +146,8 @@ func (k *Scheme) ECCEntries() int { return k.ecc.Entries() }
 // DFH warmup, low once most lines are classified fault-free.
 func (k *Scheme) ECCOccupancy() int { return k.ecc.occupancy() }
 
-// DFHOf returns the DFH state of the line at (set, way).
-func (k *Scheme) DFHOf(set, way int) DFH {
+// dfhOf returns the DFH state of the line at (set, way).
+func (k *Scheme) dfhOf(set, way int) DFH {
 	return DFH(k.h.Tags().Entry(set, way).Class)
 }
 
@@ -340,7 +337,7 @@ func (k *Scheme) allocECC(set, way int) *eccEntry {
 // written into (set, way). data is the encoder-input (true) payload.
 func (k *Scheme) OnFill(set, way int, data bitvec.Line) {
 	id := k.h.Tags().LineID(set, way)
-	state := k.DFHOf(set, way)
+	state := k.dfhOf(set, way)
 	var entry *eccEntry
 	switch state {
 	case Disabled:
@@ -362,7 +359,7 @@ func (k *Scheme) OnWriteHit(set, way int, data bitvec.Line) {
 // untrusted line is dropped and missed on.
 func (k *Scheme) OnReadHit(set, way int, data *bitvec.Line) protection.Verdict {
 	id := k.h.Tags().LineID(set, way)
-	o := observation{state: k.DFHOf(set, way), stuck: untested}
+	o := observation{state: k.dfhOf(set, way), stuck: untested}
 	var entry *eccEntry
 	switch o.state {
 	case Disabled:
@@ -415,7 +412,7 @@ func (k *Scheme) invertedCheck(id int, data bitvec.Line) int {
 // all cases because there is no resident data left to protect.
 func (k *Scheme) OnEvict(set, way int) {
 	id := k.h.Tags().LineID(set, way)
-	switch k.DFHOf(set, way) {
+	switch k.dfhOf(set, way) {
 	case Stable1:
 		k.ecc.invalidate(set, id)
 	case Initial:

@@ -108,7 +108,7 @@ func TestCleanLineClassifiesStable0(t *testing.T) {
 	k := attach(h, Config{Ratio: 1}, 0.625) // ample ECC cache
 	data := randomLine(xrand.New(1))
 	fill(h, k, 0, 0, data)
-	if k.DFHOf(0, 0) != Initial {
+	if k.dfhOf(0, 0) != Initial {
 		t.Fatal("line not Initial after fill")
 	}
 	if k.ECCOccupancy() != 1 {
@@ -121,8 +121,8 @@ func TestCleanLineClassifiesStable0(t *testing.T) {
 	if got != data {
 		t.Fatal("delivered data corrupted")
 	}
-	if k.DFHOf(0, 0) != Stable0 {
-		t.Fatalf("DFH = %v, want b'00", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable0 {
+		t.Fatalf("DFH = %v, want b'00", k.dfhOf(0, 0))
 	}
 	if k.ECCOccupancy() != 0 {
 		t.Fatal("ECC entry not freed on b'01→b'00 (the paper's most frequent case)")
@@ -150,8 +150,8 @@ func TestSingleFaultCorrectedAndStable1(t *testing.T) {
 	if got != data {
 		t.Fatal("data not corrected")
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v, want b'10", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v, want b'10", k.dfhOf(0, 0))
 	}
 	if k.ECCOccupancy() != 1 {
 		t.Fatal("Stable1 line must keep its ECC entry")
@@ -161,7 +161,7 @@ func TestSingleFaultCorrectedAndStable1(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || got != data {
 		t.Fatal("repeat Stable1 hit failed")
 	}
-	if k.DFHOf(0, 0) != Stable1 {
+	if k.dfhOf(0, 0) != Stable1 {
 		t.Fatal("Stable1 did not persist")
 	}
 }
@@ -177,8 +177,8 @@ func TestDoubleFaultDisables(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v, want error-miss", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", k.dfhOf(0, 0))
 	}
 	e := h.tags.Entry(0, 0)
 	if !e.Disabled || e.Valid {
@@ -202,8 +202,8 @@ func TestSameSegmentDoubleFaultCaughtByECC(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", k.dfhOf(0, 0))
 	}
 }
 
@@ -222,8 +222,8 @@ func TestMaskedFaultMisclassifiesThenRelearns(t *testing.T) {
 	masked.SetBit(200, 1)
 	fill(h, k, 0, 0, masked)
 	got := h.data.Read(id)
-	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.DFHOf(0, 0) != Stable0 {
-		t.Fatalf("masked fault should classify b'00, got %v / %v", v, k.DFHOf(0, 0))
+	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.dfhOf(0, 0) != Stable0 {
+		t.Fatalf("masked fault should classify b'00, got %v / %v", v, k.dfhOf(0, 0))
 	}
 
 	unmasked := masked
@@ -234,8 +234,8 @@ func TestMaskedFaultMisclassifiesThenRelearns(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("unmasked fault verdict %v, want error-miss", v)
 	}
-	if k.DFHOf(0, 0) != Initial {
-		t.Fatalf("DFH = %v, want back to b'01 for relearning", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Initial {
+		t.Fatalf("DFH = %v, want back to b'01 for relearning", k.dfhOf(0, 0))
 	}
 	if h.ctr.Get("killi.post_training_single_error") != 1 {
 		t.Fatal("post-training error not counted")
@@ -247,8 +247,8 @@ func TestMaskedFaultMisclassifiesThenRelearns(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || got != unmasked {
 		t.Fatal("reclassification read failed")
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v, want b'10 after relearning", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v, want b'10 after relearning", k.dfhOf(0, 0))
 	}
 }
 
@@ -264,8 +264,8 @@ func TestStable1FaultVanishesReclassifiesStable0(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	got := h.data.Read(id)
 	k.OnReadHit(0, 0, &got)
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("setup failed: DFH %v", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("setup failed: DFH %v", k.dfhOf(0, 0))
 	}
 	masked := data
 	masked.SetBit(64, 0) // masks the stuck-at-0 cell
@@ -275,8 +275,8 @@ func TestStable1FaultVanishesReclassifiesStable0(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Stable0 {
-		t.Fatalf("DFH = %v, want b'00", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable0 {
+		t.Fatalf("DFH = %v, want b'00", k.dfhOf(0, 0))
 	}
 	if k.ECCOccupancy() != 0 {
 		t.Fatal("ECC entry not freed on b'10→b'00")
@@ -292,8 +292,8 @@ func TestStable1PlusSoftErrorDisables(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	got := h.data.Read(id)
 	k.OnReadHit(0, 0, &got)
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("setup failed: %v", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("setup failed: %v", k.dfhOf(0, 0))
 	}
 	// A soft error on top of the LV fault: two errors, SECDED detects,
 	// cannot correct → disable.
@@ -302,8 +302,8 @@ func TestStable1PlusSoftErrorDisables(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11 (error on line with existing 1-bit LV error)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11 (error on line with existing 1-bit LV error)", k.dfhOf(0, 0))
 	}
 }
 
@@ -320,13 +320,13 @@ func TestSoftErrorOnStable0Relearns(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Initial {
-		t.Fatalf("DFH = %v, want b'01", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Initial {
+		t.Fatalf("DFH = %v, want b'01", k.dfhOf(0, 0))
 	}
 	// The refetch overwrites the transient; the line trains back to b'00.
 	fill(h, k, 0, 0, data)
 	got = h.data.Read(id)
-	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.DFHOf(0, 0) != Stable0 {
+	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.dfhOf(0, 0) != Stable0 {
 		t.Fatal("line did not recover to b'00 after transient")
 	}
 }
@@ -349,7 +349,7 @@ func TestEvictionTraining(t *testing.T) {
 			fill(h, k, 0, 0, data)
 			k.OnEvict(0, 0)
 			h.tags.Invalidate(0, 0)
-			if got := k.DFHOf(0, 0); got != tc.want {
+			if got := k.dfhOf(0, 0); got != tc.want {
 				t.Fatalf("DFH after eviction training = %v, want %v", got, tc.want)
 			}
 			if k.ECCOccupancy() != 0 {
@@ -394,7 +394,7 @@ func TestECCContentionCleanVictimStaysResident(t *testing.T) {
 	if !h.tags.Entry(0, 0).Valid {
 		t.Fatal("clean victim no longer valid")
 	}
-	if got := k.DFHOf(0, 0); got != Stable0 {
+	if got := k.dfhOf(0, 0); got != Stable0 {
 		t.Fatalf("victim DFH = %v, want b'00", got)
 	}
 	// The resident line must still read correctly through its folded parity.
@@ -419,7 +419,7 @@ func TestECCContentionFaultyVictimInvalidated(t *testing.T) {
 	if h.tags.Entry(0, 0).Valid {
 		t.Fatal("faulty victim still valid")
 	}
-	if got := k.DFHOf(0, 0); got != Stable1 {
+	if got := k.dfhOf(0, 0); got != Stable1 {
 		t.Fatalf("victim DFH = %v, want b'10", got)
 	}
 }
@@ -435,7 +435,7 @@ func TestECCContentionMaskedFaultCaughtByPolarityTest(t *testing.T) {
 	if h.ctr.Get("killi.inverted_unmasked_single") == 0 {
 		t.Fatal("polarity test did not unmask the masked fault")
 	}
-	if got := k.DFHOf(0, 0); got != Stable1 {
+	if got := k.dfhOf(0, 0); got != Stable1 {
 		t.Fatalf("victim DFH = %v, want b'10", got)
 	}
 	if len(h.invalidated) != 1 || h.invalidated[0] != 0 {
@@ -450,7 +450,7 @@ func TestECCContentionNoEvictionTrainingInvalidates(t *testing.T) {
 	if len(h.invalidated) != 1 || h.invalidated[0] != 0 {
 		t.Fatalf("invalidated = %v, want [0]", h.invalidated)
 	}
-	if got := k.DFHOf(0, 0); got != Initial {
+	if got := k.dfhOf(0, 0); got != Initial {
 		t.Fatalf("victim DFH = %v, want b'01", got)
 	}
 }
@@ -496,13 +496,13 @@ func TestResetReclaimsDisabledLines(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	got := h.data.Read(0)
 	k.OnReadHit(0, 0, &got)
-	if k.DFHOf(0, 0) != Disabled {
+	if k.dfhOf(0, 0) != Disabled {
 		t.Fatal("setup failed")
 	}
 	// Voltage raise: faults with Severity 0 stay active, but the DFH
 	// reset must still return the line to Initial for relearning.
 	k.Reset(0.9)
-	if k.DFHOf(0, 0) != Initial || h.tags.Entry(0, 0).Disabled {
+	if k.dfhOf(0, 0) != Initial || h.tags.Entry(0, 0).Disabled {
 		t.Fatal("disabled line not reclaimed by DFH reset")
 	}
 }
@@ -521,8 +521,8 @@ func TestInvertedTrainingCatchesMaskedFault(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v, want b'10 (inverted check unmasks the fault)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v, want b'10 (inverted check unmasks the fault)", k.dfhOf(0, 0))
 	}
 	if h.ctr.Get("killi.inverted_unmasked_single") != 1 {
 		t.Fatal("unmask not counted")
@@ -545,8 +545,8 @@ func TestInvertedTrainingMultiMaskedDisables(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", k.dfhOf(0, 0))
 	}
 }
 
@@ -563,8 +563,8 @@ func TestDECTEDModeKeepsTwoFaultLineEnabled(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("promotion verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v, want b'10 (DECTED-extended)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v, want b'10 (DECTED-extended)", k.dfhOf(0, 0))
 	}
 	if h.tags.Entry(0, 0).Disabled {
 		t.Fatal("2-fault line disabled despite DECTED mode")
@@ -593,8 +593,8 @@ func TestDECTEDModeThreeFaultsStillDisable(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11 (3 faults exceed DECTED)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11 (3 faults exceed DECTED)", k.dfhOf(0, 0))
 	}
 }
 
@@ -661,26 +661,26 @@ func TestScrubReclaimsSoftErrorDisabledLines(t *testing.T) {
 	h.data.InjectSoftError(h.tags.LineID(0, 0), 0)
 	h.data.InjectSoftError(h.tags.LineID(0, 0), 1)
 	got = h.data.Read(h.tags.LineID(0, 0))
-	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss || k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("setup: %v / %v", v, k.DFHOf(0, 0))
+	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss || k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("setup: %v / %v", v, k.dfhOf(0, 0))
 	}
 
 	// Disable (0,1) via its persistent faults.
 	var zero bitvec.Line
 	fill(h, k, 0, 1, zero)
 	got = h.data.Read(h.tags.LineID(0, 1))
-	if v := k.OnReadHit(0, 1, &got); v != protection.ErrorMiss || k.DFHOf(0, 1) != Disabled {
-		t.Fatalf("setup persistent: %v / %v", v, k.DFHOf(0, 1))
+	if v := k.OnReadHit(0, 1, &got); v != protection.ErrorMiss || k.dfhOf(0, 1) != Disabled {
+		t.Fatalf("setup persistent: %v / %v", v, k.dfhOf(0, 1))
 	}
 
 	if n := k.Scrub(); n != 1 {
 		t.Fatalf("scrub reclaimed %d lines, want 1", n)
 	}
-	if k.DFHOf(0, 0) != Stable0 {
-		t.Fatalf("soft-error line DFH = %v after scrub, want b'00", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable0 {
+		t.Fatalf("soft-error line DFH = %v after scrub, want b'00", k.dfhOf(0, 0))
 	}
-	if k.DFHOf(0, 1) != Disabled {
-		t.Fatalf("persistent 2-fault line DFH = %v after scrub, want b'11", k.DFHOf(0, 1))
+	if k.dfhOf(0, 1) != Disabled {
+		t.Fatalf("persistent 2-fault line DFH = %v after scrub, want b'11", k.dfhOf(0, 1))
 	}
 	if h.ctr.Get("killi.scrub_tests") != 2 || h.ctr.Get("killi.scrub_reclaimed") != 1 {
 		t.Fatal("scrub counters wrong")
@@ -705,14 +705,14 @@ func TestScrubReclaimsOneFaultLineAsStable1(t *testing.T) {
 	k.OnReadHit(0, 0, &got) // Stable1
 	h.data.InjectSoftError(0, 300)
 	got = h.data.Read(0)
-	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss || k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("setup: %v / %v", v, k.DFHOf(0, 0))
+	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss || k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("setup: %v / %v", v, k.dfhOf(0, 0))
 	}
 	if n := k.Scrub(); n != 1 {
 		t.Fatalf("scrub reclaimed %d", n)
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v after scrub, want b'10", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v after scrub, want b'10", k.dfhOf(0, 0))
 	}
 	// Usable again, with SECDED correcting the persistent fault.
 	fill(h, k, 0, 0, data)
@@ -751,8 +751,8 @@ func TestOLSCModeKeepsManyFaultLinesEnabled(t *testing.T) {
 	if got != data {
 		t.Fatal("OLSC did not correct 8 faults")
 	}
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH %v, want b'10 (enabled under OLSC)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH %v, want b'10 (enabled under OLSC)", k.dfhOf(0, 0))
 	}
 	// Repeat reads keep correcting.
 	got = h.data.Read(h.tags.LineID(0, 0))
@@ -774,8 +774,8 @@ func TestOLSCModeDisablesBeyondStrength(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.ErrorMiss {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH %v, want b'11 (12 > 11)", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH %v, want b'11 (12 > 11)", k.dfhOf(0, 0))
 	}
 }
 
@@ -788,7 +788,7 @@ func TestOLSCModeCleanLineFreesEntry(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || got != data {
 		t.Fatal("clean OLSC read failed")
 	}
-	if k.DFHOf(0, 0) != Stable0 || k.ECCOccupancy() != 0 {
+	if k.dfhOf(0, 0) != Stable0 || k.ECCOccupancy() != 0 {
 		t.Fatal("clean line did not release its entry in OLSC mode")
 	}
 }
@@ -801,8 +801,8 @@ func TestOLSCModeEvictionTraining(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	k.OnEvict(0, 0)
 	h.tags.Invalidate(0, 0)
-	if k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH after OLSC eviction training = %v, want b'10", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH after OLSC eviction training = %v, want b'10", k.dfhOf(0, 0))
 	}
 }
 

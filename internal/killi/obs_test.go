@@ -92,9 +92,9 @@ func TestSchemeObserverDisabledPath(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	var got = h.data.Read(h.tags.LineID(0, 0))
 	k.OnReadHit(0, 0, &got)
-	if k.DFHOf(0, 0) != Disabled {
+	if k.dfhOf(0, 0) != Disabled {
 		t.Skipf("2-fault line ended %v, not Disabled (masking); transitions=%d",
-			k.DFHOf(0, 0), len(col.Transitions()))
+			k.dfhOf(0, 0), len(col.Transitions()))
 	}
 	if p := col.Populations(); p[obs.StateDisabled] != 1 {
 		t.Fatalf("populations %v, want one Disabled", p)

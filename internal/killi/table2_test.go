@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"killi/internal/bitvec"
+	"killi/internal/ecc"
 	"killi/internal/faultmodel"
 	"killi/internal/protection"
 	"killi/internal/xrand"
@@ -25,7 +26,7 @@ import (
 // where variant is wt (write-through SECDED), de (write-through DECTED),
 // ol (write-through OLSC(3)) or wb (write-back), polarity is 1 under
 // §5.6.2 inverted training, code is sec/dec/ols, verdict is
-// ok/fix/even/bad, and stuck is u before the polarity test. The first row
+// ok/fix/even/bad/glob (ecc.NoError through ecc.GlobalFlip), and stuck is u before the polarity test. The first row
 // whose glob pattern matches a key gives its outcome.
 var table2 = []struct {
 	pattern string
@@ -118,7 +119,7 @@ func table2Variants(inverted bool) []struct {
 // suffix (everything after the variant and polarity).
 func forEachObservation(fn func(o observation, key string)) {
 	codes := []string{"sec", "dec", "ols"}
-	verdicts := []string{"ok", "fix", "even", "bad"}
+	verdicts := []string{"ok", "fix", "even", "bad", "glob"}
 	for _, state := range []DFH{Stable0, Initial, Stable1, Disabled} {
 		for seg := 0; seg <= 2; seg++ {
 			for c, cn := range codes {
@@ -130,7 +131,7 @@ func forEachObservation(fn func(o observation, key string)) {
 								if stuck == untested {
 									k = "u"
 								}
-								fn(observation{state: state, segMis: seg, code: lineCode(c), verdict: verdict(v),
+								fn(observation{state: state, segMis: seg, code: lineCode(c), verdict: ecc.Reading(v),
 									recheckOK: r == 1, stuck: stuck, dirty: d == 1},
 									fmt.Sprintf("%v s%d %s %s r%d k%s d%d", state, seg, cn, vn, r, k, d))
 							}
@@ -191,7 +192,7 @@ func FuzzClassify(f *testing.F) {
 			vs = variants[1]
 		}
 		p := vs[int(variant)%len(vs)].p
-		o := observation{state: DFH(state), segMis: seg, code: lineCode(code), verdict: verdict(v),
+		o := observation{state: DFH(state), segMis: seg, code: lineCode(code), verdict: ecc.Reading(v),
 			recheckOK: recheck, stuck: stuck, dirty: dirty}
 		out := p.next(o)
 		switch {
@@ -243,7 +244,7 @@ func runTable2(t *testing.T, tc table2Case) {
 	if v != tc.want {
 		t.Fatalf("verdict %v, want %v", v, tc.want)
 	}
-	if dfh := k.DFHOf(0, 0); dfh != tc.wantDFH {
+	if dfh := k.dfhOf(0, 0); dfh != tc.wantDFH {
 		t.Fatalf("DFH %v, want %v", dfh, tc.wantDFH)
 	}
 	if v == protection.Deliver && got != h.data.ReadTrue(id) {
@@ -368,8 +369,8 @@ func TestTable2Row_10_ErrorVanished(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	h.data.InjectSoftError(id, 99) // transient masquerading as LV fault
 	got := h.data.Read(id)
-	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("setup: %v / %v", v, k.DFHOf(0, 0))
+	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver || k.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("setup: %v / %v", v, k.dfhOf(0, 0))
 	}
 	// The write-through store overwrites the transient.
 	h.data.Write(id, data)
@@ -378,8 +379,8 @@ func TestTable2Row_10_ErrorVanished(t *testing.T) {
 	if v := k.OnReadHit(0, 0, &got); v != protection.Deliver {
 		t.Fatalf("verdict %v", v)
 	}
-	if k.DFHOf(0, 0) != Stable0 {
-		t.Fatalf("DFH %v, want b'00", k.DFHOf(0, 0))
+	if k.dfhOf(0, 0) != Stable0 {
+		t.Fatalf("DFH %v, want b'00", k.dfhOf(0, 0))
 	}
 	if k.ECCOccupancy() != 0 {
 		t.Fatal("ECC entry not invalidated on b'10→b'00")
@@ -421,7 +422,7 @@ func TestTable2Row_11_NeverAccessed(t *testing.T) {
 	fill(h, k, 0, 0, data)
 	got := h.data.Read(0)
 	k.OnReadHit(0, 0, &got) // disables way 0
-	if k.DFHOf(0, 0) != Disabled {
+	if k.dfhOf(0, 0) != Disabled {
 		t.Fatal("setup failed")
 	}
 	if _, hit := h.tags.Lookup(0, 0); hit {
@@ -534,7 +535,7 @@ func TestClassificationEventuallyStable(t *testing.T) {
 		k := attach(h, Config{Ratio: 1}, 0.625)
 		data := randomLine(r)
 		fill(h, k, 0, 0, data)
-		prev := k.DFHOf(0, 0)
+		prev := k.dfhOf(0, 0)
 		changes := 0
 		for i := 0; i < 10; i++ {
 			if h.tags.Entry(0, 0).Disabled {
@@ -545,7 +546,7 @@ func TestClassificationEventuallyStable(t *testing.T) {
 			}
 			got := h.data.Read(0)
 			k.OnReadHit(0, 0, &got)
-			if cur := k.DFHOf(0, 0); cur != prev {
+			if cur := k.dfhOf(0, 0); cur != prev {
 				changes++
 				prev = cur
 			}

@@ -6,7 +6,6 @@ import (
 
 	"killi/internal/bitvec"
 	"killi/internal/cache"
-	"killi/internal/ecc/bch"
 	"killi/internal/ecc/parity"
 	"killi/internal/faultmodel"
 	"killi/internal/sram"
@@ -113,18 +112,12 @@ func NewWriteBack(cfg WriteBackConfig, faults *faultmodel.Map, vNorm float64) *W
 		dirty:   make([]bool, lines),
 		useDEC:  make([]bool, lines),
 	}
-	c.dected = bch.NewLine(2)
 	tags.ForEach(func(set, way int, e *cache.Entry) { e.Class = uint8(Initial) })
 	return c
 }
 
 // Stats exposes the cache's counters.
 func (c *WriteBackCache) Stats() *stats.Counters { return &c.ctr }
-
-// DFHOf returns the DFH state at (set, way).
-func (c *WriteBackCache) DFHOf(set, way int) DFH {
-	return DFH(c.tags.Entry(set, way).Class)
-}
 
 // Write stores a full line. The data stays dirty in the cache until
 // evicted or flushed.

@@ -82,8 +82,8 @@ func TestWriteBackSingleFaultDirtyLineSurvives(t *testing.T) {
 	if _, err := c.Read(0); err != nil { // hit → classify
 		t.Fatal(err)
 	}
-	if c.DFHOf(0, 0) != Stable1 {
-		t.Fatalf("DFH = %v, want b'10", c.DFHOf(0, 0))
+	if c.dfhOf(0, 0) != Stable1 {
+		t.Fatalf("DFH = %v, want b'10", c.dfhOf(0, 0))
 	}
 
 	// Now dirty the line; §5.6.1 upgrades it to DECTED.
@@ -163,8 +163,8 @@ func TestWriteBackCleanLineRefetches(t *testing.T) {
 	}
 	// Table 2: a multi-bit error discovered after training disables the
 	// line, as in the write-through design.
-	if c.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11", c.DFHOf(0, 0))
+	if c.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", c.dfhOf(0, 0))
 	}
 }
 
@@ -190,16 +190,16 @@ func TestWriteBackSharedRows(t *testing.T) {
 		fm := faultmodel.NewMapExplicit(faultmodel.Default(), bitvec.LineBits, 1.0, make([][]faultmodel.Fault, 4))
 		c := NewWriteBack(WriteBackConfig{Sets: 4, Ways: 1, Ratio: 1}, fm, 0.625)
 		trainedRead(c, randomLine(xrand.New(9)), 77)
-		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 || c.Stats().Get("wb.corrected_reads") != 1 {
+		if c.dfhOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 || c.Stats().Get("wb.corrected_reads") != 1 {
 			t.Fatalf("DFH %v, ECC occupancy %d, corrected reads %d; want b'00, 0, 1",
-				c.DFHOf(0, 0), c.ecc.occupancy(), c.Stats().Get("wb.corrected_reads"))
+				c.dfhOf(0, 0), c.ecc.occupancy(), c.Stats().Get("wb.corrected_reads"))
 		}
 	})
 	t.Run("miscorrection caught and counted", func(t *testing.T) {
 		c := newWB(t, 4, 1, [][]faultmodel.Fault{{stuck(0, 1), stuck(16, 1), stuck(5, 1)}}, 0.625)
 		trainedRead(c, bitvec.Line{})
-		if c.DFHOf(0, 0) != Disabled || c.Stats().Get("wb.miscorrection_caught") != 1 {
-			t.Fatalf("DFH %v, miscorrections %d; want b'11, 1", c.DFHOf(0, 0), c.Stats().Get("wb.miscorrection_caught"))
+		if c.dfhOf(0, 0) != Disabled || c.Stats().Get("wb.miscorrection_caught") != 1 {
+			t.Fatalf("DFH %v, miscorrections %d; want b'11, 1", c.dfhOf(0, 0), c.Stats().Get("wb.miscorrection_caught"))
 		}
 	})
 	t.Run("b'10 line whose fault vanished trains b'00", func(t *testing.T) {
@@ -207,8 +207,8 @@ func TestWriteBackSharedRows(t *testing.T) {
 		// polarity test confirms, so the line trains b'10.
 		c := newWB(t, 4, 1, [][]faultmodel.Fault{{stuck(99, 1)}}, 0.625)
 		trainedRead(c, bitvec.Line{})
-		if c.DFHOf(0, 0) != Stable1 {
-			t.Fatalf("setup: DFH %v, want b'10", c.DFHOf(0, 0))
+		if c.dfhOf(0, 0) != Stable1 {
+			t.Fatalf("setup: DFH %v, want b'10", c.dfhOf(0, 0))
 		}
 		// A clean refill of the same way whose data masks the fault: its
 		// read hit sees a clean syndrome and a matching parity.
@@ -220,8 +220,8 @@ func TestWriteBackSharedRows(t *testing.T) {
 				t.Fatalf("read: %v, data ok %v", err, got == masked)
 			}
 		}
-		if c.DFHOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 {
-			t.Fatalf("DFH %v, ECC occupancy %d; want b'00, 0", c.DFHOf(0, 0), c.ecc.occupancy())
+		if c.dfhOf(0, 0) != Stable0 || c.ecc.occupancy() != 0 {
+			t.Fatalf("DFH %v, ECC occupancy %d; want b'00, 0", c.dfhOf(0, 0), c.ecc.occupancy())
 		}
 	})
 }
@@ -256,7 +256,7 @@ func TestWriteBackStable0DirtyGetsSECDED(t *testing.T) {
 	c.backing[0] = data
 	c.Read(0)
 	c.Read(0) // b'00
-	if c.DFHOf(0, 0) != Stable0 {
+	if c.dfhOf(0, 0) != Stable0 {
 		t.Fatal("classification failed")
 	}
 	if err := c.Write(0, data); err != nil {
@@ -282,8 +282,8 @@ func TestWriteBackTwoFaultLineDisabled(t *testing.T) {
 	if _, err := c.Read(0); err != nil {
 		t.Fatalf("clean-line classification read must refetch, got %v", err)
 	}
-	if c.DFHOf(0, 0) != Disabled {
-		t.Fatalf("DFH = %v, want b'11", c.DFHOf(0, 0))
+	if c.dfhOf(0, 0) != Disabled {
+		t.Fatalf("DFH = %v, want b'11", c.dfhOf(0, 0))
 	}
 }
 
@@ -342,14 +342,14 @@ func TestWriteBackRetiredLineSavedOnce(t *testing.T) {
 			if err := c.Write(0, data); err != nil {
 				t.Fatal(err)
 			}
-			if c.DFHOf(0, 0) != Initial {
-				t.Fatalf("setup: DFH %v, want b'01", c.DFHOf(0, 0))
+			if c.dfhOf(0, 0) != Initial {
+				t.Fatalf("setup: DFH %v, want b'01", c.dfhOf(0, 0))
 			}
 			if err := tc.leave(c); err != nil {
 				t.Fatal(err)
 			}
-			if c.DFHOf(0, 0) != Disabled || c.backing[0] != data {
-				t.Fatalf("DFH %v, data saved %v; want b'11, true", c.DFHOf(0, 0), c.backing[0] == data)
+			if c.dfhOf(0, 0) != Disabled || c.backing[0] != data {
+				t.Fatalf("DFH %v, data saved %v; want b'11, true", c.dfhOf(0, 0), c.backing[0] == data)
 			}
 			if got := c.Stats().Get("wb.writebacks"); got != 1 {
 				t.Fatalf("wb.writebacks = %d, want 1", got)
@@ -458,4 +458,9 @@ func TestWriteBackCounterDigest(t *testing.T) {
 			t.Fatalf("write-back digest = %#x, want %#x", got, uint64(want))
 		}
 	})
+}
+
+// dfhOf returns the DFH state at (set, way).
+func (c *WriteBackCache) dfhOf(set, way int) DFH {
+	return DFH(c.tags.Entry(set, way).Class)
 }

@@ -58,14 +58,6 @@ var marchCMinus = []element{
 	{read: true, expect: 0},
 }
 
-// matsPlus is the 5N MATS+ sequence (detects stuck-at faults only — the
-// cheapest useful pass).
-var matsPlus = []element{
-	{write: true, value: 0},
-	{read: true, expect: 0, write: true, value: 1},
-	{read: true, expect: 1, write: true, value: 0, descending: true},
-}
-
 // line-wide constant payloads.
 func fill(v uint) bitvec.Line {
 	var l bitvec.Line
@@ -116,6 +108,3 @@ func run(arr *sram.Array, n int, seq []element) Result {
 
 // CMinus runs the full March C- pass over the first n lines.
 func CMinus(arr *sram.Array, n int) Result { return run(arr, n, marchCMinus) }
-
-// MATSPlus runs the cheaper MATS+ pass over the first n lines.
-func MATSPlus(arr *sram.Array, n int) Result { return run(arr, n, matsPlus) }

@@ -75,9 +75,6 @@ func (m *Memory) AccessWrite(now uint64) (done uint64) {
 // statistic).
 func (m *Memory) Accesses() uint64 { return m.accesses }
 
-// Writes returns the total posted-write count.
-func (m *Memory) Writes() uint64 { return m.writes }
-
 // Reset clears queue state and counters.
 func (m *Memory) Reset() {
 	m.nextFree = 0

@@ -42,16 +42,6 @@ func StateName(s uint8) string {
 	return "unknown"
 }
 
-// stateIndex inverts StateName; it returns NumStates for unknown names.
-func stateIndex(name string) uint8 {
-	for i, n := range stateNames {
-		if n == name {
-			return uint8(i)
-		}
-	}
-	return NumStates
-}
-
 // Transition is one DFH classification event: the line at a dense L2 line
 // ID moved between states at a cycle (unknown→clean, unknown→1-fault,
 // →disabled, scrub reclaims, post-training relearns).

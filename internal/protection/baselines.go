@@ -4,6 +4,7 @@ import (
 	"killi/internal/bitvec"
 	"killi/internal/cache"
 	"killi/internal/ecc"
+	"killi/internal/ecc/olsc"
 	"killi/internal/march"
 	"killi/internal/stats"
 )
@@ -50,14 +51,14 @@ func (n *None) OnWriteHit(set, way int, data bitvec.Line) {}
 // OnEvict implements Scheme.
 func (n *None) OnEvict(set, way int) {}
 
-// PerLine protects every line with one codec's checkbits and relies on an
+// PerLine protects every line with one code's checkbits and relies on an
 // MBIST pre-characterization pass: at Reset, every line whose active fault
-// count exceeds the codec's correction strength is disabled (the paper's
+// count exceeds the code's correction strength is disabled (the paper's
 // "one bit per L2 cache line to enable disabling lines").
 //
-// With ecc.SECDED() this is the conventional SECDED-per-line LV design
-// (and, pre-trained, the FLAIR steady state); with ecc.DECTED() it is the
-// paper's DECTED comparison; with ecc.OLSC(11) it is MS-ECC.
+// With SECDED this is the conventional SECDED-per-line LV design (and,
+// pre-trained, the FLAIR steady state); with DECTED it is the paper's
+// DECTED comparison; with OLSC(11) it is MS-ECC.
 type PerLine struct {
 	// UseMarchTest makes Reset characterize the array with a real March
 	// C- MBIST pass (internal/march) instead of the simulator's fault
@@ -70,26 +71,26 @@ type PerLine struct {
 	// so each data way is paired with a sacrificed check way (half the
 	// capacity, the Table 7 "1018-bit codeword" = data line + check
 	// line), and a pair is disabled when the faults across BOTH lines
-	// exceed the codec's strength. At nominal voltage the code is
+	// exceed the code's strength. At nominal voltage the code is
 	// unnecessary and the full capacity returns.
 	InArrayCheckbits bool
 
 	name  string
-	codec ecc.Codec
+	limit int // the code's correction strength: more faults disable a line
+	read  func(data *bitvec.Line, payload bitvec.Line, decode bool) ecc.Reading
 	h     Host
-}
-
-// NewPerLine returns a per-line scheme using the given codec.
-func NewPerLine(name string, codec ecc.Codec) *PerLine {
-	return &PerLine{name: name, codec: codec}
 }
 
 // NewSECDEDPerLine returns the conventional SECDED-per-line scheme
 // (disables lines with ≥2 LV faults).
-func NewSECDEDPerLine() *PerLine { return NewPerLine("secded-line", ecc.SECDED()) }
+func NewSECDEDPerLine() *PerLine {
+	return &PerLine{name: "secded-line", limit: 1, read: ecc.ReadSECDED}
+}
 
 // NewDECTEDPerLine returns the DECTED-per-line scheme (disables ≥3 faults).
-func NewDECTEDPerLine() *PerLine { return NewPerLine("dected-line", ecc.DECTED()) }
+func NewDECTEDPerLine() *PerLine {
+	return &PerLine{name: "dected-line", limit: 2, read: ecc.ReadDECTED}
+}
 
 // NewMSECC returns the MS-ECC scheme: OLSC correcting up to 11 errors per
 // line, disabling codewords with ≥12 faults. Its 506 checkbits per line are
@@ -97,9 +98,12 @@ func NewDECTEDPerLine() *PerLine { return NewPerLine("dected-line", ecc.DECTED()
 // the data array itself, sacrificing every other way (the scheme's
 // capacity-for-reliability tradeoff).
 func NewMSECC() *PerLine {
-	p := NewPerLine("msecc", ecc.OLSC(11))
-	p.InArrayCheckbits = true
-	return p
+	return &PerLine{name: "msecc", limit: 11, InArrayCheckbits: true, read: readMSECC}
+}
+
+// readMSECC reads a line through MS-ECC's OLSC(11).
+func readMSECC(data *bitvec.Line, payload bitvec.Line, decode bool) ecc.Reading {
+	return ecc.ReadOLSC(olsc.NewLine(11), data, payload, decode)
 }
 
 // Name implements Scheme.
@@ -108,11 +112,8 @@ func (p *PerLine) Name() string { return p.name }
 // Attach implements Scheme.
 func (p *PerLine) Attach(h Host) { p.h = h }
 
-// Codec exposes the underlying codec for area accounting.
-func (p *PerLine) Codec() ecc.Codec { return p.codec }
-
 // Reset implements Scheme: the MBIST pre-characterization pass. Lines with
-// more active faults than the codec corrects are disabled; every other
+// more active faults than the code corrects are disabled; every other
 // line is enabled (and re-enabled if a voltage raise deactivated faults).
 //
 // By default the fault counts come from the simulator's oracle (which is
@@ -134,7 +135,6 @@ func (p *PerLine) Reset(vNorm float64) {
 	// the full capacity returns.
 	ways := tags.Config().Ways
 	paired := p.InArrayCheckbits && vNorm < 0.7 && ways >= 2
-	limit := p.codec.CorrectsUpTo()
 	// Direct set iteration with one fault-count query per set: a per-line
 	// ForEach closure and map-index translation are measurable across the
 	// 32K-line pass every run makes, as in Killi's Reset. The counts live
@@ -160,14 +160,14 @@ func (p *PerLine) Reset(vNorm float64) {
 			e.Valid = false
 			switch {
 			case !paired:
-				e.Disabled = counts[way] > limit
+				e.Disabled = counts[way] > p.limit
 			case way >= ways/2:
 				// Check way: stores the partner's checkbits, never data.
 				e.Disabled = true
 				ctr.IncC(cCapacitySacrificed)
 				continue
 			default:
-				e.Disabled = counts[way]+counts[way+ways/2] > limit
+				e.Disabled = counts[way]+counts[way+ways/2] > p.limit
 			}
 			if e.Disabled {
 				ctr.IncC(cLinesDisabled)
@@ -183,22 +183,22 @@ func (p *PerLine) VictimFunc() cache.VictimFunc { return nil }
 // which the data array already holds, so a fill records nothing.
 func (p *PerLine) OnFill(set, way int, data bitvec.Line) {}
 
-// OnReadHit implements Scheme. Checkbits are encoded on demand from the
+// OnReadHit implements Scheme. Checkbits are derived on demand from the
 // payload the controller wrote, only when the read-back mismatches it. A
-// clean read hit is an 8-word compare with no codec work, and since
-// Decode(d, Encode(d)) is OK for every codec, the outcome is identical to
+// clean read hit is an 8-word compare with no code work, and since every
+// code reads its own payload as NoError, the outcome is identical to
 // decoding every read.
 func (p *PerLine) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 	truth := p.h.Data().ReadTrue(p.h.Tags().LineID(set, way))
 	if *data == truth {
-		// Zero syndrome by construction: decoding would report OK.
+		// Zero syndrome by construction: decoding would report NoError.
 		return Deliver
 	}
-	out := p.codec.Decode(data, p.codec.Encode(truth))
-	switch out.Status {
-	case ecc.OK:
+	switch p.read(data, truth, true) {
+	case ecc.NoError:
 		return Deliver
-	case ecc.Corrected:
+	case ecc.Corrected, ecc.GlobalFlip:
+		// The decoder's word: a GlobalFlip delivers the line as read.
 		p.h.Stats().IncC(cCorrectedReads)
 		return Deliver
 	default:

@@ -29,7 +29,6 @@ type FLAIR struct {
 	TrainAccesses uint64
 
 	h        Host
-	codec    ecc.Codec
 	accesses uint64
 	training bool
 }
@@ -37,23 +36,11 @@ type FLAIR struct {
 // NewFLAIR returns a pre-trained FLAIR instance.
 func NewFLAIR() *FLAIR { return &FLAIR{} }
 
-// NewFLAIROnline returns a FLAIR instance that trains online for the given
-// number of cache accesses.
-func NewFLAIROnline(trainAccesses uint64) *FLAIR {
-	return &FLAIR{TrainAccesses: trainAccesses}
-}
-
 // Name implements Scheme.
 func (f *FLAIR) Name() string { return "flair" }
 
 // Attach implements Scheme.
-func (f *FLAIR) Attach(h Host) {
-	f.h = h
-	f.codec = ecc.SECDED()
-}
-
-// Training reports whether the online MBIST pass is still running.
-func (f *FLAIR) Training() bool { return f.training }
+func (f *FLAIR) Attach(h Host) { f.h = h }
 
 // Reset implements Scheme.
 func (f *FLAIR) Reset(vNorm float64) {
@@ -84,7 +71,7 @@ func (f *FLAIR) applyMBIST() {
 	tags.ForEach(func(set, way int, e *cache.Entry) {
 		id := tags.LineID(set, way)
 		wasDisabled := e.Disabled
-		e.Disabled = data.ActiveFaultCount(id) > f.codec.CorrectsUpTo()
+		e.Disabled = data.ActiveFaultCount(id) > 1
 		if e.Disabled {
 			f.h.Stats().IncC(cLinesDisabled)
 			e.Valid = false
@@ -117,19 +104,18 @@ func (f *FLAIR) VictimFunc() cache.VictimFunc { return nil }
 func (f *FLAIR) OnFill(set, way int, data bitvec.Line) { f.tick() }
 
 // OnReadHit implements Scheme. As in PerLine, only a read-back that
-// mismatches the payload the controller wrote is encoded and decoded.
+// mismatches the payload the controller wrote is decoded.
 func (f *FLAIR) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 	f.tick()
 	truth := f.h.Data().ReadTrue(f.h.Tags().LineID(set, way))
 	if *data == truth {
-		// Zero syndrome by construction: decoding would report OK.
+		// Zero syndrome by construction: decoding would report NoError.
 		return Deliver
 	}
-	out := f.codec.Decode(data, f.codec.Encode(truth))
-	switch out.Status {
-	case ecc.OK:
+	switch ecc.ReadSECDED(data, truth, true) {
+	case ecc.NoError:
 		return Deliver
-	case ecc.Corrected:
+	case ecc.Corrected, ecc.GlobalFlip:
 		f.h.Stats().IncC(cCorrectedReads)
 		return Deliver
 	default:

@@ -237,7 +237,7 @@ func TestFLAIRPreTrainedMatchesSECDED(t *testing.T) {
 	f := NewFLAIR()
 	f.Attach(h)
 	f.Reset(0.625)
-	if f.Training() {
+	if f.training {
 		t.Fatal("pre-trained FLAIR reports training")
 	}
 	if h.tags.Entry(0, 0).Disabled || !h.tags.Entry(1, 0).Disabled {
@@ -253,15 +253,15 @@ func TestFLAIRPreTrainedMatchesSECDED(t *testing.T) {
 
 func TestFLAIROnlineTrainingRestrictsCapacity(t *testing.T) {
 	h := newHost(t, 2, 16, nil, 0.625)
-	f := NewFLAIROnline(10)
+	f := &FLAIR{TrainAccesses: 10}
 	f.Attach(h)
 	f.Reset(0.625)
-	if !f.Training() {
+	if !f.training {
 		t.Fatal("online FLAIR not training after reset")
 	}
 	// During training only 7 of 16 ways are usable (DMR + ways under
 	// test).
-	if got := h.tags.EnabledWays(0); got != 7 {
+	if got := enabledWays(h.tags, 0); got != 7 {
 		t.Fatalf("enabled ways during training = %d, want 7", got)
 	}
 	// Drive 10 accesses to finish training.
@@ -273,10 +273,10 @@ func TestFLAIROnlineTrainingRestrictsCapacity(t *testing.T) {
 		}
 		fill(h, f, 0, way, randomLine(r))
 	}
-	if f.Training() {
+	if f.training {
 		t.Fatal("training did not complete")
 	}
-	if got := h.tags.EnabledWays(0); got != 16 {
+	if got := enabledWays(h.tags, 0); got != 16 {
 		t.Fatalf("enabled ways after training = %d, want 16", got)
 	}
 	if h.ctr.Get("flair.training_completed") != 1 {
@@ -336,4 +336,15 @@ func TestMarchCharacterizationEquivalentToOracle(t *testing.T) {
 	if marchH.ctr.Get("protection.mbist_ops") != 256*10 {
 		t.Fatalf("mbist ops = %d, want 2560", marchH.ctr.Get("protection.mbist_ops"))
 	}
+}
+
+// enabledWays counts the non-disabled ways of a set.
+func enabledWays(c *cache.Cache, set int) int {
+	n := 0
+	for _, e := range c.Set(set) {
+		if !e.Disabled {
+			n++
+		}
+	}
+	return n
 }

@@ -124,7 +124,7 @@ func TestClassedViewMatchesMonolithic(t *testing.T) {
 	spec := faultmodel.ClassSpec{IntermittentFrac: 0.6, IntermittentProb: 0.4}
 	seed := faultmodel.ClassSeed(21)
 
-	mono := NewResolved(total, fm, res)
+	mono := newResolved(total, fm, res)
 	mono.SetFaultClasses(spec, seed)
 	views := make([]*Array, banks)
 	for b := range views {

@@ -22,7 +22,7 @@
 // on top of the stored payload: Read sees the flipped cells, ReadTrue the
 // last written payload, and the next Write erases them — unlike LV faults.
 // Transient fault-class strikes use the same mechanism, and so do the test
-// patterns a scheme's built-in self-test writes (WritePattern), so the
+// patterns a scheme's built-in self-test writes (writePattern), so the
 // array alone is the simulator's ground truth for silent data corruption.
 //
 // Per the paper's dual-rail design (§2.4), the tag array runs at nominal
@@ -37,7 +37,7 @@ import (
 )
 
 // Array is a low-voltage SRAM data array of fixed-size 64-byte lines.
-// Construct with New or NewResolved.
+// Construct with New or NewResolvedView.
 type Array struct {
 	// lines holds each line's last Write: the ground-truth payload.
 	lines []bitvec.Line
@@ -51,7 +51,7 @@ type Array struct {
 	voltage float64
 	// active is the voltage-pre-resolved view of the fault map: per-line
 	// active fault sets in one packed buffer, possibly shared read-only
-	// with other Arrays built over the same map (NewResolved). Rebuilt on
+	// with other Arrays built over the same map (NewResolvedView). Rebuilt on
 	// SetVoltage; never mutated.
 	active *faultmodel.Resolved
 	// injected holds lifetime (aging) faults added after construction;
@@ -63,7 +63,7 @@ type Array struct {
 	// (an address-interleaved cache bank over a whole-cache fault map).
 	// Local line i looks up global map line
 	// ((i/ways)*stride + offset)*ways + i%ways; payloads stay local.
-	// NewResolved sets the identity view (stride 1, offset 0).
+	// newResolved sets the identity view (stride 1, offset 0).
 	mapWays   int
 	mapStride int
 	mapOffset int
@@ -105,15 +105,15 @@ func (a *Array) runIndex(first, n int) int {
 // initially operating at voltage vNorm. The fault map must cover at least n
 // lines of 512 bits.
 func New(n int, faults *faultmodel.Map, vNorm float64) *Array {
-	return NewResolved(n, faults, faults.Resolve(vNorm))
+	return newResolved(n, faults, faults.Resolve(vNorm))
 }
 
-// NewResolved returns an array of n lines over a fault map whose active
+// newResolved returns an array of n lines over a fault map whose active
 // set was already resolved at the operating voltage — the resolved view is
 // shared read-only, so building many arrays over one map (a scheme sweep)
 // resolves the map once instead of once per array. The view must come from
 // the same map.
-func NewResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *Array {
+func newResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *Array {
 	if faults.Lines() < n {
 		panic(fmt.Sprintf("sram: fault map covers %d lines, need %d", faults.Lines(), n))
 	}
@@ -244,13 +244,13 @@ func (a *Array) Write(i int, data bitvec.Line) {
 	}
 }
 
-// WritePattern stores p in line i's cells without changing its ground
+// writePattern stores p in line i's cells without changing its ground
 // truth: ReadTrue still returns the last Write, while Read sees p (under
 // the stuck-at faults) until the next Write. It models a self-test that
 // writes patterns into a line and restores what it read back — Killi's
 // §5.6.2 polarity check, which may restore a corrupted read — so the data
 // the program last wrote stays the reference for silent data corruption.
-func (a *Array) WritePattern(i int, p bitvec.Line) {
+func (a *Array) writePattern(i int, p bitvec.Line) {
 	a.setFlips(i, p.Xor(a.lines[i]))
 }
 
@@ -321,7 +321,7 @@ func (a *Array) ReadTrue(i int) bitvec.Line { return a.lines[i] }
 // epoch. This is what an instantaneous test (MBIST-style characterization,
 // FLAIR's fill-time probe) observes, so intermittent faults that happen to
 // be dormant are missed exactly the way real profiling misses them; use
-// CapableFaultCount for ground truth.
+// CapableFaultCounts for ground truth.
 func (a *Array) ActiveFaultCount(i int) int { return a.activeCount(i, a.mapIndex(i)) }
 
 // ActiveFaultCounts sets counts[j] to ActiveFaultCount(first+j) for a run
@@ -353,17 +353,14 @@ func (a *Array) activeCount(i, mi int) int {
 	return n
 }
 
-// CapableFaultCount returns the ground-truth fault count of line i at the
-// current voltage: every fault that can corrupt data in some epoch —
-// persistent and intermittent faults always, aging faults once their
-// activation ramp is non-zero at the current epoch — plus injected
-// lifetime faults. The DFH misclassification oracle compares classifier
-// state against this; hardware has no such port.
-func (a *Array) CapableFaultCount(i int) int { return a.capableCount(i, a.mapIndex(i)) }
-
-// CapableFaultCounts sets counts[j] to CapableFaultCount(first+j) for a
-// run of lines within one cache set of the array's view, translating the
-// run's map index once, as ActiveFaultCounts does.
+// CapableFaultCounts sets counts[j] to the ground-truth fault count of
+// line first+j at the current voltage: every fault that can corrupt data
+// in some epoch — persistent and intermittent faults always, aging faults
+// once their activation ramp is non-zero at the current epoch — plus
+// injected lifetime faults. The DFH misclassification oracle compares
+// classifier state against this; hardware has no such port. The lines are
+// a run within one cache set of the array's view, whose map index is
+// translated once, as ActiveFaultCounts does.
 func (a *Array) CapableFaultCounts(first int, counts []int) {
 	mi := a.runIndex(first, len(counts))
 	for j := range counts {
@@ -371,7 +368,8 @@ func (a *Array) CapableFaultCounts(first int, counts []int) {
 	}
 }
 
-// capableCount is CapableFaultCount of local line i at map line mi.
+// capableCount is the ground-truth fault count of local line i at map
+// line mi (CapableFaultCounts).
 func (a *Array) capableCount(i, mi int) int {
 	n := 0
 	if !a.classed {
@@ -390,42 +388,16 @@ func (a *Array) capableCount(i, mi int) int {
 	return n
 }
 
-// UnmaskedFaultCount returns the number of active faults in line i whose
-// stuck value currently differs from the stored data — the faults that are
-// observable right now. Soft errors count: a flipped cell is compared as
-// it is stored.
-func (a *Array) UnmaskedFaultCount(i int) int {
-	mi := a.mapIndex(i)
-	cells := a.stored(i)
-	n := 0
-	for _, f := range a.active.LineFaults(mi) {
-		if a.classed && !a.faultActive(mi, f.Bit) {
-			continue
-		}
-		if cells.Bit(f.Bit) != f.StuckAt {
-			n++
-		}
-	}
-	if a.injected != nil {
-		for _, f := range a.injected[i] {
-			if cells.Bit(f.Bit) != f.StuckAt {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // StuckCells is the §5.6.2 polarity test of line i: it returns the number
 // of distinct cells held by an active stuck-at fault — under a fault-class
 // spec, those manifesting in the current fault epoch, injected lifetime
 // faults included — and leaves the line's cells holding p, as
-// WritePattern(i, p) does. A self-test that writes a pattern and its
+// writePattern(i, p) does. A self-test that writes a pattern and its
 // inverse and reads each back sees exactly these cells fail one polarity
 // or the other, whatever the data, soft flips or stuck values, so the
 // count is a property of the fault map, not of the write/read flow.
 func (a *Array) StuckCells(i int, p bitvec.Line) int {
-	a.WritePattern(i, p)
+	a.writePattern(i, p)
 	mi := a.mapIndex(i)
 	faults := a.active.LineFaults(mi)
 	if len(faults) == 0 && (a.injected == nil || len(a.injected[i]) == 0) {

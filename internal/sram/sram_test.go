@@ -89,7 +89,7 @@ func TestMaskedFaultUnmasksOnDataChange(t *testing.T) {
 			continue
 		}
 		found = true
-		f := a.faults.ActiveFaults(i, a.Voltage())[0]
+		f := a.active.LineFaults(a.mapIndex(i))[0]
 		var l bitvec.Line
 		l.SetBit(f.Bit, f.StuckAt) // masked
 		a.Write(i, l)
@@ -172,7 +172,7 @@ func TestSoftErrorOnStuckCellInvisible(t *testing.T) {
 		if a.ActiveFaultCount(i) == 0 {
 			continue
 		}
-		f := a.faults.ActiveFaults(i, a.Voltage())[0]
+		f := a.active.LineFaults(a.mapIndex(i))[0]
 		var l bitvec.Line
 		a.Write(i, l)
 		before := a.Read(i).Bit(f.Bit)
@@ -270,7 +270,7 @@ func TestUnmaskedFaultCountSeesSoftErrors(t *testing.T) {
 		if a.ActiveFaultCount(i) == 0 {
 			continue
 		}
-		f := a.faults.ActiveFaults(i, a.Voltage())[0]
+		f := a.active.LineFaults(a.mapIndex(i))[0]
 		var l bitvec.Line
 		l.SetBit(f.Bit, f.StuckAt) // the stored value masks the fault
 		a.Write(i, l)
@@ -292,7 +292,7 @@ func TestWritePatternKeepsGroundTruth(t *testing.T) {
 	r := xrand.New(27)
 	truth, pattern := randomLine(r), randomLine(r)
 	a.Write(4, truth)
-	a.WritePattern(4, pattern)
+	a.writePattern(4, pattern)
 	if a.Read(4) != pattern || a.ReadTrue(4) != truth {
 		t.Fatal("WritePattern must change the cells but not the ground truth")
 	}
@@ -300,13 +300,13 @@ func TestWritePatternKeepsGroundTruth(t *testing.T) {
 	if a.Read(4) != flipAt(pattern, 11) || a.ReadTrue(4) != truth {
 		t.Fatal("a soft flip over a pattern is not applied to the pattern")
 	}
-	a.WritePattern(4, truth)
+	a.writePattern(4, truth)
 	if a.Read(4) != truth || overlayLen(t, a) != 0 {
 		t.Fatal("restoring the truth left an overlay entry")
 	}
-	a.WritePattern(4, pattern)
-	a.Write(4, truth.Invert())
-	if a.Read(4) != truth.Invert() || a.ReadTrue(4) != truth.Invert() || overlayLen(t, a) != 0 {
+	a.writePattern(4, pattern)
+	a.Write(4, invert(truth))
+	if a.Read(4) != invert(truth) || a.ReadTrue(4) != invert(truth) || overlayLen(t, a) != 0 {
 		t.Fatal("Write did not replace both the pattern and the ground truth")
 	}
 }
@@ -382,7 +382,7 @@ func TestResolvedViewMatchesMonolithic(t *testing.T) {
 	fm := faultmodel.NewMap(xrand.New(9), faultmodel.Default(), lines, bitvec.LineBits, 0.5, 1.0)
 	for _, v := range []float64{0.55, 0.70, 1.0} {
 		resolved := fm.Resolve(v)
-		whole := NewResolved(lines, fm, resolved)
+		whole := newResolved(lines, fm, resolved)
 		r := xrand.New(11)
 		payload := make([]bitvec.Line, lines)
 		for i := range payload {
@@ -434,7 +434,7 @@ func TestResetMatchesNewView(t *testing.T) {
 		a.Write(i, randomLine(r))
 		a.InjectSoftError(i, r.Intn(bitvec.LineBits))
 	}
-	a.WritePattern(3, randomLine(r))
+	a.writePattern(3, randomLine(r))
 	a.InjectPersistentFault(5, 17, 1)
 	spec, err := faultmodel.ParseClassSpec("mixed:i=0.5@0.3")
 	if err != nil {

@@ -14,10 +14,10 @@ import (
 // pattern, read it back, write data back, read again, and count the cells
 // that failed either polarity.
 func polarityFlow(arr *Array, id int, data bitvec.Line) int {
-	inv := data.Invert()
-	arr.WritePattern(id, inv)
+	inv := invert(data)
+	arr.writePattern(id, inv)
 	failInv := arr.Read(id).Xor(inv)
-	arr.WritePattern(id, data)
+	arr.writePattern(id, data)
 	failData := arr.Read(id).Xor(data)
 	n := 0
 	for w := range failInv {

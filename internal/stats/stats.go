@@ -53,15 +53,15 @@ func Intern(name string) Counter {
 	return c
 }
 
-// CounterName returns the name a handle was interned under.
-func CounterName(c Counter) string {
+// counterName returns the name a handle was interned under.
+func counterName(c Counter) string {
 	registry.RLock()
 	defer registry.RUnlock()
 	return registry.names[c]
 }
 
-// NumCounters returns how many distinct names have been interned.
-func NumCounters() int {
+// numCounters returns how many distinct names have been interned.
+func numCounters() int {
 	registry.RLock()
 	defer registry.RUnlock()
 	return len(registry.names)
@@ -84,7 +84,7 @@ type Counters struct {
 // grow extends the dense value slice to cover handle c. Out of the hot path:
 // it runs at most once per (instance, new high handle) pair.
 func (c *Counters) grow(h Counter) {
-	n := NumCounters()
+	n := numCounters()
 	if n <= int(h) {
 		n = int(h) + 1
 	}
@@ -153,7 +153,7 @@ func (c *Counters) Names() []string {
 	names := make([]string, 0, len(c.vals))
 	for h, v := range c.vals {
 		if v != 0 {
-			names = append(names, CounterName(Counter(h)))
+			names = append(names, counterName(Counter(h)))
 		}
 	}
 	sort.Strings(names)

