@@ -202,3 +202,29 @@ func TestResumeNeedsCheckpoint(t *testing.T) {
 		t.Errorf("want a one-line error, got:\n%s", msg)
 	}
 }
+
+// TestNonFiniteThresholdFailsFast: a NaN or infinite -threshold exits 2
+// with a one-line error before any die is simulated, instead of running a
+// campaign whose yield criterion no result can be compared against.
+func TestNonFiniteThresholdFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary; skipped in -short")
+	}
+	bin := buildFleet(t)
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf"} {
+		cmd := exec.Command(bin, smallCampaign("-threshold", v, "-format", "jsonl")...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-threshold %s: err %v, want exit code 2; stderr:\n%s", v, err, stderr.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "pass threshold") {
+			t.Errorf("-threshold %s: want a one-line threshold error, got:\n%s", v, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-threshold %s: wrote output:\n%s", v, stdout.String())
+		}
+	}
+}

@@ -428,7 +428,7 @@ func TestMaskedFaultSDCMonteCarlo(t *testing.T) {
 			continue
 		}
 		// Each fault masked with probability 1/2 independently.
-		if r.Bool() && r.Bool() {
+		if coin(r) && coin(r) {
 			hits++
 		}
 	}
@@ -448,3 +448,6 @@ func binomial(r *xrand.Rand, n int, p float64) int {
 	}
 	return count
 }
+
+// coin draws one fair bit from r.
+func coin(r *xrand.Rand) bool { return r.Uint64()&1 == 1 }

@@ -220,26 +220,6 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// Xor sets v to v XOR other. Both vectors must have the same length.
-func (v *Vector) Xor(other *Vector) {
-	if v.n != other.n {
-		panic("bitvec: Xor of vectors with different lengths")
-	}
-	for i := range v.words {
-		v.words[i] ^= other.words[i]
-	}
-}
-
-// IsZero reports whether every bit is clear.
-func (v *Vector) IsZero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Words exposes the vector's backing words (bit i lives at word i/64, bit
 // i%64). The slice aliases the vector's storage; callers must treat it as
 // read-only. It exists for word-parallel parity computations in ECC hot

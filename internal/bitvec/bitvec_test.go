@@ -301,3 +301,23 @@ func TestVectorBitsMatchBit(t *testing.T) {
 		}()
 	}
 }
+
+// IsZero reports whether every bit is clear.
+func (v *Vector) IsZero() bool {
+	for _, w := range v.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Xor sets v to v XOR other. Both vectors must have the same length.
+func (v *Vector) Xor(other *Vector) {
+	if v.n != other.n {
+		panic("bitvec: Xor of vectors with different lengths")
+	}
+	for i := range v.words {
+		v.words[i] ^= other.words[i]
+	}
+}

@@ -29,6 +29,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -234,8 +235,8 @@ func (c Config) Normalized() (Config, error) {
 	if c.PassThreshold == 0 {
 		c.PassThreshold = DefaultPassThreshold
 	}
-	if c.PassThreshold <= 1 {
-		return c, fmt.Errorf("campaign: pass threshold must exceed 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
+	if !(c.PassThreshold > 1) || math.IsInf(c.PassThreshold, 1) {
+		return c, fmt.Errorf("campaign: pass threshold must be a finite number above 1 (it bounds time normalized to the fault-free baseline), got %.3f", c.PassThreshold)
 	}
 	return c, nil
 }

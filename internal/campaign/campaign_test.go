@@ -434,6 +434,9 @@ func TestRunErrors(t *testing.T) {
 		{Dies: 1, Voltages: []float64{0.6, math.NaN()}},
 		{Dies: 1, Voltages: []float64{math.Inf(1)}},
 		{Dies: 1, PassThreshold: 0.9},
+		{Dies: 1, PassThreshold: math.NaN()},
+		{Dies: 1, PassThreshold: math.Inf(1)},
+		{Dies: 1, PassThreshold: math.Inf(-1)},
 		{Dies: 1, RequestsPerCU: -4},
 		{Dies: 1, WarmupKernels: -1},
 	}

@@ -4,7 +4,7 @@
 // This is the paper's motivating scenario made measurable: "additional
 // MBIST steps are time consuming, resulting in extended boot time or
 // delayed power state transitions" (§1). Every pre-characterized scheme
-// (SECDED/DECTED per line, MS-ECC, offline FLAIR) must re-run MBIST over
+// (SECDED/DECTED per line, MS-ECC, pre-trained FLAIR) must re-run MBIST over
 // the whole array at each voltage change to rebuild its fault map; Killi
 // resets two DFH bits per line and keeps executing.
 //
@@ -49,17 +49,11 @@ func (m MBISTModel) StallCycles(lines int) uint64 {
 }
 
 // needsMBIST reports whether a scheme requires an offline MBIST pass at
-// voltage transitions. Killi and online-training FLAIR relearn at runtime;
-// everything pre-characterized does not.
+// voltage transitions: every pre-characterized (PerLine) scheme does;
+// Killi relearns at runtime.
 func needsMBIST(s protection.Scheme) bool {
-	switch s.(type) {
-	case *protection.PerLine:
-		return true
-	case *protection.FLAIR:
-		return s.(*protection.FLAIR).TrainAccesses == 0 // offline variant
-	default:
-		return false
-	}
+	_, ok := s.(*protection.PerLine)
+	return ok
 }
 
 // Phase is one segment of a voltage schedule: run the workload trace at

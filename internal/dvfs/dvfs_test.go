@@ -47,12 +47,9 @@ func TestNeedsMBIST(t *testing.T) {
 		t.Fatal("MS-ECC should need MBIST")
 	}
 	if !needsMBIST(protection.NewFLAIR()) {
-		t.Fatal("offline FLAIR should need MBIST")
+		t.Fatal("pre-trained FLAIR should need MBIST")
 	}
-	if needsMBIST(&protection.FLAIR{TrainAccesses: 1000}) {
-		t.Fatal("online FLAIR must not need MBIST")
-	}
-	if needsMBIST(killi.New(killi.DefaultConfig())) {
+	if needsMBIST(killi.New(killi.Config{Ratio: 64, Assoc: 4})) {
 		t.Fatal("Killi must never need MBIST")
 	}
 	if needsMBIST(protection.NewNone()) {

@@ -70,11 +70,11 @@ type Code struct {
 	rem []uint64
 }
 
-// New returns a BCH code over GF(2^m) correcting t errors, shortened to k
+// newCode returns a BCH code over GF(2^m) correcting t errors, shortened to k
 // data bits. If extended is true, one overall parity bit is appended to the
 // checkbits, upgrading detection from 2t to 2t+1 errors. It panics if the
 // parameters do not fit (k + deg(g) must be ≤ 2^m - 1).
-func New(m, t, k int, extended bool) *Code {
+func newCode(m, t, k int, extended bool) *Code {
 	if t < 1 {
 		panic("bch: t must be >= 1")
 	}
@@ -119,7 +119,7 @@ func New(m, t, k int, extended bool) *Code {
 //	t=2 → DECTED (21 checkbits), t=3 → TECQED (31), t=6 → 6EC7ED (61)
 func NewLine(t int) *Code {
 	if t < 1 || t > MaxT {
-		return New(10, t, bitvec.LineBits, true) // panics
+		return newCode(10, t, bitvec.LineBits, true) // panics
 	}
 	return lineCodes[t]()
 }
@@ -127,7 +127,7 @@ func NewLine(t int) *Code {
 // lineCodes[t] builds the line code of strength t once per process.
 var lineCodes = func() (codes [MaxT + 1]func() *Code) {
 	for t := 1; t <= MaxT; t++ {
-		codes[t] = sync.OnceValue(func() *Code { return New(10, t, bitvec.LineBits, true) })
+		codes[t] = sync.OnceValue(func() *Code { return newCode(10, t, bitvec.LineBits, true) })
 	}
 	return codes
 }()
@@ -186,18 +186,6 @@ func polyMulGF2(a, b []byte) []byte {
 		}
 	}
 	return out
-}
-
-// T returns the error-correction strength.
-func (c *Code) T() int { return c.t }
-
-// CheckBits returns the number of checkbits, including the extension bit
-// when present (21 for NewLine(2)).
-func (c *Code) CheckBits() int {
-	if c.extended {
-		return c.degG + 1
-	}
-	return c.degG
 }
 
 // Check holds the stored checkbits: bit i of Bits is the codeword

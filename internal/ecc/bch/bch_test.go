@@ -98,7 +98,7 @@ func TestGeneratorDividesCodewords(t *testing.T) {
 	// Every encoded codeword must be divisible by g(x): encoding followed
 	// by a zero-syndrome check on clean data verifies this indirectly.
 	for _, tt := range []int{1, 2, 3} {
-		c := New(10, tt, 512, false)
+		c := newCode(10, tt, 512, false)
 		r := xrand.New(uint64(tt))
 		for trial := 0; trial < 10; trial++ {
 			data := randomVector(r, 512)
@@ -228,7 +228,7 @@ func TestExtensionBitFlip(t *testing.T) {
 }
 
 func TestNonExtendedHasNoParityBit(t *testing.T) {
-	c := New(10, 2, 512, false)
+	c := newCode(10, 2, 512, false)
 	if c.CheckBits() != 20 {
 		t.Fatalf("non-extended t=2 checkbits = %d, want 20", c.CheckBits())
 	}
@@ -239,7 +239,7 @@ func TestNonExtendedHasNoParityBit(t *testing.T) {
 
 func TestShortCode(t *testing.T) {
 	// A tiny code (m=4, t=1, k=5) exercises boundary arithmetic.
-	c := New(4, 1, 5, true)
+	c := newCode(4, 1, 5, true)
 	r := xrand.New(5)
 	for trial := 0; trial < 50; trial++ {
 		data := randomVector(r, 5)
@@ -254,11 +254,11 @@ func TestShortCode(t *testing.T) {
 
 func TestNewPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"t=0":        func() { New(10, 0, 512, false) },
-		"k=0":        func() { New(10, 2, 0, false) },
-		"k too big":  func() { New(4, 1, 100, false) },
-		"t > MaxT":   func() { New(10, MaxT+1, 512, false) },
-		"wide check": func() { New(13, 6, 512, false) },
+		"t=0":        func() { newCode(10, 0, 512, false) },
+		"k=0":        func() { newCode(10, 2, 0, false) },
+		"k too big":  func() { newCode(4, 1, 100, false) },
+		"t > MaxT":   func() { newCode(10, MaxT+1, 512, false) },
+		"wide check": func() { newCode(13, 6, 512, false) },
 		"wrong data": func() { NewLine(2).Encode(bitvec.NewVector(100)) },
 	} {
 		func() {
@@ -349,7 +349,7 @@ func TestQuickDECTEDRoundTrip(t *testing.T) {
 
 func TestQuickSyndromesZeroForCodewords(t *testing.T) {
 	// Every encoded word has all-zero syndromes, for arbitrary data.
-	c := New(10, 3, 512, true)
+	c := newCode(10, 3, 512, true)
 	f := func(seed uint64) bool {
 		data := randomVector(xrand.New(seed), 512)
 		check := c.Encode(data)
@@ -388,7 +388,7 @@ func referenceEncode(c *Code, data *bitvec.Vector) uint64 {
 }
 
 func TestEncodeMatchesLFSR(t *testing.T) {
-	codes := []*Code{NewLine(2), NewLine(3), NewLine(6), New(10, 1, 512, false), New(4, 1, 5, true)}
+	codes := []*Code{NewLine(2), NewLine(3), NewLine(6), newCode(10, 1, 512, false), newCode(4, 1, 5, true)}
 	r := xrand.New(9)
 	for _, c := range codes {
 		for trial := 0; trial < 50; trial++ {
@@ -430,4 +430,26 @@ func (f *Field) Inv(a uint32) uint32 {
 		panic("bch: inverse of zero")
 	}
 	return f.exp[f.n-f.log[a]]
+}
+
+// N returns the multiplicative group order 2^m - 1 (the natural BCH code
+// length).
+func (f *Field) N() int { return f.n }
+
+// Log returns the discrete log of a (the e with α^e = a). It panics on
+// a == 0.
+func (f *Field) Log(a uint32) int {
+	if a == 0 {
+		panic("bch: log of zero")
+	}
+	return f.log[a]
+}
+
+// CheckBits returns the number of checkbits, including the extension bit
+// when present (21 for NewLine(2)).
+func (c *Code) CheckBits() int {
+	if c.extended {
+		return c.degG + 1
+	}
+	return c.degG
 }

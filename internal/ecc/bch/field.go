@@ -69,10 +69,6 @@ func NewField(m int) *Field {
 	return f
 }
 
-// N returns the multiplicative group order 2^m - 1 (the natural BCH code
-// length).
-func (f *Field) N() int { return f.n }
-
 // Mul returns the product a·b in GF(2^m).
 func (f *Field) Mul(a, b uint32) uint32 {
 	if a == 0 || b == 0 {
@@ -99,15 +95,6 @@ func (f *Field) Pow(e int) uint32 {
 		e += f.n
 	}
 	return f.exp[e]
-}
-
-// Log returns the discrete log of a (the e with α^e = a). It panics on
-// a == 0.
-func (f *Field) Log(a uint32) int {
-	if a == 0 {
-		panic("bch: log of zero")
-	}
-	return f.log[a]
 }
 
 // PolyEval evaluates the polynomial with coefficients coeffs (coeffs[i] is

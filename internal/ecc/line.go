@@ -6,7 +6,8 @@
 // the controller wrote, which the data array keeps, so each read function
 // derives them from that payload and decodes the line as read against
 // them. Whatever rule a code's decoder follows when it miscorrects lives
-// here once, for the PerLine and FLAIR baselines and for Killi alike.
+// here once, for the PerLine baselines (FLAIR among them) and for Killi
+// alike.
 package ecc
 
 import (

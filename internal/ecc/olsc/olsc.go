@@ -89,10 +89,10 @@ type Code struct {
 	mask    uint64 // the low m bits: one full row or family
 }
 
-// New returns an OLS code for k data bits correcting t errors. The grid
+// newCode returns an OLS code for k data bits correcting t errors. The grid
 // size m is gridSize(k, t). It panics on non-positive parameters and on a
 // grid of 64 or more (m ≤ 61, so t ≤ 31 and k ≤ 3721).
-func New(k, t int) *Code {
+func newCode(k, t int) *Code {
 	if k <= 0 || t <= 0 {
 		panic("olsc: k and t must be positive")
 	}
@@ -108,7 +108,7 @@ func New(k, t int) *Code {
 // process; every strength a line grid below maxGrid allows has a slot.
 var lineCodes = func() (codes [maxGrid / 2]func() *Code) {
 	for t := 1; t < len(codes); t++ {
-		codes[t] = sync.OnceValue(func() *Code { return New(bitvec.LineBits, t) })
+		codes[t] = sync.OnceValue(func() *Code { return newCode(bitvec.LineBits, t) })
 	}
 	return codes
 }()
@@ -118,7 +118,7 @@ var lineCodes = func() (codes [maxGrid / 2]func() *Code) {
 // is built once per process and shared: a Code is immutable.
 func NewLine(t int) *Code {
 	if t < 1 || t >= len(lineCodes) {
-		return New(bitvec.LineBits, t) // panics: no line grid fits
+		return newCode(bitvec.LineBits, t) // panics: no line grid fits
 	}
 	return lineCodes[t]()
 }
@@ -142,7 +142,7 @@ func CheckLine(t int) error {
 	return nil
 }
 
-// gridSize returns the grid dimension New(k, t) uses: the smallest prime m
+// gridSize returns the grid dimension newCode(k, t) uses: the smallest prime m
 // with m*m >= k and m+1 >= 2t. The code stores 2·t·m checkbits.
 func gridSize(k, t int) int {
 	m := 2
@@ -166,9 +166,6 @@ func isPrime(n int) bool {
 	}
 	return true
 }
-
-// T returns the correction strength.
-func (c *Code) T() int { return c.t }
 
 // CheckBits returns the number of checkbits: 2·t·m.
 func (c *Code) CheckBits() int { return 2 * c.t * c.m }

@@ -159,7 +159,7 @@ func TestMassiveErrorsDetected(t *testing.T) {
 }
 
 func TestSmallCode(t *testing.T) {
-	c := New(9, 1) // m=3 grid, single correction
+	c := newCode(9, 1) // m=3 grid, single correction
 	if c.m != 3 || c.CheckBits() != 6 {
 		t.Fatalf("m=%d check=%d", c.m, c.CheckBits())
 	}
@@ -178,7 +178,7 @@ func TestSmallCode(t *testing.T) {
 func TestNonSquareK(t *testing.T) {
 	// k=512 on a 23×23 grid leaves 17 unused cells; they must be
 	// handled as implicit zeros.
-	c := New(500, 3)
+	c := newCode(500, 3)
 	r := xrand.New(5)
 	data := randomVector(r, 500)
 	check := c.Encode(data)
@@ -193,15 +193,15 @@ func TestNonSquareK(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"k=0":         func() { New(0, 1) },
-		"grid ≥ 64":   func() { New(512, 40) }, // m = 79
-		"line t=32":   func() { NewLine(32) },  // m = 67
-		"huge t":      func() { New(512, 1<<60) },
-		"huge k":      func() { New(1<<60, 1) },
-		"t=0":         func() { New(9, 0) },
-		"enc width":   func() { New(9, 1).Encode(bitvec.NewVector(4)) },
-		"dec width":   func() { New(9, 1).Decode(bitvec.NewVector(4), bitvec.NewVector(6)) },
-		"check width": func() { New(9, 1).Decode(bitvec.NewVector(9), bitvec.NewVector(7)) },
+		"k=0":         func() { newCode(0, 1) },
+		"grid ≥ 64":   func() { newCode(512, 40) }, // m = 79
+		"line t=32":   func() { NewLine(32) },      // m = 67
+		"huge t":      func() { newCode(512, 1<<60) },
+		"huge k":      func() { newCode(1<<60, 1) },
+		"t=0":         func() { newCode(9, 0) },
+		"enc width":   func() { newCode(9, 1).Encode(bitvec.NewVector(4)) },
+		"dec width":   func() { newCode(9, 1).Decode(bitvec.NewVector(4), bitvec.NewVector(6)) },
+		"check width": func() { newCode(9, 1).Decode(bitvec.NewVector(9), bitvec.NewVector(7)) },
 	} {
 		func() {
 			defer func() {

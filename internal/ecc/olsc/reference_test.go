@@ -159,7 +159,7 @@ func TestOLSCMatchesReference(t *testing.T) {
 	}
 	r := xrand.New(21)
 	for _, s := range shapes {
-		c, ref := New(s.k, s.t), newReference(s.k, s.t)
+		c, ref := newCode(s.k, s.t), newReference(s.k, s.t)
 		for e := 0; e <= 2*s.t+2; e++ {
 			for trial := 0; trial < 8; trial++ {
 				data := randomVector(r, s.k)

@@ -64,16 +64,6 @@ func (s Scheme) Check(l bitvec.Line, stored uint64) (mask uint64, mismatches int
 	return mask, bits.OnesCount64(mask)
 }
 
-// Global returns the single-bit even parity over the entire line (the XOR of
-// all 512 bits).
-func Global(l bitvec.Line) uint {
-	var fold uint64
-	for _, w := range l {
-		fold ^= w
-	}
-	return uint(bits.OnesCount64(fold)) & 1
-}
-
 // Fold reduces a 16-segment parity word to the corresponding 4-segment
 // parity word. Because segments are interleaved (segment = bit index mod S),
 // the 4-wide segment g is the union of 16-wide segments {g, g+4, g+8, g+12},

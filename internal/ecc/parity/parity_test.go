@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -231,3 +232,13 @@ func TestQuickGlobalIsParityOfSegments(t *testing.T) {
 // SegmentOf returns the segment that owns bit i of the line: the
 // interleaved layout Generate and Check implement.
 func (s Scheme) SegmentOf(i int) int { return i % s.segments }
+
+// Global returns the single-bit even parity over the entire line (the XOR of
+// all 512 bits).
+func Global(l bitvec.Line) uint {
+	var fold uint64
+	for _, w := range l {
+		fold ^= w
+	}
+	return uint(bits.OnesCount64(fold)) & 1
+}

@@ -80,8 +80,8 @@ type Code struct {
 	syn [][256]uint16
 }
 
-// New returns a SECDED code over k data bits. It panics if k <= 0.
-func New(k int) *Code {
+// newCode returns a SECDED code over k data bits. It panics if k <= 0.
+func newCode(k int) *Code {
 	if k <= 0 {
 		panic("secded: data width must be positive")
 	}
@@ -115,15 +115,11 @@ func New(k int) *Code {
 }
 
 // line is the 512-bit code, built once per process.
-var line = sync.OnceValue(func() *Code { return New(bitvec.LineBits) })
+var line = sync.OnceValue(func() *Code { return newCode(bitvec.LineBits) })
 
 // NewLine returns the SECDED code for a 512-bit cache line (11 checkbits).
 // It is built once per process and shared: a Code is immutable.
 func NewLine() *Code { return line() }
-
-// CheckBits returns the total number of checkbits, including the global
-// parity bit (11 for k=512).
-func (c *Code) CheckBits() int { return c.hamming + 1 }
 
 // Check is the stored checkbit container: the Hamming checkbits in Bits'
 // low bits (bit j is the checkbit at codeword position 2^j) and the global

@@ -36,9 +36,9 @@ func TestCheckBitCounts(t *testing.T) {
 		{26, 6},
 	}
 	for _, c := range cases {
-		code := New(c.k)
+		code := newCode(c.k)
 		if got := code.CheckBits(); got != c.want {
-			t.Errorf("New(%d).CheckBits() = %d, want %d", c.k, got, c.want)
+			t.Errorf("newCode(%d).CheckBits() = %d, want %d", c.k, got, c.want)
 		}
 		if code.CodewordBits() != c.k+c.want {
 			t.Errorf("CodewordBits inconsistent for k=%d", c.k)
@@ -49,7 +49,7 @@ func TestCheckBitCounts(t *testing.T) {
 func TestPaperCodewordWidth(t *testing.T) {
 	// Paper §5.3: "SECDED ECC requires 11 checkbits to protect 523-bits of
 	// data (512 bits of data and 11 ECC checkbits)".
-	c := New(512)
+	c := newCode(512)
 	if c.CodewordBits() != 523 {
 		t.Fatalf("codeword = %d bits, want 523", c.CodewordBits())
 	}
@@ -57,7 +57,7 @@ func TestPaperCodewordWidth(t *testing.T) {
 
 func TestNoErrorRoundTrip(t *testing.T) {
 	r := xrand.New(1)
-	c := New(512)
+	c := newCode(512)
 	for trial := 0; trial < 100; trial++ {
 		data := randomVector(r, 512)
 		check := c.Encode(data)
@@ -72,7 +72,7 @@ func TestNoErrorRoundTrip(t *testing.T) {
 }
 
 func TestSingleBitCorrectionAllPositions(t *testing.T) {
-	c := New(64) // small enough to sweep every data bit
+	c := newCode(64) // small enough to sweep every data bit
 	r := xrand.New(2)
 	data := randomVector(r, 64)
 	check := c.Encode(data)
@@ -93,7 +93,7 @@ func TestSingleBitCorrectionAllPositions(t *testing.T) {
 }
 
 func TestSingleBitCorrection512(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(3)
 	for trial := 0; trial < 300; trial++ {
 		data := randomVector(r, 512)
@@ -109,7 +109,7 @@ func TestSingleBitCorrection512(t *testing.T) {
 }
 
 func TestDoubleBitDetection(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(4)
 	for trial := 0; trial < 300; trial++ {
 		data := randomVector(r, 512)
@@ -132,7 +132,7 @@ func TestDoubleBitDetection(t *testing.T) {
 }
 
 func TestCheckbitErrorCorrection(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(5)
 	data := randomVector(r, 512)
 	check := c.Encode(data)
@@ -161,7 +161,7 @@ func TestCheckbitErrorCorrection(t *testing.T) {
 func TestDataPlusCheckbitDoubleDetected(t *testing.T) {
 	// One data bit + one checkbit is still a double error and must be
 	// detected, not miscorrected.
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(6)
 	for trial := 0; trial < 100; trial++ {
 		data := randomVector(r, 512)
@@ -187,7 +187,7 @@ func TestTripleErrorNotSilent(t *testing.T) {
 	// Triple errors may alias to a single-bit "correction" (that is the
 	// known SECDED limitation the paper leans on segmented parity for),
 	// but they must never decode as OK.
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(7)
 	for trial := 0; trial < 200; trial++ {
 		data := randomVector(r, 512)
@@ -204,7 +204,7 @@ func TestTripleErrorNotSilent(t *testing.T) {
 }
 
 func TestSyndromeZeroMeansMatch(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(8)
 	data := randomVector(r, 512)
 	check := c.Encode(data)
@@ -215,7 +215,7 @@ func TestSyndromeZeroMeansMatch(t *testing.T) {
 }
 
 func TestLineAndVectorAgree(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(9)
 	for trial := 0; trial < 50; trial++ {
 		l := randomLine(r)
@@ -232,7 +232,7 @@ func TestLineAndVectorAgree(t *testing.T) {
 }
 
 func TestDecodeLineCorrects(t *testing.T) {
-	c := New(512)
+	c := newCode(512)
 	r := xrand.New(10)
 	for trial := 0; trial < 100; trial++ {
 		l := randomLine(r)
@@ -253,7 +253,7 @@ func TestEncodeWidthPanics(t *testing.T) {
 			t.Fatal("Encode with wrong width did not panic")
 		}
 	}()
-	New(512).Encode(bitvec.NewVector(64))
+	newCode(512).Encode(bitvec.NewVector(64))
 }
 
 func TestNewPanicsOnNonPositive(t *testing.T) {
@@ -261,10 +261,10 @@ func TestNewPanicsOnNonPositive(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d) did not panic", k)
+					t.Errorf("newCode(%d) did not panic", k)
 				}
 			}()
-			New(k)
+			newCode(k)
 		}()
 	}
 }
@@ -285,7 +285,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func BenchmarkEncodeLine(b *testing.B) {
-	c := New(512)
+	c := newCode(512)
 	l := randomLine(xrand.New(11))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -294,7 +294,7 @@ func BenchmarkEncodeLine(b *testing.B) {
 }
 
 func BenchmarkDecodeLineClean(b *testing.B) {
-	c := New(512)
+	c := newCode(512)
 	l := randomLine(xrand.New(12))
 	check := c.EncodeLine(l)
 	b.ReportAllocs()
@@ -307,7 +307,7 @@ func BenchmarkDecodeLineClean(b *testing.B) {
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	// testing/quick property: for arbitrary line contents and an
 	// arbitrary flipped bit, decode restores the data exactly.
-	c := New(512)
+	c := newCode(512)
 	f := func(w0, w1, w2, w3, w4, w5, w6, w7 uint64, bit uint16) bool {
 		l := bitvec.Line{w0, w1, w2, w3, w4, w5, w6, w7}
 		check := c.EncodeLine(l)
@@ -325,7 +325,7 @@ func TestQuickSyndromeLinearity(t *testing.T) {
 	// The Hamming syndrome is linear in the data: flipping data bit i
 	// always produces syndrome equal to that bit's codeword position,
 	// regardless of the surrounding contents.
-	c := New(512)
+	c := newCode(512)
 	f := func(w0, w1, w2, w3, w4, w5, w6, w7 uint64, bit uint16) bool {
 		l := bitvec.Line{w0, w1, w2, w3, w4, w5, w6, w7}
 		check := c.EncodeLine(l)
@@ -408,3 +408,7 @@ func TestNewLineBuiltOnce(t *testing.T) {
 
 // CodewordBits returns the total protected width: data + checkbits.
 func (c *Code) CodewordBits() int { return c.k + c.CheckBits() }
+
+// CheckBits returns the total number of checkbits, including the global
+// parity bit (11 for k=512).
+func (c *Code) CheckBits() int { return c.hamming + 1 }

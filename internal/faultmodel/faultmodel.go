@@ -348,7 +348,7 @@ func (fm *Map) CountAtVoltage(vNorm float64) (zero, one, twoPlus int) {
 
 // Resolved is a read-only view of a Map with the active-fault decision
 // pre-computed at one voltage: per-line active fault sets in one packed
-// buffer plus the per-line 0/1/2+ fault class. Hot paths (the SRAM read
+// buffer. Hot paths (the SRAM read
 // fault application, scheme classification checks) index dense slices
 // instead of re-filtering by severity per access. A Resolved is immutable
 // and safe to share across goroutines.
@@ -356,7 +356,6 @@ type Resolved struct {
 	voltage float64
 	faults  []Fault // line-major active faults at voltage
 	offsets []int32
-	class   []uint8 // per-line active-fault class: 0, 1, or 2 (meaning ≥2)
 }
 
 // Resolve computes the voltage-resolved view of the map at vNorm. At or
@@ -365,7 +364,7 @@ type Resolved struct {
 func (fm *Map) Resolve(vNorm float64) *Resolved {
 	p := fm.model.CellFailureProb(vNorm, fm.freqGHz)
 	lines := fm.Lines()
-	r := &Resolved{voltage: vNorm, class: make([]uint8, lines)}
+	r := &Resolved{voltage: vNorm}
 	if p >= fm.refProb {
 		r.faults, r.offsets = fm.faults, fm.offsets
 	} else {
@@ -379,13 +378,6 @@ func (fm *Map) Resolve(vNorm float64) *Resolved {
 			r.offsets[line+1] = int32(len(r.faults))
 		}
 	}
-	for line := 0; line < lines; line++ {
-		n := r.offsets[line+1] - r.offsets[line]
-		if n > 2 {
-			n = 2
-		}
-		r.class[line] = uint8(n)
-	}
 	return r
 }
 
@@ -393,7 +385,7 @@ func (fm *Map) Resolve(vNorm float64) *Resolved {
 func (r *Resolved) Voltage() float64 { return r.voltage }
 
 // Lines returns the number of lines covered by the view.
-func (r *Resolved) Lines() int { return len(r.class) }
+func (r *Resolved) Lines() int { return len(r.offsets) - 1 }
 
 // LineFaults returns line i's active faults. The result aliases the view's
 // packed storage and must not be modified.
@@ -403,7 +395,3 @@ func (r *Resolved) LineFaults(i int) []Fault {
 
 // LineCount returns the number of active faults in line i.
 func (r *Resolved) LineCount(i int) int { return int(r.offsets[i+1] - r.offsets[i]) }
-
-// Class returns line i's fault class: 0, 1, or 2 for two-plus — the
-// classification Killi's DFH converges to at this voltage.
-func (r *Resolved) Class(i int) uint8 { return r.class[i] }

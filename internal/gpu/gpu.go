@@ -220,8 +220,6 @@ type System struct {
 	classed    bool
 	classEpoch uint64
 
-	shards int
-
 	// observer is the attached observability sink (nil = off, the
 	// default; see SetObserver in obs.go).
 	observer   obs.Observer
@@ -519,7 +517,6 @@ func (s *System) init(cfg Config, newScheme protection.Factory, shared *SharedFa
 		effBanks:   g.effBanks,
 		globalSets: g.globalSets,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		shards:     1,
 	}
 	if g.globalSets&(g.globalSets-1) == 0 {
 		s.pow2Sets = true
@@ -704,7 +701,6 @@ func (s *System) SetShards(k int) {
 	}
 	if k == 1 {
 		s.eng.SetShards(1)
-		s.shards = 1
 		return
 	}
 	kc := k / 2
@@ -723,12 +719,7 @@ func (s *System) SetShards(k int) {
 		}
 		return kc + (dom-cus)%kb
 	})
-	s.shards = s.eng.Shards()
 }
-
-// Shards returns the effective shard count (after clamping to the domain
-// count).
-func (s *System) Shards() int { return s.shards }
 
 // --- protection.Host implementation (per bank) ---
 

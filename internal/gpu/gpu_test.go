@@ -3,12 +3,9 @@ package gpu
 import (
 	"testing"
 
-	"killi/internal/bitvec"
 	"killi/internal/killi"
 	"killi/internal/protection"
-	"killi/internal/stats"
 	"killi/internal/workload"
-	"killi/internal/xrand"
 )
 
 // smallConfig shrinks the system for fast tests: 128 KB L2 keeps the
@@ -309,24 +306,6 @@ func TestKilliDECTEDModeKeepsMoreCapacity(t *testing.T) {
 	}
 }
 
-func TestFLAIROnlineTrainingCostsPerformance(t *testing.T) {
-	// The paper's §5.3 argument for Killi: FLAIR's online MBIST phase
-	// sacrifices capacity (7/16 ways) while it runs. With training long
-	// enough to cover the run, execution slows versus pre-trained FLAIR.
-	traces := shortTraces("nekbone", 2500)
-	pre := New(smallConfig(0.625), fac(protection.NewFLAIR)).Run(traces)
-	online := New(smallConfig(0.625), func() protection.Scheme {
-		return &protection.FLAIR{TrainAccesses: 1 << 40}
-	}).Run(traces)
-	if online.Cycles <= pre.Cycles {
-		t.Fatalf("online-training FLAIR (%d cycles) not slower than pre-trained (%d)",
-			online.Cycles, pre.Cycles)
-	}
-	if online.L2Misses <= pre.L2Misses {
-		t.Fatal("online training did not increase misses despite capacity loss")
-	}
-}
-
 func TestAblationEvictionTrainingMatters(t *testing.T) {
 	// DESIGN.md design choice: training on evictions (incl. ECC-cache
 	// contention) is what makes DFH warmup converge. Without it, far
@@ -360,26 +339,42 @@ func TestAblationAllocationPriorityStillCorrect(t *testing.T) {
 }
 
 func TestAgingFaultsRelearnedWithoutSDC(t *testing.T) {
-	// The lifetime-adaptation claim (§4.3): run a kernel, wear the array
-	// out between kernels, run again. Killi must relearn the aged lines
-	// (post-training errors → retrain) and never deliver corrupt data.
-	sys := New(smallConfig(0.625), killiFac(killi.Config{Ratio: 64}))
+	// The lifetime-adaptation claim (§4.3): run a kernel, let the array
+	// wear out, run again. Killi must relearn the aged lines (post-training
+	// errors → retrain) and never deliver corrupt data. Wear-out is the
+	// fault-class taxonomy's aging class at ramp 1: half the sampled cells
+	// are dormant through fault epoch 0 and active in every later epoch.
+	// The epoch is as long as the training kernel, so the aged cells wake
+	// exactly when the second kernel starts. A probe System with an
+	// endless epoch measures that length: until the first epoch ends, both
+	// machines run the same cycles.
+	cfg := smallConfig(0.625)
+	cfg.Classes = mixedSpec(t, "mixed:a=0.5@1")
 	traces := shortTraces("nekbone", 2500)
-	sys.Run(traces) // train
-	// 60 faults over 2048 lines keeps the probability of two new faults
-	// sharing one line's fold segment (the §5.6.2-style post-training
-	// blind spot, which no scheme catches without re-characterization)
-	// negligible — as it is at realistic wear rates.
-	sys.InjectAgingFaults(99, 60)
+	probe := cfg
+	probe.ClassEpochCycles = 1 << 62
+	young := New(probe, killiFac(killi.Config{Ratio: 64})).Run(traces)
+	cfg.ClassEpochCycles = young.Cycles
+	sys := New(cfg, killiFac(killi.Config{Ratio: 64}))
+	train := sys.Run(traces)
+	if train.Cycles != young.Cycles {
+		t.Fatalf("training kernel took %d cycles, the probe %d: aged cells woke early", train.Cycles, young.Cycles)
+	}
+	// The census after training counts at epoch 1, with the aged cells.
+	if train.Misclass.TrueFaulty <= young.Misclass.TrueFaulty {
+		t.Fatalf("faulty lines %d after aging, %d before: nothing aged",
+			train.Misclass.TrueFaulty, young.Misclass.TrueFaulty)
+	}
 	res := sys.Run(traces)
 	if res.Counters.Get("l2.silent_data_corruption") != 0 {
 		t.Fatalf("aging caused %d SDCs", res.Counters.Get("l2.silent_data_corruption"))
 	}
 	if res.Counters.Get("killi.post_training_single_error") == 0 {
-		t.Fatal("no post-training errors despite 60 new faults on a hot working set")
+		t.Fatal("no post-training errors despite aged faults on a hot working set")
 	}
-	if res.Counters.Get("l2.aging_faults_injected") != 60 {
-		t.Fatal("aging counter wrong")
+	if res.Misclass.FalseTrust >= train.Misclass.FalseTrust {
+		t.Fatalf("false-trust lines %d after the second kernel, %d before it: aged lines not relearned",
+			res.Misclass.FalseTrust, train.Misclass.FalseTrust)
 	}
 }
 
@@ -458,28 +453,4 @@ func TestTable7OLSCModeCapacity(t *testing.T) {
 	if sdc := olscRes.Counters.Get("l2.silent_data_corruption"); sdc > 5 {
 		t.Fatalf("OLSC mode SDC = %d", sdc)
 	}
-}
-
-var cAgingFaults = stats.Intern("l2.aging_faults_injected")
-
-// InjectAgingFaults sprinkles n new persistent stuck-at faults uniformly
-// over the data array, modeling wear-out accumulating between kernels.
-// Killi discovers them as post-training errors and relearns the affected
-// lines; MBIST schemes stay blind until their next characterization pass.
-// The RNG stream draws whole-L2 line IDs, so the fault population is
-// independent of the bank decomposition.
-func (s *System) InjectAgingFaults(seed uint64, n int) {
-	r := xrand.New(seed)
-	ways := s.cfg.L2Ways
-	lines := s.L2Lines()
-	for i := 0; i < n; i++ {
-		g := r.Intn(lines)
-		bit := r.Intn(bitvec.LineBits)
-		stuck := uint(r.Uint64() & 1)
-		gset := g / ways
-		way := g % ways
-		b := s.banks[gset%s.effBanks]
-		b.data.InjectPersistentFault((gset/s.effBanks)*ways+way, bit, stuck)
-	}
-	s.sysCtr.AddC(cAgingFaults, uint64(n))
 }

@@ -157,3 +157,7 @@ func TestSetShardsMidLifeRejected(t *testing.T) {
 		t.Fatalf("Shards() = %d after SetShards(0), want 1", sys.Shards())
 	}
 }
+
+// Shards returns the effective shard count (after clamping to the domain
+// count).
+func (s *System) Shards() int { return s.eng.Shards() }

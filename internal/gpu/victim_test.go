@@ -36,13 +36,13 @@ func oracleVictim(b *bankDomain, set int) int {
 // nil VictimFunc, at 16 and 128 ways. The chosen way, the evict decision
 // and the RNG state after the draw must all agree.
 func TestVictimWayMatchesOracle(t *testing.T) {
-	plain := killi.DefaultConfig()
+	plain := killi.Config{Ratio: 64, Assoc: 4}
 	plain.PlainLRUAllocation = true
 	schemes := []struct {
 		name string
 		f    protection.Factory
 	}{
-		{"killi", killiFac(killi.DefaultConfig())},
+		{"killi", killiFac(killi.Config{Ratio: 64, Assoc: 4})},
 		{"killi-plain-lru", killiFac(plain)},
 		{"none", fac(protection.NewNone)},
 	}

@@ -72,9 +72,6 @@ func (d DFH) String() string {
 	}
 }
 
-// Valid reports whether d is one of the four architected states.
-func (d DFH) Valid() bool { return d >= Stable0 && d <= Disabled }
-
 // lineCode names the code behind an observation's verdict.
 type lineCode uint8
 

@@ -65,9 +65,6 @@ type Config struct {
 	OLSCStrength int
 }
 
-// DefaultConfig returns the paper's default: a 1:64 ECC cache, 4-way.
-func DefaultConfig() Config { return Config{Ratio: 64, Assoc: 4} }
-
 func (c Config) withDefaults() Config {
 	if c.Ratio <= 0 {
 		c.Ratio = 64

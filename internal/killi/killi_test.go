@@ -92,7 +92,7 @@ func TestDFHStrings(t *testing.T) {
 
 func TestResetMarksEverythingInitial(t *testing.T) {
 	h := newHost(t, 4, 4, nil, 0.625)
-	k := attach(h, DefaultConfig(), 0.625)
+	k := attach(h, Config{Ratio: 64, Assoc: 4}, 0.625)
 	h.tags.ForEach(func(set, way int, e *cache.Entry) {
 		if DFH(e.Class) != Initial || e.Disabled || e.Valid {
 			t.Fatalf("(%d,%d) not reset: class=%v disabled=%v", set, way, DFH(e.Class), e.Disabled)
@@ -457,7 +457,7 @@ func TestECCContentionNoEvictionTrainingInvalidates(t *testing.T) {
 
 func TestVictimPriority(t *testing.T) {
 	h := newHost(t, 1, 4, nil, 0.625)
-	k := attach(h, DefaultConfig(), 0.625)
+	k := attach(h, Config{Ratio: 64, Assoc: 4}, 0.625)
 	tags := h.tags
 	// way0: invalid Stable1, way1: invalid Stable0, way2: invalid
 	// Initial, way3: valid. Priority says way2 (b'01) first.
@@ -842,3 +842,6 @@ func TestPolarityCheckKeepsGroundTruth(t *testing.T) {
 		t.Fatal("polarity test replaced the ground truth with its restore pattern")
 	}
 }
+
+// Valid reports whether d is one of the four architected states.
+func (d DFH) Valid() bool { return d >= Stable0 && d <= Disabled }

@@ -34,9 +34,6 @@ type Result struct {
 // FaultCount returns the number of faulty bits found in a line.
 func (r Result) FaultCount(line int) int { return len(r.FaultyBits[line]) }
 
-// Lines returns the number of lines tested.
-func (r Result) Lines() int { return len(r.FaultyBits) }
-
 // element is one March element: an optional read-verify against expect,
 // then an optional write of value. Ascending/descending order is
 // irrelevant for stuck-at faults but retained for op accounting.

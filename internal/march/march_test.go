@@ -23,10 +23,12 @@ func TestMarchMatchesOracle(t *testing.T) {
 	t.Run("march-c-", func(t *testing.T) {
 		arr := newArray(t, 800, 0.575, 7)
 		res := CMinus(arr, 800)
+		var oracle [1]int
 		for i := 0; i < 800; i++ {
-			if res.FaultCount(i) != arr.ActiveFaultCount(i) {
+			arr.ActiveFaultCounts(i, oracle[:])
+			if res.FaultCount(i) != oracle[0] {
 				t.Fatalf("line %d: march found %d faults, oracle has %d",
-					i, res.FaultCount(i), arr.ActiveFaultCount(i))
+					i, res.FaultCount(i), oracle[0])
 			}
 		}
 	})
@@ -69,3 +71,6 @@ func TestMarchResultAccessors(t *testing.T) {
 		t.Fatalf("Lines = %d", res.Lines())
 	}
 }
+
+// Lines returns the number of lines tested.
+func (r Result) Lines() int { return len(r.FaultyBits) }

@@ -34,7 +34,6 @@ type Memory struct {
 	nextFree      uint64
 	writeNextFree uint64
 	accesses      uint64
-	writes        uint64
 }
 
 // New returns a memory with the given configuration.
@@ -67,18 +66,9 @@ func (m *Memory) AccessWrite(now uint64) (done uint64) {
 		start = m.writeNextFree
 	}
 	m.writeNextFree = start + m.cfg.GapCycles
-	m.writes++
 	return start + m.cfg.LatencyCycles
 }
 
 // Accesses returns the total read access count (the DRAM demand-traffic
 // statistic).
 func (m *Memory) Accesses() uint64 { return m.accesses }
-
-// Reset clears queue state and counters.
-func (m *Memory) Reset() {
-	m.nextFree = 0
-	m.writeNextFree = 0
-	m.accesses = 0
-	m.writes = 0
-}

@@ -16,7 +16,6 @@ var (
 	cLinesDisabled      = stats.Intern("protection.lines_disabled")
 	cMBISTOps           = stats.Intern("protection.mbist_ops")
 	cCapacitySacrificed = stats.Intern("protection.capacity_lines_sacrificed")
-	cTrainingCompleted  = stats.Intern("flair.training_completed")
 )
 
 // None is the fault-free baseline scheme: no metadata, every read trusted.
@@ -56,9 +55,9 @@ func (n *None) OnEvict(set, way int) {}
 // count exceeds the code's correction strength is disabled (the paper's
 // "one bit per L2 cache line to enable disabling lines").
 //
-// With SECDED this is the conventional SECDED-per-line LV design (and,
-// pre-trained, the FLAIR steady state); with DECTED it is the paper's
-// DECTED comparison; with OLSC(11) it is MS-ECC.
+// With SECDED this is the conventional SECDED-per-line LV design and,
+// with one extra rule, pre-trained FLAIR (NewFLAIR); with DECTED it is the
+// paper's DECTED comparison; with OLSC(11) it is MS-ECC.
 type PerLine struct {
 	// UseMarchTest makes Reset characterize the array with a real March
 	// C- MBIST pass (internal/march) instead of the simulator's fault
@@ -78,13 +77,27 @@ type PerLine struct {
 	name  string
 	limit int // the code's correction strength: more faults disable a line
 	read  func(data *bitvec.Line, payload bitvec.Line, decode bool) ecc.Reading
-	h     Host
+	// disableOnDetect disables a line on a detected-uncorrectable read
+	// instead of only refetching it (FLAIR's steady-state rule).
+	disableOnDetect bool
+	h               Host
 }
 
 // NewSECDEDPerLine returns the conventional SECDED-per-line scheme
 // (disables lines with ≥2 LV faults).
 func NewSECDEDPerLine() *PerLine {
 	return &PerLine{name: "secded-line", limit: 1, read: ecc.ReadSECDED}
+}
+
+// NewFLAIR returns Qureshi & Chishti's FLAIR (DSN'13) as the paper's
+// Figure 4/5 runs it: "we skip training for the simulations with FLAIR and
+// pre-train their DFH bits". Pre-trained FLAIR is SECDED per line with
+// ≥2-fault lines disabled from the first cycle, plus one rule: a
+// detected-uncorrectable read means the characterization missed the line
+// (a masked fault unmasked, or a soft error on a 1-fault line, §2.3), so
+// the line is disabled defensively rather than only refetched.
+func NewFLAIR() *PerLine {
+	return &PerLine{name: "flair", limit: 1, read: ecc.ReadSECDED, disableOnDetect: true}
 }
 
 // NewDECTEDPerLine returns the DECTED-per-line scheme (disables ≥3 faults).
@@ -205,6 +218,10 @@ func (p *PerLine) OnReadHit(set, way int, data *bitvec.Line) Verdict {
 		// Detected, uncorrectable: write-through cache ⇒ invalidate and
 		// refetch.
 		p.h.Stats().IncC(cErrorInducedMiss)
+		if p.disableOnDetect {
+			p.h.Tags().Entry(set, way).Disabled = true
+			p.h.Stats().IncC(cLinesDisabled)
+		}
 		p.h.Tags().Invalidate(set, way)
 		return ErrorMiss
 	}

@@ -3,6 +3,7 @@ package simserver
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -145,6 +146,8 @@ func TestCampaignValidation(t *testing.T) {
 		"bad workload list":      {Kind: KindCampaign, Dies: 2, Workloads: []string{"nope"}},
 		"duplicate voltages":     {Kind: KindCampaign, Dies: 2, Voltages: []float64{0.6, 0.6}},
 		"silly threshold":        {Kind: KindCampaign, Dies: 2, PassThreshold: 0.5},
+		"NaN threshold":          {Kind: KindCampaign, Dies: 2, PassThreshold: math.NaN()},
+		"infinite threshold":     {Kind: KindCampaign, Dies: 2, PassThreshold: math.Inf(1)},
 		"run with dies":          {Kind: KindRun, Workload: "xsbench", Scheme: "msecc", Dies: 5},
 		"sweep with schemes":     {Kind: KindSweep, Schemes: []string{"msecc"}},
 		"sweep with threshold":   {Kind: KindSweep, PassThreshold: 1.2},
@@ -192,6 +195,8 @@ func TestCampaignStream(t *testing.T) {
 		"/v1/campaign?dies=0",
 		"/v1/campaign?dies=4&voltages=abc",
 		"/v1/campaign?dies=4&threshold=zero",
+		"/v1/campaign?dies=4&threshold=NaN",
+		"/v1/campaign?dies=4&threshold=Inf",
 	} {
 		resp, err := http.Get(ts.URL + q)
 		if err != nil {

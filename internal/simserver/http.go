@@ -329,12 +329,12 @@ func observeRequest(r *http.Request) (JobRequest, error) {
 		Workload: q.Get("workload"),
 		Scheme:   q.Get("scheme"),
 	}
-	if err := queryUints(q, map[string]func(uint64){
-		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
-		"seed":     func(v uint64) { req.Seed = v },
-		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
-		"shards":   func(v uint64) { req.Shards = int(v) },
-		"epoch":    func(v uint64) { req.EpochCycles = v },
+	if err := queryUints(q, []uintParam{
+		{"requests", func(v uint64) { req.RequestsPerCU = int(v) }},
+		{"seed", func(v uint64) { req.Seed = v }},
+		{"warmup", func(v uint64) { req.WarmupKernels = int(v) }},
+		{"shards", func(v uint64) { req.Shards = int(v) }},
+		{"epoch", func(v uint64) { req.EpochCycles = v }},
 	}); err != nil {
 		return req, err
 	}
@@ -357,12 +357,12 @@ func campaignRequest(r *http.Request) (JobRequest, error) {
 		Workloads: experiments.SplitList(q.Get("workloads")),
 		Schemes:   experiments.SplitList(q.Get("schemes")),
 	}
-	if err := queryUints(q, map[string]func(uint64){
-		"dies":     func(v uint64) { req.Dies = int(v) },
-		"requests": func(v uint64) { req.RequestsPerCU = int(v) },
-		"seed":     func(v uint64) { req.Seed = v },
-		"warmup":   func(v uint64) { req.WarmupKernels = int(v) },
-		"shards":   func(v uint64) { req.Shards = int(v) },
+	if err := queryUints(q, []uintParam{
+		{"dies", func(v uint64) { req.Dies = int(v) }},
+		{"requests", func(v uint64) { req.RequestsPerCU = int(v) }},
+		{"seed", func(v uint64) { req.Seed = v }},
+		{"warmup", func(v uint64) { req.WarmupKernels = int(v) }},
+		{"shards", func(v uint64) { req.Shards = int(v) }},
 	}); err != nil {
 		return req, err
 	}
@@ -383,17 +383,23 @@ func campaignRequest(r *http.Request) (JobRequest, error) {
 	return req, nil
 }
 
-// queryUints parses each named query param that is present as a
-// non-negative integer and hands it to its setter; the first malformed one
-// is the error.
-func queryUints(q url.Values, setters map[string]func(uint64)) error {
-	for name, set := range setters {
-		if raw := q.Get(name); raw != "" {
+// uintParam is one integer query param and the request field it sets.
+type uintParam struct {
+	name string
+	set  func(uint64)
+}
+
+// queryUints parses each param that is present in q as a non-negative
+// integer and hands it to its setter, in the order given; the first
+// malformed one is the error.
+func queryUints(q url.Values, params []uintParam) error {
+	for _, p := range params {
+		if raw := q.Get(p.name); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 63)
 			if err != nil {
-				return fmt.Errorf("bad %s %q: %v", name, raw, err)
+				return fmt.Errorf("bad %s %q: %v", p.name, raw, err)
 			}
-			set(v)
+			p.set(v)
 		}
 	}
 	return nil

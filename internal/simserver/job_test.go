@@ -3,6 +3,7 @@ package simserver
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -56,12 +57,14 @@ func TestJobKeyGolden(t *testing.T) {
 // input: a POST /v1/jobs body decoded as handleJob decodes it, and a query
 // string parsed as /v1/observe and /v1/campaign parse theirs (only a query
 // can carry a NaN). Normalization never panics; a request that normalizes
-// re-normalizes to itself with the same key; and every normalized run or
-// sweep voltage and every campaign grid point passes the voltage rule.
+// re-normalizes to itself with the same key; every normalized run or
+// sweep voltage and every campaign grid point passes the voltage rule; and
+// every normalized campaign's pass threshold is finite and above 1.
 func FuzzJobNormalize(f *testing.F) {
 	f.Add([]byte(`{"kind":"run","workload":"xsbench","scheme":"killi-1:64"}`), "workload=xsbench&scheme=killi-1:64&voltage=NaN")
 	f.Add([]byte(`{"kind":"sweep","workloads":["fft"],"fault_classes":[" mixed:t=1e-6"]}`), "dies=3&voltages=0.6,nan&requests=10")
 	f.Add([]byte(`{"kind":"campaign","dies":2,"voltages":[0.7,0.6],"fault_classes":["persistent"]}`), "dies=2&voltages=0.7,0.6&threshold=1.2")
+	f.Add([]byte(`{"kind":"campaign","dies":1,"pass_threshold":1e308}`), "dies=2&threshold=NaN")
 	f.Add([]byte(`{"kind":"run","workload":"fft","scheme":"msecc","voltage":2.5,"warmup_kernels":-1}`), "workload=fft&scheme=msecc&voltage=-0&warmup=3&epoch=5")
 	f.Fuzz(func(t *testing.T, body []byte, query string) {
 		var reqs []JobRequest
@@ -98,6 +101,9 @@ func FuzzJobNormalize(f *testing.F) {
 				if err := faultmodel.CheckVoltage(v); err != nil {
 					t.Fatalf("%+v normalizes to %+v: %v", req, norm, err)
 				}
+			}
+			if th := norm.PassThreshold; norm.Kind == KindCampaign && (!(th > 1) || math.IsInf(th, 0)) {
+				t.Fatalf("%+v normalizes to a campaign with pass threshold %v", req, th)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -539,6 +540,45 @@ func TestObserveStream(t *testing.T) {
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after bad requests: status %d", health.StatusCode)
+	}
+}
+
+// TestMalformedQueryErrorIsStable: a query with two malformed integer
+// params gets one 400 body every time, naming the first param in the
+// endpoint's fixed order, not whichever one a map's random order reaches
+// first.
+func TestMalformedQueryErrorIsStable(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ query, names string }{
+		{"/v1/observe?workload=xsbench&scheme=killi-1:64&epoch=x&seed=y&requests=z", "requests"},
+		{"/v1/campaign?shards=x&warmup=y&dies=z", "dies"},
+	} {
+		bodies := map[string]int{}
+		for i := 0; i < 50; i++ {
+			resp, err := http.Get(ts.URL + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", tc.query, resp.StatusCode)
+			}
+			bodies[string(body)]++
+		}
+		if len(bodies) != 1 {
+			t.Fatalf("%s: %d distinct error bodies over 50 requests: %v", tc.query, len(bodies), bodies)
+		}
+		for body := range bodies {
+			if !strings.Contains(body, "bad "+tc.names+" ") {
+				t.Fatalf("%s: error %q does not name %s", tc.query, body, tc.names)
+			}
+		}
 	}
 }
 

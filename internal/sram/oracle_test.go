@@ -2,9 +2,13 @@ package sram
 
 import "killi/internal/bitvec"
 
+// ActiveFaultCount returns the active fault count of line i, as
+// ActiveFaultCounts reports it for a run of lines.
+func (a *Array) ActiveFaultCount(i int) int { return a.activeCount(a.mapIndex(i)) }
+
 // CapableFaultCount returns the ground-truth fault count of line i at the
 // current voltage, as CapableFaultCounts reports it for a run of lines.
-func (a *Array) CapableFaultCount(i int) int { return a.capableCount(i, a.mapIndex(i)) }
+func (a *Array) CapableFaultCount(i int) int { return a.capableCount(a.mapIndex(i)) }
 
 // UnmaskedFaultCount returns the number of active faults in line i whose
 // stuck value currently differs from the stored data — the faults that are
@@ -20,13 +24,6 @@ func (a *Array) UnmaskedFaultCount(i int) int {
 		}
 		if cells.Bit(f.Bit) != f.StuckAt {
 			n++
-		}
-	}
-	if a.injected != nil {
-		for _, f := range a.injected[i] {
-			if cells.Bit(f.Bit) != f.StuckAt {
-				n++
-			}
 		}
 	}
 	return n

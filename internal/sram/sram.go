@@ -48,16 +48,11 @@ type Array struct {
 	flips   map[int]bitvec.Line
 	flipped []uint64
 	faults  *faultmodel.Map
-	voltage float64
 	// active is the voltage-pre-resolved view of the fault map: per-line
 	// active fault sets in one packed buffer, possibly shared read-only
 	// with other Arrays built over the same map (NewResolvedView). Rebuilt on
 	// SetVoltage; never mutated.
 	active *faultmodel.Resolved
-	// injected holds lifetime (aging) faults added after construction;
-	// they are active at every voltage and survive voltage changes. Kept
-	// apart from the (shared) resolved view.
-	injected [][]faultmodel.Fault
 	// mapWays/mapStride/mapOffset describe a strided view into the fault
 	// map for arrays that hold every mapStride-th group of mapWays lines
 	// (an address-interleaved cache bank over a whole-cache fault map).
@@ -126,7 +121,6 @@ func newResolved(n int, faults *faultmodel.Map, resolved *faultmodel.Resolved) *
 	return &Array{
 		lines:     make([]bitvec.Line, n),
 		faults:    faults,
-		voltage:   resolved.Voltage(),
 		active:    resolved,
 		mapWays:   1,
 		mapStride: 1,
@@ -147,9 +141,8 @@ func NewResolvedView(n int, faults *faultmodel.Map, resolved *faultmodel.Resolve
 
 // Reset returns the array to the state NewResolvedView left it in, over a
 // new fault population and with the same view geometry: payloads zeroed;
-// the flip overlay, injected faults, fault classes and fault epoch
-// dropped. The payload buffer is kept, so a recycled array allocates
-// nothing.
+// the flip overlay, fault classes and fault epoch dropped. The payload
+// buffer is kept, so a recycled array allocates nothing.
 func (a *Array) Reset(faults *faultmodel.Map, resolved *faultmodel.Resolved) {
 	clear(a.lines)
 	*a = view(a.lines, faults, resolved, a.mapWays, a.mapStride, a.mapOffset)
@@ -178,7 +171,6 @@ func view(lines []bitvec.Line, faults *faultmodel.Map, resolved *faultmodel.Reso
 	return Array{
 		lines:     lines,
 		faults:    faults,
-		voltage:   resolved.Voltage(),
 		active:    resolved,
 		mapWays:   ways,
 		mapStride: stride,
@@ -220,16 +212,12 @@ func (a *Array) faultActive(mapLine, bit int) bool {
 // Lines returns the number of lines in the array.
 func (a *Array) Lines() int { return len(a.lines) }
 
-// Voltage returns the current normalized operating voltage.
-func (a *Array) Voltage() float64 { return a.voltage }
-
 // SetVoltage changes the operating voltage, recomputing which persistent
 // faults are active. Stored data is preserved (the true payloads; whether
 // they read back correctly depends on the new fault set). The array's
 // previous resolved view is replaced, never mutated, so views shared with
 // other arrays are unaffected.
 func (a *Array) SetVoltage(vNorm float64) {
-	a.voltage = vNorm
 	a.active = a.faults.Resolve(vNorm)
 }
 
@@ -284,9 +272,7 @@ func (a *Array) setFlips(i int, x bitvec.Line) {
 
 // Read returns the line as the failing cells present it: every active
 // stuck-at fault overrides its bit — filtered, under a fault-class spec,
-// to the faults manifesting in the current fault epoch. Lifetime
-// (injected) faults apply after the voltage-dependent population, matching
-// their injection order.
+// to the faults manifesting in the current fault epoch.
 func (a *Array) Read(i int) bitvec.Line {
 	out := a.stored(i)
 	mi := a.mapIndex(i)
@@ -301,11 +287,6 @@ func (a *Array) Read(i int) bitvec.Line {
 			}
 		}
 	}
-	if a.injected != nil {
-		for _, f := range a.injected[i] {
-			out.SetBit(f.Bit, f.StuckAt)
-		}
-	}
 	return out
 }
 
@@ -316,39 +297,33 @@ func (a *Array) Read(i int) bitvec.Line {
 // payload, on demand instead of storing them; hardware has no such port.
 func (a *Array) ReadTrue(i int) bitvec.Line { return a.lines[i] }
 
-// ActiveFaultCount returns the number of faults in line i active at the
-// current voltage — and, under a fault-class spec, in the current fault
-// epoch. This is what an instantaneous test (MBIST-style characterization,
-// FLAIR's fill-time probe) observes, so intermittent faults that happen to
-// be dormant are missed exactly the way real profiling misses them; use
-// CapableFaultCounts for ground truth.
-func (a *Array) ActiveFaultCount(i int) int { return a.activeCount(i, a.mapIndex(i)) }
-
-// ActiveFaultCounts sets counts[j] to ActiveFaultCount(first+j) for a run
-// of lines within one cache set of the array's view (see runIndex),
-// translating the run's map index once: the per-set form an MBIST pass
-// over the whole array uses.
+// ActiveFaultCounts sets counts[j] to the number of faults in line
+// first+j active at the current voltage — and, under a fault-class spec,
+// in the current fault epoch. This is what an instantaneous test
+// (MBIST-style characterization) observes, so intermittent faults that
+// happen to be dormant are missed exactly the way real profiling misses
+// them; use CapableFaultCounts for ground truth. The lines are a run
+// within one cache set of the array's view (see runIndex), whose map index
+// is translated once: the per-set form an MBIST pass over the whole array
+// uses.
 func (a *Array) ActiveFaultCounts(first int, counts []int) {
 	mi := a.runIndex(first, len(counts))
 	for j := range counts {
-		counts[j] = a.activeCount(first+j, mi+j)
+		counts[j] = a.activeCount(mi + j)
 	}
 }
 
-// activeCount is ActiveFaultCount of local line i at map line mi.
-func (a *Array) activeCount(i, mi int) int {
-	n := 0
+// activeCount is the active fault count of the line at map line mi
+// (ActiveFaultCounts).
+func (a *Array) activeCount(mi int) int {
 	if !a.classed {
-		n = a.active.LineCount(mi)
-	} else {
-		for _, f := range a.active.LineFaults(mi) {
-			if a.faultActive(mi, f.Bit) {
-				n++
-			}
-		}
+		return a.active.LineCount(mi)
 	}
-	if a.injected != nil {
-		n += len(a.injected[i])
+	n := 0
+	for _, f := range a.active.LineFaults(mi) {
+		if a.faultActive(mi, f.Bit) {
+			n++
+		}
 	}
 	return n
 }
@@ -356,61 +331,52 @@ func (a *Array) activeCount(i, mi int) int {
 // CapableFaultCounts sets counts[j] to the ground-truth fault count of
 // line first+j at the current voltage: every fault that can corrupt data
 // in some epoch — persistent and intermittent faults always, aging faults
-// once their activation ramp is non-zero at the current epoch — plus
-// injected lifetime faults. The DFH misclassification oracle compares
-// classifier state against this; hardware has no such port. The lines are
-// a run within one cache set of the array's view, whose map index is
-// translated once, as ActiveFaultCounts does.
+// once their activation ramp is non-zero at the current epoch. The DFH
+// misclassification oracle compares classifier state against this;
+// hardware has no such port. The lines are a run within one cache set of
+// the array's view, whose map index is translated once, as
+// ActiveFaultCounts does.
 func (a *Array) CapableFaultCounts(first int, counts []int) {
 	mi := a.runIndex(first, len(counts))
 	for j := range counts {
-		counts[j] = a.capableCount(first+j, mi+j)
+		counts[j] = a.capableCount(mi + j)
 	}
 }
 
-// capableCount is the ground-truth fault count of local line i at map
-// line mi (CapableFaultCounts).
-func (a *Array) capableCount(i, mi int) int {
-	n := 0
+// capableCount is the ground-truth fault count of the line at map line mi
+// (CapableFaultCounts).
+func (a *Array) capableCount(mi int) int {
 	if !a.classed {
-		n = a.active.LineCount(mi)
-	} else {
-		for _, f := range a.active.LineFaults(mi) {
-			if faultmodel.ClassOf(a.classSeed, mi, f.Bit, a.spec) != faultmodel.Aging ||
-				a.spec.AgingProb(a.faultEpoch) > 0 {
-				n++
-			}
-		}
+		return a.active.LineCount(mi)
 	}
-	if a.injected != nil {
-		n += len(a.injected[i])
+	n := 0
+	for _, f := range a.active.LineFaults(mi) {
+		if faultmodel.ClassOf(a.classSeed, mi, f.Bit, a.spec) != faultmodel.Aging ||
+			a.spec.AgingProb(a.faultEpoch) > 0 {
+			n++
+		}
 	}
 	return n
 }
 
 // StuckCells is the §5.6.2 polarity test of line i: it returns the number
 // of distinct cells held by an active stuck-at fault — under a fault-class
-// spec, those manifesting in the current fault epoch, injected lifetime
-// faults included — and leaves the line's cells holding p, as
-// writePattern(i, p) does. A self-test that writes a pattern and its
-// inverse and reads each back sees exactly these cells fail one polarity
-// or the other, whatever the data, soft flips or stuck values, so the
-// count is a property of the fault map, not of the write/read flow.
+// spec, those manifesting in the current fault epoch — and leaves the
+// line's cells holding p, as writePattern(i, p) does. A self-test that
+// writes a pattern and its inverse and reads each back sees exactly these
+// cells fail one polarity or the other, whatever the data, soft flips or
+// stuck values, so the count is a property of the fault map, not of the
+// write/read flow.
 func (a *Array) StuckCells(i int, p bitvec.Line) int {
 	a.writePattern(i, p)
 	mi := a.mapIndex(i)
 	faults := a.active.LineFaults(mi)
-	if len(faults) == 0 && (a.injected == nil || len(a.injected[i]) == 0) {
+	if len(faults) == 0 {
 		return 0
 	}
 	var cells bitvec.Line
 	for _, f := range faults {
 		if !a.classed || a.faultActive(mi, f.Bit) {
-			cells.SetBit(f.Bit, 1)
-		}
-	}
-	if a.injected != nil {
-		for _, f := range a.injected[i] {
 			cells.SetBit(f.Bit, 1)
 		}
 	}
@@ -427,16 +393,4 @@ func (a *Array) InjectSoftError(i, bit int) {
 	}
 	x.FlipBit(bit)
 	a.setFlips(i, x)
-}
-
-// InjectPersistentFault adds a new always-active stuck-at fault to line i,
-// modeling an aging (wear-out) failure that appears during the chip's
-// lifetime. The paper notes Killi "responds to transient, ageing, and
-// high-voltage errors the same way": the new fault surfaces as a parity
-// mismatch on some later access and the line relearns its DFH state.
-func (a *Array) InjectPersistentFault(i, bit int, stuckAt uint) {
-	if a.injected == nil {
-		a.injected = make([][]faultmodel.Fault, len(a.lines))
-	}
-	a.injected[i] = append(a.injected[i], faultmodel.Fault{Bit: bit, StuckAt: stuckAt & 1})
 }

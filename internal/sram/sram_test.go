@@ -344,30 +344,6 @@ func BenchmarkReadFaulty(b *testing.B) {
 	}
 }
 
-func TestInjectedPersistentFaultSurvivesVoltageChange(t *testing.T) {
-	a := newTestArray(t, 20, 10, 1.0)
-	var l bitvec.Line
-	a.Write(0, l)
-	a.InjectPersistentFault(0, 33, 1)
-	if a.Read(0).Bit(33) != 1 {
-		t.Fatal("aging fault not visible")
-	}
-	// Unlike a soft error, a rewrite does not clear it.
-	a.Write(0, l)
-	if a.Read(0).Bit(33) != 1 {
-		t.Fatal("aging fault vanished after rewrite")
-	}
-	// And unlike an LV fault, a voltage change does not deactivate it.
-	a.SetVoltage(0.6)
-	if a.Read(0).Bit(33) != 1 {
-		t.Fatal("aging fault vanished after voltage change")
-	}
-	a.SetVoltage(1.0)
-	if a.ActiveFaultCount(0) < 1 {
-		t.Fatal("aging fault missing from active count")
-	}
-}
-
 // TestResolvedViewMatchesMonolithic checks the strided bank view: an array
 // holding every stride-th group of ways lines must read exactly what the
 // monolithic array reads at the corresponding global lines — same faults,
@@ -422,7 +398,7 @@ func TestResolvedViewRejectsShortMap(t *testing.T) {
 }
 
 // TestResetMatchesNewView: an array that was written, soft-flipped,
-// pattern-tested, given injected and classed faults and moved to another
+// pattern-tested, given classed faults and moved to another
 // voltage is, after Reset over a new population, the array
 // NewResolvedView builds over it — and reads back identically.
 func TestResetMatchesNewView(t *testing.T) {
@@ -435,7 +411,6 @@ func TestResetMatchesNewView(t *testing.T) {
 		a.InjectSoftError(i, r.Intn(bitvec.LineBits))
 	}
 	a.writePattern(3, randomLine(r))
-	a.InjectPersistentFault(5, 17, 1)
 	spec, err := faultmodel.ParseClassSpec("mixed:i=0.5@0.3")
 	if err != nil {
 		t.Fatal(err)

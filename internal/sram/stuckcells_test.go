@@ -28,11 +28,10 @@ func polarityFlow(arr *Array, id int, data bitvec.Line) int {
 
 // stuckCellsCase builds two identical arrays from seed — a random fault
 // map with duplicate bits, an optional fault-class spec at the given
-// epoch, injected faults (some on already-faulty cells), written payloads
-// and soft flips — then runs the polarity flow on one and StuckCells on
-// the other, line by line, against both a random pattern and the line's
-// (possibly corrupted) read. The counts and the arrays afterwards must
-// agree.
+// epoch, written payloads and soft flips — then runs the polarity flow on
+// one and StuckCells on the other, line by line, against both a random
+// pattern and the line's (possibly corrupted) read. The counts and the
+// arrays afterwards must agree.
 func stuckCellsCase(t *testing.T, seed, epoch uint64, spec faultmodel.ClassSpec) {
 	t.Helper()
 	const lines = 16
@@ -57,21 +56,10 @@ func stuckCellsCase(t *testing.T, seed, epoch uint64, spec faultmodel.ClassSpec)
 	ops := xrand.New(seed + 1)
 	for i := 0; i < lines; i++ {
 		payload := randomLine(ops)
-		var inject []faultmodel.Fault
-		for n := ops.Intn(3); n > 0; n-- {
-			bit := ops.Intn(bitvec.LineBits)
-			if len(perLine[i]) > 0 && ops.Intn(2) == 0 {
-				bit = perLine[i][ops.Intn(len(perLine[i]))].Bit
-			}
-			inject = append(inject, faultmodel.Fault{Bit: bit, StuckAt: uint(ops.Uint64() & 1)})
-		}
 		flips := []int{ops.Intn(bitvec.LineBits), ops.Intn(bitvec.LineBits)}[:ops.Intn(3)]
 		pattern := randomLine(ops)
 		for _, a := range arrays {
 			a.Write(i, payload)
-			for _, f := range inject {
-				a.InjectPersistentFault(i, f.Bit, f.StuckAt)
-			}
 			for _, b := range flips {
 				a.InjectSoftError(i, b)
 			}

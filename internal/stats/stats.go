@@ -176,11 +176,3 @@ func MPKI(misses, instructions uint64) float64 {
 	}
 	return float64(misses) * 1000 / float64(instructions)
 }
-
-// Ratio returns a/b as float (0 when b is 0).
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}

@@ -127,3 +127,11 @@ func TestRatio(t *testing.T) {
 		t.Fatal("Ratio wrong")
 	}
 }
+
+// Ratio returns a/b as float (0 when b is 0).
+func Ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}

@@ -47,13 +47,6 @@ func (r *Rand) Seed(seed uint64) {
 	}
 }
 
-// Split returns a new generator whose stream is independent of r's
-// continued use. It is the supported way to derive per-component
-// generators from a master seed.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -69,9 +62,6 @@ func (r *Rand) Uint64() uint64 {
 	s[3] = rotl(s[3], 45)
 	return result
 }
-
-// Uint32 returns 32 uniformly random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
@@ -117,9 +107,6 @@ func mul128(a, b uint64) (hi, lo uint64) {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Bool returns a fair random boolean.
-func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Bernoulli returns true with probability p. Values of p outside [0,1]
 // are clamped.

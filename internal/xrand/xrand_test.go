@@ -432,3 +432,10 @@ func (r *Rand) Binomial(n int, p float64) int {
 	}
 	return count
 }
+
+// Split returns a new generator whose stream is independent of r's
+// continued use. It is the supported way to derive per-component
+// generators from a master seed.
+func (r *Rand) Split() *Rand {
+	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
+}
