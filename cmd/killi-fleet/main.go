@@ -38,7 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"math/big"
 	"os"
 	"os/signal"
 	"runtime"
@@ -190,8 +190,9 @@ const maxGridPoints = 1 << 16
 
 // parseVoltages parses the -voltages grammar: empty (the default grid), a
 // comma-separated list, or an inclusive lo:hi:step range. Range points are
-// computed as lo + i*step (not accumulated), so "0.55:0.725:0.025" lands
-// exactly on 8 points with no floating-point drift past hi.
+// lo + i*step computed exactly on the decimals as spelled, then rounded
+// once, so "0.575:0.7:0.025" is the list 0.575,0.6,...,0.7 bit for bit and
+// no point passes hi.
 func parseVoltages(s string) ([]float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -202,28 +203,34 @@ func parseVoltages(s string) ([]float64, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("range must be lo:hi:step, got %q", s)
 		}
-		var v [3]float64
+		var v [3]*big.Rat
 		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			// ParseFloat keeps the grammar to float literals (no "a/b");
+			// the Rat is the exact decimal, and rejects NaN and infinities.
+			p = strings.TrimSpace(p)
+			_, err := strconv.ParseFloat(p, 64)
+			r, ok := new(big.Rat).SetString(p)
+			if err != nil || !ok {
 				return nil, fmt.Errorf("bad range component %q", p)
 			}
-			v[i] = f
+			v[i] = r
 		}
 		lo, hi, step := v[0], v[1], v[2]
-		if step <= 0 || hi < lo {
+		if step.Sign() <= 0 || hi.Cmp(lo) < 0 {
 			return nil, fmt.Errorf("range %q needs hi >= lo and step > 0", s)
 		}
-		// Half-step tolerance keeps the inclusive endpoint despite binary
-		// rounding of the decimal inputs.
-		last := math.Floor((hi-lo)/step + 0.5)
-		if !(last < maxGridPoints) {
+		span := new(big.Rat).Quo(new(big.Rat).Sub(hi, lo), step)
+		last := new(big.Int).Quo(span.Num(), span.Denom())
+		if last.Cmp(big.NewInt(maxGridPoints)) >= 0 {
 			return nil, fmt.Errorf("range %q has more than %d points", s, maxGridPoints)
 		}
-		n := int(last)
-		var grid []float64
-		for i := 0; i <= n; i++ {
-			grid = append(grid, lo+float64(i)*step)
+		grid := make([]float64, 0, last.Int64()+1)
+		for x := lo; x.Cmp(hi) <= 0; x = new(big.Rat).Add(x, step) {
+			f, _ := x.Float64()
+			if len(grid) > 0 && f == grid[len(grid)-1] {
+				return nil, fmt.Errorf("range %q steps below float64 resolution", s)
+			}
+			grid = append(grid, f)
 		}
 		return grid, nil
 	}

@@ -172,6 +172,7 @@ func runShardedSchedule(seed uint64, k int) *schedTrace {
 
 // runScheduleOn fires seed's schedule on s at k shards.
 func runScheduleOn(s *Sharded, seed uint64, k int) *schedTrace {
+	declareAll(s, oracleDomains)
 	s.SetShards(k)
 	x := shardedSched{s}
 	// At K>1 shards fire concurrently, so only the per-domain traces
@@ -264,7 +265,7 @@ func TestSameCycleSchedulingOrderProperty(t *testing.T) {
 // then Reset, fires the next schedule exactly as a NewSharded engine does —
 // same per-domain firings at the same cycles, same ledger — at every shard
 // count, and its stale ticker never fires. A kept clock shifts every
-// cycle; a kept edge table panics on the schedule's undeclared Sends.
+// cycle; a kept edge table lets a Send on the old edge through.
 func TestResetMatchesFresh(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		s := NewSharded(oracleDomains)
@@ -276,6 +277,14 @@ func TestResetMatchesFresh(t *testing.T) {
 		if s.Now() != 0 || s.Shards() != 1 || s.Stats() != (RunStats{}) {
 			t.Fatalf("K=%d: Reset left now=%d shards=%d stats=%+v", k, s.Now(), s.Shards(), s.Stats())
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("K=%d: Send on the edge declared before Reset did not panic", k)
+				}
+			}()
+			s.Domain(0).Send(s.Domain(1), 5, 0, 0, 0)
+		}()
 		got := runScheduleOn(s, 12, k)
 		want := runScheduleOn(NewSharded(oracleDomains), 12, k)
 		if stale != 0 {

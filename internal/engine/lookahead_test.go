@@ -204,8 +204,8 @@ func TestOversubscribedShards(t *testing.T) {
 }
 
 // TestDeclaredEdgeEnforcement pins the declared-topology contract: Sends on
-// undeclared edges or below the declared floor panic instead of silently
-// breaking the lookahead bound.
+// undeclared edges — any Send, on an engine with no declarations — or below
+// the declared floor panic instead of silently breaking the lookahead bound.
 func TestDeclaredEdgeEnforcement(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -217,6 +217,7 @@ func TestDeclaredEdgeEnforcement(t *testing.T) {
 		fn()
 	}
 	s := NewSharded(3)
+	mustPanic("no declarations", func() { s.Domain(0).Send(s.Domain(1), 9, 0, 0, 0) })
 	s.DeclareEdge(0, 1, 5)
 	sink := sinkFunc(func(uint8, uint64, uint64) {})
 	for i := 0; i < 3; i++ {

@@ -301,6 +301,7 @@ func TestScheduleHandlerAllocFree(t *testing.T) {
 // and beyond-horizon events under an armed ticker allocates nothing.
 func TestScheduleHandlerSteadyStateAllocFree(t *testing.T) {
 	s := NewSharded(2)
+	s.DeclareEdge(0, 1, 7)
 	d0, d1 := s.Domain(0), s.Domain(1)
 	d0.Bind(sinkFunc(func(kind uint8, a, b uint64) {
 		if a == 0 {

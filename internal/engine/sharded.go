@@ -11,9 +11,9 @@
 // advance in lock-step barrier rounds. Each round fires every event below
 // a per-shard bound derived from the transitive closure of declared
 // per-edge minimum Send delays (DeclareEdge), so one round coalesces many
-// cycles of work; without declarations the engine falls back to a
-// conservative one-cycle lookahead. K=1 is a plain serial pop loop with
-// zero steady-state allocations; results are bit-identical at every K.
+// cycles of work. Every Send travels a declared edge: an engine with no
+// declarations has no cross-domain edges. K=1 is a plain serial pop loop
+// with zero steady-state allocations; results are bit-identical at every K.
 // Each shard's events live in a calendar queue (queue.go); the oracle
 // tests in determinism_test.go pin its ordering against a container/heap
 // reference queue.
@@ -42,15 +42,13 @@ import (
 // relative to the rest of its domain, which is what makes K-invariance
 // hold by construction instead of by careful merging.
 //
-// Cross-domain communication must use Send with a delivery delay of at
-// least the declared minimum for the (source, destination) edge — the
-// lookahead. In legacy mode (no DeclareEdge calls) every edge has floor 1.
-// In declared-topology mode the floors can be much larger, and each
-// parallel round lets every shard fire all events strictly below its
-// bound: the earliest cycle at which any other shard's pending work could
-// still deliver a message to it. Rounds then advance by the latency graph's
-// real slack instead of one timestamp at a time, collapsing the barrier
-// count by the average lookahead.
+// Cross-domain communication must use Send on a declared (source,
+// destination) edge with a delivery delay of at least the edge's declared
+// minimum — the lookahead. Each parallel round lets every shard fire all
+// events strictly below its bound: the earliest cycle at which any other
+// shard's pending work could still deliver a message to it. Rounds then
+// advance by the latency graph's real slack instead of one timestamp at a
+// time, collapsing the barrier count by the average lookahead.
 
 // EventSink receives a domain's events. Exactly one sink is bound per
 // domain; OnEvent is called only from the shard worker that owns the
@@ -145,25 +143,24 @@ func (d *Domain) After(delay uint64, kind uint8, a, b uint64) {
 }
 
 // Send schedules an event on another domain, delay cycles from the sending
-// domain's current cycle. The delay must be at least the edge's declared
-// minimum (1 in legacy mode) — the lookahead: it is what lets shards
-// process a whole window of timestamps in one barrier round, knowing no
-// message can still be in flight into that window. Delivery order at equal
+// domain's current cycle, on an edge declared with DeclareEdge. The delay
+// must be at least the edge's declared minimum — the lookahead: it is what
+// lets shards process a whole window of timestamps in one barrier round,
+// knowing no message can still be in flight into that window. Delivery order at equal
 // cycle is canonical — after the destination's local events, ordered by
 // (sending domain, sending sequence) — so results do not depend on shard
 // grouping.
 func (d *Domain) Send(dst *Domain, delay uint64, kind uint8, a, b uint64) {
 	e := d.eng
+	var floor uint64
 	if e.edgeMin != nil {
-		floor := e.edgeMin[int(d.id)*len(e.domains)+int(dst.id)]
-		if floor == 0 {
-			panic(fmt.Sprintf("engine: Send on undeclared edge %d->%d (declared-topology mode)", d.id, dst.id))
-		}
-		if delay < floor {
-			panic(fmt.Sprintf("engine: Send delay %d below declared minimum %d for edge %d->%d", delay, floor, d.id, dst.id))
-		}
-	} else if delay == 0 {
-		panic("engine: Send requires delay >= 1 (the cross-domain lookahead)")
+		floor = e.edgeMin[int(d.id)*len(e.domains)+int(dst.id)]
+	}
+	if floor == 0 {
+		panic(fmt.Sprintf("engine: Send on undeclared edge %d->%d", d.id, dst.id))
+	}
+	if delay < floor {
+		panic(fmt.Sprintf("engine: Send delay %d below declared minimum %d for edge %d->%d", delay, floor, d.id, dst.id))
 	}
 	sh := &e.shards[d.shard]
 	d.seq++
@@ -216,7 +213,7 @@ type Sharded struct {
 	now     uint64
 
 	// edgeMin is the declared per-edge minimum Send delay, dense D×D
-	// (src*D+dst), 0 = undeclared. nil = legacy mode (all edges floor 1).
+	// (src*D+dst), 0 = undeclared; nil until the first DeclareEdge.
 	edgeMin []uint64
 	// look[to*K+from] is the per-shard-pair lookahead: the minimum edgeMin
 	// over all (src in from, dst in to) domain pairs; noEvent when no edge
@@ -237,10 +234,10 @@ type Sharded struct {
 	// when one runs, so it may read — and, alone among extension points,
 	// mutate — simulator state. A ticker fires for each boundary B <= the
 	// next event cycle, like a daemon event that never keeps Run alive: a
-	// boundary with no remaining events after it never fires. A boundary shared by several slots fires them
-	// in ascending slot order. Slot 0 is the legacy pacer (SetPacer, the
-	// observability sampler); gpu's fault-class strike ticker rides in
-	// slot 1.
+	// boundary with no remaining events after it never fires. A boundary
+	// shared by several slots fires them in ascending slot order. gpu's
+	// observability sampler rides in slot 0 and its fault-class strike
+	// ticker in slot 1.
 	tickers []ticker
 }
 
@@ -278,12 +275,12 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Stats returns the scheduling ledger of the most recent Run.
 func (s *Sharded) Stats() RunStats { return s.stats }
 
-// DeclareEdge switches the engine to declared-topology mode and records
-// that domain src may Send to domain dst with delay >= minDelay (>= 1).
-// In this mode every Send must use a declared edge at or above its floor
-// (undeclared Sends panic), and the parallel scheduler derives per-shard
-// lookahead from the declared graph: shard pairs connected only by long
-// edges — or by no edge at all — let rounds advance many cycles at once.
+// DeclareEdge records that domain src may Send to domain dst with delay >=
+// minDelay (>= 1). Every Send must use a declared edge at or above its
+// floor (undeclared Sends panic), and the parallel scheduler derives
+// per-shard lookahead from the declared graph: shard pairs connected only
+// by long edges — or by no edge at all — let rounds advance many cycles at
+// once.
 // Declare edges during setup, before the first Run; redeclaring an edge
 // keeps the smaller floor.
 func (s *Sharded) DeclareEdge(src, dst int, minDelay uint64) {
@@ -426,35 +423,17 @@ func (s *Sharded) buildLookahead() {
 	for i := range s.look {
 		s.look[i] = noEvent
 	}
-	if s.edgeMin == nil {
-		// Legacy mode: every cross-domain edge has floor 1.
-		for to := 0; to < k; to++ {
-			for from := 0; from < k; from++ {
-				if from != to {
-					s.look[to*k+from] = 1
-				} else if k > 1 {
-					s.look[to*k+from] = 2 // shortest return cycle
-				}
-			}
-		}
-		return
-	}
 	d := len(s.domains)
-	for src := 0; src < d; src++ {
-		sf := int(s.domains[src].shard)
-		row := s.edgeMin[src*d : src*d+d]
-		for dst, m := range row {
-			if m == 0 {
-				continue
-			}
-			df := int(s.domains[dst].shard)
-			if df == sf {
-				continue // same-shard delivery needs no cross-shard bound
-			}
-			at := df*k + sf
-			if m < s.look[at] {
-				s.look[at] = m
-			}
+	for e, m := range s.edgeMin {
+		if m == 0 {
+			continue
+		}
+		sf, df := int(s.domains[e/d].shard), int(s.domains[e%d].shard)
+		if df == sf {
+			continue // same-shard delivery needs no cross-shard bound
+		}
+		if at := df*k + sf; m < s.look[at] {
+			s.look[at] = m
 		}
 	}
 	// Floyd–Warshall over the shard graph (diagonal starts at noEvent, so
@@ -477,13 +456,6 @@ func (s *Sharded) buildLookahead() {
 			}
 		}
 	}
-}
-
-// SetPacer installs (or, with fn == nil or every == 0, removes) the
-// boundary hook in ticker slot 0, armed at the first multiple of every
-// strictly after the current cycle. The pacer persists across Runs.
-func (s *Sharded) SetPacer(every uint64, fn func(boundary uint64)) {
-	s.SetTicker(0, every, fn)
 }
 
 // SetTicker installs (or, with fn == nil or every == 0, removes) a

@@ -42,11 +42,24 @@ func (n *testNode) OnEvent(kind uint8, a, b uint64) {
 	}
 	r := n.next()
 	// Always one local successor (possibly same-cycle), sometimes a
-	// message to a pseudo-random peer with delay >= 1.
+	// message to a pseudo-random other peer with delay >= 1.
 	n.d.After(r%4, uint8(r%7), a-1, r)
 	if r%3 != 0 {
-		peer := n.peers[(r>>8)%uint64(len(n.peers))]
-		n.d.Send(peer.d, 1+(r>>16)%5, uint8(r%5), a-1, r>>24)
+		if peer := n.peers[(r>>8)%uint64(len(n.peers))]; peer != n {
+			n.d.Send(peer.d, 1+(r>>16)%5, uint8(r%5), a-1, r>>24)
+		}
+	}
+}
+
+// declareAll declares every ordered pair of distinct domains at floor 1,
+// the tightest topology the engine accepts.
+func declareAll(s *Sharded, domains int) {
+	for src := 0; src < domains; src++ {
+		for dst := 0; dst < domains; dst++ {
+			if src != dst {
+				s.DeclareEdge(src, dst, 1)
+			}
+		}
 	}
 }
 
@@ -59,6 +72,7 @@ type shardedRun struct {
 func runSynthetic(t *testing.T, domains, shards int, seed uint64) shardedRun {
 	t.Helper()
 	s := NewSharded(domains)
+	declareAll(s, domains)
 	s.SetShards(shards)
 	nodes := make([]*testNode, domains)
 	for i := range nodes {
@@ -115,6 +129,7 @@ func TestShardInvarianceAcrossSeeds(t *testing.T) {
 
 func TestSendZeroDelayPanics(t *testing.T) {
 	s := NewSharded(2)
+	declareAll(s, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send with delay 0 should panic: it would break the lookahead invariant")
@@ -163,7 +178,7 @@ func TestPacerBoundaries(t *testing.T) {
 		// here only because each domain's events are far apart in time so
 		// writes land in distinct rounds. Keep it that way.
 		var fired []uint64
-		s.SetPacer(1000, func(b uint64) { fired = append(fired, b) })
+		s.SetTicker(0, 1000, func(b uint64) { fired = append(fired, b) })
 		s.Domain(0).After(10, 1, 4, 0) // events at 10, 910, 1810, 2710, 3610
 		end := s.Run()
 		if end != 3610 {
@@ -210,11 +225,11 @@ func TestTickerSlots(t *testing.T) {
 			}))
 		}
 		var fired []firing
-		s.SetPacer(1000, func(b uint64) { fired = append(fired, firing{0, b}) })
+		s.SetTicker(0, 1000, func(b uint64) { fired = append(fired, firing{0, b}) })
 		s.SetTicker(1, 1500, func(b uint64) { fired = append(fired, firing{1, b}) })
 		s.SetTicker(2, 3000, func(b uint64) { fired = append(fired, firing{2, b}) })
 		if dropSlot0 {
-			s.SetPacer(0, nil)
+			s.SetTicker(0, 0, nil)
 		}
 		s.Domain(0).After(10, 1, 5, 0) // events at 10, 710, ..., 3510
 		s.Run()
@@ -333,6 +348,7 @@ func TestTickerFiresBeforeSameCycleEvents(t *testing.T) {
 // monotone and domain Now() agrees with the engine between runs.
 func TestShardedRunReuse(t *testing.T) {
 	s := NewSharded(4)
+	declareAll(s, 4)
 	s.SetShards(2)
 	for i := 0; i < 4; i++ {
 		d := s.Domain(i)
@@ -364,6 +380,7 @@ func TestShardedRunReuse(t *testing.T) {
 // local events before messages, then scheduling sequence.
 func TestShardedHeapOrdering(t *testing.T) {
 	s := NewSharded(2)
+	s.DeclareEdge(1, 0, 1)
 	var order []uint64
 	s.Domain(0).Bind(sinkFunc(func(kind uint8, a, b uint64) { order = append(order, a) }))
 	s.Domain(1).Bind(sinkFunc(func(kind uint8, a, b uint64) {}))

@@ -157,39 +157,33 @@ func TestGoldenCounterDigestObserved(t *testing.T) {
 }
 
 // TestGoldenSoftErrorDigest pins the simulator's soft-error semantics: the
-// counters and result scalars of fixed-seed runs with per-read soft errors
-// (unprotected and under Killi) and with a mixed fault-class spec whose
-// transient strikes flip resident lines between accesses. The digests were
-// captured while soft flips still rewrote the stored payload and the bank
-// kept a second copy of every line as SDC ground truth; the sparse flip
-// overlay that replaced both must reproduce them bit for bit.
+// counters and result scalars of fixed-seed runs, unprotected and under
+// Killi, with a mixed fault-class spec whose transient strikes flip
+// resident lines between accesses. The Killi digest was captured while
+// soft flips still rewrote the stored payload and the bank kept a second
+// copy of every line as SDC ground truth; the sparse flip overlay that
+// replaced both must reproduce it bit for bit.
 func TestGoldenSoftErrorDigest(t *testing.T) {
-	soft := gpu.DefaultConfig()
-	soft.SoftErrorPerRead = 0.01
+	mixed := Config{
+		FaultClasses:  "mixed:i=0.2@0.5,a=0.1@0.5,t=1e-7",
+		WarmupKernels: 2, ScrubKernels: 1}
 	cases := []struct {
-		name     string
-		workload string
-		scheme   string
-		cfg      Config
-		want     uint64
+		name   string
+		scheme string
+		want   uint64
 	}{
-		// nekbone's shared hot set makes plenty of L2 read hits, the only
-		// accesses that draw per-read soft errors.
-		{"none/soft", "nekbone", "none", Config{GPU: &soft, WarmupKernels: 1}, 0xeb21b6557bf8c27f},
-		{"killi/soft", "nekbone", "killi-1:64", Config{GPU: &soft, WarmupKernels: 1}, 0x67d1c35facb8d25a},
-		{"killi/mixed", "xsbench", "killi-1:64", Config{
-			FaultClasses:  "mixed:i=0.2@0.5,a=0.1@0.5,t=1e-7",
-			WarmupKernels: 2, ScrubKernels: 1}, 0xdba84646bfbe4443},
+		{"none/mixed", "none", 0xb86144a10bccbf1c},
+		{"killi/mixed", "killi-1:64", 0xdba84646bfbe4443},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
+			cfg := mixed
 			cfg.RequestsPerCU, cfg.Seed = 1500, 1
 			newScheme, err := SchemeFactoryByName(tc.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunOne(context.Background(), cfg, tc.workload, newScheme, 0.625)
+			res, err := RunOne(context.Background(), cfg, "xsbench", newScheme, 0.625)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,32 +203,29 @@ func TestGoldenSoftErrorDigest(t *testing.T) {
 }
 
 // TestGoldenBaselineDigest pins the MBIST baselines (SECDED, DECTED, FLAIR
-// and MS-ECC) under per-read soft errors, a mixed fault-class spec and
-// plain persistent faults, with the digest recipe of
+// and MS-ECC) under a mixed fault-class spec and plain persistent faults,
+// with the digest recipe of
 // TestGoldenSoftErrorDigest. The digests were captured while each baseline
 // kept a private copy of every line to re-encode from; reading the
 // controller's payload from the data array instead must reproduce them bit
 // for bit.
 func TestGoldenBaselineDigest(t *testing.T) {
-	soft := gpu.DefaultConfig()
-	soft.SoftErrorPerRead = 0.01
 	conds := []struct {
 		name     string
 		workload string
 		vdd      float64
 		cfg      Config
 	}{
-		{"soft", "nekbone", 0.625, Config{GPU: &soft, WarmupKernels: 1}},
 		{"mixed", "xsbench", 0.6, Config{
 			FaultClasses:  "mixed:i=0.2@0.5,a=0.1@0.5,t=1e-7",
 			WarmupKernels: 2, ScrubKernels: 1}},
 		{"plain", "fft", 0.575, Config{WarmupKernels: 1}},
 	}
 	want := map[string]uint64{
-		"secded/soft": 0xc63bde1402373361, "secded/mixed": 0x45830bb7a3fd5609, "secded/plain": 0x2baa750a43bb9e71,
-		"dected/soft": 0x016140c816c0238d, "dected/mixed": 0xfd6edd7e9e8bde92, "dected/plain": 0x61c3f0ada72fb090,
-		"flair/soft": 0x5119b931eef6093a, "flair/mixed": 0x0fe9588945cdd9ce, "flair/plain": 0x2baa750a43bb9e71,
-		"msecc/soft": 0x8d7704f985099f39, "msecc/mixed": 0x490392c8f8043969, "msecc/plain": 0xbbf7b7a22d4e4b0d,
+		"secded/mixed": 0x45830bb7a3fd5609, "secded/plain": 0x2baa750a43bb9e71,
+		"dected/mixed": 0xfd6edd7e9e8bde92, "dected/plain": 0x61c3f0ada72fb090,
+		"flair/mixed": 0x0fe9588945cdd9ce, "flair/plain": 0x2baa750a43bb9e71,
+		"msecc/mixed": 0x490392c8f8043969, "msecc/plain": 0xbbf7b7a22d4e4b0d,
 	}
 	for _, scheme := range []string{"secded", "dected", "flair", "msecc"} {
 		for _, c := range conds {

@@ -17,7 +17,6 @@ import (
 // recycleStep is one simulation of TestRecycledSystemMatchesFresh.
 type recycleStep struct {
 	scheme, classes string
-	softErr         float64
 	observe         bool
 	shards          int
 }
@@ -30,7 +29,6 @@ func (st recycleStep) run() (string, error) {
 	g := gpu.DefaultConfig()
 	g.L2Bytes = 256 << 10
 	g.Voltage = 0.625
-	g.SoftErrorPerRead = st.softErr
 	classes, err := faultmodel.ParseClassSpec(st.classes)
 	if err != nil {
 		return "", err
@@ -79,10 +77,9 @@ func flushReleased() {
 // simulate, so each System is the previous one released and re-initialized,
 // and requires every result to equal the same simulation on a freshly
 // allocated System. The sequence crosses every scheme family, a mixed
-// population with transient strikes, per-read soft errors, an observer
-// switched on and off, and one and four shards; each RNG-drawing step
-// follows another that drew from the same stream, so a stream left
-// unseeded on reuse shows. Then two workers run the sequence at once, one
+// population with transient strikes, an observer switched on and off, and
+// one and four shards; each RNG-drawing step follows another that drew
+// from the same stream, so a stream left unseeded on reuse shows. Then two workers run the sequence at once, one
 // of them backwards, handing Systems to each other through the pool.
 func TestRecycledSystemMatchesFresh(t *testing.T) {
 	const mixed = "mixed:i=0.2@0.25,a=0.1@0.05,t=1e-06"
@@ -91,8 +88,7 @@ func TestRecycledSystemMatchesFresh(t *testing.T) {
 		{scheme: "msecc", shards: 1},
 		{scheme: "flair", shards: 4},
 		{scheme: "killi-1:64", shards: 1},
-		{scheme: "killi-1:64", softErr: 0.002, shards: 1},
-		{scheme: "killi-olsc2-1:64", softErr: 0.002, shards: 4},
+		{scheme: "killi-olsc2-1:64", shards: 4},
 		{scheme: "killi-1:64", classes: mixed, observe: true, shards: 1},
 		{scheme: "killi-1:64", classes: mixed, observe: true, shards: 4},
 		{scheme: "killi-1:64", shards: 4},

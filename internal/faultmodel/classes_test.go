@@ -47,6 +47,34 @@ func TestParseClassSpecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseClassSpec fuzzes the ClassSyntax grammar: ParseClassSpec never
+// panics, and an accepted spec's String re-parses to an equal spec whose
+// String is the same canonical spelling.
+func FuzzParseClassSpec(f *testing.F) {
+	for _, s := range classExamples {
+		f.Add(s)
+	}
+	for _, s := range []string{"", "persistent", "mixed:", "mixed:i=0.3@0.5,i=0.2@0.1",
+		"mixed:i=0.7@0.5,a=0.3@0.1", "mixed:t=1e-400", "mixed:a=0x1p-2@+1", "mixed:t=NaN"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseClassSpec(s)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		again, err := ParseClassSpec(canon)
+		if err != nil {
+			t.Fatalf("ParseClassSpec(%q).String() = %q does not parse: %v", s, canon, err)
+		}
+		if again != spec || again.String() != canon {
+			t.Fatalf("ParseClassSpec(%q) = %+v renders %q, which parses to %+v rendering %q",
+				s, spec, canon, again, again.String())
+		}
+	})
+}
+
 // TestClassOfDeterministicPartition pins that class assignment is a pure
 // function (stable across calls), respects the configured fractions on a
 // large sample, and never returns Transient.

@@ -57,12 +57,10 @@ var (
 	cL1Reads             = stats.Intern("l1.reads")
 	cL1Hits              = stats.Intern("l1.hits")
 	cL2Accesses          = stats.Intern("l2.accesses")
-	cTagParityMisses     = stats.Intern("l2.tag_parity_misses")
 	cReadMisses          = stats.Intern("l2.read_misses")
 	cReadHits            = stats.Intern("l2.read_hits")
 	cSDC                 = stats.Intern("l2.silent_data_corruption")
 	cErrorMisses         = stats.Intern("l2.error_misses")
-	cSoftErrors          = stats.Intern("l2.soft_errors_injected")
 	cTransientStrikes    = stats.Intern("l2.transient_strikes")
 	cEvictions           = stats.Intern("l2.evictions")
 	cBypassFills         = stats.Intern("l2.bypass_fills")
@@ -72,31 +70,25 @@ var (
 
 // Config is the simulated GPU configuration (defaults mirror Table 3).
 type Config struct {
-	CUs              int // number of compute units
-	L1Bytes          int // per-CU L1 size
-	L1Ways           int
-	L2Bytes          int
-	L2Ways           int
-	L2Banks          int
-	LineBytes        int
-	L2TagLat         uint64 // cycles
-	L2DataLat        uint64 // cycles
-	ECCLat           uint64 // SECDED/parity latency, cycles
-	L1Lat            uint64 // L1 hit latency, cycles (>= 1: the CU-to-bank lookahead)
-	WindowPerCU      int    // outstanding-request window per CU
-	IssueIPC         float64
-	Mem              mem.Config
-	Voltage          float64 // normalized L2 data-array voltage
-	FreqGHz          float64
-	FaultModel       faultmodel.Model
-	FaultSeed        uint64
-	RefVoltage       float64 // lowest voltage the fault map must serve (0 = Voltage)
-	SoftErrorPerRead float64 // probability of one transient flip per L2 read
-	// TagSoftErrorPerLookup is the probability that an L2 lookup hits a
-	// transient tag-bit flip. The tag array runs at nominal voltage and
-	// carries parity (§4.1), so the flip is always detected; the entry is
-	// invalidated and the access becomes a safe miss.
-	TagSoftErrorPerLookup float64
+	CUs         int // number of compute units
+	L1Bytes     int // per-CU L1 size
+	L1Ways      int
+	L2Bytes     int
+	L2Ways      int
+	L2Banks     int
+	LineBytes   int
+	L2TagLat    uint64 // cycles
+	L2DataLat   uint64 // cycles
+	ECCLat      uint64 // SECDED/parity latency, cycles
+	L1Lat       uint64 // L1 hit latency, cycles (>= 1: the CU-to-bank lookahead)
+	WindowPerCU int    // outstanding-request window per CU
+	IssueIPC    float64
+	Mem         mem.Config
+	Voltage     float64 // normalized L2 data-array voltage
+	FreqGHz     float64
+	FaultModel  faultmodel.Model
+	FaultSeed   uint64
+	RefVoltage  float64 // lowest voltage the fault map must serve (0 = Voltage)
 	// Classes layers the faultmodel taxonomy over the sampled fault
 	// population: intermittent and aging faults manifest per fault epoch,
 	// transient strikes arrive as a Poisson rate per cell-cycle. The zero
@@ -311,7 +303,6 @@ type bankDomain struct {
 	free uint64 // bank pipeline busy-until cycle
 
 	ctr     stats.Counters
-	softRNG xrand.Rand
 	replRNG xrand.Rand
 	// strikeRNG draws transient fault-class strikes; only the strike
 	// ticker, armed by a transient rate, reads it.
@@ -582,7 +573,6 @@ func (s *System) init(cfg Config, newScheme protection.Factory, shared *SharedFa
 			wayScratch:        b.wayScratch,
 		}
 		b.ctr.Reset()
-		b.softRNG.Seed(cfg.FaultSeed ^ 0x5eed50f7 ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 		b.replRNG.Seed(cfg.FaultSeed ^ 0xbe91ace5eed ^ (uint64(i)+1)*0xda942042e4dd58b5)
 		b.strikeRNG.Seed(cfg.FaultSeed ^ 0x57a1c3b0175eed ^ (uint64(i)+1)*0xd6e8feb86659fd93)
 		b.d.Bind(b)
@@ -805,9 +795,8 @@ func (s *System) ECCStats() (occupancy, entries int, ok bool) {
 // has a transient rate: at each fault-epoch boundary it draws this epoch's
 // strike count per bank from the bank's private Poisson stream (banks in
 // index order, so the draw order is canonical) and flips stored bits.
-// Strikes flip stored cells and are erased by the next write — the same
-// mechanism as SoftErrorPerRead, but time-driven rather than access-driven,
-// so cold resident lines accumulate flips.
+// Strikes flip stored cells and are erased by the next write; they arrive
+// with time, not with accesses, so cold resident lines accumulate flips.
 func (s *System) onStrikeTick(boundary uint64) {
 	for _, b := range s.banks {
 		cells := float64(b.data.Lines()) * float64(bitvec.LineBits)
@@ -1186,26 +1175,8 @@ func (b *bankDomain) read(addr uint64, cu int) {
 	}
 	b.free = start + b.sys.cfg.L2TagLat + b.sys.cfg.L2DataLat
 	_, set, tag := b.sys.split(addr)
-
-	if b.sys.cfg.TagSoftErrorPerLookup > 0 && b.softRNG.Bernoulli(b.sys.cfg.TagSoftErrorPerLookup) {
-		// Tag parity catches the flip; the affected entry is dropped and
-		// the access refetches — never a wrong-line hit.
-		b.ctr.IncC(cTagParityMisses)
-		if way, hit := b.tags.Lookup(set, tag); hit {
-			b.scheme.OnEvict(set, way)
-			b.tags.Invalidate(set, way)
-		}
-		b.ctr.IncC(cReadMisses)
-		b.fetch(addr, cu, start+b.sys.cfg.L2TagLat)
-		return
-	}
-
 	if way, hit := b.tags.Lookup(set, tag); hit {
 		id := b.tags.LineID(set, way)
-		if b.sys.cfg.SoftErrorPerRead > 0 && b.softRNG.Bernoulli(b.sys.cfg.SoftErrorPerRead) {
-			b.data.InjectSoftError(id, b.softRNG.Intn(bitvec.LineBits))
-			b.ctr.IncC(cSoftErrors)
-		}
 		b.readBuf = b.data.Read(id)
 		verdict := b.scheme.OnReadHit(set, way, &b.readBuf)
 		if verdict == protection.Deliver {

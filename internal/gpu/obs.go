@@ -66,7 +66,7 @@ func (s *System) SetObserver(o obs.Observer, epochCycles uint64) {
 	s.obsEpoch = epochCycles
 	s.sampler = nil
 	if o == nil {
-		s.eng.SetPacer(0, nil)
+		s.eng.SetTicker(0, 0, nil)
 		for _, b := range s.banks {
 			b.obsBuf = nil
 		}
@@ -138,7 +138,7 @@ func (s *System) startObserver() {
 		return
 	}
 	s.sampler = &obsSampler{every: s.obsEpoch, lastCycle: s.eng.Now()}
-	s.eng.SetPacer(s.obsEpoch, s.onBoundary)
+	s.eng.SetTicker(0, s.obsEpoch, s.onBoundary)
 }
 
 // onBoundary is the engine pacer hook: it runs strictly between event

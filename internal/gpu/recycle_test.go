@@ -23,16 +23,13 @@ func recycle(t *testing.T, sys *System, cfg Config, f protection.Factory, shared
 }
 
 // TestReleasedSystemMatchesFresh pins System.Release and NewShared's reuse
-// of it: a System that ran with soft errors, transient strikes,
-// intermittent and aging fault classes, an observer and four shards, then
-// was released and rebuilt for a clean configuration, holds exactly the
-// state a freshly allocated System of that configuration holds — payloads
+// of it: a System that ran with transient strikes, intermittent and aging
+// fault classes, an observer and four shards, then was released and
+// rebuilt for a clean configuration, holds exactly the state a freshly allocated System of that configuration holds — payloads
 // and flip overlays, tags, L1s, line tables, DRAM queues, RNG streams,
 // counters, clocks — and runs the same kernel to the same counters.
 func TestReleasedSystemMatchesFresh(t *testing.T) {
 	dirty := smallConfig(0.625)
-	dirty.SoftErrorPerRead = 0.01
-	dirty.TagSoftErrorPerLookup = 0.001
 	dirty.Classes = mixedSpec(t, "mixed:i=0.2@0.25,a=0.2@0.5,t=1e-06")
 	sys := New(dirty, killiFac(killi.Config{Ratio: 64}))
 	sys.SetShards(4)
@@ -111,7 +108,7 @@ func sameState(t *testing.T, got, want *System) {
 			}
 		}
 		check("DRAM queue", b.mem, wb.mem)
-		check("RNG streams", []any{b.softRNG, b.replRNG, b.strikeRNG}, []any{wb.softRNG, wb.replRNG, wb.strikeRNG})
+		check("RNG streams", []any{b.replRNG, b.strikeRNG}, []any{wb.replRNG, wb.strikeRNG})
 		check("bank pipeline", []any{b.free, b.readBuf, b.versionsHighWater, b.obsBuf == nil},
 			[]any{wb.free, wb.readBuf, wb.versionsHighWater, wb.obsBuf == nil})
 		check("scheme", b.scheme.Name(), wb.scheme.Name())

@@ -65,8 +65,8 @@ func TestVictimWayMatchesOracle(t *testing.T) {
 					e := b.tags.Entry(set, w)
 					e.Class = uint8(rng.Intn(4))
 					e.LastUse = uint64(rng.Intn(64))
-					e.Disabled = rng.Bernoulli(pDisabled)
-					e.Valid = !rng.Bernoulli(pInvalid)
+					e.Disabled = rng.Float64() < pDisabled
+					e.Valid = rng.Float64() >= pInvalid
 				}
 				before := b.replRNG
 				got := b.victimWay(set)

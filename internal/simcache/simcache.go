@@ -226,7 +226,8 @@ func (s *Store) Get(key string) (Result, bool) {
 // GetDie returns the cached die record for key. Validation mirrors Get: a
 // missing file, wrong schema, wrong kind (a plain result under a confused
 // key), wrong key, or checksum mismatch is a miss and the caller recomputes
-// the die.
+// the die. So is a record whose per-cell slices differ in length from
+// Cycles, checked before the checksum, which indexes them by cell.
 func (s *Store) GetDie(key string) (DieRecord, bool) {
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -238,6 +239,7 @@ func (s *Store) GetDie(key string) (DieRecord, bool) {
 		e.Schema != SchemaVersion ||
 		e.Kind != kindDie ||
 		e.Key != key ||
+		!e.Record.Shaped(len(e.Record.Base), len(e.Record.Cycles)) ||
 		e.Checksum != e.checksum() {
 		s.misses.Add(1)
 		return DieRecord{}, false

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +321,96 @@ func TestCorruptedDieEntryIsAMiss(t *testing.T) {
 	if got, ok := s.GetDie(key); !ok || got.Canonical() != testDieRecord().Canonical() {
 		t.Fatalf("repaired die entry not served: ok=%v", ok)
 	}
+}
+
+// TestMalformedDieRecordIsAMiss writes die entries whose per-cell slices
+// differ in length from Cycles under a die key: each must be a miss, never
+// a panic in the checksum (which indexes every per-cell slice by cell) and
+// never a hit on a record the campaign cannot aggregate — even when the
+// entry's checksum is valid.
+func TestMalformedDieRecordIsAMiss(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("die desc")
+	for _, tc := range []struct {
+		name   string
+		mangle func(r *DieRecord)
+		long   bool // every slice at least as long as Cycles, so the checksum is computable
+	}{
+		{"short mpki", func(r *DieRecord) { r.MPKI = r.MPKI[:0] }, false},
+		{"short disabled", func(r *DieRecord) { r.Disabled = r.Disabled[:3] }, false},
+		{"short sdc", func(r *DieRecord) { r.SDC = nil }, false},
+		{"short false_disable", func(r *DieRecord) { r.FalseDisable = r.FalseDisable[:1] }, false},
+		{"short false_trust", func(r *DieRecord) { r.FalseTrust = r.FalseTrust[:2] }, false},
+		{"long mpki", func(r *DieRecord) { r.MPKI = append(r.MPKI, 1) }, true},
+		{"long false_trust", func(r *DieRecord) { r.FalseTrust = append(r.FalseTrust, 1) }, true},
+	} {
+		e := dieEntry{Schema: SchemaVersion, Kind: kindDie, Key: key, Record: testDieRecord()}
+		tc.mangle(&e.Record)
+		if tc.long {
+			e.Checksum = e.checksum()
+		}
+		buf, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.path(key), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.GetDie(key); ok {
+			t.Errorf("%s: malformed die record served as a hit", tc.name)
+		}
+	}
+	// A minimal malformed record: two cells, no MPKI, nothing else.
+	if err := os.WriteFile(s.path(key), []byte(`{"schema":`+strconv.Itoa(SchemaVersion)+
+		`,"kind":"die","key":"`+key+`","record":{"cycles":[1,2],"mpki":[]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetDie(key); ok {
+		t.Error("two-cell record without MPKI served as a hit")
+	}
+}
+
+// FuzzGetDie writes arbitrary bytes as the entry file of one key: neither
+// Get nor GetDie may panic on them, and a GetDie hit is always a record
+// whose per-cell slices all have Cycles' length.
+func FuzzGetDie(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := Key("die desc")
+	if err := s.PutDie(key, testDieRecord()); err != nil {
+		f.Fatal(err)
+	}
+	die, err := os.ReadFile(s.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(key, testResult()); err != nil {
+		f.Fatal(err)
+	}
+	result, err := os.ReadFile(s.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(die)
+	f.Add(result)
+	f.Add([]byte(`{"schema":` + strconv.Itoa(SchemaVersion) + `,"kind":"die","key":"` + key + `","record":{"cycles":[1,2],"mpki":[]}}`))
+	f.Add([]byte("not json"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		if err := os.WriteFile(s.path(key), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.Get(key)
+		if r, ok := s.GetDie(key); ok && !r.Shaped(len(r.Base), len(r.Cycles)) {
+			t.Fatalf("GetDie served a mis-shaped record: %s", buf)
+		}
+	})
 }
 
 // Parallel die workers can Put the same key concurrently (two campaigns

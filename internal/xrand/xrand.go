@@ -108,18 +108,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli returns true with probability p. Values of p outside [0,1]
-// are clamped.
-func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Geometric samples the geometric distribution on {0, 1, 2, ...} — the
 // number of Bernoulli(p) failures before the first success — capped at a
 // limit: a draw at or above the limit returns the limit. It is the building

@@ -433,6 +433,18 @@ func (r *Rand) Binomial(n int, p float64) int {
 	return count
 }
 
+// Bernoulli returns true with probability p. Values of p outside [0,1]
+// are clamped.
+func (r *Rand) Bernoulli(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
 // Split returns a new generator whose stream is independent of r's
 // continued use. It is the supported way to derive per-component
 // generators from a master seed.
