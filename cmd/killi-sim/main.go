@@ -7,14 +7,13 @@
 //	        memory-bound panels (Figure 5)
 //
 // Both figures come from the same sweep; the flag selects what to print.
-// The sweep runs as a job on the same internal/simserver engine that backs
-// the killi-simd daemon, so the CLI and the service share one validation,
-// caching, cancellation, and metrics path. -parallel fans the workload ×
-// scheme simulations out over a worker pool (default GOMAXPROCS); results
-// are bit-for-bit identical to -parallel 1. -cache <dir> keeps a
-// content-addressed result cache across invocations, so re-running a figure
-// with unchanged inputs is a disk read per task; cached rows are
-// bit-identical to recomputed ones.
+// The sweep is one experiments.Run call, the same call killi-simd's sweep
+// jobs make, so the CLI and the service share one validation, caching and
+// cancellation path. -parallel fans the workload × scheme simulations out
+// over a worker pool (default GOMAXPROCS); results are bit-for-bit
+// identical to -parallel 1. -cache <dir> keeps a content-addressed result
+// cache across invocations, so re-running a figure with unchanged inputs is
+// a disk read per task; cached rows are bit-identical to recomputed ones.
 //
 // SIGINT or SIGTERM during a sweep cancels the simulations at their next
 // kernel boundary, sweeps stranded cache temporaries, and exits nonzero —
@@ -56,7 +55,6 @@ import (
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/obs"
-	"killi/internal/simserver"
 	"killi/internal/workload"
 )
 
@@ -177,59 +175,31 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "killi-sim: serving sweep progress at http://%s/metrics\n", addr)
 	}
 
-	// The sweep is one job on the in-process engine — the CLI is a thin
-	// client of the API killi-simd serves over HTTP. One worker: the job's
-	// own Parallelism fans out inside it.
-	svc, err := simserver.New(simserver.Config{
-		CacheDir: *cacheDir,
-		Shards:   *shards,
-		Workers:  1,
-		Metrics:  metrics,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-		return 1
+	// An interrupted Run has stopped at a kernel boundary and swept
+	// stranded cache temporaries before it returns.
+	cfg.Parallelism, cfg.CacheDir = *parallel, *cacheDir
+	if metrics != nil {
+		cfg.Progress = metrics.TaskDone
 	}
-	res, err := svc.Submit(ctx, simserver.JobRequest{
-		Kind:          simserver.KindSweep,
-		Voltage:       *voltage,
-		RequestsPerCU: *requests,
-		Seed:          *seed,
-		WarmupKernels: *warmup,
-		Shards:        *shards,
-		Parallelism:   *parallel,
-		Workloads:     experiments.SplitList(*workloads),
-		FaultClasses:  []string{*classes},
-	})
-	if ctx.Err() != nil {
-		// Interrupted: force the drain with an already-expired context so
-		// workers stop at their next kernel boundary and the engine sweeps
-		// stranded cache temp files, then report the interruption.
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		_ = svc.Close(expired)
+	rows, err := experiments.Run(ctx, cfg)
+	switch {
+	case errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
 		return 130
-	}
-	if err != nil {
-		_ = svc.Close(context.Background())
-		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-		return 1
-	}
-	if err := svc.Close(context.Background()); err != nil {
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
 		return 1
 	}
 
 	switch *fig {
 	case 4:
-		printFig4(res.Rows, *voltage)
+		printFig4(rows, *voltage)
 	case 5:
-		printFig5(res.Rows, *voltage)
+		printFig5(rows, *voltage)
 	case 45:
-		printFig4(res.Rows, *voltage)
+		printFig4(rows, *voltage)
 		fmt.Println()
-		printFig5(res.Rows, *voltage)
+		printFig5(rows, *voltage)
 	}
 	return 0
 }

@@ -9,6 +9,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -463,4 +464,119 @@ func TestCacheAndCheckpointCompose(t *testing.T) {
 	if res.ResumedDies+res.CachedDies > dies {
 		t.Errorf("ResumedDies (%d) + CachedDies (%d) exceed %d dies", res.ResumedDies, res.CachedDies, dies)
 	}
+}
+
+// TestCorruptJournalRecordEndsReplay pins the journal's checksum: one
+// changed digit in die 3's cycles must end the replayed prefix at die 3, so
+// a resume recomputes dies 3..11 and prints the uninterrupted output. A
+// journal that checks only JSON and shape replays all twelve dies,
+// corruption included.
+func TestCorruptJournalRecordEndsReplay(t *testing.T) {
+	const dies = 12
+	ref, err := Run(context.Background(), stubConfig(dies, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := allOutputs(t, ref)
+
+	dir := t.TempDir()
+	cfg := stubConfig(dies, 1)
+	cfg.CheckpointDir = dir
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := checkpointPath(dir, simcache.Key(norm.axesDesc()))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(buf), "\n")
+	line := lines[1+3] // the header, then dies 0, 1, 2, 3
+	at := strings.Index(line, `"cycles":[`)
+	if at < 0 {
+		t.Fatalf("die 3's journal line has no cycles: %s", line)
+	}
+	at += len(`"cycles":[`)
+	digit := byte('1')
+	if line[at] == '1' {
+		digit = '2'
+	}
+	lines[4] = line[:at] + string(digit) + line[at+1:]
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume over a corrupt record: %v", err)
+	}
+	if got := allOutputs(t, res); got != want {
+		t.Error("resume over a corrupt record diverged from the uninterrupted output")
+	}
+	if res.ResumedDies != 3 {
+		t.Errorf("ResumedDies = %d, want 3 (replay ends at the corrupt die)", res.ResumedDies)
+	}
+}
+
+// FuzzReadCheckpoint reads a valid header followed by arbitrary bytes:
+// readCheckpoint never panics, its valid prefix fits in the file, and every
+// record it replays is die i's own entry — numbered 0..k-1, with the
+// campaign's shape, and carrying the checksum its content implies.
+func FuzzReadCheckpoint(f *testing.F) {
+	cfg, err := stubConfig(3, 1).Normalized()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg.CheckpointDir = f.TempDir()
+	cells := len(cfg.Workloads) * len(cfg.Schemes) * len(cfg.FaultClasses) * len(cfg.Voltages)
+	axes := simcache.Key(cfg.axesDesc())
+	if _, err := Run(context.Background(), cfg); err != nil {
+		f.Fatal(err)
+	}
+	journal, err := os.ReadFile(checkpointPath(cfg.CheckpointDir, axes))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Only the journal's three dies have keys a record can carry.
+	keys := []string{cfg.dieKey(0), cfg.dieKey(1), cfg.dieKey(2)}
+	nl := bytes.IndexByte(journal, '\n') + 1
+	header, body := journal[:nl], journal[nl:]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(bytes.Replace(body, []byte(`"die":1`), []byte(`"die":2`), 1))
+	f.Add([]byte(`{"die":0,"base":[1],"cycles":[2]}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := append(append([]byte(nil), header...), data...)
+		recs, validLen, ok := readCheckpoint(in, &cfg, axes, cells)
+		if !ok {
+			t.Fatal("a valid header was rejected")
+		}
+		if validLen < int64(len(header)) || validLen > int64(len(in)) {
+			t.Fatalf("valid prefix %d bytes outside [%d, %d]", validLen, len(header), len(in))
+		}
+		lines := bytes.SplitAfter(in[len(header):validLen], []byte("\n"))
+		if len(lines)-1 != len(recs) {
+			t.Fatalf("valid prefix holds %d lines after the header, want %d records", len(lines)-1, len(recs))
+		}
+		for i, r := range recs {
+			if i >= len(keys) || r.Die != i || !r.Shaped(len(cfg.Workloads), cells) {
+				t.Fatalf("record %d: die %d, shaped %v", i, r.Die, r.Shaped(len(cfg.Workloads), cells))
+			}
+			want, err := simcache.EncodeDie(keys[i], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, exp struct{ Key, Checksum string }
+			if json.Unmarshal(lines[i], &got) != nil || json.Unmarshal(want, &exp) != nil || got != exp {
+				t.Fatalf("record %d replayed without its own key and checksum: %s", i, lines[i])
+			}
+		}
+	})
 }

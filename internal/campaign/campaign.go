@@ -280,41 +280,19 @@ func (c Config) dieKey(die int) string {
 	return simcache.Key(fmt.Sprintf("%s\ndie=%d", c.axesDesc(), die))
 }
 
-// dieRecord is one die's complete raw outcome: the fault-free baseline per
-// workload plus one sample per (workload, scheme, class, voltage) cell.
-// Records are small (a few scalars per cell), which is what keeps the
-// reorder window cheap.
+// dieRecord is one die's complete raw outcome — the fault-free baseline per
+// workload plus one sample per (workload, scheme, class, voltage) cell, in
+// the form the die cache and the checkpoint journal store — and how it was
+// obtained. Records are small (a few scalars per cell), which is what keeps
+// the reorder window cheap.
 type dieRecord struct {
-	die    int
-	base   []uint64 // per workload: fault-free nominal-voltage cycles
-	cycles []uint64 // per cell, cellIndex-major
-	mpki   []float64
-	dis    []int32
-	sdc    []uint64 // silent corruptions in the measured kernel
-	fdis   []int32  // DFH false disables vs the ground-truth oracle
-	ftru   []int32  // DFH false trusts (0 for schemes without DFH codes)
+	simcache.DieRecord
 
-	// Provenance, never serialized: how the record was obtained. The
-	// aggregator folds these into the Result's execution counters.
+	// Provenance, never serialized: the aggregator folds these into the
+	// Result's execution counters.
 	cached   bool // served whole from the die-record cache
 	resumed  bool // replayed from a checkpoint
 	cellHits int  // per-cell cache hits while computing this record
-}
-
-// toCache converts the record to its serialized form — the same shape the
-// die cache and the checkpoint file store.
-func (r *dieRecord) toCache() simcache.DieRecord {
-	return simcache.DieRecord{
-		Die: r.die, Base: r.base, Cycles: r.cycles, MPKI: r.mpki,
-		Disabled: r.dis, SDC: r.sdc, FalseDisable: r.fdis, FalseTrust: r.ftru,
-	}
-}
-
-func fromCache(c simcache.DieRecord) *dieRecord {
-	return &dieRecord{
-		die: c.Die, base: c.Base, cycles: c.Cycles, mpki: c.MPKI,
-		dis: c.Disabled, sdc: c.SDC, fdis: c.FalseDisable, ftru: c.FalseTrust,
-	}
 }
 
 // cellIndex flattens (workload, scheme, class, voltage) with voltage
@@ -396,21 +374,19 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			// break, but cheap to verify).
 			dieKey = cfg.dieKey(die)
 			if c, ok := store.GetDie(dieKey); ok && c.Die == die && c.Shaped(len(cfg.Workloads), cells) {
-				rec := fromCache(c)
-				rec.cached = true
-				return rec, nil
+				return &dieRecord{DieRecord: c, cached: true}, nil
 			}
 		}
-		rec := &dieRecord{
-			die:    die,
-			base:   make([]uint64, len(cfg.Workloads)),
-			cycles: make([]uint64, cells),
-			mpki:   make([]float64, cells),
-			dis:    make([]int32, cells),
-			sdc:    make([]uint64, cells),
-			fdis:   make([]int32, cells),
-			ftru:   make([]int32, cells),
-		}
+		rec := &dieRecord{DieRecord: simcache.DieRecord{
+			Die:          die,
+			Base:         make([]uint64, len(cfg.Workloads)),
+			Cycles:       make([]uint64, cells),
+			MPKI:         make([]float64, cells),
+			Disabled:     make([]int32, cells),
+			SDC:          make([]uint64, cells),
+			FalseDisable: make([]int32, cells),
+			FalseTrust:   make([]int32, cells),
+		}}
 		g := base
 		g.FaultSeed = faultmodel.DieSeed(cfg.Seed, die)
 		g.RefVoltage = refV
@@ -460,7 +436,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rec.base[wi] = res.Cycles
+			rec.Base[wi] = res.Cycles
 			for si := range cfg.Schemes {
 				for ki := range classSpecs {
 					g.Classes = classSpecs[ki]
@@ -472,20 +448,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 							return nil, err
 						}
 						ci := cellIndex(&cfg, wi, si, ki, vi)
-						rec.cycles[ci] = res.Cycles
-						rec.mpki[ci] = res.MPKI()
-						rec.dis[ci] = int32(res.DisabledLines)
-						rec.sdc[ci] = res.SDC
+						rec.Cycles[ci] = res.Cycles
+						rec.MPKI[ci] = res.MPKI()
+						rec.Disabled[ci] = int32(res.DisabledLines)
+						rec.SDC[ci] = res.SDC
 						if res.HasMisclass {
-							rec.fdis[ci] = int32(res.Misclass.FalseDisable)
-							rec.ftru[ci] = int32(res.Misclass.FalseTrust)
+							rec.FalseDisable[ci] = int32(res.Misclass.FalseDisable)
+							rec.FalseTrust[ci] = int32(res.Misclass.FalseTrust)
 						}
 					}
 				}
 			}
 		}
 		if store != nil {
-			_ = store.PutDie(dieKey, rec.toCache()) // best-effort
+			_ = store.PutDie(dieKey, rec.DieRecord) // best-effort
 		}
 		return rec, nil
 	}
@@ -513,7 +489,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	deliver := func(_ int, rec *dieRecord) error {
 		agg.consume(rec)
 		if ckpt != nil && !rec.resumed {
-			if err := ckpt.append(rec); err != nil {
+			if err := ckpt.append(cfg.dieKey(rec.Die), rec.DieRecord); err != nil {
 				return err
 			}
 		}
@@ -534,9 +510,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if c.Die >= cfg.Dies {
 				break // a longer prior campaign checkpointed more dies than this one needs
 			}
-			rec := fromCache(c)
-			rec.resumed = true
-			if err := deliver(c.Die, rec); err != nil {
+			if err := deliver(c.Die, &dieRecord{DieRecord: c, resumed: true}); err != nil {
 				return fail(err)
 			}
 		}
@@ -631,7 +605,7 @@ func (a *aggregator) consume(rec *dieRecord) {
 	a.cellHits += int64(rec.cellHits)
 	cfg := a.cfg
 	for wi := range cfg.Workloads {
-		a.base[wi].add(float64(rec.base[wi]))
+		a.base[wi].add(float64(rec.Base[wi]))
 		for si := range cfg.Schemes {
 			for ki := range cfg.FaultClasses {
 				// Vmin: the lowest grid voltage from which the die passes at
@@ -642,13 +616,13 @@ func (a *aggregator) consume(rec *dieRecord) {
 				for vi := len(cfg.Voltages) - 1; vi >= 0; vi-- {
 					ci := cellIndex(cfg, wi, si, ki, vi)
 					c := &a.cells[ci]
-					norm := float64(rec.cycles[ci]) / float64(rec.base[wi])
+					norm := float64(rec.Cycles[ci]) / float64(rec.Base[wi])
 					c.norm.add(norm)
-					c.mpki.add(rec.mpki[ci])
-					c.disabled.add(float64(rec.dis[ci]))
-					c.sdc.add(float64(rec.sdc[ci]))
-					c.fdis.add(float64(rec.fdis[ci]))
-					c.ftru.add(float64(rec.ftru[ci]))
+					c.mpki.add(rec.MPKI[ci])
+					c.disabled.add(float64(rec.Disabled[ci]))
+					c.sdc.add(float64(rec.SDC[ci]))
+					c.fdis.add(float64(rec.FalseDisable[ci]))
+					c.ftru.add(float64(rec.FalseTrust[ci]))
 					c.q50.add(norm)
 					c.q90.add(norm)
 					c.q99.add(norm)

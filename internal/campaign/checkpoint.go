@@ -7,7 +7,12 @@ package campaign
 // aggregator before dispatching the remainder. Because records are appended
 // only after the in-order merge point, the file's contents are by
 // construction dies 0..k-1 with no gaps — a killed run can at worst leave a
-// torn final line, which resume detects and truncates.
+// torn final line, which resume detects and truncates. Each record line is
+// the die cache's checksummed entry under the die's cache key
+// (simcache.EncodeDie), and resume replays a line only when it passes the
+// die cache's own check (simcache.DecodeDie), so a corrupted line — or one
+// from an older journal format — ends the replayed prefix and the rest is
+// recomputed.
 //
 // The file is named by the campaign's axes digest (the same canonical
 // description that keys per-die cache records), so resuming with changed
@@ -62,7 +67,8 @@ func openCheckpoint(cfg *Config, cells int) (*checkpoint, []simcache.DieRecord, 
 	axes := simcache.Key(cfg.axesDesc())
 	path := checkpointPath(cfg.CheckpointDir, axes)
 	if cfg.Resume {
-		if recs, validLen, ok := readCheckpoint(path, axes, len(cfg.Workloads), cells); ok {
+		buf, _ := os.ReadFile(path) // a missing file reads as unusable
+		if recs, validLen, ok := readCheckpoint(buf, cfg, axes, cells); ok {
 			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 			if err != nil {
 				return nil, nil, fmt.Errorf("campaign: reopening checkpoint: %w", err)
@@ -97,17 +103,14 @@ func openCheckpoint(cfg *Config, cells int) (*checkpoint, []simcache.DieRecord, 
 	return &checkpoint{f: f}, nil, nil
 }
 
-// readCheckpoint parses the file's valid prefix: a matching header followed
-// by records for dies 0, 1, 2, ... each with the expected shape. It stops at
-// the first missing newline (torn tail), parse failure, out-of-order die,
-// or shape mismatch, returning everything before it and the byte length of
-// the valid prefix. ok is false when the file is unusable entirely (absent,
-// or its header doesn't match this campaign).
-func readCheckpoint(path, axes string, workloads, cells int) (recs []simcache.DieRecord, validLen int64, ok bool) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false
-	}
+// readCheckpoint parses a checkpoint file's valid prefix: a matching header
+// followed by records for dies 0, 1, 2, ... each a die entry
+// simcache.DecodeDie accepts under that die's key, with the campaign's
+// shape. It stops at the first missing newline (torn tail) or failing line,
+// returning everything before it and the byte length of the valid prefix.
+// ok is false when the file is unusable entirely (empty, or its header
+// doesn't match this campaign).
+func readCheckpoint(buf []byte, cfg *Config, axes string, cells int) (recs []simcache.DieRecord, validLen int64, ok bool) {
 	first := true
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
@@ -121,14 +124,14 @@ func readCheckpoint(path, axes string, workloads, cells int) (recs []simcache.Di
 				h.Type != "campaign-checkpoint" ||
 				h.Schema != simcache.SchemaVersion ||
 				h.Axes != axes ||
-				h.Workloads != workloads ||
+				h.Workloads != len(cfg.Workloads) ||
 				h.Cells != cells {
 				return nil, 0, false
 			}
 			first = false
 		} else {
-			var r simcache.DieRecord
-			if json.Unmarshal(line, &r) != nil || r.Die != len(recs) || !r.Shaped(workloads, cells) {
+			r, valid := simcache.DecodeDie(line, cfg.dieKey(len(recs)))
+			if !valid || r.Die != len(recs) || !r.Shaped(len(cfg.Workloads), cells) {
 				break
 			}
 			recs = append(recs, r)
@@ -142,10 +145,10 @@ func readCheckpoint(path, axes string, workloads, cells int) (recs []simcache.Di
 	return recs, validLen, true
 }
 
-// append writes one die record as a line. Called only from the aggregating
-// goroutine, in die order.
-func (c *checkpoint) append(rec *dieRecord) error {
-	line, err := json.Marshal(rec.toCache())
+// append writes one die record, the entry for key, as a line. Called only
+// from the aggregating goroutine, in die order.
+func (c *checkpoint) append(key string, rec simcache.DieRecord) error {
+	line, err := simcache.EncodeDie(key, rec)
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint record: %w", err)
 	}

@@ -43,74 +43,81 @@ type SchemeSpec struct {
 }
 
 // Schemes returns the paper's comparison set: DECTED-per-line, FLAIR,
-// MS-ECC, and Killi at each ECC cache ratio.
+// MS-ECC, and Killi at each ECC cache ratio, each resolved once by
+// SchemeFactoryByName.
 func Schemes() []SchemeSpec {
-	specs := []SchemeSpec{
-		{Name: "dected", New: func() protection.Scheme { return protection.NewDECTEDPerLine() }},
-		{Name: "flair", New: func() protection.Scheme { return protection.NewFLAIR() }},
-		{Name: "msecc", New: func() protection.Scheme { return protection.NewMSECC() }},
-	}
+	names := []string{"dected", "flair", "msecc"}
 	for _, r := range KilliRatios {
-		r := r
-		specs = append(specs, SchemeSpec{
-			Name: fmt.Sprintf("killi-1:%d", r),
-			New:  func() protection.Scheme { return killi.New(killi.Config{Ratio: r}) },
-		})
+		names = append(names, fmt.Sprintf("killi-1:%d", r))
+	}
+	specs := make([]SchemeSpec, len(names))
+	for i, name := range names {
+		f, err := SchemeFactoryByName(name)
+		if err != nil {
+			panic(err) // unreachable: every name is in the grammar
+		}
+		specs[i] = SchemeSpec{Name: name, New: f}
 	}
 	return specs
 }
 
-// SchemeByName builds a fresh protection scheme from a stable name:
-// "none", "secded", "dected", "flair", "msecc", or "killi-1:<ratio>"
-// (optionally "killi-dected-1:<ratio>" for the §5.2 extension, or
+// SchemeByName builds a fresh protection scheme from a stable name in the
+// SchemeSyntax grammar, as SchemeFactoryByName parses it.
+func SchemeByName(name string) (protection.Scheme, error) {
+	f, err := SchemeFactoryByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
+}
+
+// SchemeFactoryByName parses a scheme name once and returns a factory
+// building fresh instances of it — the form gpu.New consumes, since the
+// sharded L2 attaches one scheme instance per bank. Names are "none",
+// "secded", "dected", "flair", "msecc", or "killi-1:<ratio>" (optionally
+// "killi-dected-1:<ratio>" for the §5.2 extension, or
 // "killi-olsc<strength>-1:<ratio>" for the §5.5 low-Vmin mode). Parsing is
 // strict: a malformed or trailing-garbage name is an error, never a guess.
-func SchemeByName(name string) (protection.Scheme, error) {
+func SchemeFactoryByName(name string) (protection.Factory, error) {
 	switch name {
 	case "none":
-		return protection.NewNone(), nil
+		return func() protection.Scheme { return protection.NewNone() }, nil
 	case "secded":
-		return protection.NewSECDEDPerLine(), nil
+		return func() protection.Scheme { return protection.NewSECDEDPerLine() }, nil
 	case "dected":
-		return protection.NewDECTEDPerLine(), nil
+		return func() protection.Scheme { return protection.NewDECTEDPerLine() }, nil
 	case "flair":
-		return protection.NewFLAIR(), nil
+		return func() protection.Scheme { return protection.NewFLAIR() }, nil
 	case "msecc":
-		return protection.NewMSECC(), nil
+		return func() protection.Scheme { return protection.NewMSECC() }, nil
 	}
-	if rest, ok := strings.CutPrefix(name, "killi-"); ok {
-		if s, ok := strings.CutPrefix(rest, "dected-"); ok {
-			ratio, err := parseRatio(s)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
-			}
-			return killi.New(killi.Config{Ratio: ratio, UseDECTED: true}), nil
-		}
-		if s, ok := strings.CutPrefix(rest, "olsc"); ok {
-			strengthStr, ratioStr, found := strings.Cut(s, "-")
-			if !found {
-				return nil, fmt.Errorf("experiments: bad scheme %q: want killi-olsc<strength>-1:<ratio>", name)
-			}
-			strength, ok := parseDecimal(strengthStr)
-			if !ok {
-				return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer with no sign or leading zero", name)
-			}
-			if err := olsc.CheckLine(strength); err != nil {
-				return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
-			}
-			ratio, err := parseRatio(ratioStr)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
-			}
-			return killi.New(killi.Config{Ratio: ratio, OLSCStrength: strength}), nil
-		}
-		ratio, err := parseRatio(rest)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
-		}
-		return killi.New(killi.Config{Ratio: ratio}), nil
+	rest, ok := strings.CutPrefix(name, "killi-")
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}
-	return nil, fmt.Errorf("experiments: unknown scheme %q", name)
+	var cfg killi.Config
+	var err error
+	if s, ok := strings.CutPrefix(rest, "dected-"); ok {
+		cfg.UseDECTED = true
+		cfg.Ratio, err = parseRatio(s)
+	} else if s, ok := strings.CutPrefix(rest, "olsc"); ok {
+		strengthStr, ratioStr, found := strings.Cut(s, "-")
+		if !found {
+			return nil, fmt.Errorf("experiments: bad scheme %q: want killi-olsc<strength>-1:<ratio>", name)
+		}
+		if cfg.OLSCStrength, ok = parseDecimal(strengthStr); !ok {
+			return nil, fmt.Errorf("experiments: bad scheme %q: OLSC strength must be a positive integer with no sign or leading zero", name)
+		}
+		if err = olsc.CheckLine(cfg.OLSCStrength); err == nil {
+			cfg.Ratio, err = parseRatio(ratioStr)
+		}
+	} else {
+		cfg.Ratio, err = parseRatio(rest)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: bad scheme %q: %v", name, err)
+	}
+	return func() protection.Scheme { return killi.New(cfg) }, nil
 }
 
 // parseRatio parses the "1:<ratio>" suffix of a Killi scheme name,
@@ -144,24 +151,6 @@ func parseDecimal(s string) (int, bool) {
 	return n, err == nil
 }
 
-// SchemeFactoryByName validates a scheme name once and returns a factory
-// building fresh instances of it — the form gpu.New consumes, since the
-// sharded L2 attaches one scheme instance per bank. The name grammar is
-// SchemeSyntax, exactly as SchemeByName.
-func SchemeFactoryByName(name string) (protection.Factory, error) {
-	if _, err := SchemeByName(name); err != nil {
-		return nil, err
-	}
-	return func() protection.Scheme {
-		s, err := SchemeByName(name)
-		if err != nil {
-			// Unreachable: the name was validated above and parsing is pure.
-			panic(err)
-		}
-		return s
-	}, nil
-}
-
 // SchemeSyntax is the single source of truth for the scheme-name grammar
 // accepted by SchemeByName. CLI -scheme flag help and README documentation
 // must quote it verbatim (pinned by TestSchemeSyntaxSingleSource) instead of
@@ -191,7 +180,10 @@ type Config struct {
 	Voltage float64
 	// RequestsPerCU is the trace length per compute unit.
 	RequestsPerCU int
-	// Seed drives trace generation and fault sampling.
+	// Seed drives trace generation: kernel k's request order comes from
+	// KernelSeeds(Seed, WarmupKernels)[k]. The fault population does not
+	// depend on it; it comes from the GPU config's FaultSeed (Table 3
+	// default 1).
 	Seed uint64
 	// GPU overrides the base GPU configuration (zero value = Table 3).
 	GPU *gpu.Config
@@ -532,9 +524,9 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 
 	// The sweep runs every task at one of two operating points — the
 	// fault-free nominal baseline and the LV point — so the identical
-	// 32K-line fault population each task would sample from cfg.FaultSeed
-	// is built and voltage-resolved exactly once per point and handed to
-	// every System read-only.
+	// 32K-line fault population each task would sample from the GPU
+	// config's FaultSeed is built and voltage-resolved exactly once per
+	// point and handed to every System read-only.
 	gBase, gLV := base, base
 	gBase.Voltage = 1.0
 	gLV.Voltage = cfg.Voltage
@@ -552,7 +544,11 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 		g         gpu.Config
 		faults    *gpu.SharedFaults
 	}
-	cols := []column{{"none", func() protection.Scheme { return protection.NewNone() }, gBase, faultsBase}}
+	none, err := SchemeFactoryByName("none")
+	if err != nil {
+		return nil, err
+	}
+	cols := []column{{"none", none, gBase, faultsBase}}
 	for _, spec := range Schemes() {
 		cols = append(cols, column{spec.Name, spec.New, gLV, faultsLV})
 	}

@@ -5,7 +5,6 @@ import (
 	"killi/internal/cache"
 	"killi/internal/ecc"
 	"killi/internal/ecc/olsc"
-	"killi/internal/march"
 	"killi/internal/stats"
 )
 
@@ -14,7 +13,6 @@ var (
 	cCorrectedReads     = stats.Intern("protection.corrected_reads")
 	cErrorInducedMiss   = stats.Intern("protection.error_induced_miss")
 	cLinesDisabled      = stats.Intern("protection.lines_disabled")
-	cMBISTOps           = stats.Intern("protection.mbist_ops")
 	cCapacitySacrificed = stats.Intern("protection.capacity_lines_sacrificed")
 )
 
@@ -59,20 +57,14 @@ func (n *None) OnEvict(set, way int) {}
 // with one extra rule, pre-trained FLAIR (NewFLAIR); with DECTED it is the
 // paper's DECTED comparison; with OLSC(11) it is MS-ECC.
 type PerLine struct {
-	// UseMarchTest makes Reset characterize the array with a real March
-	// C- MBIST pass (internal/march) instead of the simulator's fault
-	// oracle. The two are provably equivalent for stuck-at faults (see
-	// TestMarchMatchesOracle); the flag exists to run the actual
-	// machinery the paper's baselines depend on.
-	UseMarchTest bool
-	// InArrayCheckbits models MS-ECC's capacity-for-reliability layout:
+	// inArrayCheckbits models MS-ECC's capacity-for-reliability layout:
 	// below the fault knee the checkbits live in the data array itself,
 	// so each data way is paired with a sacrificed check way (half the
 	// capacity, the Table 7 "1018-bit codeword" = data line + check
 	// line), and a pair is disabled when the faults across BOTH lines
 	// exceed the code's strength. At nominal voltage the code is
 	// unnecessary and the full capacity returns.
-	InArrayCheckbits bool
+	inArrayCheckbits bool
 
 	name  string
 	limit int // the code's correction strength: more faults disable a line
@@ -111,7 +103,7 @@ func NewDECTEDPerLine() *PerLine {
 // the data array itself, sacrificing every other way (the scheme's
 // capacity-for-reliability tradeoff).
 func NewMSECC() *PerLine {
-	return &PerLine{name: "msecc", limit: 11, InArrayCheckbits: true, read: readMSECC}
+	return &PerLine{name: "msecc", limit: 11, inArrayCheckbits: true, read: readMSECC}
 }
 
 // readMSECC reads a line through MS-ECC's OLSC(11).
@@ -129,25 +121,21 @@ func (p *PerLine) Attach(h Host) { p.h = h }
 // more active faults than the code corrects are disabled; every other
 // line is enabled (and re-enabled if a voltage raise deactivated faults).
 //
-// By default the fault counts come from the simulator's oracle (which is
-// what a complete MBIST pass would report); with UseMarchTest set, an
-// actual March C- sequence runs against the data array instead.
+// The fault counts come from the simulator's oracle, which is what a
+// complete MBIST pass reports: for stuck-at faults a March C- pass
+// (internal/march) implies the same disable map, as
+// TestMarchCharacterizationEquivalentToOracle checks.
 func (p *PerLine) Reset(vNorm float64) {
 	tags := p.h.Tags()
 	data := p.h.Data()
 	ctr := p.h.Stats()
-	var res march.Result
-	if p.UseMarchTest {
-		res = march.CMinus(data, tags.Config().Lines())
-		ctr.AddC(cMBISTOps, res.Ops)
-	}
-	// Below the Figure 1 fault knee an InArrayCheckbits scheme switches to
+	// Below the Figure 1 fault knee an in-array-checkbits scheme switches to
 	// its low-voltage layout: each data way pairs with a sacrificed check
 	// way holding its OLSC bits, and the enable decision covers the whole
 	// codeword. Above the knee faults are negligible, the code is off, and
 	// the full capacity returns.
 	ways := tags.Config().Ways
-	paired := p.InArrayCheckbits && vNorm < 0.7 && ways >= 2
+	paired := p.inArrayCheckbits && vNorm < 0.7 && ways >= 2
 	// Direct set iteration with one fault-count query per set: a per-line
 	// ForEach closure and map-index translation are measurable across the
 	// 32K-line pass every run makes, as in Killi's Reset. The counts live
@@ -159,14 +147,7 @@ func (p *PerLine) Reset(vNorm float64) {
 	}
 	counts = counts[:ways]
 	for set := 0; set < tags.Config().Sets; set++ {
-		first := tags.LineID(set, 0)
-		if p.UseMarchTest {
-			for w := range counts {
-				counts[w] = res.FaultCount(first + w)
-			}
-		} else {
-			data.ActiveFaultCounts(first, counts)
-		}
+		data.ActiveFaultCounts(tags.LineID(set, 0), counts)
 		es := tags.Set(set)
 		for way := range es {
 			e := &es[way]

@@ -86,8 +86,8 @@ const (
 // nominal-voltage baseline per workload plus the scalar outcome of every
 // (workload, scheme, class, voltage) cell, cell-index-major with voltage
 // fastest — exactly the record internal/campaign aggregates, so a warm
-// campaign re-run is one Get per die. The same shape serializes into
-// campaign checkpoint files.
+// campaign re-run is one Get per die. The campaign checkpoint journals each
+// record as the same checksummed entry, one per line (EncodeDie).
 type DieRecord struct {
 	Die          int       `json:"die"`
 	Base         []uint64  `json:"base"`
@@ -100,8 +100,9 @@ type DieRecord struct {
 }
 
 // Canonical renders the record as a stable string: every float at %.17g (the
-// round-trip-exact format), every slice length explicit. It feeds both the
-// entry checksum and the campaign checkpoint's record validation.
+// round-trip-exact format), every slice length explicit. It feeds the
+// checksum of every die entry, in the cache and in the campaign checkpoint
+// journal alike.
 func (r DieRecord) Canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "die=%d base=%d cells=%d|", r.Die, len(r.Base), len(r.Cycles))
@@ -159,6 +160,36 @@ type dieEntry struct {
 func (e dieEntry) checksum() string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%d|%s|%s|%s", e.Schema, e.Kind, e.Key, e.Record.Canonical())))
 	return hex.EncodeToString(sum[:])
+}
+
+func newDieEntry(key string, r DieRecord) dieEntry {
+	e := dieEntry{Schema: SchemaVersion, Kind: kindDie, Key: key, Record: r}
+	e.Checksum = e.checksum()
+	return e
+}
+
+// EncodeDie renders r as the checksummed entry PutDie stores under key, on
+// one line with no trailing newline: the campaign checkpoint's journal line.
+func EncodeDie(key string, r DieRecord) ([]byte, error) {
+	return json.Marshal(newDieEntry(key, r))
+}
+
+// DecodeDie parses a die entry — a cache file or a journal line — and
+// validates it for key: the schema, the kind (a plain result under a
+// confused key fails), the key, the record's shape and the checksum. The
+// shape check — every per-cell slice as long as Cycles — comes before the
+// checksum, which indexes them by cell. ok is false on any failure.
+func DecodeDie(buf []byte, key string) (r DieRecord, ok bool) {
+	var e dieEntry
+	if json.Unmarshal(buf, &e) != nil ||
+		e.Schema != SchemaVersion ||
+		e.Kind != kindDie ||
+		e.Key != key ||
+		!e.Record.Shaped(len(e.Record.Base), len(e.Record.Cycles)) ||
+		e.Checksum != e.checksum() {
+		return DieRecord{}, false
+	}
+	return e.Record, true
 }
 
 // Key returns the content address for a canonical task description. The
@@ -223,29 +254,18 @@ func (s *Store) Get(key string) (Result, bool) {
 	return e.Result, true
 }
 
-// GetDie returns the cached die record for key. Validation mirrors Get: a
-// missing file, wrong schema, wrong kind (a plain result under a confused
-// key), wrong key, or checksum mismatch is a miss and the caller recomputes
-// the die. So is a record whose per-cell slices differ in length from
-// Cycles, checked before the checksum, which indexes them by cell.
+// GetDie returns the cached die record for key. A missing file, or an
+// entry DecodeDie rejects, is a miss and the caller recomputes the die.
 func (s *Store) GetDie(key string) (DieRecord, bool) {
 	buf, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.misses.Add(1)
-		return DieRecord{}, false
+	if err == nil {
+		if r, ok := DecodeDie(buf, key); ok {
+			s.hits.Add(1)
+			return r, true
+		}
 	}
-	var e dieEntry
-	if json.Unmarshal(buf, &e) != nil ||
-		e.Schema != SchemaVersion ||
-		e.Kind != kindDie ||
-		e.Key != key ||
-		!e.Record.Shaped(len(e.Record.Base), len(e.Record.Cycles)) ||
-		e.Checksum != e.checksum() {
-		s.misses.Add(1)
-		return DieRecord{}, false
-	}
-	s.hits.Add(1)
-	return e.Record, true
+	s.misses.Add(1)
+	return DieRecord{}, false
 }
 
 // Put stores a result under key, atomically replacing any existing entry.
@@ -259,9 +279,7 @@ func (s *Store) Put(key string, r Result) error {
 // entry. Like Put it is best-effort from the campaign's perspective: a full
 // disk must not fail a run.
 func (s *Store) PutDie(key string, r DieRecord) error {
-	e := dieEntry{Schema: SchemaVersion, Kind: kindDie, Key: key, Record: r}
-	e.Checksum = e.checksum()
-	return s.write(key, e)
+	return s.write(key, newDieEntry(key, r))
 }
 
 // write marshals an entry of either kind and lands it atomically: temp file,

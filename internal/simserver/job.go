@@ -7,11 +7,11 @@
 // applies backpressure when the queue is full, streams per-epoch obs samples
 // to observe subscribers, and drains gracefully on shutdown.
 //
-// cmd/killi-sim submits its sweep through the same in-process API, so the
-// CLI and the daemon share one validation, caching, cancellation, and
-// metrics path; cmd/killi-simd puts the HTTP/JSON layer (Handler) in front
-// of it. Results are bit-identical to direct experiments calls — the engine
-// adds scheduling, never simulation semantics.
+// cmd/killi-simd puts the HTTP/JSON layer (Handler) in front of it. A sweep
+// job is the experiments.Run call cmd/killi-sim makes directly, and a
+// campaign job the campaign.Run call cmd/killi-fleet makes. Results are
+// bit-identical to direct experiments calls — the engine adds scheduling,
+// never simulation semantics.
 package simserver
 
 import (
@@ -45,7 +45,10 @@ type JobRequest struct {
 	Voltage float64 `json:"voltage,omitempty"`
 	// RequestsPerCU is the trace length per compute unit (default 4000).
 	RequestsPerCU int `json:"requests_per_cu,omitempty"`
-	// Seed drives trace generation and fault sampling (default 1).
+	// Seed drives trace generation (default 1). A run or sweep job samples
+	// its faults from the Table 3 GPU config's FaultSeed (1), whatever the
+	// seed; a campaign derives each die's fault seed from it
+	// (faultmodel.DieSeed).
 	Seed uint64 `json:"seed,omitempty"`
 	// WarmupKernels precede the measured kernel (default 0).
 	WarmupKernels int `json:"warmup_kernels,omitempty"`

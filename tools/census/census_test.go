@@ -36,6 +36,8 @@ var allowed = map[string]string{
 	"bitvec.Vector.SetBit":             "builds codeword fixtures in the codec tests of bch, secded and olsc",
 	"bitvec.Line.Bit":                  "reads single cells in the tests of seven packages (sram, killi, parity, the codecs, analytic)",
 	"xrand.Rand.Sample":                "draws distinct error positions in the codec tests of ecc, bch, secded, olsc, killi and analytic",
+	"march.CMinus":                     "the real March C- MBIST pass: the reference protection's TestMarchCharacterizationEquivalentToOracle checks PerLine's oracle-built disable map against",
+	"march.Result.FaultCount":          "reads a March C- pass's per-line fault count in protection's TestMarchCharacterizationEquivalentToOracle",
 }
 
 // module is the root module's path; perfbench's module, killi/perfbench,
