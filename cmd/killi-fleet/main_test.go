@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -84,4 +85,40 @@ func FuzzParseVoltages(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEquivalentVoltageSpellings pins the list form of -voltages: a grid
+// spelled in another order, with trailing zeros, an exponent, extra spaces
+// or an empty entry normalizes to the same campaign — equal normalized
+// configs, so equal axes, die keys and checkpoint names — and a spelling
+// that repeats a voltage is rejected, never silently deduplicated.
+// simserver's TestEquivalentVoltageQueries holds /v1/campaign's query to
+// the same table.
+func TestEquivalentVoltageSpellings(t *testing.T) {
+	normalized := func(s string) (campaign.Config, error) {
+		grid, err := parseVoltages(s)
+		if err != nil {
+			return campaign.Config{}, err
+		}
+		return campaign.Config{Dies: 4, Voltages: grid}.Normalized()
+	}
+	want, err := normalized("0.6,0.65")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"0.65,0.6", "0.60,0.650", " 0.6 , 0.65 ", "0.650,\t0.600", "6e-1,0.65", "0.6,,0.65,"} {
+		got, err := normalized(s)
+		if err != nil {
+			t.Errorf("%q: %v", s, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q normalizes to grid %v, want %v", s, got.Voltages, want.Voltages)
+		}
+	}
+	for _, s := range []string{"0.6,0.60,0.65", "0.65,0.6,0.650"} {
+		if got, err := normalized(s); err == nil {
+			t.Errorf("%q repeats a voltage but normalizes to grid %v", s, got.Voltages)
+		}
+	}
 }

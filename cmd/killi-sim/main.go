@@ -29,15 +29,16 @@
 // -metrics-addr serves live sweep progress over HTTP (expvar JSON at
 // /metrics) for watching long sweeps.
 //
-// Fault classes: -classes runs the sweep (or -misclass measurement) under a
-// non-persistent fault population (intermittent / aging / transient strike
-// mixes; see the grammar in the flag help). -misclass switches killi-sim
-// into the DFH misclassification measurement: for each workload in
-// -workloads (default xsbench) it runs one uncached simulation of
-// -obs-scheme at -voltage, compares the trained DFH state against the
-// fault-map ground-truth oracle, and prints the false-disable / false-trust
-// / SDC table EXPERIMENTS.md embeds. -scrub-kernels re-tests disabled lines
-// every N kernels during the measurement (0 = never).
+// Fault classes: -classes runs the sweep, the -misclass measurement or the
+// observed run under a non-persistent fault population (intermittent /
+// aging / transient strike mixes; see the grammar in the flag help).
+// -misclass switches killi-sim into the DFH misclassification measurement:
+// for each workload in -workloads (default xsbench) it runs one uncached
+// simulation of -obs-scheme at -voltage, compares the trained DFH state
+// against the fault-map ground-truth oracle, and prints the false-disable /
+// false-trust / SDC table EXPERIMENTS.md embeds; it writes no file, so it
+// rejects -timeseries and -trace-events. -scrub-kernels re-tests disabled
+// lines every N kernels during the measurement (0 = never).
 package main
 
 import (
@@ -80,7 +81,7 @@ func run() int {
 	obsWorkload := flag.String("obs-workload", "xsbench", "workload for the observed run")
 	obsScheme := flag.String("obs-scheme", "killi-1:64", "protection scheme for the observed run: "+experiments.SchemeSyntax())
 	metricsAddr := flag.String("metrics-addr", "", "serve live sweep progress over HTTP on this address (e.g. localhost:8060; expvar JSON at /metrics)")
-	classes := flag.String("classes", "persistent", "fault-class population for the sweep or -misclass run: "+faultmodel.ClassSyntax())
+	classes := flag.String("classes", "persistent", "fault-class population for the sweep, the -misclass run or the observed run: "+faultmodel.ClassSyntax())
 	misclass := flag.Bool("misclass", false, "measure DFH misclassification against the ground-truth oracle (workloads from -workloads, scheme from -obs-scheme) and exit")
 	scrubKernels := flag.Int("scrub-kernels", 0, "with -misclass: re-test disabled lines every N kernels (0 = never scrub)")
 	flag.Parse()
@@ -100,14 +101,18 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "killi-sim: -scrub-kernels applies only to -misclass runs")
 		return 2
 	}
+	observed := *timeseries != "" || *traceEvents != ""
+	if observed && *misclass {
+		fmt.Fprintln(os.Stderr, "killi-sim: -timeseries and -trace-events record an observed run; -misclass prints a table and writes no file")
+		return 2
+	}
 	// Every mode's run inputs pass the one normalization its runs use; the
 	// explicit voltage must pass the voltage rule even where 0 would mean
 	// the default.
 	cfg := experiments.Config{Voltage: *voltage, RequestsPerCU: *requests, Seed: *seed,
 		Workloads: experiments.SplitList(*workloads), WarmupKernels: *warmup, Shards: *shards,
 		FaultClasses: *classes, ScrubKernels: *scrubKernels}
-	observed := *timeseries != "" || *traceEvents != ""
-	if observed && !*misclass {
+	if observed {
 		cfg.Workloads = []string{*obsWorkload}
 	}
 	err := faultmodel.CheckVoltage(*voltage)
@@ -125,37 +130,15 @@ func run() int {
 	defer stop()
 
 	if *misclass {
-		err := misclassRun(ctx, cfg, *obsScheme)
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
-			return 130
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-			return 1
-		}
-		return 0
+		return exitStatus(misclassRun(ctx, cfg, *obsScheme))
 	}
-
 	if observed {
-		// The observed run measures the persistent population.
-		cfg.FaultClasses = ""
-		err := observedRun(ctx, *timeseries, *traceEvents, cfg, *obsWorkload, *obsScheme, *epoch)
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
-			return 130
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-			return 1
-		}
-		return 0
+		return exitStatus(observedRun(ctx, *timeseries, *traceEvents, cfg, *obsWorkload, *obsScheme, *epoch))
 	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-		return 1
+		return exitStatus(err)
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
@@ -182,13 +165,8 @@ func run() int {
 		cfg.Progress = metrics.TaskDone
 	}
 	rows, err := experiments.Run(ctx, cfg)
-	switch {
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
-		return 130
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
-		return 1
+	if err != nil {
+		return exitStatus(err)
 	}
 
 	switch *fig {
@@ -200,6 +178,22 @@ func run() int {
 		printFig4(rows, *voltage)
 		fmt.Println()
 		printFig5(rows, *voltage)
+	}
+	return 0
+}
+
+// exitStatus reports a mode's failure on stderr and returns the exit
+// status: 130 for an interrupted run, which has stopped at a kernel
+// boundary and swept stranded cache temporaries; 1 for any other error; 0
+// for none.
+func exitStatus(err error) int {
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintln(os.Stderr, "killi-sim: interrupted")
+		return 130
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "killi-sim: %v\n", err)
+		return 1
 	}
 	return 0
 }
@@ -224,18 +218,19 @@ func misclassRun(ctx context.Context, cfg experiments.Config, schemeName string)
 	return experiments.WriteMisclassTable(os.Stdout, rows)
 }
 
-// observedRun simulates one workload × scheme pair with a Collector
-// attached and writes the requested exports, then prints the run summary —
-// including its own wall-clock, so the observation overhead claim is
-// measured rather than asserted — and the DFH training curve.
+// observedRun simulates one workload × scheme pair (its Cell, under
+// -classes like every other mode) with a Collector attached and writes the
+// requested exports, then prints the run summary — including its own
+// wall-clock, so the observation overhead claim is measured rather than
+// asserted — and the DFH training curve.
 func observedRun(ctx context.Context, tsPath, tePath string, cfg experiments.Config, workloadName, schemeName string, epoch uint64) error {
-	newScheme, err := experiments.SchemeFactoryByName(schemeName)
+	cell, err := cfg.Cell(workloadName, schemeName, cfg.Voltage)
 	if err != nil {
 		return err
 	}
 	col := obs.NewCollector()
 	start := time.Now()
-	res, err := experiments.RunOneObserved(ctx, cfg, workloadName, newScheme, cfg.Voltage, col, epoch)
+	res, _, err := cell.Eval(ctx, nil, experiments.Sim{Shards: cfg.Shards, Observer: col, EpochCycles: epoch})
 	wall := time.Since(start)
 	if err != nil {
 		return err

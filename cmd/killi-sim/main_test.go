@@ -103,6 +103,10 @@ func TestFlagValidation(t *testing.T) {
 		{"nan voltage", []string{"-voltage", "nan"}},
 		{"nan voltage misclass", []string{"-misclass", "-voltage", "nan"}},
 		{"nan voltage timeseries", []string{"-timeseries", ts, "-voltage", "nan"}},
+		// -misclass prints a table and writes no file, so a file it would
+		// silently skip is an error.
+		{"misclass timeseries", []string{"-misclass", "-timeseries", ts}},
+		{"misclass trace events", []string{"-misclass", "-trace-events", ts}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

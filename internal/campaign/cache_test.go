@@ -21,23 +21,21 @@ import (
 
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
-	"killi/internal/protection"
 	"killi/internal/simcache"
-	"killi/internal/workload"
 )
 
-// countingSim wraps the stub simulator with an invocation counter and an
-// optional failure injector: calls after the first `failAfter` return a
-// sentinel error (failAfter <= 0 disables injection).
+// countingSim wraps the stub simulator with a counter of the cells it
+// simulates (cache hits do not count) and an optional failure injector:
+// simulations after the first `failAfter` return a sentinel error
+// (failAfter <= 0 disables injection).
 func countingSim(calls *atomic.Int64, failAfter int64) simFunc {
-	inner := stubSim()
-	return func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, shards int) (gpu.Result, error) {
+	return throughStore(func(g gpu.Config) (gpu.Result, error) {
 		n := calls.Add(1)
 		if failAfter > 0 && n > failAfter {
 			return gpu.Result{}, errInjected
 		}
-		return inner(ctx, g, f, sf, ts, shards)
-	}
+		return stubResult(g)
+	})
 }
 
 var errInjected = errors.New("injected mid-campaign failure")
@@ -263,16 +261,15 @@ func interruptedCheckpoint(t *testing.T, ckptDir string, dies, parallel int, fai
 	}
 	die0 := faultmodel.DieSeed(norm.Seed, 0)
 	var calls atomic.Int64
-	inner := stubSim()
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, shards int) (gpu.Result, error) {
+	cfg.runSim = throughStore(func(g gpu.Config) (gpu.Result, error) {
 		if calls.Add(1) > failAfter && g.FaultSeed != die0 {
 			for deadline := time.Now().Add(10 * time.Second); records() < 1 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
 			return gpu.Result{}, errInjected
 		}
-		return inner(ctx, g, f, sf, ts, shards)
-	}
+		return stubResult(g)
+	})
 	if _, err := Run(context.Background(), cfg); !errors.Is(err, errInjected) {
 		t.Fatalf("interrupted run returned %v, want injected failure", err)
 	}

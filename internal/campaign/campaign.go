@@ -38,7 +38,6 @@ import (
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
 	"killi/internal/pool"
-	"killi/internal/protection"
 	"killi/internal/simcache"
 	"killi/internal/workload"
 )
@@ -62,10 +61,10 @@ const DefaultPassThreshold = 1.10
 // the window, never with Dies.
 const windowPerWorker = 4
 
-// simFunc executes one prepared simulation; tests substitute a stub so the
-// aggregation pipeline can be driven with 10k+ synthetic dies in
-// milliseconds. The default is experiments.RunShared.
-type simFunc func(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards int) (gpu.Result, error)
+// simFunc evaluates one cell; tests substitute a stub so the aggregation
+// pipeline can be driven with 10k+ synthetic dies in milliseconds. The
+// default is experiments.Cell.Eval.
+type simFunc func(ctx context.Context, c experiments.Cell, store *simcache.Store, s experiments.Sim) (gpu.Result, bool, error)
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -138,8 +137,8 @@ type Config struct {
 	// callback needs no locking of its own.
 	Progress func(ProgressInfo)
 
-	// runSim substitutes the simulation executor in tests (nil =
-	// experiments.RunShared).
+	// runSim substitutes the cell evaluator in tests (nil =
+	// experiments.Cell.Eval).
 	runSim simFunc
 	// dieFaults substitutes the per-die fault-population builder in tests
 	// (nil = buildDieFaults): stub runs must not pay for — or be limited
@@ -198,7 +197,7 @@ func (c Config) Normalized() (Config, error) {
 		c.Schemes = []string{"killi-1:64", "msecc"}
 	}
 	for _, name := range c.Schemes {
-		if _, err := experiments.SchemeByName(name); err != nil {
+		if _, err := experiments.SchemeFactoryByName(name); err != nil {
 			return c, err
 		}
 	}
@@ -330,19 +329,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		traces[i] = w.TraceSet(base.CUs, cfg.RequestsPerCU, seeds)
 	}
-	factories := make([]protection.Factory, len(cfg.Schemes))
-	for i, name := range cfg.Schemes {
-		if factories[i], err = experiments.SchemeFactoryByName(name); err != nil {
-			return nil, err
+	eval := cfg.runSim
+	if eval == nil {
+		eval = func(ctx context.Context, c experiments.Cell, store *simcache.Store, s experiments.Sim) (gpu.Result, bool, error) {
+			return c.Eval(ctx, store, s)
 		}
-	}
-	noneFactory, err := experiments.SchemeFactoryByName("none")
-	if err != nil {
-		return nil, err
-	}
-	sim := cfg.runSim
-	if sim == nil {
-		sim = experiments.RunShared
 	}
 	dieFaults := cfg.dieFaults
 	if dieFaults == nil {
@@ -399,24 +390,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		gRef.Voltage = refV
 		var faultsAt []*gpu.SharedFaults
 		var faultsNominal *gpu.SharedFaults
-		ensureFaults := func() {
-			if faultsAt == nil {
-				faultsAt, faultsNominal = dieFaults(gRef, cfg.Voltages)
+		// simCell is one cell through Eval and the per-cell cache, at grid
+		// point vi (-1: nominal). The key space is experiments.Cell's — the
+		// same population the sweep, killi-sim and the daemon use — so a
+		// campaign sharing a (seed, die, workload, scheme, classes) prefix
+		// with any earlier run only simulates new cells.
+		simCell := func(g gpu.Config, schemeName string, wi, vi int) (gpu.Result, error) {
+			faults := func() *gpu.SharedFaults {
+				if faultsAt == nil {
+					faultsAt, faultsNominal = dieFaults(gRef, cfg.Voltages)
+				}
+				if vi < 0 {
+					return faultsNominal
+				}
+				return faultsAt[vi]
 			}
-		}
-		// simCell is one cell through the per-cell cache: the key space is
-		// experiments.CellKey — the same population the sweep and killi-sim
-		// use — so a campaign sharing a (seed, die, workload, scheme,
-		// classes) prefix with any earlier run only simulates new cells.
-		simCell := func(g gpu.Config, f protection.Factory, schemeName string, wi int, pick func() *gpu.SharedFaults) (gpu.Result, error) {
-			res, hit, err := experiments.Cached(store,
-				func() string {
-					return experiments.CellKey(g, schemeName, cfg.Workloads[wi], cfg.Seed, cfg.RequestsPerCU, cfg.WarmupKernels)
-				},
-				func() (gpu.Result, error) {
-					ensureFaults()
-					return sim(ctx, g, f, pick(), traces[wi], cfg.Shards)
-				})
+			c := experiments.Cell{GPU: g, Scheme: schemeName, Workload: cfg.Workloads[wi], Seed: cfg.Seed,
+				Requests: cfg.RequestsPerCU, Warmup: cfg.WarmupKernels}
+			res, hit, err := eval(ctx, c, store, experiments.Sim{Faults: faults, Traces: traces[wi], Shards: cfg.Shards})
 			if hit {
 				rec.cellHits++
 			}
@@ -432,7 +423,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			// phenomena being measured, not part of the yardstick.
 			g.Voltage = 1.0
 			g.Classes = faultmodel.ClassSpec{}
-			res, err := simCell(g, noneFactory, "none", wi, func() *gpu.SharedFaults { return faultsNominal })
+			res, err := simCell(g, "none", wi, -1)
 			if err != nil {
 				return nil, err
 			}
@@ -442,8 +433,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					g.Classes = classSpecs[ki]
 					for vi, v := range cfg.Voltages {
 						g.Voltage = v
-						vi := vi
-						res, err := simCell(g, factories[si], cfg.Schemes[si], wi, func() *gpu.SharedFaults { return faultsAt[vi] })
+						res, err := simCell(g, cfg.Schemes[si], wi, vi)
 						if err != nil {
 							return nil, err
 						}

@@ -15,7 +15,7 @@ import (
 	"killi/internal/experiments"
 	"killi/internal/faultmodel"
 	"killi/internal/gpu"
-	"killi/internal/protection"
+	"killi/internal/simcache"
 	"killi/internal/workload"
 )
 
@@ -32,31 +32,50 @@ func stubFaults(ballast int) func(gpu.Config, []float64) ([]*gpu.SharedFaults, *
 	}
 }
 
-// stubSim returns a deterministic pure function of (die seed, voltage):
+// throughStore stands in for experiments.Cell.Eval around a stub
+// simulation: the cell is served from store under its key, as Eval serves
+// it, and a miss calls sim and stores its scalars.
+func throughStore(sim func(g gpu.Config) (gpu.Result, error)) simFunc {
+	return func(_ context.Context, c experiments.Cell, store *simcache.Store, _ experiments.Sim) (gpu.Result, bool, error) {
+		if store != nil {
+			if r, ok := store.Get(c.Key()); ok {
+				return experiments.ResultFromCache(r), true, nil
+			}
+		}
+		res, err := sim(c.GPU)
+		if err == nil && store != nil {
+			_ = store.Put(c.Key(), experiments.CacheableResult(res))
+		}
+		return res, false, err
+	}
+}
+
+// stubSim serves stubResult through the store.
+func stubSim() simFunc { return throughStore(stubResult) }
+
+// stubResult is a deterministic pure function of (die seed, voltage):
 // cycles grow as voltage drops, with die-to-die spread, so yields, quantiles
 // and Vmin all take non-trivial values. The baseline run (voltage 1.0) lands
 // near 100000 cycles.
-func stubSim() simFunc {
-	return func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet, _ int) (gpu.Result, error) {
-		h := g.FaultSeed ^ math.Float64bits(g.Voltage)
-		h ^= h >> 29
-		h *= 0x9e3779b97f4a7c15
-		h ^= h >> 32
-		cycles := 100000 + h%512
-		if g.Voltage < 1.0 {
-			// Low voltage hurts: up to ~40% slowdown at the bottom of the
-			// grid, scaled by a per-(die,voltage) factor in [0, 2).
-			penalty := (1.0 - g.Voltage) * float64(h%2048) / 1024
-			cycles += uint64(float64(cycles) * penalty)
-		}
-		return gpu.Result{
-			Cycles:       cycles,
-			Instructions: 1000 * 1000,
-			L2Misses:     h % 997,
-			L2Accesses:   100000,
-			MemAccesses:  h % 997,
-		}, nil
+func stubResult(g gpu.Config) (gpu.Result, error) {
+	h := g.FaultSeed ^ math.Float64bits(g.Voltage)
+	h ^= h >> 29
+	h *= 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	cycles := 100000 + h%512
+	if g.Voltage < 1.0 {
+		// Low voltage hurts: up to ~40% slowdown at the bottom of the
+		// grid, scaled by a per-(die,voltage) factor in [0, 2).
+		penalty := (1.0 - g.Voltage) * float64(h%2048) / 1024
+		cycles += uint64(float64(cycles) * penalty)
 	}
+	return gpu.Result{
+		Cycles:       cycles,
+		Instructions: 1000 * 1000,
+		L2Misses:     h % 997,
+		L2Accesses:   100000,
+		MemAccesses:  h % 997,
+	}, nil
 }
 
 func stubConfig(dies, parallelism int) Config {
@@ -140,16 +159,17 @@ func TestColdCampaignSharesState(t *testing.T) {
 	tracesSeen := map[*workload.TraceSet]int{}
 	faultsSeen := map[point]map[*gpu.SharedFaults]int{}
 	inner := cfg.runSim
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
+	cfg.runSim = func(ctx context.Context, c experiments.Cell, store *simcache.Store, s experiments.Sim) (gpu.Result, bool, error) {
+		sf := s.Faults()
 		mu.Lock()
-		tracesSeen[ts]++
-		p := point{g.FaultSeed, g.Voltage}
+		tracesSeen[s.Traces]++
+		p := point{c.GPU.FaultSeed, c.GPU.Voltage}
 		if faultsSeen[p] == nil {
 			faultsSeen[p] = map[*gpu.SharedFaults]int{}
 		}
 		faultsSeen[p][sf]++
 		mu.Unlock()
-		return inner(ctx, g, f, sf, ts, sh)
+		return inner(ctx, c, store, s)
 	}
 	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -237,7 +257,7 @@ func TestVminClassification(t *testing.T) {
 		Seed:          9,
 		RequestsPerCU: 16,
 		dieFaults:     stubFaults(0),
-		runSim: func(_ context.Context, g gpu.Config, _ protection.Factory, _ *gpu.SharedFaults, _ *workload.TraceSet, _ int) (gpu.Result, error) {
+		runSim: throughStore(func(g gpu.Config) (gpu.Result, error) {
 			if g.Voltage == 1.0 {
 				return gpu.Result{Cycles: 1000, Instructions: 1000}, nil
 			}
@@ -256,7 +276,7 @@ func TestVminClassification(t *testing.T) {
 				cycles = 2000 // norm 2.0: fails
 			}
 			return gpu.Result{Cycles: cycles, Instructions: 1000}, nil
-		},
+		}),
 	}
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -450,11 +470,11 @@ func TestRunErrors(t *testing.T) {
 	boom := errors.New("boom")
 	cfg := stubConfig(32, 4)
 	inner := cfg.runSim
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
-		if g.FaultSeed == faultmodel.DieSeed(cfg.Seed, 17) {
-			return gpu.Result{}, boom
+	cfg.runSim = func(ctx context.Context, c experiments.Cell, store *simcache.Store, s experiments.Sim) (gpu.Result, bool, error) {
+		if c.GPU.FaultSeed == faultmodel.DieSeed(cfg.Seed, 17) {
+			return gpu.Result{}, false, boom
 		}
-		return inner(ctx, g, f, sf, ts, sh)
+		return inner(ctx, c, store, s)
 	}
 	if _, err := Run(context.Background(), cfg); !errors.Is(err, boom) {
 		t.Errorf("parallel run error = %v, want %v", err, boom)
@@ -465,11 +485,11 @@ func TestRunErrors(t *testing.T) {
 	var n atomic.Int64
 	cfg = stubConfig(512, 4)
 	inner = cfg.runSim
-	cfg.runSim = func(ctx context.Context, g gpu.Config, f protection.Factory, sf *gpu.SharedFaults, ts *workload.TraceSet, sh int) (gpu.Result, error) {
+	cfg.runSim = func(ctx context.Context, c experiments.Cell, store *simcache.Store, s experiments.Sim) (gpu.Result, bool, error) {
 		if n.Add(1) == 100 {
 			cancel()
 		}
-		return inner(ctx, g, f, sf, ts, sh)
+		return inner(ctx, c, store, s)
 	}
 	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run error = %v, want context.Canceled", err)

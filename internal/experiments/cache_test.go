@@ -95,13 +95,14 @@ func TestWarmRunIsServedFromCache(t *testing.T) {
 	// Overwrite the dected/xsbench entry with double the true cycle count.
 	g := gpu.DefaultConfig()
 	g.Voltage = cfg.Voltage
-	key := simcache.Key(taskDesc(cfg, g, "dected", "xsbench"))
+	key := Cell{GPU: g, Scheme: "dected", Workload: "xsbench", Seed: cfg.Seed,
+		Requests: cfg.RequestsPerCU, Warmup: cfg.WarmupKernels}.Key()
 	store, err := simcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Get(key); !ok {
-		t.Fatal("reconstructed task key not present in cache: taskDesc drifted")
+		t.Fatal("reconstructed task key not present in cache: Cell.Key drifted")
 	}
 	var base uint64
 	for _, r := range cold {

@@ -37,11 +37,12 @@ func TestKernelSeedsGolden(t *testing.T) {
 	}
 }
 
-// TestRunSharedMatchesRunOne pins RunShared's contract: handed the
-// equivalent prepared state — the same complete gpu.Config, a fault
-// population built by BuildSharedFaults, and traces from KernelSeeds — it
-// reproduces RunOne bit-for-bit. This is the equivalence the campaign
-// driver's sharing discipline rests on.
+// TestRunSharedMatchesRunOne pins the shared-state run the campaign
+// makes: a Cell evaluated over the equivalent prepared state — the same
+// complete gpu.Config, a fault population built by BuildSharedFaults, and
+// traces from KernelSeeds — reproduces RunOne's private-state run
+// bit-for-bit. This is the equivalence the campaign's sharing
+// discipline rests on.
 func TestRunSharedMatchesRunOne(t *testing.T) {
 	g := gpu.DefaultConfig()
 	g.FaultSeed = 0x5eed
@@ -65,14 +66,17 @@ func TestRunSharedMatchesRunOne(t *testing.T) {
 	gShared := g
 	gShared.Voltage = 0.625
 	faults := gpu.BuildSharedFaults(gShared)
-	got, err := RunShared(context.Background(), gShared, newScheme, faults, traces, 1)
+	c := Cell{GPU: gShared, Scheme: "killi-1:64", Workload: "xsbench", Seed: cfg.Seed,
+		Requests: cfg.RequestsPerCU, Warmup: cfg.WarmupKernels}
+	got, _, err := c.Eval(context.Background(), nil,
+		Sim{Faults: func() *gpu.SharedFaults { return faults }, Traces: traces, Shards: 1})
 	if err != nil {
-		t.Fatalf("RunShared: %v", err)
+		t.Fatalf("shared-state Eval: %v", err)
 	}
 
 	if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
 		got.L2Misses != want.L2Misses || got.L2Accesses != want.L2Accesses ||
 		got.MemAccesses != want.MemAccesses || got.DisabledLines != want.DisabledLines {
-		t.Errorf("RunShared = %+v\nRunOne    = %+v", got, want)
+		t.Errorf("shared = %+v\nRunOne = %+v", got, want)
 	}
 }

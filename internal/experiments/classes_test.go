@@ -186,8 +186,8 @@ func TestNominalClassSpecRule(t *testing.T) {
 		{"RunOneNamed", func(c Config) (gpu.Result, error) {
 			return RunOneNamed(ctx, c, "xsbench", "killi-1:64", 1.0)
 		}},
-		{"RunOneObserved", func(c Config) (gpu.Result, error) {
-			return RunOneObserved(ctx, c, "xsbench", newScheme, 1.0, obs.NewCollector(), 0)
+		{"RunOneObserved", func(c Config) (gpu.Result, error) { // the observed single run
+			return observedRun(ctx, c, "xsbench", "killi-1:64", 1.0, obs.NewCollector())
 		}},
 	}
 	for _, e := range entries {

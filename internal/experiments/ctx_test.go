@@ -92,8 +92,8 @@ func TestRunOneCancellation(t *testing.T) {
 	if _, err := RunOneNamed(ctx, cfg, "xsbench", "killi-1:64", 0.625); err != context.Canceled {
 		t.Fatalf("RunOneNamed = %v, want context.Canceled", err)
 	}
-	if _, err := RunOneObserved(ctx, cfg, "xsbench", newScheme, 0.625, obs.NewCollector(), 0); err != context.Canceled {
-		t.Fatalf("RunOneObserved = %v, want context.Canceled", err)
+	if _, err := observedRun(ctx, cfg, "xsbench", "killi-1:64", 0.625, obs.NewCollector()); err != context.Canceled {
+		t.Fatalf("observed run = %v, want context.Canceled", err)
 	}
 }
 

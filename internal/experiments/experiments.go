@@ -61,16 +61,6 @@ func Schemes() []SchemeSpec {
 	return specs
 }
 
-// SchemeByName builds a fresh protection scheme from a stable name in the
-// SchemeSyntax grammar, as SchemeFactoryByName parses it.
-func SchemeByName(name string) (protection.Scheme, error) {
-	f, err := SchemeFactoryByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(), nil
-}
-
 // SchemeFactoryByName parses a scheme name once and returns a factory
 // building fresh instances of it — the form gpu.New consumes, since the
 // sharded L2 attaches one scheme instance per bank. Names are "none",
@@ -152,7 +142,7 @@ func parseDecimal(s string) (int, bool) {
 }
 
 // SchemeSyntax is the single source of truth for the scheme-name grammar
-// accepted by SchemeByName. CLI -scheme flag help and README documentation
+// accepted by SchemeFactoryByName. CLI -scheme flag help and README documentation
 // must quote it verbatim (pinned by TestSchemeSyntaxSingleSource) instead of
 // restating the forms by hand, so the documented grammar can never drift
 // from the parser.
@@ -214,9 +204,8 @@ type Config struct {
 	Shards int
 	// CacheDir, when non-empty, enables the content-addressed result cache
 	// (internal/simcache) rooted at that directory: every task result is
-	// keyed by a digest of its complete input description (GPU config,
-	// scheme, workload, seed, trace length, warmup kernels) and reused by
-	// later runs with identical inputs. Cached rows are bit-identical to
+	// keyed by its Cell's Key — a digest of its complete inputs — and
+	// reused by later runs with identical inputs. Cached rows are bit-identical to
 	// recomputed ones; corrupted or stale entries are recomputed. Cached
 	// results carry no debug Counters.
 	CacheDir string
@@ -246,9 +235,9 @@ type Config struct {
 // fails faultmodel.CheckVoltage, a negative trace length, warmup or scrub
 // count, a class spec that does not parse, or an unknown workload.
 // Normalizing twice equals normalizing once. It is the sweep and single-run
-// twin of campaign.Config.Normalized: Run and every single-run entry point
-// call it, and simserver normalizes run and sweep jobs through it, so a job
-// and a direct call with the same inputs mean the same simulation.
+// twin of campaign.Config.Normalized: Run and Config.Cell call it, and
+// simserver normalizes run and sweep jobs through it, so a job and a direct
+// call with the same inputs mean the same simulation.
 func (c Config) Normalized() (Config, error) {
 	if c.Voltage == 0 {
 		c.Voltage = 0.625
@@ -340,8 +329,8 @@ func kernelSeed(seed uint64, k int) uint64 {
 // element k drives kernel k, with kernel 0 using the configured seed
 // unchanged. Exported for internal/campaign, which builds each workload's
 // TraceSet once and shares it across every die of a fleet — the traces must
-// be exactly the ones Run and RunOne would generate, so the derivation is
-// pinned by TestKernelSeedsGolden.
+// be exactly the ones a Cell builds for itself when Eval runs it without
+// shared traces, so the derivation is pinned by TestKernelSeedsGolden.
 func KernelSeeds(seed uint64, warmups int) []uint64 {
 	out := make([]uint64, warmups+1)
 	for k := range out {
@@ -350,26 +339,117 @@ func KernelSeeds(seed uint64, warmups int) []uint64 {
 	return out
 }
 
-// simulate is the one simulation step every entry point shares: it builds
-// the System over faults (nil selects the private population gpu.New
-// uses), sets its shard count, attaches o (when non-nil) before the
-// first kernel, drives every warmup kernel and returns the measured (final)
-// kernel's result with the end-of-run misclassification census. Cancellation
-// is checked between kernels — one kernel is the unit of work the engine
-// runs to completion, so that is the granularity at which an interrupted
-// run stops. When scrubEvery is positive, the scheme's disabled-line
-// scrubber runs after every scrubEvery-th kernel except the last, so the
-// measured kernel sees the scrubber's steady-state reclaim/re-disable churn
-// but never a scrub immediately before its own measurement.
+// Cell is one simulation's result-determining inputs: the machine (GPU,
+// with its voltage and class spec set), the scheme by its SchemeSyntax
+// name, the workload, the trace seed and length, the warmup kernels and
+// the scrub cadence. The sweep's tasks, the campaign's cells and every
+// single run are Cells, and Eval is the one call that evaluates them.
+type Cell struct {
+	GPU      gpu.Config
+	Scheme   string
+	Workload string
+	Seed     uint64
+	Requests int
+	Warmup   int
+	Scrub    int
+}
+
+// Key is the cell's simcache address, one key space for every caller: a
+// fleet campaign warms the cache for later killi-sim runs and daemon jobs,
+// and vice versa. The GPU config is rendered with %#v — it is deliberately
+// a flat value type (no pointers, maps, or function fields), so the
+// rendering is a stable, exhaustive serialization; any new config field
+// automatically changes the key. The scheme name encodes its configuration
+// (e.g. "killi-1:64").
+func (c Cell) Key() string {
+	return simcache.Key(fmt.Sprintf("gpu=%#v\nscheme=%s\nworkload=%s\nseed=%d\nrequests=%d\nwarmup=%d\nscrub=%d",
+		c.GPU, c.Scheme, c.Workload, c.Seed, c.Requests, c.Warmup, c.Scrub))
+}
+
+// Sim is what a Cell simulates with when Eval runs it: state shared with
+// other cells, and knobs that never change the result. Every field is
+// optional.
+type Sim struct {
+	// NewScheme builds the scheme (nil: SchemeFactoryByName(Cell.Scheme)).
+	NewScheme protection.Factory
+	// Faults returns the fault population, resolved at the cell's voltage.
+	// It is called only when the cell simulates, so a hit never pays for a
+	// fault map (nil: the private population gpu.NewShared samples from
+	// GPU.FaultSeed).
+	Faults func() *gpu.SharedFaults
+	// Traces are the workload's kernel traces (nil: built from the cell
+	// when it simulates).
+	Traces *workload.TraceSet
+	// Shards is the intra-run shard count (gpu.System.SetShards).
+	Shards int
+	// Observer, when non-nil, is attached before the first kernel: it
+	// receives the initial DFH reset, every classification transition, and
+	// a Sample every EpochCycles cycles (0: gpu.DefaultEpochCycles).
+	Observer    obs.Observer
+	EpochCycles uint64
+}
+
+// Eval evaluates c. It serves a valid entry from store when there is one;
+// otherwise it simulates c and stores its scalars. hit reports a cache
+// hit, whose result carries no Counters. A nil store, or an attached
+// observer, skips the store entirely: an observed run's value is its
+// stream, and watching a run must never change the cache. The Put is
+// best-effort — a full disk or read-only cache directory must not fail
+// the simulation — and a failed Put is counted only in
+// store.WriteFailures.
+func (c Cell) Eval(ctx context.Context, store *simcache.Store, s Sim) (res gpu.Result, hit bool, err error) {
+	if s.Observer != nil {
+		store = nil
+	}
+	var key string
+	if store != nil {
+		key = c.Key()
+		if r, ok := store.Get(key); ok {
+			return ResultFromCache(r), true, nil
+		}
+	}
+	if res, err = c.simulate(ctx, s); err == nil && store != nil {
+		_ = store.Put(key, CacheableResult(res))
+	}
+	return res, false, err
+}
+
+// simulate builds the System, sets its shard count, attaches the observer,
+// drives every warmup kernel and returns the measured (final) kernel's
+// result with the end-of-run misclassification census. Cancellation is
+// checked between kernels — one kernel is the unit of work the engine runs
+// to completion, so that is the granularity at which an interrupted run
+// stops. When c.Scrub is positive, the scheme's disabled-line scrubber runs
+// after every c.Scrub-th kernel except the last, so the measured kernel
+// sees the scrubber's steady-state reclaim/re-disable churn but never a
+// scrub immediately before its own measurement.
 //
 // The returned Result carries a detached copy of the counters, so the
 // System is released for the next simulation to recycle.
-func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards, scrubEvery int, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
-	sys := gpu.NewShared(g, newScheme, faults)
+func (c Cell) simulate(ctx context.Context, s Sim) (gpu.Result, error) {
+	newScheme, traces := s.NewScheme, s.Traces
+	if newScheme == nil {
+		var err error
+		if newScheme, err = SchemeFactoryByName(c.Scheme); err != nil {
+			return gpu.Result{}, err
+		}
+	}
+	if traces == nil {
+		w, err := workload.ByName(c.Workload)
+		if err != nil {
+			return gpu.Result{}, err
+		}
+		traces = w.TraceSet(c.GPU.CUs, c.Requests, KernelSeeds(c.Seed, c.Warmup))
+	}
+	var faults *gpu.SharedFaults
+	if s.Faults != nil {
+		faults = s.Faults()
+	}
+	sys := gpu.NewShared(c.GPU, newScheme, faults)
 	defer sys.Release()
-	sys.SetShards(shards)
-	if o != nil {
-		sys.SetObserver(o, epochCycles)
+	sys.SetShards(s.Shards)
+	if s.Observer != nil {
+		sys.SetObserver(s.Observer, s.EpochCycles)
 	}
 	var res gpu.Result
 	for k := 0; k < traces.Kernels(); k++ {
@@ -378,7 +458,7 @@ func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, f
 		}
 		if k+1 < traces.Kernels() {
 			sys.RunKernel(traces.Kernel(k))
-			if scrubEvery > 0 && (k+1)%scrubEvery == 0 {
+			if c.Scrub > 0 && (k+1)%c.Scrub == 0 {
 				sys.Scrub()
 			}
 			continue
@@ -387,27 +467,6 @@ func simulate(ctx context.Context, g gpu.Config, newScheme protection.Factory, f
 	}
 	res.Counters = res.Counters.Clone()
 	return res, nil
-}
-
-// taskDesc canonically describes one sweep task's complete inputs for the
-// result cache. The GPU config is rendered with %#v — it is deliberately a
-// flat value type (no pointers, maps, or function fields), so the rendering
-// is a stable, exhaustive serialization; any new config field automatically
-// changes the key. The scheme is identified by its catalog name, which
-// encodes its configuration (e.g. "killi-1:64").
-func taskDesc(cfg Config, g gpu.Config, schemeName, workloadName string) string {
-	return fmt.Sprintf("gpu=%#v\nscheme=%s\nworkload=%s\nseed=%d\nrequests=%d\nwarmup=%d\nscrub=%d",
-		g, schemeName, workloadName, cfg.Seed, cfg.RequestsPerCU, cfg.WarmupKernels, cfg.ScrubKernels)
-}
-
-// CellKey returns the simcache key for one simulation cell described by its
-// complete inputs — the exact key Run and RunOne use for the same inputs
-// (scrub fixed at 0, matching RunShared), so a campaign's per-cell cache
-// entries and a sweep's entries are one shared population: a fleet campaign
-// warms the cache for later killi-sim runs and vice versa.
-func CellKey(g gpu.Config, schemeName, workloadName string, seed uint64, requests, warmup int) string {
-	cfg := Config{Seed: seed, RequestsPerCU: requests, WarmupKernels: warmup}
-	return simcache.Key(taskDesc(cfg, g, schemeName, workloadName))
 }
 
 // CacheableResult extracts the scalar slice of a result that the cache
@@ -459,32 +518,6 @@ func ResultFromCache(c simcache.Result) gpu.Result {
 		}
 	}
 	return res
-}
-
-// Cached is the one cache-through step every cached entry point shares
-// (the sweep's tasks, RunOneNamed and the campaign's per-cell path): it
-// serves the entry at key() from store when there is a valid one and
-// otherwise runs sim and stores its scalars. hit reports a cache hit; a
-// hit's result carries no Counters. A nil store runs sim without hashing
-// a key. The Put is best-effort — a full disk or read-only cache directory
-// must not fail the simulation — and a failed Put is counted only in
-// store.WriteFailures, which only the store's holder can read. Run,
-// RunOneNamed and campaign.Run, and so every simserver job, open a Store
-// per call and drop it, so nothing reads their failed-write counts.
-func Cached(store *simcache.Store, key func() string, sim func() (gpu.Result, error)) (res gpu.Result, hit bool, err error) {
-	if store == nil {
-		res, err = sim()
-		return res, false, err
-	}
-	k := key()
-	if c, ok := store.Get(k); ok {
-		return ResultFromCache(c), true, nil
-	}
-	if res, err = sim(); err != nil {
-		return gpu.Result{}, false, err
-	}
-	_ = store.Put(k, CacheableResult(res))
-	return res, false, nil
 }
 
 // Run executes the full sweep: for each workload, a fault-free baseline at
@@ -539,18 +572,13 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	// it is the fault-free nominal reference, so not even transient
 	// strikes touch it.
 	type column struct {
-		name      string
-		newScheme protection.Factory
-		g         gpu.Config
-		faults    *gpu.SharedFaults
+		scheme string
+		g      gpu.Config
+		faults *gpu.SharedFaults
 	}
-	none, err := SchemeFactoryByName("none")
-	if err != nil {
-		return nil, err
-	}
-	cols := []column{{"none", none, gBase, faultsBase}}
+	cols := []column{{"none", gBase, faultsBase}}
 	for _, spec := range Schemes() {
-		cols = append(cols, column{spec.Name, spec.New, gLV, faultsLV})
+		cols = append(cols, column{spec.Name, gLV, faultsLV})
 	}
 
 	var store *simcache.Store
@@ -561,15 +589,14 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	}
 
 	// Each task keeps only its scalar result, in the cache's shape whether
-	// it was simulated or read back: simulate's Result carries a copy of the
+	// it was simulated or read back: Eval's Result carries a copy of the
 	// counters, not the System, but the scalars are all a row needs.
 	run := func(i int) (simcache.Result, error) {
-		wi, c := i/len(cols), cols[i%len(cols)]
-		res, _, err := Cached(store,
-			func() string { return simcache.Key(taskDesc(cfg, c.g, c.name, loads[wi].Name)) },
-			func() (gpu.Result, error) {
-				return simulate(ctx, c.g, c.newScheme, c.faults, traces[wi], cfg.Shards, cfg.ScrubKernels, nil, 0)
-			})
+		wi, col := i/len(cols), cols[i%len(cols)]
+		c := Cell{GPU: col.g, Scheme: col.scheme, Workload: loads[wi].Name, Seed: cfg.Seed,
+			Requests: cfg.RequestsPerCU, Warmup: cfg.WarmupKernels, Scrub: cfg.ScrubKernels}
+		res, _, err := c.Eval(ctx, store, Sim{Faults: func() *gpu.SharedFaults { return col.faults },
+			Traces: traces[wi], Shards: cfg.Shards})
 		return CacheableResult(res), err
 	}
 
@@ -579,7 +606,7 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	rows := make([]Row, len(loads))
 	deliver := func(i int, c simcache.Result) error {
 		res := ResultFromCache(c)
-		wi, name := i/len(cols), cols[i%len(cols)].name
+		wi, name := i/len(cols), cols[i%len(cols)].scheme
 		row := &rows[wi]
 		if i%len(cols) == 0 {
 			*row = Row{
@@ -614,112 +641,32 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// prepare is the prologue every single-run entry point shares. It checks
-// the explicit voltage with faultmodel.CheckVoltage — 0 is an error here,
-// not the default it is in cfg.Voltage — normalizes cfg in place for one run
-// of workloadName at that voltage, and resolves the run's inputs: the
-// machine at voltage with its class spec, and a builder for the workload's
-// kernel traces — deferred, so a cache hit never pays for a trace build.
-// The class rule differs by caller and is pinned by
-// TestNominalClassSpecRule: the RunOne family drops cfg.FaultClasses at
-// exactly 1.0, since a nominal run is the sweep's fault-free baseline
-// machine; RunMisclass sets classesAtNominal to apply the spec at every
-// voltage, since its row measures the mix itself.
-func (cfg *Config) prepare(workloadName string, voltage float64, classesAtNominal bool) (gpu.Config, func() *workload.TraceSet, error) {
+// Cell prepares one single run of workloadName × schemeName at voltage —
+// the prologue of every single run, whose Eval is then the whole run. It
+// checks the explicit voltage with faultmodel.CheckVoltage (0 is an error
+// here, not the default it is in cfg.Voltage) and normalizes cfg for one
+// run of the workload. A nominal 1.0 V cell keeps the zero class spec: it
+// is the sweep's fault-free baseline machine. RunMisclass, whose row
+// measures the mix itself, applies the spec at nominal too
+// (TestNominalClassSpecRule pins both rules).
+func (cfg Config) Cell(workloadName, schemeName string, voltage float64) (Cell, error) {
 	if err := faultmodel.CheckVoltage(voltage); err != nil {
-		return gpu.Config{}, nil, err
+		return Cell{}, err
 	}
 	cfg.Voltage, cfg.Workloads = voltage, []string{workloadName}
-	var err error
-	if *cfg, err = cfg.Normalized(); err != nil {
-		return gpu.Config{}, nil, err
-	}
-	w, err := workload.ByName(workloadName)
+	cfg, err := cfg.Normalized()
 	if err != nil {
-		return gpu.Config{}, nil, err
+		return Cell{}, err
 	}
 	g := cfg.baseGPU()
 	g.Voltage = voltage
-	if voltage != 1.0 || classesAtNominal {
+	if voltage != 1.0 {
 		if g.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
-			return gpu.Config{}, nil, err
+			return Cell{}, err
 		}
 	}
-	requests, seeds := cfg.RequestsPerCU, KernelSeeds(cfg.Seed, cfg.WarmupKernels)
-	return g, func() *workload.TraceSet { return w.TraceSet(g.CUs, requests, seeds) }, nil
-}
-
-// RunOne runs a single workload × scheme pair at the given voltage and
-// returns the raw result — the building block the examples use. It follows
-// Run's kernel semantics: cfg.WarmupKernels unmeasured warmup kernels
-// precede the measured one, each re-walking the workload's data structures
-// in a fresh request order, with cfg.FaultClasses and cfg.ScrubKernels
-// applied exactly as the sweep applies them to its LV tasks (a nominal
-// 1.0-voltage run keeps the zero spec, matching the sweep's baseline).
-// Cancelling ctx stops the run at the next kernel boundary and returns
-// ctx.Err().
-func RunOne(ctx context.Context, cfg Config, workloadName string, newScheme protection.Factory, voltage float64) (gpu.Result, error) {
-	return RunOneObserved(ctx, cfg, workloadName, newScheme, voltage, nil, 0)
-}
-
-// RunShared runs one fully prepared simulation: the caller supplies the
-// complete gpu.Config (voltage, fault seed, and reference voltage already
-// set), a pre-built shared fault population, and pre-generated traces, and
-// gets the raw result back. This is the campaign building block: a fleet
-// run executes thousands of dies against one packed TraceSet per workload
-// and one fault Map per die (resolved once per grid voltage), so the
-// per-simulation work here is exactly the kernel loop — the same sharing
-// discipline the sweep established in Run. The result is bit-identical to
-// RunOne with the equivalent configuration (pinned by
-// TestRunSharedMatchesRunOne). Cancelling ctx stops at the next kernel
-// boundary and returns ctx.Err().
-func RunShared(ctx context.Context, g gpu.Config, newScheme protection.Factory, faults *gpu.SharedFaults, traces *workload.TraceSet, shards int) (gpu.Result, error) {
-	return simulate(ctx, g, newScheme, faults, traces, shards, 0, nil, 0)
-}
-
-// RunOneNamed is RunOne with the scheme given by its SchemeSyntax name and,
-// when cfg.CacheDir is set, the content-addressed result cache consulted
-// first. The cache key is the same per-task description the sweep uses, so
-// a completed sweep warms identical single runs and vice versa — this is
-// the fast path behind killi-simd's warm (cache-hit) requests. Cached
-// results carry no debug Counters, exactly as in Run.
-func RunOneNamed(ctx context.Context, cfg Config, workloadName, schemeName string, voltage float64) (gpu.Result, error) {
-	newScheme, err := SchemeFactoryByName(schemeName)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	// g carries the class spec RunOne would simulate, so it is part of the
-	// cache key.
-	g, traces, err := cfg.prepare(workloadName, voltage, false)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	var store *simcache.Store
-	if cfg.CacheDir != "" {
-		if store, err = simcache.Open(cfg.CacheDir); err != nil {
-			return gpu.Result{}, err
-		}
-	}
-	res, _, err := Cached(store,
-		func() string { return simcache.Key(taskDesc(cfg, g, schemeName, workloadName)) },
-		func() (gpu.Result, error) {
-			return simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, nil, 0)
-		})
-	return res, err
-}
-
-// RunOneObserved is RunOne with an observability sink attached before the
-// first kernel: o (when non-nil) receives the initial DFH reset, every
-// classification transition, and an epoch Sample every epochCycles cycles
-// (0 means gpu.DefaultEpochCycles). The simulated machine is bit-identical
-// to the unobserved RunOne — sampling only reads state — so the returned
-// Result matches RunOne exactly (pinned by TestGoldenCounterDigestObserved).
-func RunOneObserved(ctx context.Context, cfg Config, workloadName string, newScheme protection.Factory, voltage float64, o obs.Observer, epochCycles uint64) (gpu.Result, error) {
-	g, traces, err := cfg.prepare(workloadName, voltage, false)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	return simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, o, epochCycles)
+	return Cell{GPU: g, Scheme: schemeName, Workload: workloadName, Seed: cfg.Seed,
+		Requests: cfg.RequestsPerCU, Warmup: cfg.WarmupKernels, Scrub: cfg.ScrubKernels}, nil
 }
 
 // ValidateFlags rejects CLI knob combinations that would panic downstream

@@ -178,6 +178,32 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
+// FuzzSplitList checks the CLI list splitter on arbitrary input: it never
+// panics, never returns an empty or space-padded entry, and its output
+// joined with "," splits back to the same list.
+func FuzzSplitList(f *testing.F) {
+	for _, s := range []string{"", " , ,", "fft", "fft, xsbench", " fft ,,xsbench, ", "0.6,\t0.65\n", "a b,c", " x ,\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := SplitList(s)
+		for _, p := range got {
+			if p == "" || p != strings.TrimSpace(p) || strings.Contains(p, ",") {
+				t.Fatalf("SplitList(%q) returned entry %q", s, p)
+			}
+		}
+		again := SplitList(strings.Join(got, ","))
+		if len(again) != len(got) {
+			t.Fatalf("SplitList(%q) = %q, but its join splits to %q", s, got, again)
+		}
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("SplitList(%q) = %q, but its join splits to %q", s, got, again)
+			}
+		}
+	})
+}
+
 // TestParallelMatchesSerial pins the worker pool's core guarantee: any
 // parallelism produces bit-for-bit the rows of the serial sweep.
 func TestParallelMatchesSerial(t *testing.T) {
@@ -270,8 +296,8 @@ func TestEntryPointsRejectBadInput(t *testing.T) {
 			_, err := RunOneNamed(ctx, cfg, "xsbench", "killi-1:64", v)
 			return err
 		}},
-		{"RunOneObserved", func(ctx context.Context, cfg Config, v float64) error {
-			_, err := RunOneObserved(ctx, cfg, "xsbench", newScheme, v, obs.NewCollector(), 0)
+		{"RunOneObserved", func(ctx context.Context, cfg Config, v float64) error { // the observed single run
+			_, err := observedRun(ctx, cfg, "xsbench", "killi-1:64", v, obs.NewCollector())
 			return err
 		}},
 		{"RunMisclass", func(ctx context.Context, cfg Config, v float64) error {

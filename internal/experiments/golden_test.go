@@ -102,8 +102,7 @@ func TestGoldenVariantDigest(t *testing.T) {
 // sanity-checks what the collector saw.
 func TestGoldenCounterDigestObserved(t *testing.T) {
 	col := obs.NewCollector()
-	res, err := RunOneObserved(context.Background(), Config{RequestsPerCU: 800, Seed: 1}, "xsbench",
-		func() protection.Scheme { return killi.New(killi.Config{Ratio: 64}) }, 0.625, col, 0)
+	res, err := observedRun(context.Background(), Config{RequestsPerCU: 800, Seed: 1}, "xsbench", "killi-1:64", 0.625, col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,22 +51,22 @@ func (r MisclassRow) falseTrustRate() float64 {
 
 // RunMisclass runs one workload × scheme pair at the given voltage under
 // cfg.FaultClasses — applied at every voltage, nominal included, unlike
-// RunOne — and reports the misclassification measurement: the
-// kernel sequence follows RunOne exactly (cfg.WarmupKernels warmups, then
-// the measured kernel, scrubbing per cfg.ScrubKernels), and the final
-// DFH state is compared against the ground-truth oracle. The scheme must
-// expose DFH codes (killi variants do; baselines return an error). The
-// result cache is never consulted: the row needs live counters.
+// Config.Cell — and reports the misclassification measurement: the cell's
+// kernel sequence (cfg.WarmupKernels warmups, then the measured kernel,
+// scrubbing per cfg.ScrubKernels) runs through Eval like every other
+// cell, and the final DFH state is compared against the ground-truth
+// oracle. The scheme must expose DFH codes (killi variants do; baselines
+// return an error). The result cache is never consulted: the row needs
+// live counters.
 func RunMisclass(ctx context.Context, cfg Config, workloadName, schemeName string, voltage float64) (MisclassRow, error) {
-	newScheme, err := SchemeFactoryByName(schemeName)
+	c, err := cfg.Cell(workloadName, schemeName, voltage)
 	if err != nil {
 		return MisclassRow{}, err
 	}
-	g, traces, err := cfg.prepare(workloadName, voltage, true)
-	if err != nil {
+	if c.GPU.Classes, err = faultmodel.ParseClassSpec(cfg.FaultClasses); err != nil {
 		return MisclassRow{}, err
 	}
-	res, err := simulate(ctx, g, newScheme, nil, traces(), cfg.Shards, cfg.ScrubKernels, nil, 0)
+	res, _, err := c.Eval(ctx, nil, Sim{Shards: cfg.Shards})
 	if err != nil {
 		return MisclassRow{}, err
 	}
@@ -75,9 +75,9 @@ func RunMisclass(ctx context.Context, cfg Config, workloadName, schemeName strin
 	}
 	return MisclassRow{
 		Workload:         workloadName,
-		Classes:          classDisplay(g.Classes),
-		ScrubKernels:     cfg.ScrubKernels,
-		Kernels:          cfg.WarmupKernels + 1,
+		Classes:          classDisplay(c.GPU.Classes),
+		ScrubKernels:     c.Scrub,
+		Kernels:          c.Warmup + 1,
 		Cycles:           res.Cycles,
 		SDC:              res.SDC,
 		TransientStrikes: res.TransientStrikes,

@@ -11,7 +11,6 @@ import (
 	"killi/internal/gpu"
 	"killi/internal/obs"
 	"killi/internal/protection"
-	"killi/internal/workload"
 )
 
 // recycleStep is one simulation of TestRecycledSystemMatchesFresh.
@@ -21,7 +20,7 @@ type recycleStep struct {
 	shards          int
 }
 
-// run simulates the step through simulate on a 256 KB L2, two kernels of
+// run simulates the step through Eval on a 256 KB L2, two kernels of
 // xsbench, and renders everything it returns: every counter, every field
 // the result cache keeps, the scheduling ledger and, when observed, the
 // observer's stream.
@@ -34,22 +33,14 @@ func (st recycleStep) run() (string, error) {
 		return "", err
 	}
 	g.Classes = classes
-	newScheme, err := SchemeFactoryByName(st.scheme)
-	if err != nil {
-		return "", err
-	}
-	w, err := workload.ByName("xsbench")
-	if err != nil {
-		return "", err
-	}
 	var col *obs.Collector
 	var o obs.Observer
 	if st.observe {
 		col = obs.NewCollector()
 		o = col
 	}
-	res, err := simulate(context.Background(), g, newScheme, nil,
-		w.TraceSet(g.CUs, 1200, KernelSeeds(5, 1)), st.shards, 0, o, 2048)
+	c := Cell{GPU: g, Scheme: st.scheme, Workload: "xsbench", Seed: 5, Requests: 1200, Warmup: 1}
+	res, _, err := c.Eval(context.Background(), nil, Sim{Shards: st.shards, Observer: o, EpochCycles: 2048})
 	if err != nil {
 		return "", err
 	}
@@ -74,7 +65,7 @@ func flushReleased() {
 }
 
 // TestRecycledSystemMatchesFresh runs one sequence of simulations through
-// simulate, so each System is the previous one released and re-initialized,
+// Eval, so each System is the previous one released and re-initialized,
 // and requires every result to equal the same simulation on a freshly
 // allocated System. The sequence crosses every scheme family, a mixed
 // population with transient strikes, an observer switched on and off, and
@@ -131,27 +122,19 @@ func TestRecycledSystemMatchesFresh(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunResultDetached: a Result simulate returns holds its own counters,
+// TestRunResultDetached: a Result Eval returns holds its own counters,
 // so the next simulation — which recycles the released System — cannot
 // change them.
 func TestRunResultDetached(t *testing.T) {
 	g := gpu.DefaultConfig()
 	g.Voltage = 0.625
-	newScheme, err := SchemeFactoryByName("killi-1:64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := workload.ByName("fft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := w.TraceSet(g.CUs, 500, KernelSeeds(1, 0))
-	res, err := simulate(context.Background(), g, newScheme, nil, traces, 1, 0, nil, 0)
+	c := Cell{GPU: g, Scheme: "killi-1:64", Workload: "fft", Seed: 1, Requests: 500}
+	res, _, err := c.Eval(context.Background(), nil, Sim{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := res.Counters.Clone()
-	if _, err := simulate(context.Background(), g, newScheme, nil, traces, 1, 0, nil, 0); err != nil {
+	if _, _, err := c.Eval(context.Background(), nil, Sim{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, res.Counters) {

@@ -6,7 +6,18 @@ import (
 	"testing"
 
 	"killi/internal/killi"
+	"killi/internal/protection"
 )
+
+// SchemeByName builds a fresh scheme from a name in the SchemeSyntax
+// grammar: the tests' shorthand for SchemeFactoryByName and one call.
+func SchemeByName(name string) (protection.Scheme, error) {
+	f, err := SchemeFactoryByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
+}
 
 // schemeExamples holds one concrete, parseable name per scheme form in
 // SchemeSyntax.

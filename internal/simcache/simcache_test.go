@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,6 +108,101 @@ func TestCorruptedEntryIsAMiss(t *testing.T) {
 	}
 	if got, ok := s.Get(key); !ok || got != testResult() {
 		t.Fatalf("repaired entry not served: ok=%v got=%+v", ok, got)
+	}
+}
+
+// bumpField changes v, a numeric field or the first element of a numeric
+// slice, by one.
+func bumpField(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Fatalf("%s: empty slice, nothing to change", name)
+		}
+		bumpField(t, name, v.Index(0))
+	default:
+		t.Fatalf("%s: no way to change a %s field; extend bumpField", name, v.Kind())
+	}
+}
+
+// TestEveryFieldIsChecksummed rewrites a stored entry on disk with one
+// payload field changed and its old checksum kept — every field of a plain
+// Result in turn, then every field of a DieRecord (each per-cell slice
+// included) — and requires the read to miss. It enumerates the fields by
+// reflection, so a field added later is covered the day it lands.
+func TestEveryFieldIsChecksummed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(v any) {
+		buf, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(entryFile(t, dir), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	key := Key("every plain field")
+	if err := s.Put(key, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	var e entry
+	buf, err := os.ReadFile(entryFile(t, dir))
+	if err != nil || json.Unmarshal(buf, &e) != nil {
+		t.Fatalf("reading the stored entry: %v", err)
+	}
+	rewrite(e)
+	if _, ok := s.Get(key); !ok {
+		t.Fatal("control: the re-encoded, unchanged entry misses")
+	}
+	rt := reflect.TypeOf(e.Result)
+	for i := 0; i < rt.NumField(); i++ {
+		changed := e
+		bumpField(t, rt.Field(i).Name, reflect.ValueOf(&changed.Result).Elem().Field(i))
+		rewrite(changed)
+		if _, ok := s.Get(key); ok {
+			t.Errorf("Result.%s changed on disk, yet Get hit: the checksum does not cover it", rt.Field(i).Name)
+		}
+	}
+
+	if err := os.Remove(entryFile(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	dieKey := Key("every die field")
+	if err := s.PutDie(dieKey, testDieRecord()); err != nil {
+		t.Fatal(err)
+	}
+	var d dieEntry
+	buf, err = os.ReadFile(entryFile(t, dir))
+	if err != nil || json.Unmarshal(buf, &d) != nil {
+		t.Fatalf("reading the stored die entry: %v", err)
+	}
+	rewrite(d)
+	if _, ok := s.GetDie(dieKey); !ok {
+		t.Fatal("control: the re-encoded, unchanged die entry misses")
+	}
+	rt = reflect.TypeOf(d.Record)
+	for i := 0; i < rt.NumField(); i++ {
+		var changed dieEntry // a deep copy: the slices are the file's own
+		if err := json.Unmarshal(buf, &changed); err != nil {
+			t.Fatal(err)
+		}
+		bumpField(t, rt.Field(i).Name, reflect.ValueOf(&changed.Record).Elem().Field(i))
+		rewrite(changed)
+		if _, ok := s.GetDie(dieKey); ok {
+			t.Errorf("DieRecord.%s changed on disk, yet GetDie hit: the checksum does not cover it", rt.Field(i).Name)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 )
@@ -205,6 +206,40 @@ func TestCampaignStream(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestEquivalentVoltageQueries holds /v1/campaign's voltages query to
+// killi-fleet's TestEquivalentVoltageSpellings table: every equivalent
+// spelling of a grid gives one normalized grid and one job key, and a
+// spelling that repeats a voltage is rejected.
+func TestEquivalentVoltageQueries(t *testing.T) {
+	job := func(voltages string) (JobRequest, error) {
+		q := url.Values{"dies": {"4"}, "voltages": {voltages}}
+		req, err := campaignRequest(httptest.NewRequest(http.MethodGet, "/v1/campaign?"+q.Encode(), nil))
+		if err != nil {
+			return req, err
+		}
+		return req.normalized(1, 8)
+	}
+	want, err := job("0.6,0.65")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"0.65,0.6", "0.60,0.650", " 0.6 , 0.65 ", "0.650,\t0.600", "6e-1,0.65", "0.6,,0.65,"} {
+		got, err := job(s)
+		if err != nil {
+			t.Errorf("%q: %v", s, err)
+			continue
+		}
+		if !reflect.DeepEqual(got.Voltages, want.Voltages) || got.key() != want.key() {
+			t.Errorf("%q: grid %v key %s, want grid %v key %s", s, got.Voltages, got.key(), want.Voltages, want.key())
+		}
+	}
+	for _, s := range []string{"0.6,0.60,0.65", "0.65,0.6,0.650"} {
+		if got, err := job(s); err == nil {
+			t.Errorf("%q repeats a voltage but normalizes to grid %v", s, got.Voltages)
 		}
 	}
 }

@@ -1,17 +1,18 @@
 // Package simserver is the resident simulation service behind cmd/killi-simd:
 // a job engine that accepts single-run, sweep, and fleet-campaign requests,
-// dedupes identical
-// in-flight requests (singleflight-style coalescing keyed on the simcache
-// SHA-256 digest of the job's result-determining inputs), bounds concurrent
-// work with a worker pool budgeted against GOMAXPROCS (shards × workers),
-// applies backpressure when the queue is full, streams per-epoch obs samples
-// to observe subscribers, and drains gracefully on shutdown.
+// dedupes identical in-flight requests (singleflight-style coalescing keyed
+// on the simcache SHA-256 digest of the job's result-determining inputs),
+// bounds concurrent work with a worker pool budgeted against GOMAXPROCS
+// (shards × workers), applies backpressure when the queue is full, streams
+// per-epoch obs samples to observe subscribers, and drains gracefully on
+// shutdown.
 //
-// cmd/killi-simd puts the HTTP/JSON layer (Handler) in front of it. A sweep
-// job is the experiments.Run call cmd/killi-sim makes directly, and a
-// campaign job the campaign.Run call cmd/killi-fleet makes. Results are
-// bit-identical to direct experiments calls — the engine adds scheduling,
-// never simulation semantics.
+// cmd/killi-simd puts the HTTP/JSON layer (Handler) in front of it. A run
+// job, plain or observed, is one experiments.Cell evaluated through the
+// server's own result store; a sweep job is the experiments.Run call
+// cmd/killi-sim makes directly, and a campaign job the campaign.Run call
+// cmd/killi-fleet makes. Results are bit-identical to direct experiments
+// calls — the engine adds scheduling, never simulation semantics.
 package simserver
 
 import (
@@ -152,7 +153,7 @@ func (r JobRequest) normalized(defaultShards, maxProcs int) (JobRequest, error) 
 		if r.Workload == "" || r.Scheme == "" {
 			return r, fmt.Errorf(`a run job needs "workload" and "scheme"`)
 		}
-		if _, err := experiments.SchemeByName(r.Scheme); err != nil {
+		if _, err := experiments.SchemeFactoryByName(r.Scheme); err != nil {
 			return r, err
 		}
 		// The pair's workload is the run's one workload: normalization
@@ -271,9 +272,11 @@ type JobResult struct {
 	Run *RunResult `json:"run,omitempty"`
 	// Campaign carries a campaign job's aggregated result.
 	Campaign *campaign.Result `json:"campaign,omitempty"`
-	// Cached reports that a run job was served from the content-addressed
-	// result cache without simulating (sweeps cache per-task; their flag
-	// stays false even when every task hit).
+	// Cached reports that the job touched no simulator: a run job's cell
+	// was a hit in the content-addressed result cache (an observed run
+	// never is), a campaign's every die was a whole-die hit, or any job was
+	// served from the retained registry. A sweep caches per task, so its
+	// executed job stays false even when every task hit.
 	Cached bool `json:"cached"`
 	// Coalesced reports that this submitter joined another submitter's
 	// in-flight execution of the identical job.

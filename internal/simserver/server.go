@@ -251,19 +251,8 @@ func (s *Server) execute(ctx context.Context, c *call) (*JobResult, error) {
 		stop := context.AfterFunc(c.subCtx, cancel)
 		defer stop()
 	}
-	switch {
-	case c.observer != nil:
-		newScheme, err := experiments.SchemeFactoryByName(req.Scheme)
-		if err != nil {
-			return nil, err
-		}
-		// Observed runs bypass the cache: their value is the stream.
-		res, err := experiments.RunOneObserved(runCtx, cfg, req.Workload, newScheme, req.Voltage, c.observer, req.EpochCycles)
-		if err != nil {
-			return nil, err
-		}
-		out.Run = runResult(res)
-	case req.Kind == KindCampaign:
+	switch req.Kind {
+	case KindCampaign:
 		ccfg := req.campaignConfig()
 		// Campaign jobs honor the server's result cache at both grains
 		// (whole-die records and per-cell entries); the retained-result
@@ -283,7 +272,7 @@ func (s *Server) execute(ctx context.Context, c *call) (*JobResult, error) {
 		// Every die served whole from the store means the campaign touched
 		// no simulator at all — the campaign analogue of a cached run.
 		out.Cached = s.store != nil && res.CachedDies == res.Dies
-	case req.Kind == KindSweep:
+	case KindSweep:
 		if m := s.cfg.Metrics; m != nil {
 			cfg.Progress = m.TaskDone
 		}
@@ -292,15 +281,19 @@ func (s *Server) execute(ctx context.Context, c *call) (*JobResult, error) {
 			return nil, err
 		}
 		out.Rows = rows
-	default: // KindRun
-		res, err := experiments.RunOneNamed(ctx, cfg, req.Workload, req.Scheme, req.Voltage)
+	default: // KindRun, plain or observed: one cell through the server's store
+		cell, err := cfg.Cell(req.Workload, req.Scheme, req.Voltage)
 		if err != nil {
 			return nil, err
 		}
-		out.Run = runResult(res)
-		// RunOneNamed attaches Counters only when it simulated; a bare
-		// scalar result came from the content-addressed cache.
-		out.Cached = res.Counters == nil && s.store != nil
+		// An observed run never reads or writes the store: its value is the
+		// stream.
+		res, hit, err := cell.Eval(runCtx, s.store, experiments.Sim{Shards: req.Shards,
+			Observer: c.observer, EpochCycles: req.EpochCycles})
+		if err != nil {
+			return nil, err
+		}
+		out.Run, out.Cached = runResult(res), hit
 	}
 	out.ElapsedSeconds = time.Since(start).Seconds()
 	return out, nil

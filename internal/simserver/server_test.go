@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"killi/internal/obs"
 )
 
 // smallRun is a fast run job for tests (~10ms of simulation).
@@ -43,7 +45,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 
 func TestSubmitRunAndSweep(t *testing.T) {
 	// No retained registry: every repeat must reach a worker, so a Cached
-	// answer can only come from RunOneNamed's disk cache.
+	// answer can only come from the server's disk store.
 	s := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2, RetainJobs: -1})
 	ctx := context.Background()
 
@@ -95,6 +97,27 @@ func TestSubmitRunAndSweep(t *testing.T) {
 	}
 	if got := s.Stats().Executed - before; got != 1 {
 		t.Fatalf("run of a sweep-simulated pair executed %d jobs, want 1 (a worker, not the registry)", got)
+	}
+	if sweep.Cached {
+		t.Fatal("a sweep job reported Cached; only run jobs served from the store do")
+	}
+
+	// Observing the warm pair simulates it with the observer attached: the
+	// stream is the point, so the store is neither read nor written and the
+	// job is not Cached, yet its scalars equal the cached run's.
+	hits, misses := s.store.Hits(), s.store.Misses()
+	observed, err := s.submitStreamed(ctx, smallRun(1), obs.NewCollector(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.Cached {
+		t.Fatal("an observed run reported Cached")
+	}
+	if *observed.Run != *run.Run {
+		t.Fatalf("observed run diverges: observed %+v, plain %+v", observed.Run, run.Run)
+	}
+	if s.store.Hits() != hits || s.store.Misses() != misses {
+		t.Fatalf("an observed run read the store: hits %d→%d, misses %d→%d", hits, s.store.Hits(), misses, s.store.Misses())
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package census keeps the shipped API what the binaries run: its test
-// fails when an exported function or method under internal/ has no caller
+// Package census keeps the shipped API what the binaries run: its tests
+// fail when an exported function or method under internal/ has no caller
 // outside its own file in the non-test code of the root module or of
-// perfbench.
+// perfbench, and when product code calls a function kept only for the
+// frozen benchmark.
 package census
 
 import (
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -40,10 +42,94 @@ var allowed = map[string]string{
 	"march.Result.FaultCount":          "reads a March C- pass's per-line fault count in protection's TestMarchCharacterizationEquivalentToOracle",
 }
 
+// frozen are the functions the frozen benchmark (perfbench, never edited)
+// calls and product code must not: each lives in a benchapi.go and only
+// translates its arguments into the one path. Keys as in allowed.
+var frozen = map[string]string{
+	"experiments.RunOne":      "frozen benchmark API",
+	"experiments.RunOneNamed": "frozen benchmark API",
+	"experiments.CellKey":     "frozen benchmark API",
+}
+
 // module is the root module's path; perfbench's module, killi/perfbench,
 // lives in the perfbench directory under the same prefix, so an import
 // path maps onto the tree by dropping the prefix.
 const module = "killi"
+
+// decl is one exported function or method declared under internal/.
+type decl struct {
+	key, file string
+	fn        *types.Func
+}
+
+// tree is the type-checked non-test code of the root module and of
+// perfbench: every exported declaration under internal/, and where each
+// function is used.
+type tree struct {
+	l            *loader
+	decls        []decl
+	usedIn       map[*types.Func]map[string][]token.Position // function → file → uses
+	ifaceMethods []*types.Func                               // interface methods the code uses
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *tree
+	loadFailed error
+)
+
+// loadTree type-checks the tree once for every test of the package.
+func loadTree(t *testing.T) *tree {
+	t.Helper()
+	loadOnce.Do(func() {
+		l := newLoader(filepath.Join("..", ".."))
+		dirs, err := l.packageDirs()
+		if err != nil {
+			loadFailed = err
+			return
+		}
+		for _, dir := range dirs {
+			if _, err := l.load(dir); err != nil {
+				loadFailed = err
+				return
+			}
+		}
+		tr := &tree{l: l, usedIn: map[*types.Func]map[string][]token.Position{}}
+		for _, f := range l.files {
+			rel := l.rel(f)
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if ok && strings.HasPrefix(rel, "internal/") && fd.Name.IsExported() {
+					tr.decls = append(tr.decls, decl{declKey(rel, fd), rel, l.info.Defs[fd.Name].(*types.Func)})
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := l.info.Uses[id].(*types.Func)
+				if !ok {
+					return true
+				}
+				fn = fn.Origin()
+				if tr.usedIn[fn] == nil {
+					tr.usedIn[fn] = map[string][]token.Position{}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						tr.ifaceMethods = append(tr.ifaceMethods, fn)
+					}
+				}
+				tr.usedIn[fn][rel] = append(tr.usedIn[fn][rel], l.fset.Position(id.Pos()))
+				return true
+			})
+		}
+		loaded = tr
+	})
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
 
 // TestEveryExportedFuncHasACaller is the census, on go/types: a function
 // counts as called when a non-test file other than its own uses its
@@ -52,56 +138,11 @@ const module = "killi"
 // or one of an exported interface of a standard package the code imports
 // (fmt.Stringer's String, which fmt calls), or error's Error.
 func TestEveryExportedFuncHasACaller(t *testing.T) {
-	l := newLoader(filepath.Join("..", ".."))
-	dirs, err := l.packageDirs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if _, err := l.load(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	type decl struct {
-		key, file string
-		fn        *types.Func
-	}
-	var decls []decl
-	usedIn := map[*types.Func]map[string]bool{} // function → files using it
-	var ifaceMethods []*types.Func              // interface methods the code uses
-	for _, f := range l.files {
-		rel := l.rel(f)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if ok && strings.HasPrefix(rel, "internal/") && fd.Name.IsExported() {
-				decls = append(decls, decl{declKey(rel, fd), rel, l.info.Defs[fd.Name].(*types.Func)})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			fn, ok := l.info.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			fn = fn.Origin()
-			if usedIn[fn] == nil {
-				usedIn[fn] = map[string]bool{}
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					ifaceMethods = append(ifaceMethods, fn)
-				}
-			}
-			usedIn[fn][rel] = true
-			return true
-		})
-	}
-	if len(decls) == 0 {
+	tr := loadTree(t)
+	if len(tr.decls) == 0 {
 		t.Fatal("no exported functions found under internal/")
 	}
-	ifaceMethods = append(ifaceMethods, l.stdInterfaceMethods()...)
+	ifaceMethods := append(append([]*types.Func(nil), tr.ifaceMethods...), tr.l.stdInterfaceMethods()...)
 	viaInterface := func(fn *types.Func) bool {
 		if fn.Type().(*types.Signature).Recv() == nil {
 			return false
@@ -116,10 +157,10 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 
 	seen := map[string]bool{}
 	var uncalled []string
-	for _, d := range decls {
+	for _, d := range tr.decls {
 		seen[d.key] = true
 		called := viaInterface(d.fn)
-		for file := range usedIn[d.fn] {
+		for file := range tr.usedIn[d.fn] {
 			called = called || file != d.file
 		}
 		switch _, ok := allowed[d.key]; {
@@ -136,6 +177,50 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 	for key := range allowed {
 		if !seen[key] {
 			t.Errorf("allowlist entry %s names no exported function under internal/", key)
+		}
+	}
+}
+
+// TestFrozenBenchmarkAPI keeps the frozen names what they are for: each is
+// declared in a benchapi.go, no non-test file outside perfbench and the
+// benchapi.go files calls one, and perfbench still calls every one (a name
+// it dropped is deleted, not kept for product code to drift onto).
+func TestFrozenBenchmarkAPI(t *testing.T) {
+	tr := loadTree(t)
+	seen := map[string]bool{}
+	for _, d := range tr.decls {
+		if _, ok := frozen[d.key]; !ok {
+			continue
+		}
+		seen[d.key] = true
+		if filepath.Base(d.file) != "benchapi.go" {
+			t.Errorf("%s (%s): %s, so it belongs in its package's benchapi.go", d.key, d.file, frozen[d.key])
+		}
+		var files []string
+		for file := range tr.usedIn[d.fn] {
+			files = append(files, file)
+		}
+		sort.Strings(files)
+		bench := false
+		for _, file := range files {
+			switch {
+			case strings.HasPrefix(file, "perfbench/"):
+				bench = true
+			case filepath.Base(file) != "benchapi.go":
+				for _, pos := range tr.usedIn[d.fn][file] {
+					rel, _ := filepath.Rel(tr.l.root, pos.Filename)
+					t.Errorf("%s:%d: calls %s, %s: product code evaluates through experiments.Cell.Eval instead",
+						filepath.ToSlash(rel), pos.Line, d.key, frozen[d.key])
+				}
+			}
+		}
+		if !bench {
+			t.Errorf("%s: perfbench no longer calls it; delete it and its frozen entry", d.key)
+		}
+	}
+	for key := range frozen {
+		if !seen[key] {
+			t.Errorf("frozen entry %s names no exported function under internal/", key)
 		}
 	}
 }
